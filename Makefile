@@ -163,16 +163,15 @@ vector-parity:
 	PYTHONPATH=src $(PYTHON) tools/vector_parity.py
 	@echo "vector parity OK (scalar and vector engine CSVs byte-identical)"
 
-# The HB-analysis bit-identity gate: repro-analyze stdout must hash
-# identically between the scalar oracle and the vectorized evaluation
-# path at workers 1/2/4, and a warm rerun against the populated
-# evaluation cache must match while computing zero walks (see
-# docs/performance.md, "The vectorized analysis path").  The reduced
-# grid keeps `make test` quick; the tool's default invocation (no
-# flags) covers the full default catalog.
+# The HB-analysis bit-identity gate: repro-analyze stdout must match the
+# digest pinned in tools/analyze_parity.py, hash identically at workers
+# 1/2/4, and a warm rerun against the populated evaluation cache must
+# match while computing zero walks (see docs/performance.md, "The HB
+# analysis path").  The reduced grid keeps `make test` quick; the tool's
+# default invocation (no flags) covers the full default catalog.
 analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
-	@echo "analyze parity OK (scalar/vector/parallel/cached outputs byte-identical)"
+	@echo "analyze parity OK (pinned, parallel and cached outputs byte-identical)"
 
 # Library code must report through repro.obs, not print().
 lint:

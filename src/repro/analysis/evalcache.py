@@ -80,9 +80,8 @@ def derive_spec(predictor: HistoryPredictor) -> PredictorSpec | None:
     """The cacheable spec of a predictor instance, or ``None``.
 
     ``None`` means the predictor's exact type is not a registered
-    family — evaluations of it are computed fresh every time (and, for
-    the same reason, take the scalar walk in
-    :mod:`repro.hb.vector_eval`).
+    family — a subclass may override anything, so evaluations of it are
+    computed fresh every time.
     """
     kind = type(predictor)
     if kind is MovingAverage:

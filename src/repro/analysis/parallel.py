@@ -32,7 +32,6 @@ remaining units rather than failing the analysis.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.evaluate import HbEvaluation, evaluate_predictor
 from repro.hb.lso import LsoConfig
-from repro.hb.vector_eval import ENV_HB_VECTOR
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset
 from repro.testbed.executor import resolve_workers
@@ -195,16 +193,11 @@ class WarmStats:
 _WORKER_DATASET: Dataset | None = None
 
 
-def _init_worker(dataset_path: str, hb_engine_env: str) -> None:
-    """Pool initializer: load the dataset once per worker process.
-
-    The HB engine selection is shipped explicitly so a ``spawn``-started
-    worker agrees with the parent even though it re-imports everything.
-    """
+def _init_worker(dataset_path: str) -> None:
+    """Pool initializer: load the dataset once per worker process."""
     global _WORKER_DATASET
     from repro.testbed.io import load_dataset
 
-    os.environ[ENV_HB_VECTOR] = hb_engine_env
     _WORKER_DATASET = load_dataset(dataset_path)
     get_telemetry().drain()
 
@@ -295,12 +288,11 @@ def _warm_parallel(
         jobs.setdefault(unit.trace_ordinal, []).append(unit)
 
     telemetry = get_telemetry()
-    hb_engine_env = os.environ.get(ENV_HB_VECTOR, "1")
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(str(dataset_path), hb_engine_env),
+            initargs=(str(dataset_path),),
         ) as pool:
             futures = [
                 pool.submit(_run_trace_job, tuple(job_units))

@@ -12,15 +12,14 @@ predictor walk the requested figures will need — optionally in parallel
 (``--workers N``) and against a persistent content-addressed cache
 (``~/.cache/repro/evals``, see :mod:`repro.analysis.evalcache`) — then
 the figure renderers run with the cache activated and only take hits.
-Rendered output is byte-identical whatever the worker count, engine, or
-cache state (``make analyze-parity`` checks this).
+Rendered output is byte-identical whatever the worker count or cache
+state (``make analyze-parity`` checks this).
 
 Examples::
 
     repro-analyze may.csv                      # every applicable figure
     repro-analyze may.csv --figures 2 19 20    # a subset
     repro-analyze may.csv --workers 4          # parallel warm phase
-    repro-analyze may.csv --hb-engine scalar   # pin the scalar oracle
     repro-analyze march.csv --figures 11
     repro-obs summary may.analysis.manifest.json
 """
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -37,7 +35,6 @@ from pathlib import Path
 from repro.analysis import fb_eval, hb_eval
 from repro.analysis.evalcache import EvaluationCache
 from repro.analysis.parallel import warm_eval_cache
-from repro.hb.vector_eval import ENV_HB_VECTOR
 from repro.analysis.report import (
     render_bar_table,
     render_cdf_table,
@@ -205,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rendered output is identical at any worker count",
     )
     parser.add_argument(
-        "--hb-engine",
-        choices=("vector", "scalar"),
-        default=None,
-        help="pin the HB evaluation engine for this run (default: the "
-        f"{ENV_HB_VECTOR} environment variable, vector when unset)",
-    )
-    parser.add_argument(
         "--no-eval-cache",
         action="store_true",
         help="do not read or write the persistent evaluation cache "
@@ -261,10 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     dataset_path = Path(args.dataset)
     wanted = args.figures or sorted(FIGURES)
-    if args.hb_engine is not None:
-        # Workers inherit the environment, so one flag pins both the
-        # in-process figure renders and the warm-phase fan-out.
-        os.environ[ENV_HB_VECTOR] = "1" if args.hb_engine == "vector" else "0"
 
     telemetry = get_telemetry()
     observing = telemetry.enabled
@@ -280,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
             "dataset": str(args.dataset),
             "figures": list(wanted),
             "workers": args.workers,
-            "hb_engine": args.hb_engine,
             "eval_cache": not args.no_eval_cache,
         },
     ).start()

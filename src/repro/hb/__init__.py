@@ -12,9 +12,17 @@ previous transfer throughputs on the same path:
   detected outliers are discarded from the history, and a detected level
   shift restarts the predictor from the shift point.
 
+The LSO heuristics have one implementation, the incremental
+:class:`~repro.hb.lso.LsoKernel`; the LSO predictor wraps it for both
+offline evaluation and online serving, and
+:func:`~repro.hb.evaluate.lso_segmentation` drives it over whole traces.
+
 :func:`~repro.hb.evaluate.evaluate_predictor` walks a throughput
 :class:`~repro.core.timeseries.TimeSeries` and produces the one-step
-errors and RMSRE used by every HB figure of the paper.
+errors and RMSRE used by every HB figure of the paper; every predictor
+takes the same loop, :func:`~repro.hb.vector_eval.vector_walk`.
+:class:`~repro.hb.streaming.StreamingPredictorState` serves the same
+predictors online.
 """
 
 from repro.hb.autoregressive import AutoRegressive
@@ -32,6 +40,7 @@ from repro.hb.lso import (
     DEFAULT_LEVEL_SHIFT_THRESHOLD,
     DEFAULT_OUTLIER_THRESHOLD,
     LsoConfig,
+    LsoKernel,
     detect_level_shift,
     detect_outliers,
 )
@@ -41,15 +50,12 @@ from repro.hb.streaming import (
     BASE_PREDICTORS,
     DEFAULT_SERVE_PREDICTORS,
     PredictorSpec,
-    StreamingLso,
     StreamingPredictorState,
-    offline_twin,
 )
-from repro.hb.vector_eval import ENV_HB_VECTOR, hb_vector_enabled, vector_walk
+from repro.hb.vector_eval import vector_walk
 from repro.hb.wrappers import LsoPredictor
 
 __all__ = [
-    "ENV_HB_VECTOR",
     "AdaptiveEnsemble",
     "AutoRegressive",
     "BASE_PREDICTORS",
@@ -62,18 +68,16 @@ __all__ = [
     "HistoryPredictor",
     "HoltWinters",
     "LsoConfig",
+    "LsoKernel",
     "LsoPredictor",
     "MovingAverage",
     "PredictorFactory",
     "PredictorSpec",
-    "StreamingLso",
     "StreamingPredictorState",
     "active_eval_cache",
     "detect_level_shift",
     "detect_outliers",
     "evaluate_predictor",
-    "hb_vector_enabled",
-    "offline_twin",
     "set_active_eval_cache",
     "vector_walk",
 ]

@@ -4,23 +4,17 @@
 every HB figure of the paper: at each epoch the predictor (built fresh
 for the trace) forecasts the next throughput from the history so far,
 the relative error (Eq. 4) is recorded, and the trace's accuracy is
-summarised with RMSRE (Eq. 5).
+summarised with RMSRE (Eq. 5).  The walk itself is
+:func:`~repro.hb.vector_eval.vector_walk`, the one loop every predictor
+takes.
 
-Two engines produce those numbers:
-
-* the **scalar oracle** — a per-epoch Python loop calling the
-  predictor's ``forecast()``/``update()`` directly; and
-* the **vector walk** (:mod:`repro.hb.vector_eval`) — array recurrences
-  for the registered predictor families, bit-identical to the oracle
-  and dispatched by default.  ``REPRO_HB_VECTOR=0`` pins the oracle.
-
-:func:`lso_segmentation` re-runs the paper's LSO heuristics over a whole
+:func:`lso_segmentation` runs the paper's LSO heuristics over a whole
 trace and reports the final outlier indices and stationary segments —
 what Section 6.1.3 needs to compute a trace's CoV (weighted across
 stationary periods, outliers excluded) and to exclude outliers from the
-RMSRE of Fig. 20.  It follows the same split: an incremental O(n) pass
-with precheck-gated detector calls by default, the original
-re-scan-everything loop as the oracle.
+RMSRE of Fig. 20.  It drives the same LSO kernel
+(:class:`~repro.hb.lso.LsoKernel`) the LSO predictor wraps, tracking
+original epoch indices alongside.
 
 An evaluation cache (:mod:`repro.analysis.evalcache`) can be installed
 with :func:`set_active_eval_cache`; :func:`evaluate_predictor` then
@@ -38,16 +32,11 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.errors import DataError
-from repro.core.metrics import relative_error, rmsre, segmented_cov
+from repro.core.metrics import rmsre, segmented_cov
 from repro.core.timeseries import TimeSeries
 from repro.hb.base import PredictorFactory
-from repro.hb.lso import LsoConfig, detect_level_shift, detect_outliers
-from repro.hb.vector_eval import (
-    hb_vector_enabled,
-    lso_segmentation_fast,
-    vector_errors,
-    vector_walk,
-)
+from repro.hb.lso import LsoConfig, LsoKernel, first_invalid_sample
+from repro.hb.vector_eval import vector_errors, vector_walk
 from repro.obs import get_telemetry
 
 
@@ -154,7 +143,7 @@ def evaluate_predictor(
     """Walk-forward one-step evaluation of a predictor over a trace.
 
     Args:
-        series: the throughput trace (values must be positive).
+        series: the throughput trace (values must be positive and finite).
         factory: builds the predictor instance evaluated on this trace.
         lso_config: when given, the trace's final LSO segmentation is
             computed so outlier epochs can be excluded from RMSRE (used
@@ -165,15 +154,15 @@ def evaluate_predictor(
         The per-epoch forecasts and errors.
 
     Raises:
-        DataError: when the trace carries a non-positive sample — named
-            by epoch, up front, before any predictor sees it.
+        DataError: when the trace carries a non-positive or non-finite
+            sample — named by epoch and series, up front, before any
+            predictor sees it.
     """
     values = series.values
-    nonpositive = np.flatnonzero(values <= 0)
-    if nonpositive.size:
-        epoch = int(nonpositive[0])
+    epoch = first_invalid_sample(values)
+    if epoch is not None:
         raise DataError(
-            f"throughput must be positive, got {float(values[epoch])} "
+            f"throughput must be positive and finite, got {float(values[epoch])} "
             f"at epoch {epoch} of series {series.name!r}"
         )
 
@@ -187,11 +176,8 @@ def evaluate_predictor(
             return cached
 
     started = perf_counter()
-    predictions = vector_walk(values, predictor) if hb_vector_enabled() else None
-    if predictions is not None:
-        errors = vector_errors(predictions, values)
-    else:
-        predictions, errors = _scalar_walk(values, predictor)
+    predictions = vector_walk(values, predictor)
+    errors = vector_errors(predictions, values)
     elapsed = perf_counter() - started
 
     tele = get_telemetry()
@@ -220,23 +206,6 @@ def evaluate_predictor(
     return evaluation
 
 
-def _scalar_walk(
-    values: np.ndarray, predictor: object
-) -> tuple[np.ndarray, np.ndarray]:
-    """The reference per-epoch loop — the oracle the vector walk must match."""
-    n = len(values)
-    predictions = np.full(n, np.nan)
-    errors = np.full(n, np.nan)
-    for i in range(n):
-        value = float(values[i])
-        if predictor.ready:
-            forecast = predictor.forecast()
-            predictions[i] = forecast
-            errors[i] = relative_error(forecast, value)
-        predictor.update(value)
-    return predictions, errors
-
-
 @dataclass(frozen=True)
 class LsoSegmentation:
     """Final LSO structure of a trace.
@@ -261,51 +230,40 @@ class LsoSegmentation:
 def lso_segmentation(
     values: np.ndarray | list[float], config: LsoConfig | None = None
 ) -> LsoSegmentation:
-    """Run the incremental LSO pass over a full trace.
+    """Run the LSO heuristics over a full trace.
 
-    Replays the same online algorithm the :class:`LsoPredictor` uses,
-    but keeps track of original indices so the caller learns *which*
-    epochs were outliers and where the stationary segments lie.
+    Feeds the trace through the same LSO kernel the
+    :class:`~repro.hb.wrappers.LsoPredictor` runs, keeping a list of the
+    original epoch index of every clean-history sample so the caller
+    learns *which* epochs were outliers and where the stationary
+    segments lie.
 
-    By default runs the O(n) incremental pass (sorted-mirror medians,
-    precheck-gated detector calls); ``REPRO_HB_VECTOR=0`` selects the
-    original quadratic re-scan loop, the oracle both must match.
+    Raises:
+        DataError: when the trace carries a non-positive or non-finite
+            sample, named by epoch.
     """
-    config = config or LsoConfig()
     vals = np.asarray(values, dtype=float)
-    if hb_vector_enabled():
-        outlier_indices, shift_indices = lso_segmentation_fast(vals, config)
-    else:
-        outlier_indices, shift_indices = _segmentation_scalar(vals, config)
-    return _assemble_segmentation(vals, outlier_indices, shift_indices)
-
-
-def _segmentation_scalar(
-    vals: np.ndarray, config: LsoConfig
-) -> tuple[list[int], list[int]]:
-    """The reference pass: both detectors over the full history, each epoch."""
-    history: list[tuple[int, float]] = []  # (original index, value)
+    epoch = first_invalid_sample(vals)
+    if epoch is not None:
+        raise DataError(
+            f"throughput must be positive and finite, got {float(vals[epoch])} "
+            f"at epoch {epoch}"
+        )
+    lso = LsoKernel(config)
+    indices: list[int] = []  # original epoch of each clean-history sample
     outlier_indices: list[int] = []
     shift_indices: list[int] = []
-
-    for idx, raw in enumerate(vals):
-        value = float(raw)
-        if value <= 0:
-            raise DataError(f"throughput must be positive, got {value} at epoch {idx}")
-        history.append((idx, value))
-
-        flagged = detect_outliers([v for _, v in history], config)
-        if flagged:
-            flagged_set = set(flagged)
-            outlier_indices.extend(history[k][0] for k in flagged)
-            history = [item for k, item in enumerate(history) if k not in flagged_set]
-
-        shift = detect_level_shift([v for _, v in history], config)
+    for idx, value in enumerate(vals.tolist()):
+        indices.append(idx)
+        outliers, shift = lso.add(value)
+        if outliers:
+            outlier_indices.extend(indices[k] for k in outliers)
+            for k in reversed(outliers):
+                del indices[k]
         if shift is not None:
-            shift_indices.append(history[shift][0])
-            history = history[shift:]
-
-    return outlier_indices, shift_indices
+            shift_indices.append(indices[shift])
+            del indices[:shift]
+    return _assemble_segmentation(vals, outlier_indices, shift_indices)
 
 
 def _assemble_segmentation(

@@ -35,6 +35,10 @@ class Ewma(HistoryPredictor):
     def n_observed(self) -> int:
         return self._count
 
+    @property
+    def ready(self) -> bool:
+        return self._count > 0
+
     def update(self, value: float) -> None:
         value = float(value)
         if self._estimate is None:
@@ -44,7 +48,8 @@ class Ewma(HistoryPredictor):
         self._count += 1
 
     def forecast(self) -> float:
-        self._require_ready()
+        if not self._count:
+            self._require_ready()
         assert self._estimate is not None
         return self._estimate
 

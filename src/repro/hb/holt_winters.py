@@ -58,35 +58,36 @@ class HoltWinters(HistoryPredictor):
     def n_observed(self) -> int:
         return self._count
 
+    @property
+    def ready(self) -> bool:
+        return self._count >= 2
+
     def update(self, value: float) -> None:
         value = float(value)
-        if self._count == 0:
-            self._first_value = value
-        elif self._count == 1:
+        count = self._count
+        if count >= 2:
+            level = self._level
+            trend = self._trend
+            # forecast(), inlined: the update is the walk's hot loop.
+            raw = level + trend
+            forecast = raw if raw > 0 else max(level, _MIN_FORECAST)
+            new_level = self.alpha * value + (1.0 - self.alpha) * forecast
+            self._trend = self.beta * (new_level - level) + (1.0 - self.beta) * trend
+            self._level = new_level
+        elif count == 1:
             assert self._first_value is not None
             self._level = value
             self._trend = value - self._first_value
         else:
-            assert self._level is not None and self._trend is not None
-            forecast = self._clamped_forecast()
-            new_level = self.alpha * value + (1.0 - self.alpha) * forecast
-            self._trend = (
-                self.beta * (new_level - self._level) + (1.0 - self.beta) * self._trend
-            )
-            self._level = new_level
-        self._count += 1
+            self._first_value = value
+        self._count = count + 1
 
     def forecast(self) -> float:
-        self._require_ready()
-        return self._clamped_forecast()
-
-    def _clamped_forecast(self) -> float:
         """``s + t``, falling back to the (positive) level when negative."""
-        assert self._level is not None and self._trend is not None
+        if self._count < 2:
+            self._require_ready()
         raw = self._level + self._trend
-        if raw > 0:
-            return raw
-        return max(self._level, _MIN_FORECAST)
+        return raw if raw > 0 else max(self._level, _MIN_FORECAST)
 
     def reset(self) -> None:
         self._level = None

@@ -40,12 +40,17 @@ class MovingAverage(HistoryPredictor):
     def n_observed(self) -> int:
         return self._count
 
+    @property
+    def ready(self) -> bool:
+        return self._count > 0
+
     def update(self, value: float) -> None:
         self._window.append(float(value))
         self._count += 1
 
     def forecast(self) -> float:
-        self._require_ready()
+        if not self._count:
+            self._require_ready()
         return sum(self._window) / len(self._window)
 
     def reset(self) -> None:

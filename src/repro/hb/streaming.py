@@ -1,63 +1,32 @@
-"""Streaming predictor state: O(1)-amortised ingest for online serving.
+"""Streaming predictor state for online serving.
 
-The offline :class:`~repro.hb.wrappers.LsoPredictor` re-runs outlier
-detection, level-shift detection, and a full base-predictor replay over
-the entire since-last-shift history on **every** observation — fine for
-a 150-epoch batch analysis, ruinous for a long-running service answering
-thousands of ingest+predict requests per second.  This module provides
-the streaming equivalent:
+The predictors are incremental already — the base families are O(1)
+state machines and the LSO wrapper (:class:`~repro.hb.wrappers.
+LsoPredictor`) runs the incremental LSO kernel at O(1) amortised cost
+per sample — so the service feeds them exactly as the offline
+walk-forward evaluation does, and its forecasts are the offline ones
+bit for bit.  This module adds what a long-running service needs on
+top:
 
-* :class:`StreamingLso` — the same LSO wrapper semantics with an
-  incremental engine.  Each ingest does O(log n) bookkeeping (a sorted
-  mirror of the clean history for exact medians) plus two O(1)
-  prechecks that decide whether the expensive detectors can possibly
-  fire; the full detectors and base-predictor rebuilds only run on the
-  rare updates where an outlier or level shift is actually in play.
-  Predictions are **bit-identical** to :class:`LsoPredictor` — the
-  parity suite in ``tests/hb/test_streaming.py`` proves it against the
-  walk-forward :func:`~repro.hb.evaluate.evaluate_predictor` on
-  campaign traces.
 * :class:`PredictorSpec` — a JSON-able description of one predictor
   configuration (base predictor by registry name, LSO on/off,
-  thresholds), the unit of configuration for ``repro-serve``.
+  thresholds), the unit of configuration for ``repro-serve``;
+  :meth:`PredictorSpec.build` is also the factory to hand
+  :func:`~repro.hb.evaluate.evaluate_predictor` to evaluate the same
+  predictor offline.
 * :class:`StreamingPredictorState` — one path × one spec worth of live
-  state: ``ingest(sample) -> prediction``, non-positive (outage)
-  samples flagged instead of raised, and exact JSON snapshot/restore
-  for restart durability.
-
-Why the prechecks preserve bit-parity
--------------------------------------
-
-*Outliers*: a sample is an outlier candidate only if its relative
-difference from the history median exceeds ``ψ``.  The extreme values
-of the history deviate at least as much as any other sample, so when
-neither ``min`` nor ``max`` of the clean history deviates, the full
-``detect_outliers`` pass would return nothing — it is skipped.
-
-*Level shifts*: a shift at split ``k`` requires every prefix sample
-below (above) every suffix sample.  The prefix always contains the
-first two clean samples (``k >= 2``) and the suffix always contains the
-last three (``k <= n-3``), so ``max(first two) < min(last three)`` (or
-the decreasing mirror) is a necessary condition checked in O(1); the
-full ``detect_level_shift`` scan only runs when it holds.
-
-*Base predictor*: the offline wrapper rebuilds its base predictor from
-scratch each update.  Because every predictor is a deterministic state
-machine over its update sequence, feeding the base **incrementally**
-with exactly the samples a rebuild would feed produces bit-identical
-state; a real rebuild is only needed when the clean history mutates
-non-append-wise (an already-fed sample removed as an outlier, or a
-level shift truncating the history).
+  state: ``ingest(sample) -> prediction``, non-positive and non-finite
+  (outage) samples flagged instead of raised, and exact JSON
+  snapshot/restore for restart durability.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.errors import ConfigurationError, DataError, PredictionError
+from repro.core.errors import ConfigurationError, DataError
 from repro.hb.autoregressive import AutoRegressive
 from repro.hb.base import HistoryPredictor, PredictorFactory
 from repro.hb.ewma import Ewma
@@ -66,9 +35,6 @@ from repro.hb.lso import (
     DEFAULT_LEVEL_SHIFT_THRESHOLD,
     DEFAULT_OUTLIER_THRESHOLD,
     LsoConfig,
-    detect_level_shift,
-    detect_outliers,
-    relative_difference,
 )
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
@@ -78,9 +44,7 @@ __all__ = [
     "BASE_PREDICTORS",
     "DEFAULT_SERVE_PREDICTORS",
     "PredictorSpec",
-    "StreamingLso",
     "StreamingPredictorState",
-    "offline_twin",
 ]
 
 #: Registry of base predictors constructible by name — the vocabulary of
@@ -139,11 +103,11 @@ class PredictorSpec:
         )
 
     def build(self) -> HistoryPredictor:
-        """A fresh streaming predictor for this spec."""
+        """A fresh predictor for this spec (a zero-argument factory)."""
         factory = BASE_PREDICTORS[self.predictor]
         if not self.lso:
             return factory()
-        return StreamingLso(factory, self.lso_config(), harden=self.harden)
+        return LsoPredictor(factory, self.lso_config(), harden=self.harden)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -170,192 +134,6 @@ class PredictorSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed predictor spec {doc!r}: {exc}") from exc
-
-
-class StreamingLso(HistoryPredictor):
-    """Incremental twin of :class:`~repro.hb.wrappers.LsoPredictor`.
-
-    Same constructor, same observable behaviour (forecasts, diagnostics,
-    raised errors), different cost model: amortised O(1) per update
-    instead of a full detection + replay pass over the clean history.
-
-    State is exactly a function of ``(clean history, count, shift and
-    outlier tallies)`` — the same invariant the offline wrapper has — so
-    snapshots are interchangeable between the two implementations.
-    """
-
-    RANGE_CLAMP_FACTOR = LsoPredictor.RANGE_CLAMP_FACTOR
-
-    def __init__(
-        self,
-        factory: PredictorFactory,
-        config: LsoConfig | None = None,
-        harden: bool = True,
-    ) -> None:
-        self._factory = factory
-        self._config = config or LsoConfig()
-        self.harden = harden
-        self._base = factory()
-        self.name = f"{self._base.name}-LSO"
-        self._history: list[float] = []
-        self._sorted: list[float] = []  # sorted mirror of _history
-        self._fed = 0  # length of the _history prefix fed to _base
-        self._count = 0
-        self.n_level_shifts = 0
-        self.n_outliers = 0
-
-    # -- HistoryPredictor surface ---------------------------------------
-
-    @property
-    def min_history(self) -> int:
-        return self._base.min_history
-
-    @property
-    def n_observed(self) -> int:
-        return self._count
-
-    @property
-    def ready(self) -> bool:
-        return self._base.ready
-
-    @property
-    def clean_history(self) -> tuple[float, ...]:
-        """The retained history: post-shift samples, outliers removed."""
-        return tuple(self._history)
-
-    def _median(self) -> float:
-        """Exact median of the clean history (matches statistics.median)."""
-        ordered = self._sorted
-        n = len(ordered)
-        mid = n // 2
-        if n % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2
-
-    def update(self, value: float) -> None:
-        value = float(value)
-        if value <= 0:
-            raise DataError(
-                f"throughput observations must be positive, got {value} "
-                "(a zero/outage epoch — discard or flag it before ingest)"
-            )
-        self._count += 1
-        history = self._history
-        history.append(value)
-        insort(self._sorted, value)
-        rebuild = False
-
-        # Outlier precheck: if neither extreme of the clean history
-        # deviates from the median beyond psi, no sample does.
-        if len(history) >= 2:
-            med = self._median()
-            psi = self._config.outlier_threshold
-            if (
-                relative_difference(self._sorted[0], med) > psi
-                or relative_difference(self._sorted[-1], med) > psi
-            ):
-                outliers = detect_outliers(history, self._config)
-                if outliers:
-                    self.n_outliers += len(outliers)
-                    if outliers[0] < self._fed:
-                        # An already-fed sample is being discarded: the
-                        # base predictor must be rebuilt from scratch.
-                        rebuild = True
-                    removed = [history[k] for k in outliers]
-                    flagged = set(outliers)
-                    history = self._history = [
-                        x for k, x in enumerate(history) if k not in flagged
-                    ]
-                    ordered = self._sorted
-                    for sample in removed:
-                        del ordered[bisect_left(ordered, sample)]
-
-        # Level-shift precheck: a split k in [2, n-3] keeps the first
-        # two samples in the prefix and the last three in the suffix,
-        # so full separation requires one of these O(1) conditions.
-        n = len(history)
-        if n >= 5:
-            lo3 = min(history[-3], history[-2], history[-1])
-            hi3 = max(history[-3], history[-2], history[-1])
-            first_lo = min(history[0], history[1])
-            first_hi = max(history[0], history[1])
-            if first_hi < lo3 or first_lo > hi3:
-                shift = detect_level_shift(history, self._config)
-                if shift is not None:
-                    self.n_level_shifts += 1
-                    history = self._history = history[shift:]
-                    self._sorted = sorted(history)
-                    rebuild = True
-
-        self._feed_base(rebuild)
-
-    def _feed_target(self) -> int:
-        """How many history samples the base predictor should hold.
-
-        Mirrors the offline wrapper's quarantine rule: a trailing sample
-        deviating from the history median beyond psi is withheld from
-        the base predictor until the next sample disambiguates it.
-        """
-        target = len(self._history)
-        if self.harden and target >= 3:
-            med = self._median()
-            last = self._history[-1]
-            if relative_difference(last, med) > self._config.outlier_threshold:
-                target -= 1
-        return target
-
-    def _feed_base(self, rebuild: bool) -> None:
-        target = self._feed_target()
-        if rebuild or target < self._fed:
-            base = self._base = self._factory()
-            for sample in self._history[:target]:
-                base.update(sample)
-        else:
-            base = self._base
-            for sample in self._history[self._fed : target]:
-                base.update(sample)
-        self._fed = target
-
-    def forecast(self) -> float:
-        if not self._base.ready:
-            raise PredictionError(
-                f"{self.name} needs {self.min_history} clean observations, "
-                f"has {len(self._history)}"
-            )
-        raw = self._base.forecast()
-        if not self.harden:
-            return raw
-        low = self._sorted[0] / self.RANGE_CLAMP_FACTOR
-        high = self._sorted[-1] * self.RANGE_CLAMP_FACTOR
-        return min(max(raw, low), high)
-
-    def reset(self) -> None:
-        self._base = self._factory()
-        self._history = []
-        self._sorted = []
-        self._fed = 0
-        self._count = 0
-        self.n_level_shifts = 0
-        self.n_outliers = 0
-
-    # -- snapshot / restore ----------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "history": list(self._history),
-            "count": self._count,
-            "n_level_shifts": self.n_level_shifts,
-            "n_outliers": self.n_outliers,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._history = [float(v) for v in state["history"]]
-        self._sorted = sorted(self._history)
-        self._count = int(state["count"])
-        self.n_level_shifts = int(state["n_level_shifts"])
-        self.n_outliers = int(state["n_outliers"])
-        self._fed = 0
-        self._feed_base(rebuild=True)
 
 
 class StreamingPredictorState:
@@ -399,7 +177,7 @@ class StreamingPredictorState:
         after every ingest to reset error windows at shift boundaries.
         """
         predictor = self._predictor
-        if isinstance(predictor, (StreamingLso, LsoPredictor)):
+        if isinstance(predictor, LsoPredictor):
             return predictor.n_level_shifts
         return 0
 
@@ -432,7 +210,7 @@ class StreamingPredictorState:
             "ready": self.ready,
         }
         predictor = self._predictor
-        if isinstance(predictor, (StreamingLso, LsoPredictor)):
+        if isinstance(predictor, LsoPredictor):
             info["n_level_shifts"] = predictor.n_level_shifts
             info["n_outliers"] = predictor.n_outliers
             info["clean_history_len"] = len(predictor.clean_history)
@@ -461,17 +239,3 @@ class StreamingPredictorState:
         restored._predictor.load_state(state)
         restored.n_invalid = n_invalid
         return restored
-
-
-def offline_twin(spec: PredictorSpec) -> PredictorFactory:
-    """The walk-forward factory equivalent to a spec's streaming build.
-
-    Parity tests (and anyone cross-checking the service against the
-    paper's evaluation) use this to construct the *offline* predictor —
-    :class:`LsoPredictor` instead of :class:`StreamingLso` — with the
-    same base predictor and thresholds.
-    """
-    factory = BASE_PREDICTORS[spec.predictor]
-    if not spec.lso:
-        return factory
-    return lambda: LsoPredictor(factory, spec.lso_config(), harden=spec.harden)

@@ -1,106 +1,50 @@
-"""Array twins of the scalar walk-forward HB evaluation.
+"""The walk-forward loop behind every HB evaluation.
 
-:func:`repro.hb.evaluate.evaluate_predictor` walks a predictor over a
-trace one epoch at a time — clear, correct, and slow.  This module holds
-the fast path: closed-form array recurrences for each registered
-predictor family whose floating-point expression trees match the scalar
-``forecast()``/``update()`` chain *element for element*, so the
-forecasts (and therefore errors, RMSRE and every figure downstream) are
-bit-identical to the scalar walk.  Exact type matches only: a subclass
-may override anything, so it is routed to the scalar oracle.
+:func:`vector_walk` runs one fresh predictor over one trace — forecast
+the epoch, then absorb its sample — and :func:`vector_errors` turns the
+forecasts into Eq. 4 errors in one array expression.  Every predictor
+takes the same loop: the base families, :class:`~repro.hb.wrappers.
+LsoPredictor` over any of them, and any user-defined
+:class:`~repro.hb.base.HistoryPredictor`.  A predictor change therefore
+lands in the predictor and nowhere else; there is no second
+implementation to keep in step.
 
-The same contract as the fluid vector engine (``repro.fastpath.vector``)
-applies:
-
-* ``REPRO_HB_VECTOR=0`` pins the scalar loop — the oracle the parity
-  suite (``tests/hb/test_vector_eval.py``) and ``make analyze-parity``
-  compare against.
-* Any new predictor family must either land with a vector twin and
-  parity coverage, or simply not register here — unknown types fall
-  back to the scalar walk and stay correct.
-
-Bit-identity notes, family by family:
-
-* ``MovingAverage`` — ``sum(deque)`` adds left-associatively starting
-  from ``0``; a running prefix sum (warm-up) and per-offset column
-  accumulation (steady state) add the same samples in the same order.
-* ``Ewma``/``HoltWinters`` — inherently sequential recurrences, run as
-  tight Python loops over the raw floats with the scalar update
-  expressions verbatim, then stored into the output array in one slice
-  assignment.
-* ``AutoRegressive`` — the scalar ``forecast()`` builds fresh arrays
-  from its history list; a contiguous slice view of the trace holds the
-  same values in the same layout, so ``mean``, the normal-equation
-  solve, and the lag dot product reproduce the same bits.
-* ``LsoPredictor`` — an inline replay of the wrapper's per-epoch
-  detect/discard/restart cycle, mirroring the incremental bookkeeping
-  of :class:`repro.hb.streaming.StreamingLso`: a sorted mirror of the
-  clean history makes medians O(1), detector calls are gated on
-  prechecks that any detection provably implies (so the detectors —
-  and their telemetry counters — fire exactly as often as in the
-  scalar walk), and the base predictor is maintained incrementally
-  instead of being rebuilt from scratch every epoch.
+The loop is cheap because the predictors are: the base predictors
+answer ``ready`` and ``forecast`` from their own counters, and the LSO
+wrapper caches its readiness and runs the incremental LSO kernel
+(:class:`~repro.hb.lso.LsoKernel`), so a walk costs O(1) amortised per
+epoch.  The name is kept from the array walks this loop replaced; the
+end-to-end benchmark reports the loop's time as ``hb.vector_walk``.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left, insort
-from statistics import median
-
 import numpy as np
 
 from repro.core.errors import DataError
-from repro.hb.autoregressive import AutoRegressive
-from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.ewma import Ewma
-from repro.hb.holt_winters import _MIN_FORECAST, HoltWinters
-from repro.hb.lso import LsoConfig, relative_difference
-from repro.hb.moving_average import MovingAverage
-from repro.hb.wrappers import LsoPredictor
-from repro.obs import get_telemetry
-
-#: Set to ``0`` to disable the vectorized walk and run the scalar oracle.
-ENV_HB_VECTOR = "REPRO_HB_VECTOR"
+from repro.hb.base import HistoryPredictor
 
 
-def hb_vector_enabled() -> bool:
-    """True unless ``REPRO_HB_VECTOR=0`` pins the scalar oracle.
-
-    Read per call, so tests and the parity harness can flip the
-    environment variable without re-importing anything.
-    """
-    return os.environ.get(ENV_HB_VECTOR, "1") != "0"
-
-
-def vector_walk(
-    values: np.ndarray, predictor: HistoryPredictor
-) -> np.ndarray | None:
-    """Per-epoch forecasts of the walk-forward evaluation, or ``None``.
+def vector_walk(values: np.ndarray, predictor: HistoryPredictor) -> np.ndarray:
+    """Per-epoch one-step forecasts of ``predictor`` over a trace.
 
     Args:
-        values: the trace samples (already validated positive).
-        predictor: a fresh predictor instance — inspected for its family
-            and parameters, never mutated.
+        values: the trace samples (already validated positive and finite).
+        predictor: a fresh predictor instance; the walk feeds it every
+            sample.
 
     Returns:
-        The forecast array the scalar loop would produce (NaN where the
-        predictor was not ready), bit-identical; or ``None`` when the
-        predictor's exact type has no registered vector twin and the
-        caller must run the scalar walk.
+        The forecast of each epoch made from the epochs before it; NaN
+        where the predictor was not ready.
     """
-    kind = type(predictor)
-    if kind is MovingAverage:
-        return _walk_moving_average(values, predictor.order)
-    if kind is Ewma:
-        return _walk_ewma(values, predictor.alpha)
-    if kind is HoltWinters:
-        return _walk_holt_winters(values, predictor.alpha, predictor.beta)
-    if kind is AutoRegressive:
-        return _walk_autoregressive(values, predictor)
-    if kind is LsoPredictor:
-        return _walk_lso(values, predictor)
-    return None
+    predictions = [np.nan] * len(values)
+    forecast = predictor.forecast
+    update = predictor.update
+    for i, value in enumerate(values.tolist()):
+        if predictor.ready:
+            predictions[i] = forecast()
+        update(value)
+    return np.array(predictions, dtype=float)
 
 
 def vector_errors(predictions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -118,9 +62,8 @@ def vector_errors(predictions: np.ndarray, values: np.ndarray) -> np.ndarray:
     actuals = values[mask]
     nonpositive = preds <= 0
     if nonpositive.any():
-        # Unreachable for the registered families (their forecasts are
-        # positive by construction), but mirror relative_error's typed
-        # failure rather than emitting garbage if that ever changes.
+        # Mirror relative_error's typed failure rather than emitting
+        # garbage for a predictor that forecasts a non-positive value.
         k = int(np.flatnonzero(mask)[int(np.argmax(nonpositive))])
         raise DataError(
             f"relative error undefined for non-positive throughputs "
@@ -128,479 +71,3 @@ def vector_errors(predictions: np.ndarray, values: np.ndarray) -> np.ndarray:
         )
     errors[mask] = (preds - actuals) / np.minimum(preds, actuals)
     return errors
-
-
-def _walk_moving_average(values: np.ndarray, order: int) -> np.ndarray:
-    n = len(values)
-    predictions = np.full(n, np.nan)
-    if n < 2:
-        return predictions
-    # Warm-up epochs (partial windows): a running prefix sum adds the
-    # samples in the same left-to-right order as ``sum(deque)``.
-    vals = values.tolist()
-    prefix = 0.0
-    for i in range(1, min(n, order)):
-        prefix += vals[i - 1]
-        predictions[i] = prefix / i
-    if n > order:
-        # Steady state: window_sums[t] = ((0 + v[t]) + v[t+1]) + ... —
-        # one shifted-column addition per window offset keeps the
-        # left-associative order of the scalar sum.
-        window_sums = np.zeros(n - order)
-        for j in range(order):
-            window_sums += values[j : n - order + j]
-        predictions[order:] = window_sums / order
-    return predictions
-
-
-def _walk_ewma(values: np.ndarray, alpha: float) -> np.ndarray:
-    n = len(values)
-    predictions = np.full(n, np.nan)
-    if n < 2:
-        return predictions
-    vals = values.tolist()
-    one_minus = 1.0 - alpha
-    estimate = vals[0]
-    out: list[float] = []
-    append = out.append
-    for value in vals[1:]:
-        append(estimate)
-        estimate = alpha * value + one_minus * estimate
-    predictions[1:] = out
-    return predictions
-
-
-def _walk_holt_winters(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    n = len(values)
-    predictions = np.full(n, np.nan)
-    if n < 3:
-        return predictions
-    vals = values.tolist()
-    one_minus_a = 1.0 - alpha
-    one_minus_b = 1.0 - beta
-    level = vals[1]
-    trend = vals[1] - vals[0]
-    out: list[float] = []
-    append = out.append
-    for value in vals[2:]:
-        raw = level + trend
-        forecast = raw if raw > 0 else max(level, _MIN_FORECAST)
-        append(forecast)
-        new_level = alpha * value + one_minus_a * forecast
-        trend = beta * (new_level - level) + one_minus_b * trend
-        level = new_level
-    predictions[2:] = out
-    return predictions
-
-
-def _walk_autoregressive(
-    values: np.ndarray, predictor: AutoRegressive
-) -> np.ndarray:
-    n = len(values)
-    predictions = np.full(n, np.nan)
-    p = predictor.order
-    max_history = predictor.max_history
-    min_fit = 2 * p + 2
-    eye = predictor.ridge * np.eye(p + 1)
-    for i in range(1, n):
-        start = i - max_history
-        window = values[start if start > 0 else 0 : i]
-        m = len(window)
-        if m < min_fit:
-            predictions[i] = window.mean()
-            continue
-        design = np.ones((m - p, p + 1))
-        for j in range(p):
-            design[:, j + 1] = window[p - 1 - j : m - 1 - j]
-        gram = design.T @ design + eye
-        coeffs = np.linalg.solve(gram, design.T @ window[p:])
-        prediction = float(coeffs[0] + coeffs[1:] @ window[-1 : -p - 1 : -1])
-        predictions[i] = prediction if prediction > 0 else window[-p:].mean()
-    return predictions
-
-
-def _detect_outliers_fast(
-    arr: np.ndarray, med: float, config: LsoConfig
-) -> list[int]:
-    """Vectorized twin of :func:`repro.hb.lso.detect_outliers`.
-
-    Same rule, elementwise: an interior sample deviating from the
-    history median by more than ``psi`` is flagged unless its successor
-    deviates in the same direction (a potential level shift).  The
-    relative-difference comparisons are the identical C double
-    operations, so the flag set matches the scalar detector exactly.
-    The caller guarantees positive samples and supplies the median of
-    ``arr`` (computed from its sorted mirror — the same value
-    ``statistics.median`` would produce).
-    """
-    deviating = np.abs(arr - med) / np.minimum(arr, med) > config.outlier_threshold
-    if not deviating[:-1].any():
-        return []
-    above = arr > med
-    same_direction_run = deviating[1:] & (above[:-1] == above[1:])
-    outliers = np.flatnonzero(deviating[:-1] & ~same_direction_run).tolist()
-    if outliers:
-        # Mirror the scalar detector's accounting (one bump per pass).
-        get_telemetry().counter("hb.outliers_discarded").inc(len(outliers))
-    return outliers
-
-
-def _detect_level_shift_fast(
-    arr: np.ndarray, history: list[float], config: LsoConfig
-) -> int | None:
-    """Vectorized twin of :func:`repro.hb.lso.detect_level_shift`.
-
-    Running prefix/suffix extremes become ``minimum``/``maximum``
-    accumulations; candidate splits with full separation (usually zero
-    or one per call) still take their prefix/suffix medians through
-    ``statistics.median`` so the threshold comparison sees the exact
-    scalar values.  Tie-breaking replicates the scalar scan: widest
-    gap wins, equal gaps go to the later split.
-    """
-    n = len(history)
-    if n < 5:
-        return None
-    prefix_max = np.maximum.accumulate(arr)
-    prefix_min = np.minimum.accumulate(arr)
-    suffix_max = np.maximum.accumulate(arr[::-1])[::-1]
-    suffix_min = np.minimum.accumulate(arr[::-1])[::-1]
-    # Zero-based k ranges over 2 .. n-3 (one-based 3 .. n-2).
-    increasing = prefix_max[1 : n - 3] < suffix_min[2 : n - 2]
-    decreasing = prefix_min[1 : n - 3] > suffix_max[2 : n - 2]
-    candidates = np.flatnonzero(increasing | decreasing)
-    if candidates.size == 0:
-        return None
-    best_k: int | None = None
-    best_gap = 0.0
-    for c in candidates.tolist():
-        k = c + 2
-        if increasing[c]:
-            gap = float(suffix_min[k] - prefix_max[k - 1])
-        else:
-            gap = float(prefix_min[k - 1] - suffix_max[k])
-        med_prefix = median(history[:k])
-        med_suffix = median(history[k:])
-        if relative_difference(med_prefix, med_suffix) <= config.level_shift_threshold:
-            continue
-        if best_k is None or gap > best_gap or (gap == best_gap and k > best_k):
-            best_gap = gap
-            best_k = k
-    if best_k is not None:
-        get_telemetry().counter("hb.level_shifts").inc()
-    return best_k
-
-
-def lso_segmentation_fast(
-    values: np.ndarray, config: LsoConfig
-) -> tuple[list[int], list[int]]:
-    """Incremental O(n) twin of the full-trace LSO segmentation pass.
-
-    Returns the ``(outlier_indices, shift_indices)`` (original epoch
-    indices, detection order) that the reference loop in
-    :func:`repro.hb.evaluate.lso_segmentation` accumulates.  Same
-    precheck gating as :func:`_walk_lso`, plus a parallel index list so
-    detections map back to original epochs after removals/truncations.
-    """
-    psi = config.outlier_threshold
-    indices: list[int] = []
-    history: list[float] = []
-    ordered: list[float] = []
-    outlier_indices: list[int] = []
-    shift_indices: list[int] = []
-    buf = np.empty(len(values))  # numpy mirror of the clean history
-
-    for idx, value in enumerate(values.tolist()):
-        if value <= 0:
-            raise DataError(f"throughput must be positive, got {value} at epoch {idx}")
-        indices.append(idx)
-        history.append(value)
-        insort(ordered, value)
-        m = len(history)
-        buf[m - 1] = value
-        if m >= 2:
-            mid = m >> 1
-            med = ordered[mid] if m & 1 else (ordered[mid - 1] + ordered[mid]) / 2
-            lo = ordered[0]
-            hi = ordered[-1]
-            if (med - lo) / lo > psi or (hi - med) / med > psi:
-                flagged = _detect_outliers_fast(buf[:m], med, config)
-                if flagged:
-                    outlier_indices.extend(indices[k] for k in flagged)
-                    for k in reversed(flagged):
-                        del indices[k]
-                        sample = history.pop(k)
-                        del ordered[bisect_left(ordered, sample)]
-                    m = len(history)
-                    buf[:m] = history
-        if m >= 5:
-            a = history[-1]
-            b = history[-2]
-            c = history[-3]
-            lo3 = b if b < a else a
-            if c < lo3:
-                lo3 = c
-            hi3 = b if b > a else a
-            if c > hi3:
-                hi3 = c
-            h0 = history[0]
-            h1 = history[1]
-            if (h1 if h1 > h0 else h0) < lo3 or (h1 if h1 < h0 else h0) > hi3:
-                shift = _detect_level_shift_fast(buf[:m], history, config)
-                if shift is not None:
-                    shift_indices.append(indices[shift])
-                    del history[:shift]
-                    del indices[:shift]
-                    ordered = sorted(history)
-                    m = len(history)
-                    buf[:m] = history
-    return outlier_indices, shift_indices
-
-
-class _MaTwin:
-    """Incremental stand-in for replaying a MovingAverage base."""
-
-    __slots__ = ("order", "fed")
-
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.fed: list[float] = []
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.fed = list(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        self.fed.extend(samples)
-
-    def forecast(self) -> float:
-        window = self.fed[-self.order :]
-        return sum(window) / len(window)
-
-
-class _EwmaTwin:
-    """Incremental stand-in for replaying an Ewma base."""
-
-    __slots__ = ("alpha", "one_minus", "estimate")
-
-    def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
-        self.one_minus = 1.0 - alpha
-        self.estimate: float | None = None
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.estimate = None
-        self.extend(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        estimate = self.estimate
-        alpha = self.alpha
-        one_minus = self.one_minus
-        for value in samples:
-            estimate = value if estimate is None else alpha * value + one_minus * estimate
-        self.estimate = estimate
-
-    def forecast(self) -> float:
-        assert self.estimate is not None
-        return self.estimate
-
-
-class _HwTwin:
-    """Incremental stand-in for replaying a HoltWinters base."""
-
-    __slots__ = ("alpha", "beta", "one_minus_a", "one_minus_b", "first", "level", "trend", "count")
-
-    def __init__(self, alpha: float, beta: float) -> None:
-        self.alpha = alpha
-        self.beta = beta
-        self.one_minus_a = 1.0 - alpha
-        self.one_minus_b = 1.0 - beta
-        self.first = 0.0
-        self.level = 0.0
-        self.trend = 0.0
-        self.count = 0
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.count = 0
-        self.extend(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        count = self.count
-        level = self.level
-        trend = self.trend
-        alpha = self.alpha
-        beta = self.beta
-        one_minus_a = self.one_minus_a
-        one_minus_b = self.one_minus_b
-        for value in samples:
-            if count == 0:
-                self.first = value
-            elif count == 1:
-                level = value
-                trend = value - self.first
-            else:
-                raw = level + trend
-                forecast = raw if raw > 0 else max(level, _MIN_FORECAST)
-                new_level = alpha * value + one_minus_a * forecast
-                trend = beta * (new_level - level) + one_minus_b * trend
-                level = new_level
-            count += 1
-        self.count = count
-        self.level = level
-        self.trend = trend
-
-    def forecast(self) -> float:
-        raw = self.level + self.trend
-        return raw if raw > 0 else max(self.level, _MIN_FORECAST)
-
-
-class _GenericTwin:
-    """Fallback twin driving a real base predictor incrementally.
-
-    A fresh replay over a prefix and an incremental extension by the
-    same samples issue the identical ``update`` call sequence on a
-    freshly built instance, so any deterministic predictor lands in the
-    same state either way.
-    """
-
-    __slots__ = ("factory", "base")
-
-    def __init__(self, factory: PredictorFactory, probe: HistoryPredictor) -> None:
-        self.factory = factory
-        self.base = probe
-
-    def rebuild(self, feed: list[float]) -> None:
-        self.base = self.factory()
-        self.extend(feed)
-
-    def extend(self, samples: list[float]) -> None:
-        update = self.base.update
-        for value in samples:
-            update(value)
-
-    def forecast(self) -> float:
-        return self.base.forecast()
-
-
-def _base_twin(factory: PredictorFactory) -> tuple[object, int]:
-    probe = factory()
-    kind = type(probe)
-    if kind is MovingAverage:
-        return _MaTwin(probe.order), probe.min_history
-    if kind is Ewma:
-        return _EwmaTwin(probe.alpha), probe.min_history
-    if kind is HoltWinters:
-        return _HwTwin(probe.alpha, probe.beta), probe.min_history
-    return _GenericTwin(factory, probe), probe.min_history
-
-
-def _walk_lso(values: np.ndarray, predictor: LsoPredictor) -> np.ndarray:
-    """Inline replay of the LsoPredictor walk with incremental state.
-
-    Per epoch the scalar wrapper re-runs both detectors over the full
-    clean history and rebuilds its base predictor from scratch.  This
-    walk keeps the clean history alongside a sorted mirror (medians and
-    range clamps become O(1)) and only invokes a detector when a cheap
-    precheck — implied by any actual detection — fires:
-
-    * outliers: the relative deviation from the median is maximized at
-      the history extremes, so if neither extreme deviates beyond the
-      outlier threshold no sample does;
-    * level shift: full prefix/suffix separation at any admissible split
-      requires ``max`` of the first two samples below ``min`` of the
-      last three (or the decreasing mirror image).
-
-    The detectors own the ``hb.outliers_discarded``/``hb.level_shifts``
-    counters and only bump them on a detection, so gating the calls
-    leaves telemetry identical to the scalar walk.  The base predictor
-    is fed incrementally and rebuilt only when the fed prefix actually
-    changed (an outlier removed inside it, or a level-shift restart) —
-    the same bookkeeping :class:`repro.hb.streaming.StreamingLso` uses.
-    """
-    config = predictor._config
-    harden = predictor.harden
-    psi = config.outlier_threshold
-    clamp = predictor.RANGE_CLAMP_FACTOR
-    twin, min_history = _base_twin(predictor._factory)
-
-    n = len(values)
-    predictions = np.full(n, np.nan)
-    history: list[float] = []
-    ordered: list[float] = []
-    fed = 0  # length of the clean-history prefix absorbed by the twin
-    buf = np.empty(n)  # numpy mirror of the clean history
-
-    for idx, value in enumerate(values.tolist()):
-        if fed >= min_history:
-            raw = twin.forecast()
-            if harden:
-                # min(max(raw, lo/2), hi*2), branch-for-branch.
-                low = ordered[0] / clamp
-                if raw < low:
-                    raw = low
-                else:
-                    high = ordered[-1] * clamp
-                    if raw > high:
-                        raw = high
-            predictions[idx] = raw
-
-        history.append(value)
-        insort(ordered, value)
-        m = len(history)
-        buf[m - 1] = value
-        rebuild = False
-        med: float | None = None
-        if m >= 2:
-            mid = m >> 1
-            med = ordered[mid] if m & 1 else (ordered[mid - 1] + ordered[mid]) / 2
-            lo = ordered[0]
-            hi = ordered[-1]
-            if (med - lo) / lo > psi or (hi - med) / med > psi:
-                flagged = _detect_outliers_fast(buf[:m], med, config)
-                if flagged:
-                    if flagged[0] < fed:
-                        rebuild = True
-                    for k in reversed(flagged):
-                        sample = history.pop(k)
-                        del ordered[bisect_left(ordered, sample)]
-                    m = len(history)
-                    buf[:m] = history
-                    med = None
-        if m >= 5:
-            a = history[-1]
-            b = history[-2]
-            c = history[-3]
-            lo3 = b if b < a else a
-            if c < lo3:
-                lo3 = c
-            hi3 = b if b > a else a
-            if c > hi3:
-                hi3 = c
-            h0 = history[0]
-            h1 = history[1]
-            if (h1 if h1 > h0 else h0) < lo3 or (h1 if h1 < h0 else h0) > hi3:
-                shift = _detect_level_shift_fast(buf[:m], history, config)
-                if shift is not None:
-                    del history[:shift]
-                    ordered = sorted(history)
-                    m = len(history)
-                    buf[:m] = history
-                    med = None
-                    rebuild = True
-
-        # The wrapper's _replay(): quarantine a trailing sample deviating
-        # from the clean-history median, then bring the base twin to the
-        # fed prefix.
-        target = m
-        if harden and m >= 3:
-            if med is None:
-                mid = m >> 1
-                med = ordered[mid] if m & 1 else (ordered[mid - 1] + ordered[mid]) / 2
-            last = history[-1]
-            deviation = (last - med) / med if last >= med else (med - last) / last
-            if deviation > psi:
-                target = m - 1
-        if rebuild or target < fed:
-            twin.rebuild(history[:target])
-        elif target > fed:
-            twin.extend(history[fed:target])
-        fed = target
-    return predictions

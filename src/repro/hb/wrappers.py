@@ -1,27 +1,27 @@
 """The LSO wrapper: any base predictor + the paper's two heuristics.
 
-On every new observation the wrapper re-runs outlier detection on its
-clean history (samples since the last level shift), discards detected
-outliers, then runs level-shift detection; upon a shift it drops all
-history before the shift point and restarts the base predictor from the
-post-shift samples.  The base predictor state is rebuilt by replaying the
-clean history, which keeps restarts and outlier removals exactly
-consistent (histories are short — the paper's traces have 150 epochs —
-so the replay cost is negligible).
+Every observation goes through the LSO kernel
+(:class:`~repro.hb.lso.LsoKernel`), which keeps the clean history —
+samples since the last level shift, outliers discarded.  The base
+predictor always holds exactly the state a fresh instance fed that
+clean history would hold: new samples are fed incrementally, and the
+base is rebuilt from the clean history only when the history changed
+under it (an already-fed sample discarded as an outlier, or a level
+shift restarting it from the shift point).  Predictors are
+deterministic state machines over their update sequence, so feeding
+incrementally and rebuilding give the same bits.
+
+The same wrapper serves the offline walk-forward evaluation
+(:func:`~repro.hb.evaluate.evaluate_predictor`) and online serving
+(:class:`~repro.hb.streaming.PredictorSpec` builds it), at O(1)
+amortised cost per observation.
 """
 
 from __future__ import annotations
 
-from statistics import median
-
-from repro.core.errors import DataError, PredictionError
+from repro.core.errors import PredictionError
 from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.lso import (
-    LsoConfig,
-    detect_level_shift,
-    detect_outliers,
-    relative_difference,
-)
+from repro.hb.lso import LsoConfig, LsoKernel
 
 
 class LsoPredictor(HistoryPredictor):
@@ -36,11 +36,13 @@ class LsoPredictor(HistoryPredictor):
             from the base predictor, and clamping forecasts to the
             observed history range.  ``False`` gives the paper-literal
             wrapper (used by the ablation benchmarks).
-
-    Attributes:
-        n_level_shifts: level shifts detected so far (diagnostics).
-        n_outliers: outliers discarded so far (diagnostics).
     """
+
+    #: Forecasts are clamped into [min/2, max*2] of the clean history: a
+    #: forecast outside the range ever observed on the path is predictor
+    #: overshoot (e.g. a Holt-Winters trend extrapolating through zero
+    #: after a sharp dip), not information.
+    RANGE_CLAMP_FACTOR = 2.0
 
     def __init__(
         self,
@@ -53,10 +55,9 @@ class LsoPredictor(HistoryPredictor):
         self.harden = harden
         self._base = factory()
         self.name = f"{self._base.name}-LSO"
-        self._history: list[float] = []
-        self._count = 0
-        self.n_level_shifts = 0
-        self.n_outliers = 0
+        self._lso = LsoKernel(self._config)
+        self._fed = 0  # length of the clean-history prefix fed to _base
+        self._ready = self._base.ready
 
     @property
     def min_history(self) -> int:
@@ -64,69 +65,33 @@ class LsoPredictor(HistoryPredictor):
 
     @property
     def n_observed(self) -> int:
-        return self._count
+        return self._lso.count
+
+    @property
+    def ready(self) -> bool:
+        return self._ready
+
+    @property
+    def n_level_shifts(self) -> int:
+        """Level shifts detected so far (diagnostics)."""
+        return self._lso.n_level_shifts
+
+    @property
+    def n_outliers(self) -> int:
+        """Outliers discarded so far (diagnostics)."""
+        return self._lso.n_outliers
 
     @property
     def clean_history(self) -> tuple[float, ...]:
         """The retained history: post-shift samples, outliers removed."""
-        return tuple(self._history)
+        return tuple(self._lso.history)
 
     def update(self, value: float) -> None:
-        value = float(value)
-        if value <= 0:
-            raise DataError(
-                f"throughput observations must be positive, got {value} "
-                "(a zero/outage epoch — discard or flag it before ingest)"
-            )
-        self._count += 1
-        self._history.append(value)
+        outliers, shift = self._lso.add(float(value))
+        self._feed(shift is not None or (bool(outliers) and outliers[0] < self._fed))
 
-        outliers = detect_outliers(self._history, self._config)
-        if outliers:
-            self.n_outliers += len(outliers)
-            self._history = [
-                x for k, x in enumerate(self._history) if k not in set(outliers)
-            ]
-
-        shift = detect_level_shift(self._history, self._config)
-        if shift is not None:
-            self.n_level_shifts += 1
-            self._history = self._history[shift:]
-
-        self._replay()
-
-    #: Forecasts are clamped into [min/2, max*2] of the clean history: a
-    #: forecast outside the range ever observed on the path is predictor
-    #: overshoot (e.g. a Holt-Winters trend extrapolating through zero
-    #: after a sharp dip), not information.
-    RANGE_CLAMP_FACTOR = 2.0
-
-    def forecast(self) -> float:
-        if not self._base.ready:
-            raise PredictionError(
-                f"{self.name} needs {self.min_history} clean observations, "
-                f"has {len(self._history)}"
-            )
-        raw = self._base.forecast()
-        if not self.harden:
-            return raw
-        low = min(self._history) / self.RANGE_CLAMP_FACTOR
-        high = max(self._history) * self.RANGE_CLAMP_FACTOR
-        return min(max(raw, low), high)
-
-    @property
-    def ready(self) -> bool:
-        return self._base.ready
-
-    def reset(self) -> None:
-        self._base = self._factory()
-        self._history = []
-        self._count = 0
-        self.n_level_shifts = 0
-        self.n_outliers = 0
-
-    def _replay(self) -> None:
-        """Rebuild the base predictor from the current clean history.
+    def _feed(self, rebuild: bool) -> None:
+        """Bring the base predictor up to date with the clean history.
 
         The newest sample cannot be judged by the outlier rule yet (it
         may be the start of a level shift).  If it deviates from the
@@ -136,32 +101,61 @@ class LsoPredictor(HistoryPredictor):
         it.  This keeps one isolated outlier from polluting exactly one
         forecast.
         """
-        feed = self._history
-        if self.harden and len(feed) >= 3:
-            last = feed[-1]
-            med = median(feed)
-            if relative_difference(last, med) > self._config.outlier_threshold:
-                feed = feed[:-1]
+        lso = self._lso
+        history = lso.history
+        target = len(history)
+        if self.harden and target >= 3:
+            last = history[-1]
+            med = lso.median()
+            # relative_difference(last, med), inlined on the per-sample path.
+            deviation = (last - med) / med if last >= med else (med - last) / last
+            if deviation > self._config.outlier_threshold:
+                target -= 1
+        fed = self._fed
+        if rebuild or target < fed:
+            self._base = self._factory()
+            fed = 0
+        base = self._base
+        for sample in history[fed:target]:
+            base.update(sample)
+        self._fed = target
+        self._ready = base.ready
+
+    def forecast(self) -> float:
+        if not self._ready:
+            raise PredictionError(
+                f"{self.name} needs {self.min_history} clean observations, "
+                f"has {len(self._lso.history)}"
+            )
+        raw = self._base.forecast()
+        if not self.harden:
+            return raw
+        # min(max(raw, low), high), branch for branch.
+        ordered = self._lso.ordered
+        low = ordered[0] / self.RANGE_CLAMP_FACTOR
+        if raw < low:
+            return low
+        high = ordered[-1] * self.RANGE_CLAMP_FACTOR
+        return high if raw > high else raw
+
+    def reset(self) -> None:
+        self._lso.reset()
         self._base = self._factory()
-        # Plain loop, not update_many: the base is freshly built and the
-        # feed already validated, so the batch API's copy-validate-commit
-        # staging would only add a deepcopy to this per-update hot path.
-        for sample in feed:
-            self._base.update(sample)
+        self._fed = 0
+        self._ready = self._base.ready
 
     def state_dict(self) -> dict:
-        return {
-            "history": list(self._history),
-            "count": self._count,
-            "n_level_shifts": self.n_level_shifts,
-            "n_outliers": self.n_outliers,
-        }
+        return self._lso.state_dict()
 
     def load_state(self, state: dict) -> None:
-        self._history = [float(v) for v in state["history"]]
-        self._count = int(state["count"])
-        self.n_level_shifts = int(state["n_level_shifts"])
-        self.n_outliers = int(state["n_outliers"])
-        # The base predictor is a pure function of the clean history, so
-        # replaying it restores the wrapper bit-for-bit.
-        self._replay()
+        """Restore a :meth:`state_dict`, validated by the LSO kernel.
+
+        The base predictor is a pure function of the clean history, so
+        rebuilding it restores the wrapper bit-for-bit.
+
+        Raises:
+            DataError: for a state the kernel rejects; the predictor is
+                left unchanged.
+        """
+        self._lso.load_state(state)
+        self._feed(rebuild=True)

@@ -1,5 +1,7 @@
 """The console commands."""
 
+import csv
+
 import pytest
 
 from repro.cli import analyze, campaign, predict, serve
@@ -213,6 +215,26 @@ class TestAnalyzeCommand:
         code = analyze.main([str(saved_dataset), "--figures", "99"])
         assert code == 2
         assert "no renderer" in capsys.readouterr().out
+
+    def test_nan_throughput_makes_hb_figures_not_derivable(
+        self, saved_dataset, tmp_path, capsys
+    ):
+        """Regression: a NaN throughput used to pass every HB input check,
+        so Figs. 16 and 21 printed RMSREs computed through it."""
+        rows = list(csv.reader(saved_dataset.open(newline="")))
+        column = rows[1].index("throughput_mbps")
+        rows[2 + 3][column] = "nan"  # first trace, epoch 3
+        corrupted = tmp_path / "nan.csv"
+        with corrupted.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code = analyze.main(
+            [str(corrupted), "--figures", "16", "21", "--no-eval-cache"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        for number in (16, 21):
+            assert f"[fig {number}] not derivable from this dataset" in out
+        assert "positive and finite, got nan at epoch 3" in out
 
 
 class TestAnalyzeTelemetry:

@@ -1,11 +1,12 @@
 """Streaming-layer parity: ingest-driven predictions must be
-bit-identical to the offline walk-forward evaluation.
+bit-identical to the reference walk-forward evaluation.
 
-The tentpole guarantee of the serving layer: for every registered base
-predictor and LSO configuration, feeding a trace sample-by-sample
-through :meth:`StreamingPredictorState.ingest` produces exactly the
-forecasts :func:`evaluate_predictor` computes with the offline
-:class:`LsoPredictor` — no tolerance, ``==`` on floats.
+The guarantee of the serving layer: for every registered base predictor
+and LSO configuration, feeding a trace sample-by-sample through
+:meth:`StreamingPredictorState.ingest` produces exactly the forecasts of
+the oracle's quadratic LSO replay (``tests/hb/oracle.py``) — no
+tolerance, ``==`` on floats — and so exactly what
+:func:`evaluate_predictor` computes offline.
 """
 
 import json
@@ -16,17 +17,17 @@ import pytest
 
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.timeseries import TimeSeries
+from repro.hb.evaluate import evaluate_predictor
 from repro.hb.lso import LsoConfig
 from repro.hb.streaming import (
     BASE_PREDICTORS,
     PredictorSpec,
-    StreamingLso,
     StreamingPredictorState,
-    offline_twin,
 )
 from repro.hb.wrappers import LsoPredictor
 from repro.paths.config import may_2004_catalog
 from repro.testbed.campaign import Campaign, CampaignSettings
+from tests.hb import oracle
 
 
 def synthetic_trace(n=150, seed=7):
@@ -64,41 +65,50 @@ LSO_CONFIGS = [None, LsoConfig(level_shift_threshold=0.2, outlier_threshold=0.3)
 
 
 class TestStreamingLsoParity:
-    """StreamingLso mirrors LsoPredictor update-for-update."""
+    """LsoPredictor mirrors the oracle's quadratic replay update-for-update."""
 
     @pytest.mark.parametrize("name", sorted(BASE_PREDICTORS))
     @pytest.mark.parametrize("harden", [True, False])
     @pytest.mark.parametrize("config", LSO_CONFIGS, ids=["paper", "tight"])
     def test_forecast_parity_on_synthetic_trace(self, name, harden, config):
         factory = BASE_PREDICTORS[name]
-        offline = LsoPredictor(factory, config, harden=harden)
-        streaming = StreamingLso(factory, config, harden=harden)
+        replay = oracle.ReplayLso(factory, config, harden=harden)
+        streaming = LsoPredictor(factory, config, harden=harden)
         for value in synthetic_trace():
-            offline.update(value)
+            replay.update(value)
             streaming.update(value)
-            assert offline.ready == streaming.ready
-            if offline.ready:
-                assert streaming.forecast() == offline.forecast()
-        assert streaming.clean_history == offline.clean_history
-        assert streaming.n_level_shifts == offline.n_level_shifts
-        assert streaming.n_outliers == offline.n_outliers
-        assert streaming.n_observed == offline.n_observed
+            assert replay.ready == streaming.ready
+            if replay.ready:
+                assert streaming.forecast() == replay.forecast()
+        assert streaming.clean_history == replay.clean_history
+        assert streaming.n_level_shifts == replay.n_level_shifts
+        assert streaming.n_outliers == replay.n_outliers
+        assert streaming.n_observed == replay.n_observed
 
     def test_detects_same_shifts_and_outliers(self):
-        streaming = StreamingLso(BASE_PREDICTORS["ma10"])
+        streaming = LsoPredictor(BASE_PREDICTORS["ma10"])
         for value in synthetic_trace():
             streaming.update(value)
         assert streaming.n_level_shifts >= 2
         assert streaming.n_outliers >= 3
 
     def test_rejects_non_positive_with_data_error(self):
-        streaming = StreamingLso(BASE_PREDICTORS["last"])
+        streaming = LsoPredictor(BASE_PREDICTORS["last"])
         streaming.update(10.0)
         with pytest.raises(DataError):
             streaming.update(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_with_data_error(self, bad):
+        streaming = LsoPredictor(BASE_PREDICTORS["last"])
+        streaming.update(10.0)
+        with pytest.raises(DataError, match="finite"):
+            streaming.update(bad)
+        assert streaming.clean_history == (10.0,)
+        assert streaming.n_observed == 1
+
     def test_reset(self):
-        streaming = StreamingLso(BASE_PREDICTORS["ma5"])
+        streaming = LsoPredictor(BASE_PREDICTORS["ma5"])
         for value in synthetic_trace(n=20):
             streaming.update(value)
         streaming.reset()
@@ -108,18 +118,20 @@ class TestStreamingLsoParity:
 
 
 class TestEvaluateParity:
-    """ingest() reproduces evaluate_predictor on campaign traces."""
+    """ingest() and evaluate_predictor reproduce the oracle on campaign traces."""
 
     @pytest.mark.parametrize("name", sorted(BASE_PREDICTORS))
     @pytest.mark.parametrize("lso", [True, False], ids=["lso", "bare"])
     def test_campaign_trace_parity(self, campaign_traces, name, lso):
         spec = PredictorSpec(predictor=name, lso=lso)
         for path_id, values in campaign_traces.items():
-            evaluation = evaluate_offline(values, spec)
+            expected_predictions = evaluate_offline(values, spec)
+            shipped = evaluate_predictor(TimeSeries.from_values(values), spec.build)
+            assert shipped.predictions.tobytes() == expected_predictions.tobytes()
             state = StreamingPredictorState(spec)
             for i, value in enumerate(values):
                 prediction = state.prediction()
-                expected = evaluation.predictions[i]
+                expected = expected_predictions[i]
                 if prediction is None:
                     assert math.isnan(expected), (path_id, i)
                 else:
@@ -143,19 +155,19 @@ class TestEvaluateParity:
             outlier_threshold=config.outlier_threshold,
         )
         values = next(iter(campaign_traces.values()))
-        evaluation = evaluate_offline(values, spec)
+        expected = evaluate_offline(values, spec)
         state = StreamingPredictorState(spec)
         for i, value in enumerate(values):
             prediction = state.prediction()
             if prediction is not None:
-                assert prediction == evaluation.predictions[i]
+                assert prediction == expected[i]
             state.ingest(value)
 
 
 def evaluate_offline(values, spec):
-    from repro.hb.evaluate import evaluate_predictor
-
-    return evaluate_predictor(TimeSeries.from_values(values), offline_twin(spec))
+    """The oracle's walk over the spec's reference predictor."""
+    predictions, _ = oracle.walk(values, oracle.replay_factory(spec)())
+    return predictions
 
 
 class TestSnapshotRestore:
@@ -186,6 +198,31 @@ class TestSnapshotRestore:
             json.loads(json.dumps(state.snapshot()))
         )
         assert restored.prediction() == state.prediction()
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("history", [10.0, 0.0, 11.0], "sample 1"),
+            ("history", [10.0, 11.0, -2.5], "sample 2"),
+            ("history", [float("nan"), 10.0], "sample 0"),
+            ("history", [10.0, float("inf")], "sample 1"),
+            ("history", [10.0, "x"], "malformed"),
+            ("count", -1, "count"),
+            ("count", 1, "count 1 is below"),
+            ("n_outliers", -3, "n_outliers"),
+            ("n_level_shifts", None, "malformed"),
+        ],
+    )
+    def test_restore_rejects_state_ingest_would_refuse(self, field, value, match):
+        """Regression: a restored 0.0 sample used to surface later as a
+        bare ValueError on ingest, and a NaN as NaN forecasts."""
+        state = StreamingPredictorState(PredictorSpec(predictor="ma5"))
+        for value_in in [10.0, 10.5, 9.8]:
+            state.ingest(value_in)
+        document = json.loads(json.dumps(state.snapshot()))
+        document["state"][field] = value
+        with pytest.raises(DataError, match=match):
+            StreamingPredictorState.restore(document)
 
     def test_malformed_snapshot_raises_data_error(self):
         with pytest.raises(DataError):

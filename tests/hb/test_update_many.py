@@ -6,21 +6,25 @@ skewing every later forecast.  The batch API is now copy-validate-
 commit: all-or-nothing, with the failing index named.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.errors import DataError
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
+from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
-from repro.hb.streaming import StreamingLso
+from repro.hb.streaming import PredictorSpec
 from repro.hb.wrappers import LsoPredictor
+from tests.hb import oracle
 
 PREDICTOR_FACTORIES = {
     "ma": lambda: MovingAverage(3),
     "ewma": lambda: Ewma(0.5),
     "hw": lambda: HoltWinters(0.8, 0.2),
     "lso": lambda: LsoPredictor(lambda: MovingAverage(3)),
-    "streaming-lso": lambda: StreamingLso(lambda: MovingAverage(3)),
+    # The LSO predictor as repro-serve builds it.
+    "streaming-lso": PredictorSpec(predictor="ma5").build,
 }
 
 
@@ -70,7 +74,7 @@ class TestTransactionalBatches:
 
 @pytest.mark.parametrize("kind", ["lso", "streaming-lso"])
 class TestLsoDomainBatches:
-    """The LSO wrappers also fail batches on non-positive throughputs."""
+    """The LSO wrapper also fails batches on non-positive throughputs."""
 
     def test_non_positive_sample_rolls_back(self, kind):
         predictor = PREDICTOR_FACTORIES[kind]()
@@ -79,3 +83,24 @@ class TestLsoDomainBatches:
             predictor.update_many([9.9, -1.0, 10.2])
         assert predictor.n_observed == 3
         assert predictor.clean_history == (10.0, 11.0, 10.5)
+
+
+@pytest.mark.parametrize("harden", [True, False])
+@pytest.mark.parametrize("config", [None, LsoConfig(0.2, 0.3)], ids=["paper", "tight"])
+def test_batches_match_oracle_replay(config, harden):
+    """Batched ingest lands on the oracle's state, sample-for-sample fed."""
+    rng = np.random.default_rng(5)
+    values = 40.0 + rng.normal(0.0, 3.0, 120)
+    values[40:] *= 1.8
+    values[::17] *= 2.5
+    predictor = LsoPredictor(lambda: HoltWinters(0.8, 0.2), config, harden)
+    replay = oracle.ReplayLso(lambda: HoltWinters(0.8, 0.2), config, harden)
+    for start in range(0, len(values), 7):
+        batch = values[start : start + 7].tolist()
+        predictor.update_many(batch)
+        for value in batch:
+            replay.update(value)
+        assert predictor.clean_history == replay.clean_history
+        assert predictor.forecast() == replay.forecast()
+    assert predictor.n_outliers == replay.n_outliers
+    assert predictor.n_level_shifts == replay.n_level_shifts

@@ -1,12 +1,16 @@
-"""Bit-parity of the vectorized HB analysis path against the scalar oracle.
+"""Bit-parity of the HB analysis path against the reference oracle.
 
-Every registered predictor family — plain and LSO-wrapped, at several
-LsoConfigs — is walked over a grid of traces (noisy, spiky,
-level-shifted, tiny) by both engines, and the per-epoch predictions and
-errors must compare equal *as bytes*, not approximately.  The same bar
-applies to the O(n) ``lso_segmentation`` rewrite and to evaluations
-served from the evaluation cache.
+Every predictor family — plain and LSO-wrapped, at several LsoConfigs
+and with ``harden`` on and off — is walked over a grid of traces (noisy,
+spiky, level-shifted, tiny) by :func:`evaluate_predictor` and by the
+oracle's per-epoch walk over its quadratic LSO replay
+(``tests/hb/oracle.py``), and the per-epoch predictions and errors must
+compare equal *as bytes*, not approximately.  The same bar applies to
+``lso_segmentation`` against the oracle's re-scan, to the LSO telemetry
+counters, and to evaluations served from the evaluation cache.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,13 +19,14 @@ from repro.analysis.evalcache import EvaluationCache, derive_spec, spec_factory
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
-from repro.hb.evaluate import evaluate_predictor, lso_segmentation
+from repro.hb.evaluate import HbEvaluation, evaluate_predictor, lso_segmentation
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
-from repro.hb.vector_eval import ENV_HB_VECTOR, hb_vector_enabled, vector_walk
 from repro.hb.wrappers import LsoPredictor
+from repro.obs.telemetry import ENV_OBS, get_telemetry
+from tests.hb import oracle
 
 # ---------------------------------------------------------------------
 # Trace grid
@@ -63,21 +68,35 @@ FACTORIES = {
 }
 
 
-def _lso_variants(factory):
-    return {
-        "lso": lambda: LsoPredictor(factory),
-        "lso-soft": lambda: LsoPredictor(factory, harden=False),
-        "lso-tight": lambda: LsoPredictor(factory, LsoConfig(0.2, 0.3)),
-    }
+VARIANTS = {
+    "lso": {},
+    "lso-soft": {"harden": False},
+    "lso-tight": {"config": LsoConfig(0.2, 0.3)},
+}
+
+
+def lso_factory(variant, family, wrapper=LsoPredictor):
+    """An LSO ``variant`` of ``family`` built with ``wrapper``."""
+    return lambda: wrapper(FACTORIES[family], **VARIANTS[variant])
 
 
 def series(values, name="parity"):
     return TimeSeries.from_values(values, period=180.0, name=name)
 
 
-def run_engine(monkeypatch, engine, values, factory, lso_config=None):
-    monkeypatch.setenv(ENV_HB_VECTOR, "1" if engine == "vector" else "0")
-    return evaluate_predictor(series(values), factory, lso_config=lso_config)
+def assert_walks_equal(values, factory, reference_factory):
+    shipped = evaluate_predictor(series(values), factory)
+    predictions, errors = oracle.walk(values, reference_factory())
+    assert shipped.predictions.tobytes() == predictions.tobytes()
+    assert shipped.errors.tobytes() == errors.tobytes()
+
+
+@pytest.fixture
+def telemetry(monkeypatch):
+    monkeypatch.delenv(ENV_OBS, raising=False)
+    get_telemetry().reset()
+    yield get_telemetry()
+    get_telemetry().reset()
 
 
 # ---------------------------------------------------------------------
@@ -87,65 +106,96 @@ def run_engine(monkeypatch, engine, values, factory, lso_config=None):
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 @pytest.mark.parametrize("family", sorted(FACTORIES))
-def test_families_bit_identical(monkeypatch, trace_name, family):
-    values = TRACES[trace_name]
+def test_families_bit_identical(trace_name, family):
     factory = FACTORIES[family]
-    scalar = run_engine(monkeypatch, "scalar", values, factory)
-    vector = run_engine(monkeypatch, "vector", values, factory)
-    assert scalar.predictions.tobytes() == vector.predictions.tobytes()
-    assert scalar.errors.tobytes() == vector.errors.tobytes()
+    assert_walks_equal(TRACES[trace_name], factory, factory)
 
 
 @pytest.mark.parametrize("trace_name", ["spiky", "adversarial", "clean-shift"])
 @pytest.mark.parametrize("family", ["1-MA", "10-MA", "0.8-EWMA", "HW", "AR3"])
-@pytest.mark.parametrize("variant", ["lso", "lso-soft", "lso-tight"])
-def test_lso_wrappers_bit_identical(monkeypatch, trace_name, family, variant):
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_lso_wrappers_bit_identical(trace_name, family, variant):
+    assert_walks_equal(
+        TRACES[trace_name],
+        lso_factory(variant, family),
+        lso_factory(variant, family, oracle.ReplayLso),
+    )
+
+
+@pytest.mark.parametrize("trace_name", ["spiky", "adversarial", "clean-shift"])
+@pytest.mark.parametrize("family", ["1-MA", "10-MA", "0.8-EWMA", "HW", "AR3"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_lso_counters_match_oracle(telemetry, trace_name, family, variant):
+    """hb.outliers_discarded / hb.level_shifts count the oracle's detections:
+    the LSO walk's, plus the outlier-exclusion segmentation's."""
     values = TRACES[trace_name]
-    factory = _lso_variants(FACTORIES[family])[variant]
-    scalar = run_engine(monkeypatch, "scalar", values, factory)
-    vector = run_engine(monkeypatch, "vector", values, factory)
-    assert scalar.predictions.tobytes() == vector.predictions.tobytes()
-    assert scalar.errors.tobytes() == vector.errors.tobytes()
+    evaluate_predictor(
+        series(values), lso_factory(variant, family), lso_config=LsoConfig()
+    )
+    replay = lso_factory(variant, family, oracle.ReplayLso)()
+    oracle.walk(values, replay)
+    outliers, shifts, _ = oracle.rescan_segmentation(values, LsoConfig())
+    assert telemetry.counter("hb.outliers_discarded").value == (
+        replay.n_outliers + len(outliers)
+    )
+    assert telemetry.counter("hb.level_shifts").value == (
+        replay.n_level_shifts + len(shifts)
+    )
 
 
-def test_rmsre_bit_identical_including_outlier_exclusion(monkeypatch):
+def test_rmsre_bit_identical_including_outlier_exclusion():
     values = TRACES["adversarial"]
-    factory = _lso_variants(FACTORIES["HW"])["lso"]
-    scalar = run_engine(monkeypatch, "scalar", values, factory, LsoConfig())
-    vector = run_engine(monkeypatch, "vector", values, factory, LsoConfig())
-    assert scalar.outlier_indices == vector.outlier_indices
-    assert scalar.rmsre() == vector.rmsre()
-    assert scalar.rmsre(exclude_outliers=True) == vector.rmsre(
+    shipped = evaluate_predictor(
+        series(values), lso_factory("lso", "HW"), lso_config=LsoConfig()
+    )
+    predictions, errors = oracle.walk(
+        values, lso_factory("lso", "HW", oracle.ReplayLso)()
+    )
+    outliers, _, _ = oracle.rescan_segmentation(values, LsoConfig())
+    reference = HbEvaluation(
+        "HW-LSO", "parity", predictions, errors, frozenset(outliers)
+    )
+    assert shipped.outlier_indices == reference.outlier_indices
+    assert shipped.rmsre() == reference.rmsre()
+    assert shipped.rmsre(exclude_outliers=True) == reference.rmsre(
         exclude_outliers=True
     )
 
 
-def test_unregistered_predictor_falls_back_to_scalar(monkeypatch):
+def test_custom_predictor_walks_its_own_forecast():
     class TweakedMa(MovingAverage):
         def forecast(self):
             return super().forecast() * 1.5
 
     values = TRACES["noisy"]
-    assert vector_walk(values, TweakedMa(5)) is None
-    scalar = run_engine(monkeypatch, "scalar", values, lambda: TweakedMa(5))
-    vector = run_engine(monkeypatch, "vector", values, lambda: TweakedMa(5))
-    assert scalar.predictions.tobytes() == vector.predictions.tobytes()
+    assert_walks_equal(values, lambda: TweakedMa(5), lambda: TweakedMa(5))
+    plain = evaluate_predictor(series(values), lambda: MovingAverage(5))
+    tweaked = evaluate_predictor(series(values), lambda: TweakedMa(5))
+    assert np.array_equal(tweaked.predictions[1:], plain.predictions[1:] * 1.5)
 
 
-def test_kill_switch(monkeypatch):
-    monkeypatch.setenv(ENV_HB_VECTOR, "0")
-    assert not hb_vector_enabled()
-    monkeypatch.setenv(ENV_HB_VECTOR, "1")
-    assert hb_vector_enabled()
-    monkeypatch.delenv(ENV_HB_VECTOR)
-    assert hb_vector_enabled()
+# The input checks hold whether a trace arrives as a list of Python
+# scalars or as a numpy vector.
+CONTAINERS = pytest.mark.parametrize(
+    "container", [list, np.array], ids=["scalar", "vector"]
+)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_nonpositive_sample_named_by_epoch(monkeypatch, engine):
-    values = np.array([4.0, 5.0, 6.0, -1.0, 7.0])
-    with pytest.raises(DataError, match=r"epoch 3"):
-        run_engine(monkeypatch, engine, values, FACTORIES["10-MA"])
+@CONTAINERS
+def test_nonpositive_sample_named_by_epoch(container):
+    values = container([4.0, 5.0, 6.0, -1.0, 7.0])
+    with pytest.raises(DataError, match=r"epoch 3 of series 'parity'"):
+        evaluate_predictor(series(values), FACTORIES["10-MA"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "factory", [FACTORIES["10-MA"], lso_factory("lso", "HW")], ids=["10-MA", "HW-LSO"]
+)
+def test_nonfinite_sample_named_by_epoch(factory, bad):
+    values = np.array([4.0, 5.0, 6.0, bad, 7.0])
+    with pytest.raises(DataError, match=r"finite.*epoch 3 of series 'parity'"):
+        evaluate_predictor(series(values), factory)
 
 
 # ---------------------------------------------------------------------
@@ -155,22 +205,25 @@ def test_nonpositive_sample_named_by_epoch(monkeypatch, engine):
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
 @pytest.mark.parametrize("config", [None, LsoConfig(0.2, 0.3)])
-def test_segmentation_bit_identical(monkeypatch, trace_name, config):
+def test_segmentation_bit_identical(trace_name, config):
     values = TRACES[trace_name]
-    monkeypatch.setenv(ENV_HB_VECTOR, "0")
-    scalar = lso_segmentation(values, config)
-    monkeypatch.setenv(ENV_HB_VECTOR, "1")
-    fast = lso_segmentation(values, config)
-    assert scalar.outlier_indices == fast.outlier_indices
-    assert scalar.shift_indices == fast.shift_indices
-    assert scalar.segments == fast.segments
+    shipped = lso_segmentation(values, config)
+    outliers, shifts, segments = oracle.rescan_segmentation(values, config)
+    assert shipped.outlier_indices == tuple(sorted(outliers))
+    assert shipped.shift_indices == tuple(sorted(shifts))
+    assert shipped.segments == tuple(segments)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_segmentation_rejects_nonpositive(monkeypatch, engine):
-    monkeypatch.setenv(ENV_HB_VECTOR, "1" if engine == "vector" else "0")
+@CONTAINERS
+def test_segmentation_rejects_nonpositive(container):
     with pytest.raises(DataError, match=r"epoch 2"):
-        lso_segmentation([4.0, 5.0, 0.0, 6.0])
+        lso_segmentation(container([4.0, 5.0, 0.0, 6.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_segmentation_rejects_nonfinite(bad):
+    with pytest.raises(DataError, match=r"finite.*epoch 1"):
+        lso_segmentation([4.0, bad, 5.0, 6.0])
 
 
 # ---------------------------------------------------------------------
@@ -180,7 +233,7 @@ def test_segmentation_rejects_nonpositive(monkeypatch, engine):
 
 def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path):
     values = TRACES["adversarial"]
-    factory = _lso_variants(FACTORIES["HW"])["lso"]
+    factory = lso_factory("lso", "HW")
     cold = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
     cache = EvaluationCache(tmp_path)
     with cache.activated():

@@ -18,7 +18,6 @@ from repro.hb.streaming import (
     BASE_PREDICTORS,
     PredictorSpec,
     StreamingPredictorState,
-    offline_twin,
 )
 from repro.obs.quality import PredictorQuality, QualityConfig, QualityTracker
 from repro.obs.telemetry import ENV_OBS, get_telemetry
@@ -76,7 +75,7 @@ class TestOfflineParity:
         spec = PredictorSpec(predictor=name, lso=True)
         for path_id, values in campaign_traces.items():
             evaluation = evaluate_predictor(
-                TimeSeries.from_values(values), offline_twin(spec)
+                TimeSeries.from_values(values), spec.build
             )
             tracker = QualityTracker(QualityConfig(slo_abs_error=None))
             errors = online_errors(values, spec, tracker)
@@ -101,7 +100,7 @@ class TestOfflineParity:
         values = campaign_traces["shifted"]
         spec = PredictorSpec(predictor="ewma", lso=True)
         evaluation = evaluate_predictor(
-            TimeSeries.from_values(values), offline_twin(spec)
+            TimeSeries.from_values(values), spec.build
         )
         store = ShardedStateStore(
             specs={"ewma": spec},

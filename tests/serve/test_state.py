@@ -220,6 +220,32 @@ class TestRestoreSkips:
         assert "p2" in clone and "p1" not in clone
         assert self._skip_events()[0]["reason"] == "corrupt-state"
 
+    @pytest.mark.parametrize("bad", [0.0, -4.0, float("nan"), float("inf")])
+    def test_invalid_history_sample_skips_path(self, bad):
+        """Regression: restore used to accept a sample ingest refuses,
+        which later failed with a bare ValueError (0.0, negatives) or
+        served NaN forecasts (NaN)."""
+        store = small_store()
+        store.ingest("p1", [10.0, 10.4, 9.9])
+        store.ingest("p2", [11.0])
+        doc = json.loads(json.dumps(store.snapshot()))
+        doc["paths"]["p1"]["ma5"]["state"]["history"][1] = bad
+        clone = small_store()
+        assert clone.restore(doc) == 1
+        assert "p2" in clone and "p1" not in clone
+        assert self._skipped() == 1
+        assert self._skip_events()[0]["reason"] == "corrupt-state"
+
+    def test_negative_counter_skips_path(self):
+        store = small_store()
+        store.ingest("p1", [10.0, 10.4])
+        doc = store.snapshot()
+        doc["paths"]["p1"]["ma5"]["state"]["n_level_shifts"] = -1
+        clone = small_store()
+        assert clone.restore(doc) == 0
+        assert self._skipped() == 1
+        assert self._skip_events()[0]["reason"] == "corrupt-state"
+
     def test_shard_capacity_skips_overflow(self):
         store = small_store(n_shards=1, max_paths_per_shard=16)
         for i in range(5):

@@ -1,17 +1,21 @@
 """``make analyze-parity``: prove the analysis pipeline output-identical.
 
-Builds one campaign dataset, then runs ``repro-analyze`` on it five
-ways — the scalar HB oracle (the reference), the vectorized engine at
-each requested worker count (each against a fresh evaluation-cache
-directory), and finally a warm rerun against the now-populated cache —
-and requires every run's rendered stdout to be *byte-identical* to the
-reference.  The warm rerun must additionally have computed nothing:
-every HB walk must have come out of the cache.
+Builds one campaign dataset, then runs ``repro-analyze`` on it: a cold
+run at one worker (the reference), a cold run at each further requested
+worker count (each against a fresh evaluation-cache directory), and a
+warm rerun against the reference's now-populated cache.  Every run's
+rendered stdout must be *byte-identical* to the reference, and the warm
+rerun must have computed nothing: every HB walk must come out of the
+cache.
 
-The default invocation covers the acceptance bar of the vectorized
-analysis work: the full default catalog (may2004, 35 paths x 7 traces
-x 150 epochs, seed 0).  ``--paths/--traces/--epochs`` shrink the
-dataset for quick iteration; the reduced grid is what ``make test``
+Runs that agree with each other can still agree on a changed output, so
+the reference itself is checked against :data:`PINNED`, the stdout
+sha256 recorded for a grid before any change to the analysis code.  A
+grid without a pin is only checked for agreement.
+
+The default invocation is the full default catalog (may2004, 35 paths x
+7 traces x 150 epochs, seed 0).  ``--paths/--traces/--epochs`` shrink
+the dataset for quick iteration; the reduced grid is what ``make test``
 runs.
 """
 
@@ -35,10 +39,16 @@ from repro.paths.config import expanded_catalog, may_2004_catalog  # noqa: E402
 from repro.testbed.campaign import Campaign, CampaignSettings  # noqa: E402
 from repro.testbed.io import save_dataset  # noqa: E402
 
+#: repro-analyze stdout sha256 per (paths, traces, epochs, seed) grid;
+#: ``paths`` None is the full catalog.  An intended output change must
+#: update these, with the EXPERIMENTS.md verdicts re-checked.
+PINNED = {
+    (6, 2, 60, 0): "45165cba5bb9a502bb3220cb9f1e0231c3cf5bd773827f30769ff67b91359c0f",
+    (None, 7, 150, 0): "a5f84704c7c71996edeeacfa7cca093a2d0021eed4dfa3cd80ae25bec4fee1fc",
+}
 
-def run_analyze(
-    dataset: Path, cache_dir: Path, engine: str, workers: int
-) -> tuple[str, str, str]:
+
+def run_analyze(dataset: Path, cache_dir: Path, workers: int) -> tuple[str, str, str]:
     """One ``repro-analyze`` subprocess; returns (stdout sha256, stdout, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC)
@@ -49,8 +59,6 @@ def run_analyze(
             "-m",
             "repro.cli.analyze",
             str(dataset),
-            "--hb-engine",
-            engine,
             "--workers",
             str(workers),
         ],
@@ -71,7 +79,7 @@ def warm_computed(stderr: str) -> int | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Diff repro-analyze output across engines, workers, and cache state."
+        description="Diff repro-analyze output across workers and cache state."
     )
     parser.add_argument(
         "--paths", type=int, default=None, metavar="N",
@@ -87,8 +95,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
     parser.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2, 4], metavar="N",
-        help="worker counts for the vectorized runs (default: 1 2 4)",
+        "--workers", type=int, nargs="+", default=[2, 4], metavar="N",
+        help="worker counts compared against the one-worker reference "
+        "(default: 2 4)",
     )
     args = parser.parse_args(argv)
 
@@ -109,35 +118,39 @@ def main(argv: list[str] | None = None) -> int:
             Campaign(catalog, seed=args.seed).run(settings), dataset
         )
 
-        reference, ref_out, _ = run_analyze(
-            dataset, workdir / "cache-scalar", "scalar", 1
-        )
-        print(f"  scalar  workers=1        {reference}")
-
         warm_cache = workdir / "cache-w1"
+        reference, _, _ = run_analyze(dataset, warm_cache, 1)
+        pinned = PINNED.get((args.paths, args.traces, args.epochs, args.seed))
+        if pinned is None:
+            note = "(no pin for this grid)"
+        else:
+            note = "ok" if reference == pinned else f"MISMATCH pinned {pinned}"
+            failed = reference != pinned
+        print(f"  workers=1        {reference}  {note}")
+
         for n_workers in args.workers:
             cache_dir = workdir / f"cache-w{n_workers}"
-            digest, out, _ = run_analyze(dataset, cache_dir, "vector", n_workers)
+            digest, _, _ = run_analyze(dataset, cache_dir, n_workers)
             match = digest == reference
             print(
-                f"  vector  workers={n_workers}        {digest}  "
+                f"  workers={n_workers}        {digest}  "
                 f"{'ok' if match else 'MISMATCH'}"
             )
             failed = failed or not match
 
-        digest, out, stderr = run_analyze(dataset, warm_cache, "vector", 1)
+        digest, _, stderr = run_analyze(dataset, warm_cache, 1)
         computed = warm_computed(stderr)
         cached_ok = computed == 0
         match = digest == reference
         print(
-            f"  vector  workers=1 (warm) {digest}  "
+            f"  workers=1 (warm) {digest}  "
             f"{'ok' if match else 'MISMATCH'}"
             f"{'' if cached_ok else f'  RECOMPUTED {computed} UNITS'}"
         )
         failed = failed or not match or not cached_ok
 
     if failed:
-        print("analyze-parity FAILED: runs disagree", file=sys.stderr)
+        print("analyze-parity FAILED: runs disagree or drift from the pin", file=sys.stderr)
         return 1
     print("analyze-parity OK: all runs byte-identical, warm run fully cached")
     return 0
