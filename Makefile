@@ -165,13 +165,15 @@ vector-parity:
 
 # The HB-analysis bit-identity gate: repro-analyze stdout must match the
 # digest pinned in tools/analyze_parity.py, hash identically at workers
-# 1/2/4, and a warm rerun against the populated evaluation cache must
-# match while computing zero walks (see docs/performance.md, "The HB
-# analysis path").  The reduced grid keeps `make test` quick; the tool's
-# default invocation (no flags) covers the full default catalog.
+# 1/2/4 (each cold run leaving one evaluation-cache pack), a warm rerun
+# against the populated pack must match while computing zero walks, and
+# a rerun over a garbage pack must match while recomputing every walk
+# (see docs/performance.md, "The evaluation cache").  The reduced grid
+# keeps `make test` quick; the tool's default invocation (no flags)
+# covers the full default catalog.
 analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
-	@echo "analyze parity OK (pinned, parallel and cached outputs byte-identical)"
+	@echo "analyze parity OK (pinned, parallel, cached and damaged-pack outputs byte-identical)"
 
 # Library code must report through repro.obs, not print().
 lint:

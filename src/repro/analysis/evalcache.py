@@ -5,29 +5,41 @@ chi-psi grid sweeps evaluate many *identical* (trace, predictor,
 LsoConfig) triples — Fig. 21's ``10-MA`` walk is Fig. 16's, Fig. 22's
 large-window HW-LSO walk is Fig. 19's, and so on.  This cache keys one
 :class:`~repro.hb.evaluate.HbEvaluation` on everything that determines
-it:
+it (:func:`evaluation_key`):
 
 * the SHA-256 of the trace's sample bytes (plus its name and length —
   the name is baked into the cached result),
 * the predictor *spec* — family tag and constructor parameters derived
   from a predictor instance by :func:`derive_spec` (exact type matches
   only: a subclass may override anything, so it never shares a spec
-  with the family it inherits from),
+  with the family it inherits from), and
 * the :class:`~repro.hb.lso.LsoConfig` used for outlier exclusion (or
-  ``None``), and
-* the package version, so stale entries from older releases are never
-  served.
+  ``None``).
 
-Entries live in a directory of ``.npz`` files (default
-``~/.cache/repro/evals``, overridden by ``REPRO_EVAL_CACHE_DIR``), each
-holding the prediction/error arrays bit-exactly, with an in-process
-memo dict layered on top so a figure suite pays the disk read once per
-entry.  The same robustness rules as the dataset cache
-(:mod:`repro.testbed.cache`) apply: atomic writes, and corrupt entries
-quarantined as ``*.corrupt`` misses rather than errors.  Unlike the
-dataset cache, lookups emit no per-entry events (a figure suite makes
-thousands — counters ``evalcache.hits``/``misses``/``stores`` carry
-the accounting instead).
+On disk a dataset's evaluations live together in one **pack**,
+``<root>/<pack key>.npz`` (default root ``~/.cache/repro/evals``,
+overridden by ``REPRO_EVAL_CACHE_DIR``).  The pack key
+(:func:`pack_key`) covers the throughput samples of every trace of the
+dataset — not its path — and :func:`code_fingerprint`, the source of
+every module in :mod:`repro.hb`, so an edit to a predictor, the LSO
+kernel or the walk loop keys a new pack instead of serving walks the
+old code computed.  Inside a pack the predictions, errors and outlier
+indices of all entries are concatenated into three flat arrays; an
+index holds each entry's evaluation key, names and lengths, so an
+entry is served only when its key matches.
+
+:meth:`EvaluationCache.open_pack` reads a pack once;
+:meth:`EvaluationCache.save_pack` writes it back once, with the
+entries :meth:`EvaluationCache.put` added — atomically (temp file +
+rename), so a reader never sees half a pack and of two concurrent
+writers the last complete write wins.  A pack that fails to load, or
+whose index and arrays disagree, is quarantined as ``*.corrupt``,
+counted under ``evalcache.corrupt``, and reads as empty, so its walks
+are recomputed.  In process, :meth:`EvaluationCache.get` and
+:meth:`EvaluationCache.put` are lookups and inserts of a memo dict, and
+lookups emit no per-entry events (a figure suite makes thousands —
+counters ``evalcache.hits``/``misses``/``stores`` carry the accounting
+instead).
 
 :func:`evaluate_predictor` consults the cache through the hook
 installed by :func:`repro.hb.evaluate.set_active_eval_cache`; use
@@ -36,6 +48,7 @@ installed by :func:`repro.hb.evaluate.set_active_eval_cache`; use
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -43,11 +56,11 @@ import tempfile
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from repro._version import __version__
+import repro.hb
 from repro.core.cachekey import stable_fingerprint
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
@@ -59,6 +72,7 @@ from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
 from repro.obs import get_telemetry
+from repro.paths.records import Dataset
 
 #: Environment variable overriding the evaluation-cache location.
 ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
@@ -146,13 +160,141 @@ def evaluation_key(
             "n": len(series),
             "spec": spec,
             "lso": lso_config,
-            "code_version": __version__,
         }
     )
 
 
+@functools.cache
+def code_fingerprint() -> str:
+    """Fingerprint of the source of every module in :mod:`repro.hb`.
+
+    The modules are taken in name order; the source is read once per
+    process.
+    """
+    package = Path(repro.hb.__file__).parent
+    return stable_fingerprint(
+        [
+            (path.stem, path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))
+        ]
+    )
+
+
+def pack_key(dataset: Dataset) -> str:
+    """The key of the pack holding ``dataset``'s evaluations.
+
+    Covers every trace's identity and its throughput samples (the main
+    and the W=20 KB transfers: everything a walk reads), plus
+    :func:`code_fingerprint`.  The dataset's path and label are left
+    out, so a copy of a dataset shares its pack.
+    """
+    digest = hashlib.sha256()
+    for trace in dataset.traces:
+        digest.update(repr((trace.path_id, trace.trace_index, len(trace))).encode())
+        digest.update(
+            np.array(
+                [(e.throughput_mbps, e.smallw_throughput_mbps) for e in trace.epochs],
+                dtype=float,
+            ).tobytes()
+        )
+    return stable_fingerprint({"traces": digest.hexdigest(), "code": code_fingerprint()})
+
+
+class _FlatArray:
+    """The flat ``.npy`` array in an open pack member, read in runs.
+
+    Each run is read into an array of its own, so reading a pack holds
+    no whole-pack copy of its arrays.
+    """
+
+    def __init__(self, member: BinaryIO) -> None:
+        self._member = member
+        if np.lib.format.read_magic(member) != (1, 0):
+            raise ValueError("pack member has an unknown array format")
+        shape, _, self._dtype = np.lib.format.read_array_header_1_0(member)
+        if len(shape) != 1 or self._dtype.hasobject:
+            raise ValueError("pack member is not a flat array")
+        #: items not yet read.
+        self.remaining = shape[0]
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` items."""
+        if not 0 <= n <= self.remaining:
+            raise ValueError("pack index and arrays disagree in length")
+        self.remaining -= n
+        data = self._member.read(n * self._dtype.itemsize)
+        if len(data) != n * self._dtype.itemsize:
+            raise ValueError("pack member is truncated")
+        return np.frombuffer(data, dtype=self._dtype).copy()
+
+
+def _read_pack(pack: zipfile.ZipFile) -> dict[str, HbEvaluation]:
+    """The entries of an open pack.
+
+    Raises:
+        ValueError, TypeError, KeyError: when the index and the arrays
+            disagree or either is malformed.
+    """
+    with pack.open("index.npy") as member:
+        index_array = _FlatArray(member)
+        index = json.loads(index_array.take(index_array.remaining).tobytes())
+    entries: dict[str, HbEvaluation] = {}
+    with (
+        pack.open("predictions.npy") as predictions_member,
+        pack.open("errors.npy") as errors_member,
+        pack.open("outliers.npy") as outliers_member,
+    ):
+        predictions = _FlatArray(predictions_member)
+        errors = _FlatArray(errors_member)
+        outliers = _FlatArray(outliers_member)
+        for key, predictor_name, series_name, n_points, n_outliers in index:
+            entries[key] = HbEvaluation(
+                predictor_name=predictor_name,
+                series_name=series_name,
+                predictions=predictions.take(n_points),
+                errors=errors.take(n_points),
+                outlier_indices=frozenset(outliers.take(n_outliers).tolist()),
+            )
+    if predictions.remaining or errors.remaining or outliers.remaining:
+        raise ValueError("pack index and arrays disagree in length")
+    return entries
+
+
+def _write_pack(handle: BinaryIO, entries: dict[str, HbEvaluation]) -> None:
+    """Write ``entries`` to ``handle`` in the layout :func:`_read_pack` reads.
+
+    An ``.npz`` archive whose flat arrays are streamed entry by entry
+    into their members, so the write holds no concatenated copy of them.
+    """
+    index = [
+        [key, e.predictor_name, e.series_name, len(e.predictions), len(e.outlier_indices)]
+        for key, e in entries.items()
+    ]
+    members = {
+        "index": [np.frombuffer(json.dumps(index).encode(), dtype=np.uint8)],
+        "predictions": [e.predictions for e in entries.values()],
+        "errors": [e.errors for e in entries.values()],
+        "outliers": [
+            np.array(sorted(e.outlier_indices), dtype=np.int64)
+            for e in entries.values()
+        ],
+    }
+    with zipfile.ZipFile(handle, "w", allowZip64=True) as pack:
+        for name, parts in members.items():
+            dtype = parts[0].dtype
+            header = {
+                "descr": np.lib.format.dtype_to_descr(dtype),
+                "fortran_order": False,
+                "shape": (sum(len(part) for part in parts),),
+            }
+            with pack.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for part in parts:
+                    member.write(np.ascontiguousarray(part, dtype=dtype))
+
+
 class EvaluationCache:
-    """A directory of HB evaluations addressed by content key.
+    """HB evaluations addressed by content key, persisted as packs.
 
     Args:
         root: cache directory; ``None`` uses
@@ -172,39 +314,53 @@ class EvaluationCache:
         )
         self.memory_only = memory_only
         self._memo: dict[str, HbEvaluation] = {}
+        #: key and entries of the open pack; None when no pack is open.
+        self._pack_key: str | None = None
+        self._pack: dict[str, HbEvaluation] = {}
+        self._pack_changed = False
 
     def path_for(self, key: str) -> Path:
-        """The file an evaluation with ``key`` is (or would be) stored at."""
+        """The file the pack with ``key`` is (or would be) stored at."""
         return self.root / f"{key}.npz"
 
     def get(self, key: str) -> HbEvaluation | None:
-        """The cached evaluation for ``key``, or ``None`` on a miss.
+        """The evaluation held for ``key``, or ``None`` on a miss."""
+        return self._memo.get(key)
 
-        Disk hits are promoted into the in-process memo; a malformed
-        entry is quarantined (renamed ``*.corrupt``) and counted under
-        ``evalcache.corrupt``, and reads as a miss.
+    def put(self, key: str, evaluation: HbEvaluation) -> None:
+        """Hold ``evaluation`` under ``key`` (and in the open pack).
+
+        Counts one ``evalcache.stores`` per fresh entry.  Nothing is
+        written here: :meth:`save_pack` persists the open pack in one
+        write.
         """
-        memo = self._memo.get(key)
-        if memo is not None:
-            return memo
+        self._memo[key] = evaluation
+        get_telemetry().counter("evalcache.stores").inc()
+        if self._pack_key is not None:
+            self._pack[key] = evaluation
+            self._pack_changed = True
+
+    def open_pack(self, key: str) -> None:
+        """Read the pack ``key`` and make it the one :meth:`put` adds to.
+
+        The pack's entries join the memo.  A missing pack reads as
+        empty; a pack that fails to load, or whose index and arrays
+        disagree, is quarantined (renamed ``*.corrupt``), counted under
+        ``evalcache.corrupt``, and reads as empty.  A memory-only cache
+        opens nothing.
+        """
         if self.memory_only:
-            return None
+            return
+        self._pack_key, self._pack, self._pack_changed = key, {}, False
         path = self.path_for(key)
-        if not path.is_file():
-            return None
         try:
-            with np.load(path, allow_pickle=False) as entry:
-                meta = json.loads(str(entry["meta"][()]))
-                evaluation = HbEvaluation(
-                    predictor_name=meta["predictor_name"],
-                    series_name=meta["series_name"],
-                    predictions=entry["predictions"],
-                    errors=entry["errors"],
-                    outlier_indices=frozenset(
-                        int(i) for i in entry["outliers"].tolist()
-                    ),
-                )
-        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+            with zipfile.ZipFile(path) as pack:
+                self._pack = _read_pack(pack)
+        except FileNotFoundError:
+            return
+        except (
+            OSError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile
+        ):
             telemetry = get_telemetry()
             telemetry.counter("evalcache.corrupt").inc()
             telemetry.emit("evalcache", outcome="corrupt", key=key)
@@ -212,49 +368,30 @@ class EvaluationCache:
                 os.replace(path, path.with_name(path.name + ".corrupt"))
             except OSError:  # pragma: no cover - vanished or unwritable
                 pass
-            return None
-        self._memo[key] = evaluation
-        return evaluation
+            return
+        self._memo.update(self._pack)
 
-    def put(self, key: str, evaluation: HbEvaluation) -> None:
-        """Store ``evaluation`` under ``key`` (atomically, on disk).
+    def save_pack(self) -> None:
+        """Write the open pack back, if :meth:`put` added to it.
 
-        Counts one ``evalcache.stores`` per fresh entry.  The arrays
-        round-trip bit-exactly through the ``.npz`` container, so a hit
-        returns byte-identical predictions and errors.
+        One temp file and one rename.  The arrays round-trip
+        bit-exactly through the ``.npz`` container, so a hit returns
+        byte-identical predictions and errors.
         """
-        self._memo[key] = evaluation
-        get_telemetry().counter("evalcache.stores").inc()
-        if self.memory_only:
+        if self._pack_key is None or not self._pack_changed:
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        meta = json.dumps(
-            {
-                "predictor_name": evaluation.predictor_name,
-                "series_name": evaluation.series_name,
-            }
-        )
         fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
+            dir=self.root, prefix=f".{self._pack_key[:16]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                # savez on an open handle: no ``.npz`` suffix munging,
-                # and the final rename stays atomic.
-                np.savez(
-                    handle,
-                    predictions=evaluation.predictions,
-                    errors=evaluation.errors,
-                    outliers=np.asarray(
-                        sorted(evaluation.outlier_indices), dtype=np.int64
-                    ),
-                    meta=np.asarray(meta),
-                )
-            os.replace(tmp_name, path)
+                _write_pack(handle, self._pack)
+            os.replace(tmp_name, self.path_for(self._pack_key))
         finally:
             if os.path.exists(tmp_name):  # pragma: no cover - error path
                 os.unlink(tmp_name)
+        self._pack_changed = False
 
     # -- the hook protocol evaluate_predictor talks to -------------------
 
@@ -287,7 +424,7 @@ class EvaluationCache:
         lso_config: LsoConfig | None,
         evaluation: HbEvaluation,
     ) -> None:
-        """Persist a freshly computed evaluation (when cacheable)."""
+        """Hold a freshly computed evaluation (when cacheable)."""
         spec = derive_spec(predictor)
         if spec is None:
             return

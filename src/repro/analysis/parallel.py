@@ -11,10 +11,12 @@ simulation.  This module makes that explicit:
   ask for — by instantiating the same factory helpers the renderers use
   (:func:`~repro.analysis.hb_eval.ma_family` and friends) and reducing
   them to cache specs with :func:`~repro.analysis.evalcache.derive_spec`;
-* :func:`warm_eval_cache` executes the units that are not already
-  cached — serially, or fanned out per trace over a
-  ``ProcessPoolExecutor`` (``--workers N``) — and records every result
-  in the :class:`~repro.analysis.evalcache.EvaluationCache`.
+* :func:`warm_eval_cache` opens the dataset's pack in the
+  :class:`~repro.analysis.evalcache.EvaluationCache` (one read),
+  executes the units it does not hold — serially, or fanned out per
+  trace over a ``ProcessPoolExecutor`` (``--workers N``) — and writes
+  the pack back with the new results (one write, only when something
+  was computed).
 
 The figure phase then runs unchanged with the cache activated: each
 ``evaluate_predictor`` call hits the warm entry, and the rendered
@@ -42,6 +44,7 @@ from repro.analysis.evalcache import (
     PredictorSpec,
     derive_spec,
     evaluation_key,
+    pack_key,
     spec_factory,
 )
 from repro.core.errors import DataError
@@ -155,18 +158,21 @@ def _unit_series(dataset: Dataset, unit: EvalUnit) -> TimeSeries | None:
     return series
 
 
-def _evaluate_unit(dataset: Dataset, unit: EvalUnit) -> HbEvaluation | None:
+def _evaluate(series: TimeSeries, unit: EvalUnit) -> HbEvaluation | None:
     """Compute one unit fresh (never consults the active cache — the
     warm phase runs before activation, and workers install none)."""
-    series = _unit_series(dataset, unit)
-    if series is None:
-        return None
     try:
         return evaluate_predictor(series, spec_factory(unit.spec), lso_config=unit.lso)
     except DataError:
         # An undevaluable series reads as "nothing to warm"; the figure
         # phase surfaces the error through its own skip handling.
         return None
+
+
+def _evaluate_unit(dataset: Dataset, unit: EvalUnit) -> HbEvaluation | None:
+    """Build a unit's series and compute it (pool workers and fallbacks)."""
+    series = _unit_series(dataset, unit)
+    return None if series is None else _evaluate(series, unit)
 
 
 @dataclass(frozen=True)
@@ -225,12 +231,9 @@ def _run_trace_job(
 # ---------------------------------------------------------------------
 
 
-def _record(
-    cache: EvaluationCache, dataset: Dataset, unit: EvalUnit, evaluation: HbEvaluation
-) -> None:
-    series = _unit_series(dataset, unit)
-    assert series is not None  # an evaluation exists, so the series did
-    cache.put(evaluation_key(series, unit.spec, unit.lso), evaluation)
+def _record(cache: EvaluationCache, key: str, evaluation: HbEvaluation | None) -> None:
+    if evaluation is not None:
+        cache.put(key, evaluation)
 
 
 def warm_eval_cache(
@@ -242,50 +245,58 @@ def warm_eval_cache(
 ) -> WarmStats:
     """Pre-compute every HB evaluation the requested figures need.
 
-    Units already in ``cache`` are skipped (that is the warm-run win);
-    the rest run serially or across ``n_workers`` processes (0 = all
+    Opens the dataset's pack (one read); units it holds are skipped
+    (that is the warm-run win).  The rest run serially, each right
+    after its key is built, or across ``n_workers`` processes (0 = all
     CPUs), with results recorded into the cache and worker telemetry
-    merged in planned-unit order.  The figure phase afterwards — run
-    with the cache activated — only takes hits, so its output is
-    byte-identical to a cache-less serial run.
+    merged in planned-unit order; the pack is then written back once.
+    The figure phase afterwards — run with the cache activated — only
+    takes hits, so its output is byte-identical to a cache-less serial
+    run.
     """
     units = plan_units(dataset, figures)
-    pending: list[EvalUnit] = []
-    cached = 0
+    workers = resolve_workers(n_workers)
+    cache.open_pack(pack_key(dataset))
+    # (unit, key) left for the pool, which builds its own series.
+    pending: list[tuple[EvalUnit, str]] = []
+    cached = computed = 0
     for unit in units:
         series = _unit_series(dataset, unit)
         if series is None:
             continue
-        if cache.get(evaluation_key(series, unit.spec, unit.lso)) is not None:
+        key = evaluation_key(series, unit.spec, unit.lso)
+        if cache.get(key) is not None:
             cached += 1
-            continue
-        pending.append(unit)
-
-    workers = resolve_workers(n_workers)
-    if pending:
-        if workers > 1 and len({u.trace_ordinal for u in pending}) > 1:
-            _warm_parallel(dataset, dataset_path, pending, cache, workers)
+        elif workers > 1:
+            pending.append((unit, key))
         else:
-            for unit in pending:
-                evaluation = _evaluate_unit(dataset, unit)
-                if evaluation is not None:
-                    _record(cache, dataset, unit, evaluation)
+            _record(cache, key, _evaluate(series, unit))
+            computed += 1
+
+    if len({unit.trace_ordinal for unit, _ in pending}) > 1:
+        _warm_parallel(dataset, dataset_path, pending, cache, workers)
+    else:
+        for unit, key in pending:
+            _record(cache, key, _evaluate_unit(dataset, unit))
+    computed += len(pending)
+    if computed:
+        cache.save_pack()
     return WarmStats(
-        planned=len(units), cached=cached, computed=len(pending), workers=workers
+        planned=len(units), cached=cached, computed=computed, workers=workers
     )
 
 
 def _warm_parallel(
     dataset: Dataset,
     dataset_path: str,
-    pending: list[EvalUnit],
+    pending: list[tuple[EvalUnit, str]],
     cache: EvaluationCache,
     workers: int,
 ) -> None:
     """Fan pending units out per trace; merge results in planned order."""
-    jobs: dict[int, list[EvalUnit]] = {}
-    for unit in pending:
-        jobs.setdefault(unit.trace_ordinal, []).append(unit)
+    jobs: dict[int, list[tuple[EvalUnit, str]]] = {}
+    for unit, key in pending:
+        jobs.setdefault(unit.trace_ordinal, []).append((unit, key))
 
     telemetry = get_telemetry()
     try:
@@ -295,8 +306,8 @@ def _warm_parallel(
             initargs=(str(dataset_path),),
         ) as pool:
             futures = [
-                pool.submit(_run_trace_job, tuple(job_units))
-                for job_units in jobs.values()
+                pool.submit(_run_trace_job, tuple(unit for unit, _ in job))
+                for job in jobs.values()
             ]
             # Collect in submission (= trace) order; nothing is merged
             # or recorded until every job has finished, so a pool crash
@@ -305,14 +316,11 @@ def _warm_parallel(
     except BrokenProcessPool:
         telemetry.counter("analysis.pool_fallback").inc()
         telemetry.emit("analysis.pool_fallback", pending=len(pending))
-        for unit in pending:
-            evaluation = _evaluate_unit(dataset, unit)
-            if evaluation is not None:
-                _record(cache, dataset, unit, evaluation)
+        for unit, key in pending:
+            _record(cache, key, _evaluate_unit(dataset, unit))
         return
 
-    for job_units, results in zip(jobs.values(), job_results):
-        for unit, (evaluation, snapshot) in zip(job_units, results):
+    for job, results in zip(jobs.values(), job_results):
+        for (_, key), (evaluation, snapshot) in zip(job, results):
             telemetry.merge(snapshot)
-            if evaluation is not None:
-                _record(cache, dataset, unit, evaluation)
+            _record(cache, key, evaluation)

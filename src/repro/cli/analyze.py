@@ -9,11 +9,17 @@ wall times) is recorded and written as ``X.analysis.manifest.json`` +
 
 The HB figures run in two phases: a **warm phase** pre-computes every
 predictor walk the requested figures will need — optionally in parallel
-(``--workers N``) and against a persistent content-addressed cache
-(``~/.cache/repro/evals``, see :mod:`repro.analysis.evalcache`) — then
-the figure renderers run with the cache activated and only take hits.
-Rendered output is byte-identical whatever the worker count or cache
-state (``make analyze-parity`` checks this).
+(``--workers N``) — then the figure renderers run with the cache
+activated and only take hits.  The walks persist in a content-addressed
+evaluation cache (``~/.cache/repro/evals``, see
+:mod:`repro.analysis.evalcache`) as one pack file per dataset, keyed on
+the dataset's trace contents and the source of :mod:`repro.hb`: the
+warm phase reads the pack once, and writes it once only when it
+computed something.  Rendered output is byte-identical whatever the
+worker count or cache state (``make analyze-parity`` checks this).
+
+A dataset that is missing or malformed exits with status 2 and one
+line naming the file; no sidecars are written.
 
 Examples::
 
@@ -27,6 +33,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import sys
 from collections.abc import Callable
@@ -41,7 +48,7 @@ from repro.analysis.report import (
     render_quantile_table,
     render_scatter_summary,
 )
-from repro.core.errors import ReproError
+from repro.core.errors import DataError, ReproError
 from repro.obs import RunRecorder, get_telemetry
 from repro.obs.recorder import analysis_sidecar_paths, write_manifest
 from repro.paths.records import Dataset
@@ -211,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval-cache-dir",
         metavar="DIR",
         default=None,
-        help="evaluation cache directory (default: $REPRO_EVAL_CACHE_DIR "
-        "or ~/.cache/repro/evals)",
+        help="evaluation cache directory, holding one pack file of HB walks "
+        "per dataset (default: $REPRO_EVAL_CACHE_DIR or ~/.cache/repro/evals)",
     )
     parser.add_argument(
         "--profile",
@@ -278,7 +285,14 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
 
-    dataset = load_dataset(args.dataset)
+    try:
+        dataset = load_dataset(args.dataset)
+    except (DataError, OSError, UnicodeDecodeError, csv.Error) as exc:
+        if profiler is not None:
+            profiler.disable()
+        reason = (exc.strerror or exc) if isinstance(exc, OSError) else exc
+        print(f"error: cannot load dataset {args.dataset}: {reason}", file=sys.stderr)
+        return 2
     clock.lap("load")
 
     cache = EvaluationCache(args.eval_cache_dir, memory_only=args.no_eval_cache)

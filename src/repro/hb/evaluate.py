@@ -110,7 +110,7 @@ class EvaluationCacheHook(Protocol):
         lso_config: LsoConfig | None,
         evaluation: "HbEvaluation",
     ) -> None:
-        """Persist a freshly computed evaluation."""
+        """Record a freshly computed evaluation."""
         ...
 
 

@@ -114,13 +114,56 @@ def load_dataset(path: str | Path) -> Dataset:
         dataset = Dataset(label=label)
         traces: dict[tuple[str, int], Trace] = {}
         for row in reader:
-            epoch = _parse_row(row, path, legacy)
+            try:
+                epoch = _parse_row(row, path, legacy)
+            except ValueError:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: {_unparsable_field(row, legacy)}"
+                ) from None
             key = (epoch.path_id, epoch.trace_index)
             if key not in traces:
                 traces[key] = Trace(path_id=epoch.path_id, trace_index=epoch.trace_index)
                 dataset.traces.append(traces[key])
             traces[key].append(epoch)
     return dataset
+
+
+#: The columns :func:`_parse_row` converts with ``int`` and ``float``
+#: (the truth ones only when the row carries truth).
+_INT_COLUMNS = ("trace_index", "epoch_index")
+_FLOAT_COLUMNS = (
+    "start_time_s", "ahat_mbps", "phat", "that_s", "throughput_mbps", "ptilde",
+    "ttilde_s",
+)
+_TRUTH_FLOAT_COLUMNS = (
+    "truth_utilization_pre", "truth_utilization_during", "truth_loss_event_rate",
+)
+
+
+def _unparsable_field(row: list[str], legacy: bool) -> str:
+    """Name the field of a row :func:`_parse_row` failed to convert.
+
+    Only called once parsing has failed, so loading pays nothing for it.
+    """
+    fields = dict(zip(_LEGACY_COLUMNS if legacy else _COLUMNS, row))
+    has_truth = fields["truth_regime"] if legacy else fields["truth_present"]
+    checks = [(name, int, [fields[name]]) for name in _INT_COLUMNS]
+    checks += [(name, float, [fields[name]]) for name in _FLOAT_COLUMNS]
+    smallw = fields["smallw_throughput_mbps"]
+    checks.append(("smallw_throughput_mbps", float, [smallw] if smallw else []))
+    durations = fields["duration_throughputs_mbps"]
+    checks.append(
+        ("duration_throughputs_mbps", float, [v for v in durations.split(";") if v])
+    )
+    if has_truth:
+        checks += [(name, float, [fields[name]]) for name in _TRUTH_FLOAT_COLUMNS]
+    for name, convert, values in checks:
+        for value in values:
+            try:
+                convert(value)
+            except ValueError:
+                return f"column {name!r}: {value!r} is not a number"
+    return "a field is not a number"  # pragma: no cover - checks mirror _parse_row
 
 
 def _parse_row(row: list[str], path: Path, legacy: bool) -> EpochMeasurement:

@@ -1,11 +1,21 @@
 """The warm-phase planner and executor behind ``repro-analyze --workers``."""
 
-import numpy as np
+import shutil
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import repro.hb
+from repro.analysis import evalcache
 from repro.analysis.evalcache import EvaluationCache
 from repro.analysis.hb_eval import hw, ma_family, predictor_cdfs, with_lso
 from repro.analysis.parallel import plan_units, warm_eval_cache
 from repro.hb.lso import LsoConfig
+from repro.testbed.io import save_dataset
+
+#: Every figure with HB walks.
+HB_FIGURES = [16, 17, 19, 20, 21, 22, 23]
 
 
 def test_plan_covers_requested_figures_only(dataset):
@@ -63,3 +73,84 @@ def test_memory_only_cache_still_shares_walks(dataset):
     with cache.activated():
         warm = predictor_cdfs(subset, {"HW-LSO": with_lso(hw())})
     assert warm
+
+
+@pytest.fixture()
+def subset(dataset):
+    return type(dataset)(label=dataset.label, traces=dataset.traces[:3])
+
+
+def _pack_entries(path):
+    """A pack's index and array bytes (zip timestamps left out)."""
+    with np.load(path) as pack:
+        return {name: pack[name].tobytes() for name in pack.files}
+
+
+def test_full_warm_phase_leaves_one_pack(subset, tmp_path):
+    cache_dir = tmp_path / "cache"
+    stats = warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    assert stats.computed == stats.planned > len(subset.traces)
+    assert [p.name for p in cache_dir.iterdir()] == [
+        f"{evalcache.pack_key(subset)}.npz"
+    ]
+
+
+def test_rerun_computes_nothing_and_leaves_pack_untouched(subset, tmp_path):
+    cache_dir = tmp_path / "cache"
+    warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    (pack,) = cache_dir.iterdir()
+    before = (pack.read_bytes(), pack.stat().st_mtime_ns)
+    again = warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    assert again.computed == 0
+    assert again.cached == again.planned
+    assert (pack.read_bytes(), pack.stat().st_mtime_ns) == before
+    assert list(cache_dir.iterdir()) == [pack]
+
+
+def test_figure_runs_accumulate_in_one_pack(subset, tmp_path):
+    cache_dir = tmp_path / "cache"
+    first = warm_eval_cache(subset, "", [16], EvaluationCache(cache_dir))
+    second = warm_eval_cache(subset, "", [17], EvaluationCache(cache_dir))
+    assert first.computed == len(plan_units(subset, [16]))
+    assert second.computed == len(plan_units(subset, [17]))
+    assert second.cached == 0
+    both = warm_eval_cache(subset, "", [16, 17], EvaluationCache(cache_dir))
+    assert both.computed == 0
+    assert both.cached == first.computed + second.computed
+    assert len(list(cache_dir.iterdir())) == 1
+
+
+def test_parallel_warm_stores_what_serial_stores(subset, tmp_path):
+    dataset_path = tmp_path / "subset.csv"
+    save_dataset(subset, dataset_path)
+    packs = []
+    for workers in (1, 2):
+        cache_dir = tmp_path / f"cache-w{workers}"
+        stats = warm_eval_cache(
+            subset, str(dataset_path), HB_FIGURES, EvaluationCache(cache_dir),
+            n_workers=workers,
+        )
+        assert stats.workers == workers
+        (pack,) = cache_dir.iterdir()
+        packs.append(_pack_entries(pack))
+    assert packs[0] == packs[1]
+
+
+def test_code_change_recomputes_every_unit(subset, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    monkeypatch.setattr(evalcache, "code_fingerprint", lambda: "edited")
+    again = warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    assert again.cached == 0
+    assert again.computed == again.planned
+
+
+def test_code_fingerprint_covers_hb_sources(tmp_path, monkeypatch):
+    copy = tmp_path / "hb"
+    shutil.copytree(Path(repro.hb.__file__).parent, copy)
+    monkeypatch.setattr(repro.hb, "__file__", str(copy / "__init__.py"))
+    fingerprint = evalcache.code_fingerprint.__wrapped__
+    assert fingerprint() == evalcache.code_fingerprint()
+    source = copy / "holt_winters.py"
+    source.write_text(source.read_text() + "\n# edited\n")
+    assert fingerprint() != evalcache.code_fingerprint()

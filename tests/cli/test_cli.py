@@ -9,9 +9,10 @@ from repro.cli import analyze, campaign, predict, serve
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
-    """Keep cache and checkpoints inside the test's tmp dir, not ~/.cache."""
+    """Keep caches and checkpoints inside the test's tmp dir, not ~/.cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dataset-cache"))
     monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "checkpoints"))
+    monkeypatch.setenv("REPRO_EVAL_CACHE_DIR", str(tmp_path / "eval-cache"))
 
 
 class TestCampaignCommand:
@@ -235,6 +236,34 @@ class TestAnalyzeCommand:
         for number in (16, 21):
             assert f"[fig {number}] not derivable from this dataset" in out
         assert "positive and finite, got nan at epoch 3" in out
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            (b"not,a,dataset\n1,2,3\n", "missing dataset header row"),
+            (b"\xff\xfe\x00garbage", "can't decode"),
+        ],
+        ids=["missing", "garbage-header", "binary"],
+    )
+    def test_unloadable_dataset_exits_2_without_sidecars(
+        self, tmp_path, capsys, monkeypatch, content, reason
+    ):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        dataset = data_dir / "nonexistent.csv"
+        if content is not None:
+            dataset.write_bytes(content)
+        assert analyze.main([str(dataset), "--figures", "2", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot load dataset {dataset}: ")
+        assert reason in line
+        assert sorted(p.name for p in data_dir.iterdir()) == (
+            [] if content is None else ["nonexistent.csv"]
+        )
 
 
 class TestAnalyzeTelemetry:

@@ -231,16 +231,24 @@ def test_segmentation_rejects_nonfinite(bad):
 # ---------------------------------------------------------------------
 
 
-def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path):
+def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path, telemetry):
     values = TRACES["adversarial"]
     factory = lso_factory("lso", "HW")
     cold = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
     cache = EvaluationCache(tmp_path)
+    cache.open_pack("pack")
     with cache.activated():
         recorded = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
+        # A second trace in the pack: entries are sliced out of flat arrays.
+        evaluate_predictor(series(TRACES["spiky"]), factory, lso_config=LsoConfig())
+    cache.save_pack()
     # A fresh cache object forces the disk round trip rather than the memo.
-    with EvaluationCache(tmp_path).activated():
+    fresh = EvaluationCache(tmp_path)
+    fresh.open_pack("pack")
+    hits = telemetry.counter("evalcache.hits").value
+    with fresh.activated():
         hit = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
+    assert telemetry.counter("evalcache.hits").value == hits + 1
     for result in (recorded, hit):
         assert result.predictions.tobytes() == cold.predictions.tobytes()
         assert result.errors.tobytes() == cold.errors.tobytes()
@@ -259,16 +267,44 @@ def test_cache_key_separates_series_spec_and_config(tmp_path):
     assert a.predictions.tobytes() != c.predictions.tobytes()
 
 
-def test_corrupt_cache_entry_reads_as_miss(tmp_path):
-    cache = EvaluationCache(tmp_path)
+def _write_pack(root):
+    cache = EvaluationCache(root)
+    cache.open_pack("pack")
     with cache.activated():
         evaluate_predictor(series(TRACES["noisy"]), FACTORIES["10-MA"])
-    entries = list(tmp_path.glob("*.npz"))
-    assert entries
-    entries[0].write_bytes(b"not an npz")
-    fresh = EvaluationCache(tmp_path)
-    assert fresh.get(entries[0].stem) is None
-    assert entries[0].with_name(entries[0].name + ".corrupt").exists()
+        evaluate_predictor(series(TRACES["spiky"]), FACTORIES["10-MA"])
+    cache.save_pack()
+    assert [p.name for p in root.iterdir()] == ["pack.npz"]
+    return cache.path_for("pack")
+
+
+def _garbage(path):
+    path.write_bytes(b"not an npz")
+
+
+def _short_arrays(path):
+    """Rewrite the pack with its arrays shorter than its index says."""
+    with np.load(path) as pack:
+        arrays = {name: pack[name] for name in pack.files}
+    arrays["predictions"] = arrays["predictions"][:-1]
+    arrays["errors"] = arrays["errors"][:-1]
+    with path.open("wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def test_corrupt_cache_entry_reads_as_miss(tmp_path, telemetry):
+    for damage in (_garbage, _short_arrays):
+        root = tmp_path / damage.__name__
+        path = _write_pack(root)
+        damage(path)
+        corrupt = telemetry.counter("evalcache.corrupt").value
+        fresh = EvaluationCache(root)
+        fresh.open_pack("pack")
+        assert telemetry.counter("evalcache.corrupt").value == corrupt + 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        probe = fresh.lookup(series(TRACES["noisy"]), FACTORIES["10-MA"](), None)
+        assert probe is None
 
 
 def test_spec_round_trip():
@@ -289,6 +325,8 @@ def test_unknown_predictor_type_is_not_cached(tmp_path):
 
     assert derive_spec(Custom(5)) is None
     cache = EvaluationCache(tmp_path)
+    cache.open_pack("pack")
     with cache.activated():
         evaluate_predictor(series(TRACES["noisy"]), lambda: Custom(5))
-    assert not list(tmp_path.glob("*.npz"))
+    cache.save_pack()
+    assert not list(tmp_path.iterdir())

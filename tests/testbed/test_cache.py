@@ -1,5 +1,7 @@
 """The content-addressed dataset cache."""
 
+import csv
+
 import pytest
 
 from repro.paths.config import may_2004_catalog, scaled_catalog
@@ -117,6 +119,21 @@ class TestDatasetCache:
         quarantined = entry.with_name(entry.name + ".corrupt")
         assert quarantined.is_file()
         assert quarantined.read_text() == "garbage\n"
+
+    def test_unparsable_number_is_quarantined_and_resimulated(self, tmp_path):
+        cache = DatasetCache(tmp_path)
+        key = campaign_cache_key(small_campaign(), SETTINGS)
+        simulated, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
+        entry = cache.path_for(key)
+        rows = list(csv.reader(entry.open(newline="")))
+        rows[2][rows[1].index("ahat_mbps")] = "abc"
+        with entry.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        rerun, hit = run_cached(small_campaign(), SETTINGS, cache=cache)
+        assert not hit
+        assert rerun == simulated
+        assert entry.with_name(entry.name + ".corrupt").is_file()
+        assert cache.load(key) == simulated
 
     def test_store_and_load_roundtrip(self, tmp_path):
         cache = DatasetCache(tmp_path)

@@ -1,5 +1,7 @@
 """Dataset CSV serialization."""
 
+import csv
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +71,32 @@ class TestErrorHandling:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("ahat_mbps", "abc"),
+            ("epoch_index", "1.5"),
+            ("smallw_throughput_mbps", "x"),
+            ("duration_throughputs_mbps", "1.0;y"),
+            ("truth_loss_event_rate", ""),
+        ],
+    )
+    def test_unparsable_number_named_by_line_and_column(
+        self, dataset, tmp_path, column, value
+    ):
+        path = tmp_path / "ds.csv"
+        save_dataset(dataset, path)
+        rows = list(csv.reader(path.open(newline="")))
+        rows[4][rows[1].index(column)] = value  # the third epoch, line 5
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == (
+            f"{path}, line 5: column {column!r}: "
+            f"{value.split(';')[-1]!r} is not a number"
+        )
 
 
 def _epoch(epoch_index: int, truth: EpochTruth | None) -> EpochMeasurement:

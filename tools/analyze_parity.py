@@ -2,11 +2,13 @@
 
 Builds one campaign dataset, then runs ``repro-analyze`` on it: a cold
 run at one worker (the reference), a cold run at each further requested
-worker count (each against a fresh evaluation-cache directory), and a
-warm rerun against the reference's now-populated cache.  Every run's
-rendered stdout must be *byte-identical* to the reference, and the warm
-rerun must have computed nothing: every HB walk must come out of the
-cache.
+worker count (each against a fresh evaluation-cache directory), a warm
+rerun against the reference's now-populated cache, and a rerun after
+that cache's pack was overwritten with garbage.  Every run's rendered
+stdout must be *byte-identical* to the reference.  Each cold run must
+leave exactly one pack file; the warm rerun must have computed nothing
+(every HB walk comes out of the pack); the damaged-pack rerun must have
+recomputed every walk and left the damaged pack as ``*.corrupt``.
 
 Runs that agree with each other can still agree on a changed output, so
 the reference itself is checked against :data:`PINNED`, the stdout
@@ -71,10 +73,17 @@ def run_analyze(dataset: Path, cache_dir: Path, workers: int) -> tuple[str, str,
     return digest, proc.stdout, proc.stderr
 
 
-def warm_computed(stderr: str) -> int | None:
-    """Evaluations the run computed fresh, parsed from the warm-phase note."""
-    match = re.search(r"warm phase: (\d+) evaluations computed", stderr)
-    return int(match.group(1)) if match else None
+def warm_counts(stderr: str) -> tuple[int, int] | None:
+    """(computed, cached) evaluations, parsed from the warm-phase note."""
+    match = re.search(r"warm phase: (\d+) evaluations computed, (\d+) cached", stderr)
+    return (int(match.group(1)), int(match.group(2))) if match else None
+
+
+def one_pack(cache_dir: Path) -> tuple[bool, str]:
+    """Whether a cold run left exactly one pack (and nothing else)."""
+    names = sorted(p.name for p in cache_dir.iterdir())
+    ok = len(names) == 1 and names[0].endswith(".npz")
+    return ok, "" if ok else f"  CACHE DIR HOLDS {names}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,40 +128,67 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         warm_cache = workdir / "cache-w1"
-        reference, _, _ = run_analyze(dataset, warm_cache, 1)
+        reference, _, stderr = run_analyze(dataset, warm_cache, 1)
         pinned = PINNED.get((args.paths, args.traces, args.epochs, args.seed))
         if pinned is None:
             note = "(no pin for this grid)"
         else:
             note = "ok" if reference == pinned else f"MISMATCH pinned {pinned}"
             failed = reference != pinned
-        print(f"  workers=1        {reference}  {note}")
+        packed, pack_note = one_pack(warm_cache)
+        print(f"  workers=1        {reference}  {note}{pack_note}")
+        failed = failed or not packed
+        counts = warm_counts(stderr)
+        planned = sum(counts) if counts else None
 
         for n_workers in args.workers:
             cache_dir = workdir / f"cache-w{n_workers}"
             digest, _, _ = run_analyze(dataset, cache_dir, n_workers)
             match = digest == reference
+            packed, pack_note = one_pack(cache_dir)
             print(
                 f"  workers={n_workers}        {digest}  "
-                f"{'ok' if match else 'MISMATCH'}"
+                f"{'ok' if match else 'MISMATCH'}{pack_note}"
             )
-            failed = failed or not match
+            failed = failed or not match or not packed
 
         digest, _, stderr = run_analyze(dataset, warm_cache, 1)
-        computed = warm_computed(stderr)
-        cached_ok = computed == 0
+        counts = warm_counts(stderr)
+        cached_ok = counts is not None and counts[0] == 0
         match = digest == reference
         print(
             f"  workers=1 (warm) {digest}  "
             f"{'ok' if match else 'MISMATCH'}"
-            f"{'' if cached_ok else f'  RECOMPUTED {computed} UNITS'}"
+            f"{'' if cached_ok else f'  RECOMPUTED {counts} (computed, cached)'}"
         )
         failed = failed or not match or not cached_ok
 
+        packs = list(warm_cache.glob("*.npz"))
+        for pack in packs:
+            pack.write_bytes(b"garbage, not a pack")
+        digest, _, stderr = run_analyze(dataset, warm_cache, 1)
+        counts = warm_counts(stderr)
+        recomputed = counts == (planned, 0)
+        quarantined = bool(packs) and all(
+            pack.with_name(pack.name + ".corrupt").is_file() for pack in packs
+        )
+        match = digest == reference
+        notes = "" if recomputed else f"  {counts} (computed, cached), not all {planned} computed"
+        notes += "" if quarantined else "  DAMAGED PACK NOT QUARANTINED"
+        print(f"  workers=1 (bad)  {digest}  {'ok' if match else 'MISMATCH'}{notes}")
+        failed = failed or not match or not recomputed or not quarantined
+
     if failed:
-        print("analyze-parity FAILED: runs disagree or drift from the pin", file=sys.stderr)
+        print(
+            "analyze-parity FAILED: runs disagree, drift from the pin, or the "
+            "cache misbehaved",
+            file=sys.stderr,
+        )
         return 1
-    print("analyze-parity OK: all runs byte-identical, warm run fully cached")
+    print(
+        "analyze-parity OK: all runs byte-identical, one pack per cold run, "
+        "warm run fully cached, damaged pack recomputed"
+    )
     return 0
 
 
