@@ -20,10 +20,10 @@ from repro.analysis.fb_eval import predict_epoch
 from repro.analysis.report import render_bar_table
 from repro.core.metrics import rmsre
 from repro.formulas.fb_predictor import FormulaBasedPredictor
+from repro.fastpath.sites import FluidSites
+from repro.fastpath.vector import run_fluid_trace
 from repro.formulas.params import TcpParameters
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.paths.config import may_2004_catalog
-from repro.paths.records import Trace
 from repro.testbed.packet_epoch import PacketTraceRunner
 
 FULL = os.environ.get("REPRO_PACKET_VALIDATION", "") == "1"
@@ -49,17 +49,18 @@ def _mini_campaigns():
             transfer_duration_s=SEGMENT_S,
             pre_probe_duration_s=SEGMENT_S,
         )
-        fluid_sim = FluidPathSimulator(
-            config, np.random.default_rng(78), regime_mean=config.base_util
+        fluid_trace = run_fluid_trace(
+            config,
+            FluidSites.from_generator(np.random.default_rng(78)),
+            0,
+            np.full(N_EPOCHS, 170.0),
+            tcp=TcpParameters.congestion_limited(),
+            small_tcp=None,
+            checkpoint_fractions=(),
+            transfer_duration_s=SEGMENT_S,
+            start_time_s=0.0,
+            regime_mean=config.base_util,
         )
-        fluid_trace = Trace(path_id=config.path_id, trace_index=0)
-        for index in range(N_EPOCHS):
-            fluid_trace.append(
-                fluid_sim.run_epoch(
-                    config.path_id, 0, index, index * 170.0, 170.0,
-                    TcpParameters.congestion_limited(),
-                )
-            )
 
         stats = {}
         for label, trace in (("packet", packet_trace), ("fluid", fluid_trace)):

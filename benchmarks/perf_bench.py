@@ -11,14 +11,9 @@ repository root:
 * ``packet_epoch`` — one packet-level measurement epoch
   (:class:`PacketEpochRunner`, path p12 at utilization 0.4), the
   workload behind the validation tests.  Reported as simulator events/s.
-* ``fluid_trace`` — 600 fluid epochs (4 paths x 1 trace x 150) through
-  :class:`Campaign.run_trace` on the *scalar* reference engine
-  (``REPRO_FLUID_VECTOR=0``); reported as epochs/s.
-* ``fluid_vector`` — the identical workload on the vectorized fluid
-  engine; its ``epochs_per_s`` over ``fluid_trace``'s is the campaign
-  speedup the engine exists for (the gate requires the same epoch
-  count; wall time is what the ≥10x target in docs/performance.md is
-  measured from).
+* ``fluid_vector`` — 600 fluid epochs (4 paths x 1 trace x 150)
+  through :class:`Campaign.run_trace` on the fluid engine, without
+  executor overhead; reported as epochs/s.
 * ``campaign_serial`` / ``campaign_parallel`` — the full campaign loop
   (catalog x traces x epochs through the executor, checkpointing and
   caching off) serially and with two workers, reported as wall time.
@@ -31,9 +26,10 @@ repository root:
   and outlier exclusion, on three long synthetic traces with level
   shifts and outlier spikes; the O(n^2) -> O(n) rewrite is measured
   here.  The ``detections`` counter pins the exact LSO structure found.
-* ``fluid_traced`` / ``fluid_vector_traced`` / ``packet_epoch_traced``
-  — the same per-engine workloads run *inside an open unit span*, so
-  epoch/phase span synthesis (:func:`repro.obs.spans.record_epoch_spans`)
+* ``fluid_vector_traced`` / ``packet_epoch_traced`` — the same
+  per-engine workloads run *inside an open unit span*, so phase span
+  synthesis (:func:`repro.obs.spans.record_trace_phase_spans` per fluid
+  trace, :func:`repro.obs.spans.record_epoch_spans` per packet epoch)
   is live.  Each reports ``overhead_frac`` against a paired,
   interleaved untraced measurement; the run **fails** if any traced
   fixture exceeds the 5% overhead budget (``TRACED_OVERHEAD_BUDGET``),
@@ -153,10 +149,8 @@ def bench_packet_epoch() -> dict:
     }
 
 
-def _bench_fluid(engine: str) -> dict:
+def bench_fluid_vector() -> dict:
     """Fluid-model epoch throughput, without executor overhead."""
-    from repro.fastpath.vector import ENV_FLUID_VECTOR
-
     catalog = may_2004_catalog()[:4]
     settings = CampaignSettings(n_traces=1, epochs_per_trace=150)
 
@@ -168,17 +162,7 @@ def _bench_fluid(engine: str) -> dict:
         )
         return epochs, time.perf_counter() - started
 
-    saved = os.environ.get(ENV_FLUID_VECTOR)
-    os.environ[ENV_FLUID_VECTOR] = "1" if engine == "vector" else "0"
-    try:
-        epochs, wall = min(
-            (run_once() for _ in range(REPEATS)), key=lambda r: r[1]
-        )
-    finally:
-        if saved is None:
-            del os.environ[ENV_FLUID_VECTOR]
-        else:
-            os.environ[ENV_FLUID_VECTOR] = saved
+    epochs, wall = min((run_once() for _ in range(REPEATS)), key=lambda r: r[1])
     return {
         "epochs": epochs,
         "wall_time_s": round(wall, 4),
@@ -294,7 +278,7 @@ def bench_lso_segmentation() -> dict:
     }
 
 
-def _bench_fluid_traced(engine: str) -> dict:
+def bench_fluid_vector_traced() -> dict:
     """Fluid throughput inside a live unit span, vs a paired untraced run.
 
     Traced and untraced runs interleave, and ``overhead_frac`` comes
@@ -303,8 +287,6 @@ def _bench_fluid_traced(engine: str) -> dict:
     both sides of a pair, so it cancels, while a real span-cost
     regression shows up in every pair.
     """
-    from repro.fastpath.vector import ENV_FLUID_VECTOR
-
     catalog = may_2004_catalog()[:4]
     settings = CampaignSettings(n_traces=1, epochs_per_trace=150)
     telemetry = get_telemetry()
@@ -324,20 +306,12 @@ def _bench_fluid_traced(engine: str) -> dict:
         telemetry.drain()
         return epochs, wall
 
-    saved = os.environ.get(ENV_FLUID_VECTOR)
-    os.environ[ENV_FLUID_VECTOR] = "1" if engine == "vector" else "0"
-    try:
-        untraced_walls, traced_walls = [], []
-        for _ in range(TRACED_REPEATS):
-            _, wall = run_once(False)
-            untraced_walls.append(wall)
-            epochs, wall = run_once(True)
-            traced_walls.append(wall)
-    finally:
-        if saved is None:
-            del os.environ[ENV_FLUID_VECTOR]
-        else:
-            os.environ[ENV_FLUID_VECTOR] = saved
+    untraced_walls, traced_walls = [], []
+    for _ in range(TRACED_REPEATS):
+        _, wall = run_once(False)
+        untraced_walls.append(wall)
+        epochs, wall = run_once(True)
+        traced_walls.append(wall)
     wall, untraced = min(traced_walls), min(untraced_walls)
     ratio = min(t / u for u, t in zip(untraced_walls, traced_walls))
     return {
@@ -380,7 +354,7 @@ def bench_packet_epoch_traced() -> dict:
         untraced_walls.append(run_once(False))
         traced_walls.append(run_once(True))
     wall, untraced = min(traced_walls), min(untraced_walls)
-    # Adjacent-pair overhead, as in _bench_fluid_traced: host-speed
+    # Adjacent-pair overhead, as in bench_fluid_vector_traced: host-speed
     # swings cancel within a pair instead of masquerading as span cost.
     ratio = min(t / u for u, t in zip(untraced_walls, traced_walls))
     return {
@@ -394,10 +368,8 @@ def bench_packet_epoch_traced() -> dict:
 FIXTURES = {
     "engine_micro": bench_engine_micro,
     "packet_epoch": bench_packet_epoch,
-    "fluid_trace": lambda: _bench_fluid("scalar"),
-    "fluid_vector": lambda: _bench_fluid("vector"),
-    "fluid_traced": lambda: _bench_fluid_traced("scalar"),
-    "fluid_vector_traced": lambda: _bench_fluid_traced("vector"),
+    "fluid_vector": bench_fluid_vector,
+    "fluid_vector_traced": bench_fluid_vector_traced,
     "packet_epoch_traced": bench_packet_epoch_traced,
     "campaign_serial": lambda: _bench_campaign(1),
     "campaign_parallel": lambda: _bench_campaign(2),

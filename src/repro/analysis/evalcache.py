@@ -61,7 +61,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 import repro.hb
-from repro.core.cachekey import stable_fingerprint
+from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
 from repro.hb.base import HistoryPredictor, PredictorFactory
@@ -166,18 +166,9 @@ def evaluation_key(
 
 @functools.cache
 def code_fingerprint() -> str:
-    """Fingerprint of the source of every module in :mod:`repro.hb`.
-
-    The modules are taken in name order; the source is read once per
-    process.
-    """
-    package = Path(repro.hb.__file__).parent
-    return stable_fingerprint(
-        [
-            (path.stem, path.read_text(encoding="utf-8"))
-            for path in sorted(package.glob("*.py"))
-        ]
-    )
+    """Fingerprint of the source of every module in :mod:`repro.hb`,
+    read once per process."""
+    return source_fingerprint(repro.hb)
 
 
 def pack_key(dataset: Dataset) -> str:

@@ -1,9 +1,10 @@
 """``repro-campaign``: run a measurement campaign and save the dataset.
 
-Campaigns are cached on disk by content (catalog, seed, settings, code
-version): re-running the same invocation loads the prior dataset
-instead of re-simulating.  Set ``REPRO_CACHE_DIR`` (or ``--cache-dir``)
-to relocate the cache, or ``--no-cache`` to bypass it.
+Campaigns are cached on disk by content (catalog, seed, settings, and
+the source of the modules that simulate them): re-running the same
+invocation loads the prior dataset instead of re-simulating.  Set
+``REPRO_CACHE_DIR`` (or ``--cache-dir``) to relocate the cache, or
+``--no-cache`` to bypass it.
 
 Every run also records telemetry (phase timings, cache hit/miss,
 simulation counters) and writes it as sidecars of the output —
@@ -38,7 +39,6 @@ from repro.core.cachekey import stable_fingerprint
 from repro.core.errors import ExecutionError
 from repro.obs import RunRecorder, get_telemetry
 from repro.obs.render import progress_line
-from repro.fastpath.vector import ENV_FLUID_VECTOR
 from repro.paths.config import expanded_catalog, march_2006_catalog, may_2004_catalog
 from repro.testbed.cache import DatasetCache, campaign_cache_key, run_cached
 from repro.testbed.campaign import Campaign, CampaignSettings
@@ -105,18 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="(path, trace) units dispatched per parallel job; larger "
         "chunks amortize dispatch overhead for short traces (default: "
-        "auto — one job per path on the vectorized fluid engine, one "
-        "per trace on the scalar engine; results are bit-identical for "
-        "any chunk size)",
-    )
-    parser.add_argument(
-        "--fluid-engine",
-        choices=("vector", "scalar"),
-        default=None,
-        help="fluid-path simulation engine: 'vector' batches each "
-        "trace's epochs through numpy, 'scalar' runs the reference "
-        "per-epoch loop; the two are bit-identical (default: the "
-        "REPRO_FLUID_VECTOR environment variable, else vector)",
+        "one job per path; results are bit-identical for any chunk size)",
     )
     parser.add_argument(
         "--profile",
@@ -200,10 +189,6 @@ def _print_progress(snapshot: CampaignProgress) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.fluid_engine is not None:
-        import os
-
-        os.environ[ENV_FLUID_VECTOR] = "1" if args.fluid_engine == "vector" else "0"
     catalog = CATALOGS[args.catalog]()
     if args.paths is not None:
         catalog = expanded_catalog(catalog, args.paths)

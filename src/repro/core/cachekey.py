@@ -2,10 +2,11 @@
 
 The dataset cache (:mod:`repro.testbed.cache`) needs a key that changes
 whenever anything that influences a campaign's output changes — the
-path catalog, the seed, the settings, the TCP parameters, the code
-version — and never changes otherwise.  Python's built-in ``hash`` is
-salted per process and ``pickle`` output is not guaranteed stable, so
-the key is a SHA-256 over a canonical text encoding instead.
+path catalog, the seed, the settings, the TCP parameters, the source of
+the simulating code (:func:`source_fingerprint`) — and never changes
+otherwise.  Python's built-in ``hash`` is salted per process and
+``pickle`` output is not guaranteed stable, so the key is a SHA-256
+over a canonical text encoding instead.
 
 The encoding is defined for the value shapes the package actually
 caches on: dataclasses (encoded as ``ClassName(field=value, ...)`` in
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from pathlib import Path
+from types import ModuleType
 from typing import Any
 
 
@@ -64,3 +67,25 @@ def stable_fingerprint(obj: Any) -> str:
     platform; any change to a nested field changes the fingerprint.
     """
     return hashlib.sha256(canonical_encoding(obj).encode("utf-8")).hexdigest()
+
+
+def source_fingerprint(*modules: ModuleType) -> str:
+    """:func:`stable_fingerprint` of the source code of ``modules``.
+
+    A package stands for every ``*.py`` file in its directory, taken in
+    name order; a plain module for its own file.  Each source is paired
+    with its dotted module name, so moving code between modules changes
+    the fingerprint too.  The files are read on every call (~150 KB
+    take a few milliseconds), so callers cache the result per process.
+    """
+    sources = []
+    for module in modules:
+        path = Path(module.__file__)
+        if path.name == "__init__.py":
+            sources.extend(
+                (f"{module.__name__}.{file.stem}", file.read_text(encoding="utf-8"))
+                for file in sorted(path.parent.glob("*.py"))
+            )
+        else:
+            sources.append((module.__name__, path.read_text(encoding="utf-8")))
+    return stable_fingerprint(sources)

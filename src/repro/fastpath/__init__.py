@@ -13,15 +13,16 @@ FB prediction errors on real paths produce them here.
 * :mod:`repro.fastpath.sampling` — how periodic probes (ping, pathload)
   observe the path: finite-sample binomial loss estimates, sample-mean
   RTT noise, the probe-vs-TCP loss sampling mismatch.
-* :mod:`repro.fastpath.pathsim` — :class:`FluidPathSimulator`, the
-  per-epoch engine producing the paper's measurement tuples.
+* :mod:`repro.fastpath.sites` — the named per-trace RNG site streams
+  and their fixed per-epoch draw layout.
+* :mod:`repro.fastpath.vector` — :func:`run_fluid_trace`, the engine:
+  one whole trace of the paper's measurement tuples as array kernels.
 
 The packet-level simulator (``repro.simnet``) validates this model; see
 ``tests/integration/test_fluid_vs_packet.py``.
 """
 
 from repro.fastpath.loadmodel import CrossLoadProcess, EpochLoad
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.fastpath.queueing import (
     mm1k_loss_probability,
     mm1k_mean_queue_delay_s,
@@ -31,14 +32,15 @@ from repro.fastpath.sampling import (
     probe_loss_estimate,
     probe_rtt_estimate,
 )
+from repro.fastpath.vector import run_fluid_trace
 
 __all__ = [
     "CrossLoadProcess",
     "EpochLoad",
-    "FluidPathSimulator",
     "mm1k_loss_probability",
     "mm1k_mean_queue_delay_s",
     "mm1k_mean_system_occupancy",
     "probe_loss_estimate",
     "probe_rtt_estimate",
+    "run_fluid_trace",
 ]

@@ -154,16 +154,16 @@ class CrossLoadProcess:
 
 
 # ---------------------------------------------------------------------------
-# The pre-drawn-noise load process shared by the fluid engines.
+# The pre-drawn-noise load process of the fluid engine.
 #
 # :class:`CrossLoadProcess` above owns its generator and draws as it
 # goes, which the packet-level :class:`~repro.testbed.packet_epoch.
 # PacketTraceRunner` still relies on.  The fluid campaign instead
 # pre-draws all load noise from its ``u``/``z`` site streams (see
 # ``repro.fastpath.sites``) and feeds it through the pure function
-# :func:`load_step` — the *same* Python code evolves the AR(1) recursion
-# one epoch at a time in both the scalar and the vectorized engine, so
-# the two are bit-identical by construction.
+# :func:`load_step`, which evolves the AR(1) recursion one epoch at a
+# time — so the engine and the per-epoch reference loop in
+# ``tests/fastpath/oracle.py`` run the same code here.
 # ---------------------------------------------------------------------------
 
 

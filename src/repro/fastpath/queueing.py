@@ -12,14 +12,15 @@ compensates through its ``burst_factor``/``probe_loss_factor``
 parameters rather than through a heavier queueing model.
 
 Each scalar formula has an ``*_array`` variant evaluating whole epoch
-batches at once for the vectorized fluid engine.  The scalar forms
+batches at once for the fluid engine.  The scalar forms
 deliberately route their exponentials and logarithms through ``np.exp``
 / ``np.log`` (the ``math`` module's versions round differently in the
 last bit on some inputs — unlike ``sqrt``, ``exp``/``log`` are not
 IEEE-correctly-rounded, so the two libms may disagree) and the array
 forms replicate every special case element by element, so the two are
-**bit-identical** — the property the scalar-vs-vector campaign parity
-gate (``make vector-parity``) rests on.
+**bit-identical** — the property that holds the engine to the per-epoch
+reference loop in ``tests/fastpath/oracle.py``, which calls the scalar
+forms.
 """
 
 from __future__ import annotations

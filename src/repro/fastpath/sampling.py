@@ -74,10 +74,9 @@ def probe_rtt_sample(
 ):
     """:func:`probe_rtt_estimate` as a pure kernel over pre-drawn noise.
 
-    Written entirely in NumPy ufunc operations so that the scalar
-    engine (passing floats) and the vectorized engine (passing whole
-    epoch arrays) produce bit-identical values — NumPy applies the same
-    elementwise routine either way.
+    Written entirely in NumPy ufunc operations, so a float argument and
+    a whole epoch array produce bit-identical values — NumPy applies
+    the same elementwise routine either way.
     """
     stderr = mean_queue_delay_s / np.sqrt(n_probes)
     noise = stderr * z_stderr + RTT_JITTER_S * z_jitter

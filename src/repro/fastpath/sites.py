@@ -1,22 +1,22 @@
-"""Named per-trace RNG *site* streams for the fluid path simulator.
+"""Named per-trace RNG *site* streams for the fluid path engine.
 
-The fluid engine exists in two implementations — the scalar reference
-loop (one epoch at a time) and the vectorized engine (whole-trace
-arrays) — that must produce **bit-identical** datasets.  The only way
-to vectorize draws without perturbing them is to give every draw *site*
-its own generator and a fixed-width, draw-and-discard layout:
+The engine (:func:`repro.fastpath.vector.run_fluid_trace`) draws a
+whole trace's noise up front, yet its output must equal the per-epoch
+reference loop kept in ``tests/fastpath/oracle.py`` bit for bit.  The
+only way to batch draws without perturbing them is to give every draw
+*site* its own generator and a fixed-width, draw-and-discard layout:
 
 * each site's draws then form one homogeneous sequence, and NumPy fills
   ``rng.random((E, k))`` / ``rng.standard_normal((E, k))`` /
   ``rng.uniform(a, b, E)`` by running the same scalar routine against
   the bit stream ``E`` (or ``E * k``) times, so a whole-trace batched
-  fill consumes exactly the bits the scalar per-epoch calls would
-  (the :class:`~repro.core.rng.PredrawnExponentials` contract, extended
+  fill consumes exactly the bits ``E`` per-epoch calls would (the
+  :class:`~repro.core.rng.PredrawnExponentials` contract, extended
   from exponentials to every site the fluid path draws from);
 * the per-epoch width of a site never depends on which branch an epoch
-  takes — unused slots are drawn and discarded — so scalar and vector
-  runs stay aligned even though the window/loss/congestion branches
-  need different noise.
+  takes — unused slots are drawn and discarded — so batched and
+  per-epoch draws stay aligned even though the window/loss/congestion
+  branches need different noise.
 
 Streams are named ``{path_id}/trace{t}/fluid/{site}``, so any subset of
 a campaign reproduces identically regardless of execution order, and a

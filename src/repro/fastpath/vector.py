@@ -1,54 +1,58 @@
-"""The vectorized fluid engine: whole traces as (epoch,) arrays.
+"""The fluid path engine: one whole trace as (epoch,) arrays.
 
-This is the campaign's default execution engine.  It computes the same
-model as the scalar reference loop
-(:class:`~repro.fastpath.pathsim.FluidPathSimulator`) but batches every
-per-epoch quantity of one trace into NumPy arrays, turning ~150 Python
-epoch iterations (a dozen formula calls each) into a handful of array
-kernels — a 10-100x campaign throughput win (``benchmarks/perf_bench.py``,
-fixtures ``fluid_trace`` vs ``fluid_vector``).
+:func:`run_fluid_trace` simulates one (path, trace) work unit following
+the paper's epoch timeline (Fig. 1) — avail-bw measurement, 60 s of
+pre-transfer probing, the 50 s target transfer with concurrent probing,
+plus the companion small-window transfer — and batches every per-epoch
+quantity of the trace into NumPy arrays, so ~150 epochs cost a handful
+of array kernels instead of ~150 Python iterations with a dozen formula
+calls each.
 
-**Bit-identity contract.**  The vector engine must produce *byte-identical
-datasets* to the scalar loop (``make vector-parity`` diffs the CSV
-digests; ``REPRO_FLUID_VECTOR=0`` switches a campaign to the scalar
-engine).  Three mechanisms make that possible:
+The transfer model distinguishes the three regimes that bound a bulk
+TCP flow:
+
+* **window-limited** — ``W/T`` below the available bandwidth: the flow
+  never saturates the path; its throughput is ``W/T`` with the mild
+  queueing the flow itself adds (the paper's most predictable case);
+* **loss-limited** — inherent random loss caps the flow below its
+  bandwidth share (PFTK applied to the true loss process);
+* **congestion-limited** — the flow saturates the bottleneck: it gets
+  its share of the capacity (avail-bw plus whatever elastic cross
+  traffic yields, discounted by buffer adequacy), fills the buffer
+  (RTT inflation), and *drives the loss process itself* — the loss
+  event rate is the one at which the TCP model equals the achieved
+  share (AIMD loss-throughput duality, computed by inverting PFTK).
+
+**Determinism.**  The output is a pure function of the trace's site
+streams, pinned by the default-catalog CSV sha256
+(``tests/fastpath/test_vector.py``, ``make vector-parity``) and held to
+the per-epoch reference loop kept in ``tests/fastpath/oracle.py``.
+Three mechanisms make the batched arithmetic equal that loop's:
 
 * every draw site has its own named stream with a fixed per-epoch width
   (:mod:`repro.fastpath.sites`), so one batched ``rng.random((E, k))``
-  consumes exactly the bits of ``E`` scalar ``rng.random(k)`` calls;
-* the serial AR(1) load recursion runs through the *same* Python
-  function (:func:`~repro.fastpath.loadmodel.load_step`) in both
-  engines — it is inherently sequential, and at one call per epoch it
-  is not the bottleneck;
-* everything else evaluates the same NumPy ufunc expression trees the
-  scalar engine uses (``np.exp`` and friends round identically for
-  scalars and arrays), with branch-dependent work computed on
-  ``np.nonzero``-compressed index subsets so each element sees exactly
-  the scalar branch arithmetic.
+  consumes exactly the bits of ``E`` per-epoch ``rng.random(k)`` calls;
+* the serial AR(1) load recursion runs one Python call per epoch
+  (:func:`~repro.fastpath.loadmodel.load_step`) — it is inherently
+  sequential, and at one call per epoch it is not the bottleneck;
+* everything else is NumPy ufunc expressions (``np.exp`` and friends
+  round identically for scalars and arrays), with branch-dependent work
+  computed on ``np.nonzero``-compressed index subsets so each element
+  sees exactly its branch's arithmetic.
 
-Telemetry: the vector engine emits the same per-epoch ``epoch`` events
-and phase timers as the scalar loop, attributing to each epoch an equal
-share of the trace's per-phase array-kernel time.
+Telemetry: the engine emits one ``epoch`` event and one set of phase
+timers per epoch, attributing to each epoch an equal share of the
+trace's per-phase array-kernel time.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fastpath.loadmodel import init_load_state, load_step
-from repro.fastpath.pathsim import (
-    CAPACITY_MEASUREMENT_SLACK,
-    N_PROBES_DURING,
-    N_PROBES_PRE,
-    PROBE_LOSS_LOGNORMAL_SIGMA,
-    WINDOW_LIMITED_MARGIN,
-    draw_elastic_rtts,
-    elastic_cross_weight,
-)
 from repro.fastpath.queueing import (
     mm1k_loss_probability_array,
     mm1k_mean_queue_delay_s_array,
@@ -82,19 +86,59 @@ from repro.obs.spans import record_trace_phase_spans
 from repro.paths.config import PathConfig
 from repro.paths.records import EpochMeasurement, EpochTruth, Trace
 
-#: Environment switch: ``REPRO_FLUID_VECTOR=0`` runs campaigns on the
-#: scalar reference engine instead (the parity cross-check, and the
-#: fallback if a platform's NumPy misbehaves).
-ENV_FLUID_VECTOR = "REPRO_FLUID_VECTOR"
+#: Probe counts of the paper's methodology: 600 before (60 s at 10 Hz),
+#: 500 during the 50 s transfer.
+N_PROBES_PRE = 600
+N_PROBES_DURING = 500
+
+#: A flow is called window-limited when its window ceiling stays below
+#: this fraction of the available bandwidth.
+WINDOW_LIMITED_MARGIN = 0.92
+
+#: Epoch-to-epoch lognormal spread of the probe-vs-TCP loss sampling
+#: mismatch (Goyal et al. report order-of-magnitude discrepancies).
+PROBE_LOSS_LOGNORMAL_SIGMA = 1.5
+
+#: Physical envelope for a measured transfer rate: an epoch-level iperf
+#: measurement can exceed the bottleneck capacity only by measurement
+#: noise (clock granularity, buffered bytes draining into the sample
+#: window), never by the unbounded tail of the lognormal variability
+#: draw.  The loss- and congestion-limited branches scale a mean rate
+#: near capacity by that draw, so the raw sample must be clamped here.
+CAPACITY_MEASUREMENT_SLACK = 1.2
 
 #: Regime codes used internally; indices into this tuple.
 _REGIMES = ("window", "loss", "congestion")
 _WINDOW, _LOSS, _CONGESTION = 0, 1, 2
 
 
-def fluid_vector_enabled() -> bool:
-    """Whether campaigns run on the vectorized fluid engine (default)."""
-    return os.environ.get(ENV_FLUID_VECTOR, "1") != "0"
+def draw_elastic_rtts(
+    config: PathConfig, rng: np.random.Generator
+) -> tuple[float, ...]:
+    """The elastic cross flows' RTTs, drawn once per trace.
+
+    One vectorized ``uniform(0.5, 2.5, n)`` call on the ``elastic``
+    site stream.
+    """
+    n_elastic = int(round(config.elasticity * config.n_cross_flows))
+    if n_elastic == 0:
+        return ()
+    draws = config.base_rtt_s * rng.uniform(0.5, 2.5, n_elastic)
+    return tuple(float(rtt) for rtt in draws)
+
+
+def elastic_cross_weight(elastic_rtts_s: tuple[float, ...]) -> float:
+    """``sum(1/rtt)`` over the elastic flows, in a *fixed* order.
+
+    The bandwidth-share formula reduces over the elastic RTTs; NumPy's
+    pairwise summation would regroup that reduction and move the last
+    bits with the flow count, so the sum is an explicit left-to-right
+    accumulation, computed once per trace.
+    """
+    total = 0.0
+    for rtt in elastic_rtts_s:
+        total += 1.0 / rtt
+    return total
 
 
 @dataclass(frozen=True)
@@ -130,20 +174,33 @@ def run_fluid_trace(
     checkpoint_fractions: tuple[float, ...],
     transfer_duration_s: float,
     start_time_s: float,
+    regime_mean: float | None = None,
 ) -> Trace:
-    """Simulate one whole trace vectorized; bit-identical to the scalar loop.
+    """Simulate one whole trace and return its measurement records.
 
     Args:
         config: the path's static parameters.
-        sites: the (path, trace)'s site streams (the same bundle the
-            scalar engine would consume).
+        sites: the (path, trace)'s site streams.
         trace_index: which trace on the path.
         dt_s: the per-epoch intervals, already drawn from the ``dt``
-            site (one array draw == the scalar loop's per-epoch draws).
-        tcp/small_tcp/checkpoint_fractions/transfer_duration_s: the
-            campaign settings, as for
-            :meth:`~repro.fastpath.pathsim.FluidPathSimulator.run_epoch`.
-        start_time_s: the trace's absolute start time.
+            site; epoch ``e`` starts ``dt_s[:e + 1].sum()`` after
+            ``start_time_s``.
+        tcp: the main transfer's parameters (the paper's W = 1 MB).
+        small_tcp: when given, a companion small-window transfer is
+            simulated under the same load (the paper's W = 20 KB).
+        checkpoint_fractions: fractions of the transfer duration at
+            which cumulative throughput snapshots are reported
+            (Fig. 11's 30/60/120 s cuts, as fractions of 120 s).
+        transfer_duration_s: the transfer length (accepted for the
+            campaign settings; the fractions carry the scale).
+        start_time_s: the trace's absolute start time, also forwarded
+            to the load process (only observable when the config
+            enables a diurnal cycle).
+        regime_mean: optional starting regime mean for the load
+            process (default: drawn from the ``init`` site).
+
+    Raises:
+        ValueError: a checkpoint fraction outside ``(0, 1]``.
     """
     telemetry = get_telemetry()
     clock = telemetry.phase_clock()
@@ -165,16 +222,16 @@ def run_fluid_trace(
     )
     z_init = sites.init.standard_normal(2)
     state = init_load_state(
-        cfg, float(z_init[0]), float(z_init[1]), None, start_time_s=start_time_s
+        cfg, float(z_init[0]), float(z_init[1]), regime_mean, start_time_s=start_time_s
     )
 
-    # One batched fill per site == the scalar loop's per-epoch draws.
+    # One batched fill per site == one fixed-width draw per epoch.
     u_block = sites.u.random((n_epochs, U_WIDTH))
     z_block = sites.z.standard_normal(
         (n_epochs, z_width(has_small, len(checkpoint_fractions)))
     )
 
-    # --- the load recursion (serial, shared with the scalar engine) ----
+    # --- the load recursion (serial: one call per epoch) ----------------
     util_pre = np.empty(n_epochs)
     util_during = np.empty(n_epochs)
     outliers: list[bool] = []
@@ -253,6 +310,9 @@ def run_fluid_trace(
         ).throughput_mbps
     checkpoint_cols = []
     if checkpoint_fractions:
+        # A shorter averaging window sees more of the flow's short-term
+        # variability: the deviation from the full-transfer throughput
+        # shrinks with the square root of the cut length.
         base = z_checkpoint_base(has_small)
         for offset, fraction in enumerate(checkpoint_fractions):
             rel_std = 0.08 / math.sqrt(fraction)
@@ -281,8 +341,8 @@ def run_fluid_trace(
         outliers,
     )
     if clock.enabled:
-        # Each epoch gets an equal share of the trace's per-phase time;
-        # the event/timer *shapes* match the scalar engine's exactly.
+        # Each epoch gets an equal share of the trace's per-phase time:
+        # one event and one sample per phase timer per epoch.
         per_epoch_phases = {
             name: total / n_epochs for name, total in clock.phases.items()
         }
@@ -303,7 +363,18 @@ def run_fluid_trace(
 def _bandwidth_share_arrays(
     ctx: _TraceContext, cfg: PathConfig, util: np.ndarray, target_rtt_s: float
 ) -> np.ndarray:
-    """Vector twin of ``FluidPathSimulator._bandwidth_share``."""
+    """The saturating flow's bandwidth share.
+
+    The flow gets the available bandwidth plus whatever the elastic
+    share of the cross traffic yields; the yield shrinks with the
+    number of elastic competitors and their RTT advantage
+    (Section 3.4).
+
+    The share is floored at 10% of capacity: even against a heavy
+    inelastic aggregate, a persistent Reno flow keeps pushing and
+    claims buffer slots, so full starvation does not happen on a
+    drop-tail bottleneck.
+    """
     availbw = cfg.capacity_mbps * (1.0 - util)
     if not ctx.elastic_rtts_s:
         return np.maximum(availbw, 0.10 * cfg.capacity_mbps)
@@ -324,11 +395,11 @@ def _transfer_arrays(
     z_var: np.ndarray,
     need_loss_event: bool = True,
 ) -> _TransferArrays:
-    """Vector twin of ``FluidPathSimulator._transfer``.
+    """The transfer model: each epoch's regime, rate, loss and RTT.
 
     Branch selection is computed for the whole trace at once; each
-    branch's arithmetic then runs on its compressed index subset, where
-    it evaluates exactly the scalar branch's expression tree.
+    branch's arithmetic then runs on its compressed index subset, so
+    every element sees exactly its own branch's expression tree.
 
     ``need_loss_event=False`` skips the congestion branch's PFTK loss
     inversion (a pure function of already-computed columns — no RNG)
@@ -400,6 +471,7 @@ def _window_limited_arrays(
     tcp: TcpParameters,
     z_var: np.ndarray,
 ) -> None:
+    # The flow adds its own (small) load; recompute the queue with it.
     window_mbps = tcp.max_window_bytes * 8.0 / cfg.base_rtt_s / 1e6
     util_total = np.minimum(0.98, util + window_mbps / cfg.capacity_mbps)
     dq = ctx.pk_factor * mm1k_mean_queue_delay_s_array(
@@ -443,6 +515,8 @@ def _loss_limited_arrays(
         util_total, ctx.k_packets, ctx.mu_pps
     )
     rtt_d = cfg.base_rtt_s + dq
+    # Loss-limited flows have high throughput variance: the loss
+    # process, not the capacity, sets the pace.
     sigma = 0.07 + 0.5 * np.sqrt(cfg.random_loss)
     sample = loss_cap_mbps * np.exp(min(sigma, 0.4) * z_var)
     sample = np.minimum(sample, CAPACITY_MEASUREMENT_SLACK * cfg.capacity_mbps)
@@ -465,21 +539,35 @@ def _congestion_limited_arrays(
     z_var: np.ndarray,
     need_loss_event: bool = True,
 ) -> None:
+    # Buffer adequacy: an AIMD sawtooth needs roughly a BDP of
+    # buffering to keep the link busy through window halvings.  The
+    # base efficiency sits well below 1 even with ample buffering:
+    # classic Reno loses whole RTO periods (1 s minimum) whenever a
+    # drop-tail overflow claims several segments of one window —
+    # calibrated against the packet-level simulator (see
+    # tests/integration/test_fluid_vs_packet.py).
     bdp_bytes = share_mbps * 1e6 * cfg.base_rtt_s / 8.0
     eta = 0.55 + 0.35 * np.minimum(1.0, cfg.buffer_bytes / np.maximum(bdp_bytes, 1.0))
     mean_rate = share_mbps * eta
 
+    # Saturation keeps the buffer partially full; the fill level rises
+    # with how loaded the path already was.
     fill = np.minimum(0.9, np.maximum(0.15, 0.25 + 0.35 * util + 0.08 * z_fill))
     dq = fill * ctx.k_packets / ctx.mu_pps
     rtt_d = cfg.base_rtt_s + dq
     mean_rate = np.minimum(mean_rate, tcp.max_window_bytes * 8.0 / rtt_d / 1e6)
 
+    # Short-term throughput variability: grows with utilization,
+    # shrinks with statistical multiplexing (the paper's queueing
+    # analysis, Section 6.1.4).
     sigma = 0.03 + 0.35 * util * util / math.sqrt(max(1, cfg.n_cross_flows))
     sample = mean_rate * np.exp(np.minimum(sigma, 0.5) * z_var)
     sample = np.minimum(sample, CAPACITY_MEASUREMENT_SLACK * cfg.capacity_mbps)
     sample = np.maximum(sample, 1e-3)
 
     if need_loss_event:
+        # AIMD duality: the loss event rate is whatever makes the TCP
+        # model deliver the achieved rate at the experienced RTT.
         rto = np.maximum(1.0, 2.0 * rtt_d)
         p_event = pftk_loss_for_throughput_array(sample, rtt_d, rto, tcp)
         p_event = np.maximum(p_event, cfg.random_loss)
@@ -496,7 +584,12 @@ def _congestion_limited_arrays(
 def _probe_observed_loss_arrays(
     cfg: PathConfig, outcome: _TransferArrays, z_mismatch: np.ndarray
 ) -> np.ndarray:
-    """Vector twin of ``FluidPathSimulator._probe_observed_loss``."""
+    """Loss rate periodic probes see during the transfer.
+
+    In the congestion-limited regime the flow's own losses cluster in
+    its AIMD bursts; probes observe only a fraction, with large
+    epoch-to-epoch spread (Section 3.3).
+    """
     observed = outcome.loss_event_rate.copy()
     index_c = np.nonzero(outcome.regime == _CONGESTION)[0]
     if index_c.size:
@@ -616,7 +709,7 @@ def _assemble_trace(
         }
         if not valid:
             # Rare: route through the validating constructor so the
-            # offending epoch raises the scalar engine's exact DataError.
+            # offending epoch raises its exact DataError.
             append(EpochMeasurement(**fields))
             continue
         record = measurement_new(EpochMeasurement)

@@ -144,7 +144,7 @@ def pftk_throughput_array(
     Bit-identical to the scalar form element by element: the scalar
     form's ``math.sqrt``/``min`` round exactly like ``np.sqrt``/
     ``np.minimum``, and both evaluate the same expression tree.  Loss
-    rates must be strictly positive (the vector engine only calls this
+    rates must be strictly positive (the fluid engine only calls this
     on its ``loss > 0`` subsets).
     """
     tcp = tcp or TcpParameters()

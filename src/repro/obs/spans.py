@@ -15,11 +15,12 @@ The span tree a campaign produces::
 
     campaign                       (root, parent process)
       trace {path=p01, trace=0}    (one per (path, trace) unit)
-        epoch {epoch=0}            (scalar engines; one per epoch)
-          load / ping / pathload / iperf   (PhaseClock laps)
-        ...
+        load / ping / pathload / iperf     (PhaseClock laps; per trace)
       trace {path=p01, trace=1}
-        load / ping / pathload / iperf     (vector engine; per-trace)
+        ...
+
+A packet-level epoch run under an open span records an
+``epoch {epoch=0}`` span instead, with its phase laps as children.
 
 Context propagates through a :class:`contextvars.ContextVar`, so spans
 nest correctly across threads and asyncio tasks.  Worker processes
@@ -29,8 +30,9 @@ campaign span at merge time — a parallel campaign yields the *same
 tree* as a serial one (``tests/testbed/test_span_parity.py``).
 
 Phase spans are **synthesized from PhaseClock laps** after the fact
-(:func:`record_epoch_spans`): the engines already lap a clock per
-epoch, so tracing adds no extra clock reads to the hot path — the
+(:func:`record_trace_phase_spans` per fluid trace,
+:func:`record_epoch_spans` per packet epoch): the engines already lap
+a clock, so tracing adds no extra clock reads to the hot path — the
 spans' start times are reconstructed by laying the laps end to end
 against one ``time.time()`` read.
 
@@ -165,8 +167,8 @@ def sample_decision(key: str, rate: float) -> bool:
     """Deterministic keep/drop decision for a sample key at ``rate``.
 
     Hash-based (BLAKE2b of the key), not RNG-based: the same key gets
-    the same verdict in every process, so a serial campaign and its
-    parallel twin trace exactly the same units — and the campaign's
+    the same verdict in every process, so a campaign run serially and
+    in parallel traces exactly the same units — and the campaign's
     RNG streams are never touched, keeping datasets byte-identical.
     """
     if rate >= 1.0:
@@ -449,7 +451,7 @@ def record_epoch_spans(
 ) -> None:
     """Synthesize one epoch span + its phase children from clock laps.
 
-    Called by the scalar engines next to ``record_epoch``.  No extra
+    Called by the packet-level epoch runner next to ``record_epoch``.  No extra
     clock reads: one ``time.time()`` anchors the end of the epoch, and
     the lap durations are laid end to end backwards from it (repeated
     laps into one phase appear as that phase's single accumulated
@@ -465,8 +467,8 @@ def record_epoch_spans(
     total = sum(phases.values())
     start = end - total
     # Mint all the ids from one state fetch, and skip the cosmetic
-    # round(): this runs once per epoch on the scalar engines, inside
-    # the traced-throughput budget (see benchmarks/perf_bench.py).
+    # round(): this runs once per packet epoch, inside the
+    # traced-throughput budget (see benchmarks/perf_bench.py).
     _, prefix, counter = _id_state()
     # One counter draw per epoch; the children derive dotted suffix ids
     # from the parent's (still process-unique, one string format each).
@@ -509,9 +511,9 @@ def record_trace_phase_spans(
     phases: dict[str, float],
     n_epochs: int,
 ) -> None:
-    """Synthesize per-trace phase spans for the vectorized engine.
+    """Synthesize per-trace phase spans for the fluid engine.
 
-    The vector engine times its array kernels once per *trace*; a
+    The fluid engine times its array kernels once per *trace*; a
     per-epoch span there would cost more than the epoch itself (~14 us),
     blowing the traced-throughput budget.  Instead each whole-trace
     phase becomes one child span of the open unit span, tagged with the

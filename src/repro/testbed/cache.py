@@ -3,9 +3,11 @@
 A campaign's output is fully determined by (catalog, seed, label, TCP
 parameters, settings) plus the code that simulates it.  The cache maps a
 :func:`~repro.core.cachekey.stable_fingerprint` of exactly those inputs
-to a saved CSV (the same format as :func:`repro.testbed.io.save_dataset`),
-so benchmarks and the ``repro-campaign`` CLI can reuse a previously
-simulated campaign instead of re-running it.
+— the code as :func:`code_fingerprint`, the source of the simulating
+modules — to a saved CSV (the same format as
+:func:`repro.testbed.io.save_dataset`), so benchmarks and the
+``repro-campaign`` CLI can reuse a previously simulated campaign
+instead of re-running it.
 
 The cache directory defaults to ``~/.cache/repro/datasets`` and is
 overridden with the ``REPRO_CACHE_DIR`` environment variable (or the
@@ -17,13 +19,13 @@ entry is treated as a miss and re-simulated.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro._version import __version__
-from repro.core.cachekey import stable_fingerprint
+from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.errors import DataError
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset
@@ -45,14 +47,39 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "datasets"
 
 
+@functools.cache
+def code_fingerprint() -> str:
+    """Fingerprint of the source of the modules that decide a campaign's
+    output, read once per process.
+
+    Those are the fluid engine (:mod:`repro.fastpath`), the TCP formulas
+    (:mod:`repro.formulas`), the path catalogs and records
+    (:mod:`repro.paths`), the named RNG streams (:mod:`repro.core.rng`)
+    and the campaign runner (:mod:`repro.testbed.campaign`).
+    """
+    import repro.core.rng
+    import repro.fastpath
+    import repro.formulas
+    import repro.paths
+    import repro.testbed.campaign
+
+    return source_fingerprint(
+        repro.fastpath,
+        repro.formulas,
+        repro.paths,
+        repro.core.rng,
+        repro.testbed.campaign,
+    )
+
+
 def campaign_cache_key(campaign: "Campaign", settings: "CampaignSettings") -> str:
     """The cache key for one campaign execution.
 
     Covers everything that shapes the dataset: the full path catalog
     (every field of every :class:`~repro.paths.config.PathConfig`), the
     root seed, the label, both TCP parameter sets, the campaign
-    settings, and the code/format version so stale entries from older
-    releases are never served.
+    settings, the CSV format version, and :func:`code_fingerprint`, so
+    an entry simulated by different code is never served.
     """
     return stable_fingerprint(
         {
@@ -62,7 +89,7 @@ def campaign_cache_key(campaign: "Campaign", settings: "CampaignSettings") -> st
             "tcp": campaign.tcp,
             "small_tcp": campaign.small_tcp,
             "settings": settings,
-            "code_version": __version__,
+            "code": code_fingerprint(),
             "format_version": FORMAT_VERSION,
         }
     )
@@ -145,7 +172,7 @@ def run_cached(
     retry=None,
     checkpoint=None,
     resume: bool = False,
-    chunk_size: int = 1,
+    chunk_size: int | None = None,
 ) -> tuple[Dataset, bool]:
     """Run a campaign through the cache.
 
@@ -155,8 +182,9 @@ def run_cached(
     ``chunk_size`` and the robustness options
     ``retry``/``checkpoint``/``resume``, all keyed by the same content
     fingerprint as the cache entry) and the result is stored before
-    being returned.  ``chunk_size`` never affects the cache key: any
-    value produces the bit-identical dataset.
+    being returned.  ``chunk_size`` defaults to one job per path, as
+    for :meth:`~repro.testbed.campaign.Campaign.run`; it never affects
+    the cache key, since any value produces the bit-identical dataset.
     """
     cache = cache or DatasetCache()
     key = campaign_cache_key(campaign, settings)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RngStreams
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.fastpath.sites import FluidSites
-from repro.fastpath.vector import fluid_vector_enabled, run_fluid_trace
+from repro.fastpath.vector import run_fluid_trace
 from repro.formulas.params import TcpParameters
 from repro.paths.config import PathConfig
 from repro.paths.records import Dataset, Trace
@@ -124,10 +123,8 @@ class Campaign:
                 the result is bit-identical to an uninterrupted run.
             chunk_size: (path, trace) units per parallel job; larger
                 chunks amortize dispatch overhead for short traces.
-                ``None`` (the default) picks one job per *path* on the
-                vectorized fluid engine and per-trace jobs on the
-                scalar engine.  Bit-identical for every value; ignored
-                when serial.
+                ``None`` (the default) submits one job per *path*.
+                Bit-identical for every value; ignored when serial.
         """
         from repro.testbed.executor import run_campaign
 
@@ -152,50 +149,24 @@ class Campaign:
     ) -> Trace:
         """Collect one trace on one path.
 
-        Runs on the vectorized fluid engine by default; setting
-        ``REPRO_FLUID_VECTOR=0`` switches to the scalar reference loop.
-        The two engines consume the same named site streams
-        (``{path}/trace{i}/fluid/{site}``) and produce byte-identical
-        traces (``make vector-parity``).
+        The trace draws from its own named site streams
+        (``{path}/trace{i}/fluid/{site}``), so it is the same whether
+        simulated alone or inside a whole campaign.
         """
         settings = settings or CampaignSettings()
         sites = FluidSites.from_streams(self.streams, config.path_id, trace_index)
-        small = self.small_tcp if settings.run_small_window else None
-        time_s = trace_index * TRACE_GAP_S
-        if fluid_vector_enabled():
-            dt_s = sites.dt.uniform(
-                *EPOCH_INTERVAL_RANGE_S, settings.epochs_per_trace
-            )
-            return run_fluid_trace(
-                config,
-                sites,
-                trace_index,
-                dt_s,
-                tcp=self.tcp,
-                small_tcp=small,
-                checkpoint_fractions=settings.checkpoint_fractions,
-                transfer_duration_s=settings.transfer_duration_s,
-                start_time_s=time_s,
-            )
-        simulator = FluidPathSimulator(config, sites, start_time_s=time_s)
-        trace = Trace(path_id=config.path_id, trace_index=trace_index)
-        for epoch_index in range(settings.epochs_per_trace):
-            dt_s = float(sites.dt.uniform(*EPOCH_INTERVAL_RANGE_S))
-            time_s += dt_s
-            trace.append(
-                simulator.run_epoch(
-                    path_id=config.path_id,
-                    trace_index=trace_index,
-                    epoch_index=epoch_index,
-                    start_time_s=time_s,
-                    dt_s=dt_s,
-                    tcp=self.tcp,
-                    small_tcp=small,
-                    checkpoint_fractions=settings.checkpoint_fractions,
-                    transfer_duration_s=settings.transfer_duration_s,
-                )
-            )
-        return trace
+        dt_s = sites.dt.uniform(*EPOCH_INTERVAL_RANGE_S, settings.epochs_per_trace)
+        return run_fluid_trace(
+            config,
+            sites,
+            trace_index,
+            dt_s,
+            tcp=self.tcp,
+            small_tcp=self.small_tcp if settings.run_small_window else None,
+            checkpoint_fractions=settings.checkpoint_fractions,
+            transfer_duration_s=settings.transfer_duration_s,
+            start_time_s=trace_index * TRACE_GAP_S,
+        )
 
 
 def run_may_2004(

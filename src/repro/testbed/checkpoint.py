@@ -17,7 +17,7 @@ Layout::
 ``run_key`` is the campaign's content fingerprint (the same
 :func:`~repro.testbed.cache.campaign_cache_key` the dataset cache
 uses), so checkpoints can never leak between campaigns with different
-catalogs, seeds, settings, or code versions.  Each entry is a
+catalogs, seeds, settings, or simulating code.  Each entry is a
 single-trace dataset in the normal CSV format — inspectable and
 deletable by hand.  Writes are atomic (temp file + ``os.replace``); a
 corrupt or truncated entry is quarantined (renamed ``*.corrupt``) and

@@ -67,7 +67,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ConfigurationError, ExecutionError
-from repro.fastpath.vector import fluid_vector_enabled
 from repro.obs import get_telemetry
 from repro.obs.spans import reparent_spans
 from repro.paths.records import Dataset, Trace
@@ -863,12 +862,11 @@ def run_campaign(
             :class:`RetryPolicy` with two retries and no job timeout).
         chunk_size: (path, trace) units dispatched per parallel job.
             ``None`` (the default) resolves to ``settings.n_traces`` —
-            one job per path — on the vectorized fluid engine (its
-            per-trace wall time is small enough that per-unit dispatch
-            overhead would dominate) and to 1 on the scalar engine,
-            keeping per-unit retry/timeout granularity.  Explicit
-            values override; the result is bit-identical for every
-            chunk size.  Serial execution ignores it.
+            one job per path, since a trace's wall time is small enough
+            that per-unit dispatch overhead would dominate.  Explicit
+            values override (1 keeps per-unit retry/timeout
+            granularity); the result is bit-identical for every chunk
+            size.  Serial execution ignores it.
         checkpoint: when given, every finished trace is persisted here
             under ``run_key``, and the store is cleared once the
             campaign completes.
@@ -894,7 +892,7 @@ def run_campaign(
     n_workers = resolve_workers(n_workers)
     retry = retry or RetryPolicy()
     if chunk_size is None:
-        chunk_size = settings.n_traces if fluid_vector_enabled() else 1
+        chunk_size = settings.n_traces
     if checkpoint is not None and run_key is None:
         from repro.testbed.cache import campaign_cache_key
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.fastpath.loadmodel import DAY_S, CrossLoadProcess
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.fastpath.queueing import pollaczek_khinchine_factor
-from repro.formulas.params import TcpParameters
 from repro.paths.config import may_2004_catalog
+from tests.fastpath.oracle import engine_trace
 
 
 def config(**overrides):
@@ -38,10 +37,8 @@ class TestBurstinessKnob:
         explicit = config(burstiness_scv=1.0)
         for cfg in (base, explicit):
             assert cfg.burstiness_scv == 1.0
-        a = FluidPathSimulator(base, np.random.default_rng(0))
-        b = FluidPathSimulator(explicit, np.random.default_rng(0))
-        ea = a.run_epoch("x", 0, 0, 0.0, 180.0, TcpParameters.congestion_limited())
-        eb = b.run_epoch("x", 0, 0, 0.0, 180.0, TcpParameters.congestion_limited())
+        ea = engine_trace(base, 1).epochs[0]
+        eb = engine_trace(explicit, 1).epochs[0]
         assert ea.that_s == eb.that_s
 
     def test_burstier_traffic_longer_rtt(self):
@@ -50,12 +47,7 @@ class TestBurstinessKnob:
         bursty = replace(smooth, burstiness_scv=4.0)
         rtts = {}
         for label, cfg in (("smooth", smooth), ("bursty", bursty)):
-            sim = FluidPathSimulator(cfg, np.random.default_rng(1))
-            epochs = [
-                sim.run_epoch("x", 0, i, i * 180.0, 180.0,
-                              TcpParameters.congestion_limited())
-                for i in range(20)
-            ]
+            epochs = engine_trace(cfg, 20, seed=1).epochs
             rtts[label] = float(np.median([e.that_s for e in epochs]))
         assert rtts["bursty"] > rtts["smooth"]
 

@@ -1,35 +1,23 @@
-"""The fluid per-epoch path simulator."""
+"""The fluid path model's behaviour, epoch by epoch, on the engine."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.formulas.params import TcpParameters
 from repro.paths.config import may_2004_catalog
+from tests.fastpath.oracle import engine_trace
 
 
 def get_config(path_id):
     return next(c for c in may_2004_catalog() if c.path_id == path_id)
 
 
-def run_epochs(config, n=50, seed=0, tcp=None, small=None, **epoch_kwargs):
-    sim = FluidPathSimulator(config, np.random.default_rng(seed))
-    tcp = tcp or TcpParameters.congestion_limited()
-    return [
-        sim.run_epoch(
-            path_id=config.path_id,
-            trace_index=0,
-            epoch_index=i,
-            start_time_s=i * 180.0,
-            dt_s=180.0,
-            tcp=tcp,
-            small_tcp=small,
-            **epoch_kwargs,
-        )
-        for i in range(n)
-    ]
+def run_epochs(config, n=50, seed=0, tcp=None, small=None, **kwargs):
+    return engine_trace(
+        config, n, seed=seed, tcp=tcp, small_tcp=small, **kwargs
+    ).epochs
 
 
 class TestEpochStructure:

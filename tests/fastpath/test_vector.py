@@ -1,19 +1,23 @@
-"""Scalar/vector fluid-engine parity: the bit-identity contract.
+"""The fluid engine against its per-epoch oracle: the bit-identity contract.
 
-The vectorized engine (:mod:`repro.fastpath.vector`) must produce
-byte-identical datasets to the scalar reference loop at every worker
-count.  These tests pin that contract at three levels: the numpy fill
-contract the site streams rely on, the array twins of the scalar
-formulas, and whole campaigns hashed through the CSV writer.
+The engine (:func:`repro.fastpath.vector.run_fluid_trace`) must produce
+the same epochs as the per-epoch reference loop in
+``tests/fastpath/oracle.py``, and byte-identical datasets at every
+worker count.  These tests pin that contract at four levels: the numpy
+fill contract the site streams rely on, the array forms of the scalar
+formulas, random path configurations epoch by epoch, and whole
+campaigns hashed through the CSV writer.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fastpath.sites import SITE_NAMES, FluidSites
-from repro.fastpath.vector import ENV_FLUID_VECTOR, fluid_vector_enabled
+from repro.formulas.params import TcpParameters
 from repro.paths.config import (
     march_2006_catalog,
     may_2004_catalog,
@@ -21,13 +25,20 @@ from repro.paths.config import (
 )
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.io import save_dataset
+from tests.fastpath.oracle import (
+    engine_trace,
+    oracle_campaign,
+    oracle_run_trace,
+    oracle_trace,
+)
+from tests.integration.test_fuzz import fluid_configs
 
 #: sha256 of the default-catalog campaign CSV (35 paths x 7 traces x
-#: 150 epochs, seed 0).  Pins the numeric output of *both* engines: any
-#: change to accumulation order, stream layout, or formula expression
-#: trees shows up here before it silently invalidates the paper's
-#: committed analysis numbers.  Recompute (and justify) via
-#: ``make vector-parity``.
+#: 150 epochs, seed 0).  Pins the engine's numeric output: any change
+#: to accumulation order, stream layout, or formula expression trees
+#: shows up here before it silently invalidates the paper's committed
+#: analysis numbers.  ``make vector-parity`` checks the same digest at
+#: workers 1, 2 and 4.
 DEFAULT_CATALOG_SHA256 = (
     "3487ff2c0fa965927088df86f6ea7709283d9dfeea54dd88ffbde4e376fd097b"
 )
@@ -48,9 +59,14 @@ def csv_bytes(tmp_path, name, dataset):
     return path.read_bytes()
 
 
-def run_campaign(monkeypatch, engine, catalog, settings, seed=0, **kwargs):
-    monkeypatch.setenv(ENV_FLUID_VECTOR, "1" if engine == "vector" else "0")
-    return Campaign(catalog, seed=seed).run(settings, **kwargs)
+def engine_and_oracle_csv(tmp_path, catalog, settings, seed=0, **kwargs):
+    """CSV bytes of ``Campaign.run(**kwargs)`` and of the oracle campaign."""
+    engine = Campaign(catalog, seed=seed).run(settings, **kwargs)
+    oracle = oracle_campaign(Campaign(catalog, seed=seed), settings)
+    return (
+        csv_bytes(tmp_path, "engine.csv", engine),
+        csv_bytes(tmp_path, "oracle.csv", oracle),
+    )
 
 
 class TestFillContract:
@@ -85,7 +101,8 @@ class TestFillContract:
 
 
 class TestFormulaArrayTwins:
-    """Array variants must be bitwise equal to the scalar formulas."""
+    """Array variants must be bitwise equal to the scalar formulas the
+    oracle calls."""
 
     RHO = np.concatenate(
         [np.linspace(0.01, 0.97, 41), [0.0, 0.999, 1.0, 1.2]]
@@ -149,59 +166,66 @@ class TestFormulaArrayTwins:
 
 
 class TestEngineParity:
-    """Whole campaigns: vector == scalar, byte for byte."""
+    """Whole campaigns: ``Campaign.run`` == the oracle, byte for byte."""
 
-    def test_trace_equality(self, monkeypatch):
+    def test_trace_equality(self):
         config = may_2004_catalog()[0]
-        monkeypatch.setenv(ENV_FLUID_VECTOR, "0")
-        assert not fluid_vector_enabled()
-        scalar = Campaign([config], seed=3).run_trace(config, 1, MAY_SETTINGS)
-        monkeypatch.setenv(ENV_FLUID_VECTOR, "1")
-        assert fluid_vector_enabled()
-        vector = Campaign([config], seed=3).run_trace(config, 1, MAY_SETTINGS)
-        assert vector == scalar
-
-    def test_may_style_csv_identical(self, monkeypatch, tmp_path):
-        catalog = scaled_catalog(may_2004_catalog(), 3)
-        scalar = run_campaign(monkeypatch, "scalar", catalog, MAY_SETTINGS)
-        vector = run_campaign(monkeypatch, "vector", catalog, MAY_SETTINGS)
-        assert csv_bytes(tmp_path, "v.csv", vector) == csv_bytes(
-            tmp_path, "s.csv", scalar
+        engine = Campaign([config], seed=3).run_trace(config, 1, MAY_SETTINGS)
+        oracle = oracle_run_trace(
+            Campaign([config], seed=3), config, 1, MAY_SETTINGS
         )
+        assert engine == oracle
 
-    def test_march_style_csv_identical(self, monkeypatch, tmp_path):
+    def test_may_style_csv_identical(self, tmp_path):
+        catalog = scaled_catalog(may_2004_catalog(), 3)
+        engine, oracle = engine_and_oracle_csv(tmp_path, catalog, MAY_SETTINGS)
+        assert engine == oracle
+
+    def test_march_style_csv_identical(self, tmp_path):
         """The checkpoint-fraction path draws extra z columns."""
         catalog = scaled_catalog(march_2006_catalog(), 3)
-        scalar = run_campaign(
-            monkeypatch, "scalar", catalog, MARCH_SETTINGS, seed=1
+        engine, oracle = engine_and_oracle_csv(
+            tmp_path, catalog, MARCH_SETTINGS, seed=1
         )
-        vector = run_campaign(
-            monkeypatch, "vector", catalog, MARCH_SETTINGS, seed=1
-        )
-        assert csv_bytes(tmp_path, "v.csv", vector) == csv_bytes(
-            tmp_path, "s.csv", scalar
-        )
+        assert engine == oracle
 
     @pytest.mark.parametrize("n_workers", [2])
-    def test_parallel_vector_matches_serial_scalar(
-        self, monkeypatch, tmp_path, n_workers
-    ):
+    def test_parallel_vector_matches_serial_scalar(self, tmp_path, n_workers):
+        """The engine in worker processes == the oracle run serially."""
         catalog = scaled_catalog(may_2004_catalog(), 3)
-        scalar = run_campaign(monkeypatch, "scalar", catalog, MAY_SETTINGS)
-        vector = run_campaign(
-            monkeypatch, "vector", catalog, MAY_SETTINGS, n_workers=n_workers
+        engine, oracle = engine_and_oracle_csv(
+            tmp_path, catalog, MAY_SETTINGS, n_workers=n_workers
         )
-        assert csv_bytes(tmp_path, "v.csv", vector) == csv_bytes(
-            tmp_path, "s.csv", scalar
+        assert engine == oracle
+
+
+class TestOracleParity:
+    """Random path configurations, off the catalog, epoch by epoch."""
+
+    @given(
+        config=fluid_configs,
+        seed=st.integers(min_value=0, max_value=10**6),
+        small_tcp=st.sampled_from([None, TcpParameters.window_limited()]),
+        checkpoint_fractions=st.sampled_from([(), (0.25, 0.5, 1.0)]),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_random_configs_match_oracle(
+        self, config, seed, small_tcp, checkpoint_fractions
+    ):
+        kwargs = dict(
+            seed=seed,
+            small_tcp=small_tcp,
+            checkpoint_fractions=checkpoint_fractions,
         )
+        engine = engine_trace(config, 8, **kwargs)
+        assert engine.epochs == oracle_trace(config, 8, **kwargs).epochs
 
 
 @pytest.mark.slow
 class TestDefaultCatalogDigest:
-    """The satellite regression pin: the full default-catalog sha256."""
+    """The regression pin: the full default-catalog sha256."""
 
-    def test_default_catalog_sha256(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_FLUID_VECTOR, "1")
+    def test_default_catalog_sha256(self, tmp_path):
         dataset = Campaign(may_2004_catalog(), seed=0).run(CampaignSettings())
         digest = hashlib.sha256(
             csv_bytes(tmp_path, "default.csv", dataset)

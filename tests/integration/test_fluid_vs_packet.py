@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.formulas.params import TcpParameters
 from repro.paths.config import may_2004_catalog
 from repro.testbed.packet_epoch import PacketEpochRunner
+from tests.fastpath.oracle import engine_trace
 
 pytestmark = pytest.mark.slow
 
@@ -48,12 +48,7 @@ def packet_epoch(config, utilization, tcp=None, seed=0):
 
 
 def fluid_epochs(config, n=30, tcp=None, seed=0):
-    sim = FluidPathSimulator(config, np.random.default_rng(seed))
-    tcp = tcp or TcpParameters.congestion_limited()
-    return [
-        sim.run_epoch(config.path_id, 0, i, i * 180.0, 180.0, tcp)
-        for i in range(n)
-    ]
+    return engine_trace(config, n, seed=seed, tcp=tcp).epochs
 
 
 class TestWindowLimitedAgreement:

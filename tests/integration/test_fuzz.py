@@ -13,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.units import Bandwidth
-from repro.fastpath.pathsim import FluidPathSimulator
 from repro.formulas.params import TcpParameters
 from repro.paths.config import may_2004_catalog
 from repro.simnet.engine import Simulator
 from repro.simnet.path import DumbbellPath
 from repro.tcp.reno import RenoSender
 from repro.tcp.sink import TcpSink
+from tests.fastpath.oracle import engine_trace
 
 BASE_CONFIG = may_2004_catalog()[0]
 
@@ -74,13 +74,10 @@ class TestFluidFuzz:
     )
     @settings(max_examples=80, deadline=None)
     def test_epochs_always_physical(self, config, seed):
-        simulator = FluidPathSimulator(config, np.random.default_rng(seed))
-        for index in range(5):
-            epoch = simulator.run_epoch(
-                config.path_id, 0, index, index * 180.0, 180.0,
-                TcpParameters.congestion_limited(),
-                small_tcp=TcpParameters.window_limited(),
-            )
+        trace = engine_trace(
+            config, 5, seed=seed, small_tcp=TcpParameters.window_limited()
+        )
+        for epoch in trace:
             assert 0 < epoch.throughput_mbps <= config.capacity_mbps * 1.2
             assert 0 <= epoch.phat < 1 and 0 <= epoch.ptilde < 1
             assert epoch.that_s >= config.base_rtt_s
@@ -93,11 +90,7 @@ class TestFluidFuzz:
     def test_deterministic_per_seed(self, config):
         runs = []
         for _ in range(2):
-            sim = FluidPathSimulator(config, np.random.default_rng(123))
-            epoch = sim.run_epoch(
-                config.path_id, 0, 0, 0.0, 180.0,
-                TcpParameters.congestion_limited(),
-            )
+            epoch = engine_trace(config, 1, seed=123).epochs[0]
             runs.append((epoch.throughput_mbps, epoch.phat, epoch.that_s))
         assert runs[0] == runs[1]
 

@@ -1,10 +1,14 @@
 """The content-addressed dataset cache."""
 
 import csv
+import importlib
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.paths.config import may_2004_catalog, scaled_catalog
+from repro.testbed import cache as cache_module
 from repro.testbed.cache import (
     DatasetCache,
     campaign_cache_key,
@@ -44,6 +48,41 @@ class TestCacheKey:
             campaign_cache_key(small_campaign(n_paths=3), SETTINGS)
         )
 
+    def test_changes_with_code_fingerprint(self, monkeypatch):
+        key = campaign_cache_key(small_campaign(), SETTINGS)
+        monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "edited")
+        assert campaign_cache_key(small_campaign(), SETTINGS) != key
+
+    @pytest.mark.parametrize(
+        "module_name, edited",
+        [
+            ("repro.fastpath", "vector.py"),
+            ("repro.formulas", "pftk.py"),
+            ("repro.paths", "config.py"),
+            ("repro.core.rng", None),
+            ("repro.testbed.campaign", None),
+        ],
+    )
+    def test_code_fingerprint_covers_engine_sources(
+        self, tmp_path, monkeypatch, module_name, edited
+    ):
+        """Editing a copy of any module that decides a campaign's output
+        changes the fingerprint (``edited=None``: a plain module)."""
+        module = importlib.import_module(module_name)
+        source = Path(module.__file__)
+        if edited is None:
+            copy = target = tmp_path / source.name
+            shutil.copy(source, copy)
+        else:
+            shutil.copytree(source.parent, tmp_path / source.parent.name)
+            copy = tmp_path / source.parent.name / "__init__.py"
+            target = copy.parent / edited
+        monkeypatch.setattr(module, "__file__", str(copy))
+        fingerprint = cache_module.code_fingerprint.__wrapped__
+        assert fingerprint() == cache_module.code_fingerprint()
+        target.write_text(target.read_text() + "\n# edited\n")
+        assert fingerprint() != cache_module.code_fingerprint()
+
 
 class TestDatasetCache:
     def test_miss_then_hit_equal_dataset(self, tmp_path):
@@ -70,6 +109,32 @@ class TestDatasetCache:
         )
         assert hit
         assert snapshots == []  # nothing was simulated
+
+    def test_code_change_misses_and_resimulates(self, tmp_path, monkeypatch):
+        cache = DatasetCache(tmp_path)
+        first, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
+        monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "edited")
+        snapshots = []
+        again, hit = run_cached(
+            small_campaign(), SETTINGS, cache=cache, progress=snapshots.append
+        )
+        assert not hit
+        assert snapshots  # simulated, not loaded
+        assert again == first
+        assert len(list(tmp_path.glob("*.csv"))) == 2
+
+    def test_miss_defaults_to_one_job_per_path(self, tmp_path, monkeypatch):
+        """``chunk_size`` defaults as for ``Campaign.run``: ``None``."""
+        chunk_sizes = []
+        real_run = Campaign.run
+
+        def spy(campaign, settings, **kwargs):
+            chunk_sizes.append(kwargs["chunk_size"])
+            return real_run(campaign, settings, **kwargs)
+
+        monkeypatch.setattr(Campaign, "run", spy)
+        run_cached(small_campaign(), SETTINGS, cache=DatasetCache(tmp_path))
+        assert chunk_sizes == [None]
 
     def test_different_settings_are_different_entries(self, tmp_path):
         cache = DatasetCache(tmp_path)

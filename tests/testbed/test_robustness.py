@@ -131,34 +131,29 @@ class TestSerialAttemptIsolation:
     state and discarded partial telemetry per attempt.
 
     The crash-injection hook raises before any RNG draw, so these tests
-    inject the failure *mid-trace* instead — after the epoch-interval
-    draw and a full epoch's worth of draws have consumed stream state —
-    where a retry that reused the parent campaign's cached generator
-    would silently produce a different trace.
+    inject the failure *after* the engine has run — every site stream of
+    the trace consumed, its epoch telemetry recorded — where a retry
+    that reused the parent campaign's cached generators would silently
+    produce a different trace.
     """
 
     @staticmethod
     def _arm_mid_trace_fault(monkeypatch):
-        """Make the 2nd run_epoch call of the run raise, once.
+        """Make the 2nd engine call of the run raise, once, after the
+        real call returns."""
+        from repro.testbed import campaign
 
-        The hook lives on the scalar engine's per-epoch entry point, so
-        the faulted run is pinned to it; the unfaulted reference may run
-        on either engine — they are bit-identical (``make
-        vector-parity``).
-        """
-        from repro.fastpath.pathsim import FluidPathSimulator
-
-        monkeypatch.setenv("REPRO_FLUID_VECTOR", "0")
-        real_run_epoch = FluidPathSimulator.run_epoch
+        real_run_fluid_trace = campaign.run_fluid_trace
         calls = {"n": 0}
 
-        def flaky_run_epoch(sim, **kwargs):
+        def flaky_run_fluid_trace(*args, **kwargs):
+            trace = real_run_fluid_trace(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("injected mid-trace fault")
-            return real_run_epoch(sim, **kwargs)
+            return trace
 
-        monkeypatch.setattr(FluidPathSimulator, "run_epoch", flaky_run_epoch)
+        monkeypatch.setattr(campaign, "run_fluid_trace", flaky_run_fluid_trace)
 
     def test_mid_trace_failure_retries_bit_identical(self, telemetry, monkeypatch):
         """A failure after consuming RNG draws must not perturb the retry."""
@@ -173,8 +168,8 @@ class TestSerialAttemptIsolation:
         """Serial telemetry matches parallel: partial attempts vanish."""
         self._arm_mid_trace_fault(monkeypatch)
         small_campaign(seed=17).run(SETTINGS, retry=FAST_RETRY)
-        # 2 paths x 2 traces x 3 epochs = 12; the failed attempt's lone
-        # finished epoch is discarded with the attempt, not double-counted.
+        # 2 paths x 2 traces x 3 epochs = 12; the failed attempt's three
+        # epochs are discarded with the attempt, not double-counted.
         epoch_events = [e for e in telemetry.events if e["kind"] == "epoch"]
         assert len(epoch_events) == 12
         assert counter_value(telemetry, "epochs.simulated") == 12
@@ -183,29 +178,17 @@ class TestSerialAttemptIsolation:
 
 
 class TestVectorEngineRetry:
-    """The crash-injection suite, pinned to the vectorized fluid engine.
+    """The crash-injection suite against the engine's chunked jobs.
 
-    A vectorized job pre-draws whole per-trace site streams up front; an
+    The engine pre-draws whole per-trace site streams up front; an
     abandoned attempt must not leave any of that state behind — the
     retry re-derives every stream from the campaign seed, so the result
     must match a never-failed run bit for bit.
     """
 
-    def test_serial_retry_bit_identical(self, telemetry, inject, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_VECTOR", "1")
-        clean = small_campaign(seed=5).run(SETTINGS)
-        telemetry.drain()
-        inject("p01/1:raise:1")
-        dataset = small_campaign(seed=5).run(SETTINGS, retry=FAST_RETRY)
-        assert dataset == clean
-        assert counter_value(telemetry, "campaign.retries") == 1
-
-    def test_parallel_chunked_retry_bit_identical(
-        self, telemetry, inject, monkeypatch
-    ):
-        """Default chunking packs each path's traces into one vector job;
-        a fault in one unit retries just that unit."""
-        monkeypatch.setenv("REPRO_FLUID_VECTOR", "1")
+    def test_parallel_chunked_retry_bit_identical(self, telemetry, inject):
+        """Default chunking packs each path's traces into one job; a
+        fault in one unit retries just that unit."""
         clean = small_campaign(seed=5).run(SETTINGS)
         telemetry.drain()
         inject("p18/1:raise:1")

@@ -129,15 +129,6 @@ class TestExecutionModeParity:
         roots = [e for e in spans if e["parent_id"] is None]
         assert [e["name"] for e in roots] == ["campaign"]
 
-    def test_vector_engine_parity(self, telemetry, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_VECTOR", "1")
-        serial_ds, serial_events = run_and_snapshot(telemetry)
-        parallel_ds, parallel_events = run_and_snapshot(
-            telemetry, n_workers=2
-        )
-        assert parallel_ds == serial_ds
-        assert normalized(parallel_events) == normalized(serial_events)
-
 
 class TestRetryParity:
     def test_serial_retry_keeps_one_span_per_unit(self, telemetry, inject):

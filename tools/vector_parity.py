@@ -1,22 +1,24 @@
-"""``make vector-parity``: prove the two fluid engines byte-identical.
+"""``make vector-parity``: the fluid engine's pinned-digest gate.
 
-Runs the same campaign twice — once on the scalar reference loop
-(``REPRO_FLUID_VECTOR=0``, serial) and once on the vectorized engine at
-each requested worker count — saves every run through the CSV writer,
-and compares sha256 digests.  Any mismatch exits 1 and names the run.
+Runs the same campaign on the fluid engine at each requested worker
+count, saves every run through the CSV writer, and compares sha256
+digests.  Any mismatch exits 1 and names the run.
 
-The default invocation covers the acceptance bar of the vectorization
-work: the full default catalog (may2004, 35 paths x 7 traces x 150
-epochs, seed 0) must hash identically between engines at every worker
-count.  ``--paths/--traces/--epochs`` shrink the campaign for quick
-iteration; the reduced grid is what ``make test`` runs.
+On the default grid — the full default catalog (may2004, 35 paths x 7
+traces x 150 epochs, seed 0) — every digest must equal
+:data:`PINNED_SHA256`, the digest the engine and the per-epoch
+reference loop (``tests/fastpath/oracle.py``) both produce.  The
+oracle comparison itself runs in ``tests/fastpath/test_vector.py``.
+``--paths/--traces/--epochs``
+(or another catalog or seed) shrink the campaign for quick iteration;
+on such a reduced grid there is no pin, and every worker count must
+reproduce the first one's digest.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -25,7 +27,6 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.fastpath.vector import ENV_FLUID_VECTOR  # noqa: E402
 from repro.paths.config import (  # noqa: E402
     expanded_catalog,
     march_2006_catalog,
@@ -39,31 +40,31 @@ CATALOGS = {
     "march2006": march_2006_catalog,
 }
 
+#: sha256 of the default grid's campaign CSV; the same value as
+#: ``DEFAULT_CATALOG_SHA256`` in ``tests/fastpath/test_vector.py``.
+PINNED_SHA256 = "3487ff2c0fa965927088df86f6ea7709283d9dfeea54dd88ffbde4e376fd097b"
+
+#: (catalog, paths, traces, epochs, seed) of the default grid.
+DEFAULT_GRID = ("may2004", None, 7, 150, 0)
+
 
 def campaign_digest(
-    engine: str,
     n_workers: int,
     catalog,
     settings: CampaignSettings,
     seed: int,
     workdir: Path,
 ) -> str:
-    """Run the campaign on one engine and hash its CSV bytes."""
-    os.environ[ENV_FLUID_VECTOR] = "1" if engine == "vector" else "0"
-    try:
-        dataset = Campaign(catalog, seed=seed).run(
-            settings, n_workers=n_workers
-        )
-    finally:
-        del os.environ[ENV_FLUID_VECTOR]
-    path = workdir / f"{engine}-w{n_workers}.csv"
+    """Run the campaign at ``n_workers`` and hash its CSV bytes."""
+    dataset = Campaign(catalog, seed=seed).run(settings, n_workers=n_workers)
+    path = workdir / f"w{n_workers}.csv"
     save_dataset(dataset, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Diff scalar vs vectorized fluid-engine CSV digests."
+        description="Check the fluid engine's CSV digests across worker counts."
     )
     parser.add_argument(
         "--catalog",
@@ -90,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         default=[1, 2, 4],
         metavar="N",
-        help="worker counts for the vectorized runs (default: 1 2 4)",
+        help="worker counts to run (default: 1 2 4)",
     )
     args = parser.parse_args(argv)
 
@@ -105,29 +106,28 @@ def main(argv: list[str] | None = None) -> int:
         run_small_window=not is_2006,
         checkpoint_fractions=(0.25, 0.5, 1.0) if is_2006 else (),
     )
+    grid = (args.catalog, args.paths, args.traces, args.epochs, args.seed)
+    reference = PINNED_SHA256 if grid == DEFAULT_GRID else None
     shape = (
         f"{args.catalog}: {len(catalog)} paths x {args.traces} traces "
         f"x {args.epochs} epochs, seed {args.seed}"
     )
     print(f"vector-parity {shape}")
+    print(f"  pinned     {reference or '(none: reduced grid)'}")
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="vector-parity-") as tmp:
-        workdir = Path(tmp)
-        reference = campaign_digest(
-            "scalar", 1, catalog, settings, args.seed, workdir
-        )
-        print(f"  scalar  workers=1  {reference}")
         for n_workers in args.workers:
             digest = campaign_digest(
-                "vector", n_workers, catalog, settings, args.seed, workdir
+                n_workers, catalog, settings, args.seed, Path(tmp)
             )
+            reference = reference or digest
             match = digest == reference
             verdict = "ok" if match else "MISMATCH"
-            print(f"  vector  workers={n_workers}  {digest}  {verdict}")
+            print(f"  workers={n_workers}  {digest}  {verdict}")
             failed = failed or not match
     if failed:
-        print("vector-parity FAILED: engines disagree", file=sys.stderr)
+        print("vector-parity FAILED: CSV digests disagree", file=sys.stderr)
         return 1
     print("vector-parity OK (CSV sha256 identical for every run)")
     return 0
