@@ -43,7 +43,9 @@ campaign-smoke:
 	@echo "campaign smoke OK (parallel run + cache hit)"
 
 # Telemetry end-to-end check: a tiny campaign must write its run
-# manifest sidecars, and `repro-obs summary` must render them.
+# manifest sidecars with one `trace` event per fluid trace (4 here) and
+# no per-epoch events, `repro-obs summary` must render them, and
+# `repro-obs slowest` must rank at least one trace.
 obs-smoke:
 	rm -rf $(OBS_SMOKE_DIR)
 	PYTHONPATH=src REPRO_CACHE_DIR=$(OBS_SMOKE_DIR)/cache \
@@ -51,8 +53,12 @@ obs-smoke:
 		--paths 4 --traces 1 --epochs 5 --quiet -o $(OBS_SMOKE_DIR)/smoke.csv
 	test -f $(OBS_SMOKE_DIR)/smoke.manifest.json
 	test -f $(OBS_SMOKE_DIR)/smoke.events.jsonl
+	test "$$(grep -c '"kind": "trace"' $(OBS_SMOKE_DIR)/smoke.events.jsonl)" -eq 4
+	! grep -q '"kind": "epoch"' $(OBS_SMOKE_DIR)/smoke.events.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro.cli.obs summary $(OBS_SMOKE_DIR)/smoke.csv > /dev/null
-	@echo "obs smoke OK (manifest written + summary rendered)"
+	PYTHONPATH=src $(PYTHON) -m repro.cli.obs slowest $(OBS_SMOKE_DIR)/smoke.csv \
+		| tail -n +2 | grep -q .
+	@echo "obs smoke OK (4 trace events + summary rendered + slowest ranked)"
 
 # Fault-tolerance end-to-end check: run a tiny campaign that an injected
 # fault hard-kills (os._exit) mid-flight, then `--resume` it; the resumed

@@ -272,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(f"{args.output}.pstats")
+    # The output write is part of the run; only the sidecars, which
+    # carry the wall time, are written after it is stamped.
+    save_dataset(dataset, args.output)
     manifest = recorder.finish(
         cache_hit=hit,
         n_paths=len(catalog),
@@ -279,7 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         n_epochs=len(dataset.epochs()),
     )
     elapsed = manifest["wall_time_s"]
-    save_dataset(dataset, args.output)
 
     telemetry_note = ""
     if get_telemetry().enabled:

@@ -7,8 +7,8 @@ turns those files back into reports and machine formats:
 * ``summary RUN`` — run identity, wall time, per-phase timer
   percentiles, counters (cache hits/misses, predictions made), event
   tallies;
-* ``slowest RUN [-n N]`` — the N slowest simulated epochs with their
-  per-phase breakdown;
+* ``slowest RUN [-n N]`` — the N slowest simulated traces (or
+  packet-level epochs) with their per-phase breakdown;
 * ``compare RUN_A RUN_B`` — counters, timer medians, and (for
   ``kind: "serve"`` runs) prediction-quality aggregates side by side
   with relative deltas (e.g. before/after a performance change);
@@ -94,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     summary.add_argument("run", help="manifest path, dataset path, or directory")
 
     slowest = sub.add_parser(
-        "slowest", help="show the slowest simulated epochs of a run"
+        "slowest", help="show the slowest simulated traces (or epochs) of a run"
     )
     slowest.add_argument("run", help="manifest path, dataset path, or directory")
     slowest.add_argument(
-        "-n", type=int, default=10, metavar="N", help="epochs to show (default: 10)"
+        "-n", type=int, default=10, metavar="N", help="rows to show (default: 10)"
     )
 
     compare = sub.add_parser(

@@ -40,9 +40,9 @@ Three mechanisms make the batched arithmetic equal that loop's:
   computed on ``np.nonzero``-compressed index subsets so each element
   sees exactly its branch's arithmetic.
 
-Telemetry: the engine emits one ``epoch`` event and one set of phase
-timers per epoch, attributing to each epoch an equal share of the
-trace's per-phase array-kernel time.
+Telemetry: the engine times its array kernels once per trace and
+records one ``trace`` event (phase totals and regime counts) and one
+sample per phase timer — each trace's per-epoch mean.
 """
 
 from __future__ import annotations
@@ -341,21 +341,20 @@ def run_fluid_trace(
         outliers,
     )
     if clock.enabled:
-        # Each epoch gets an equal share of the trace's per-phase time:
-        # one event and one sample per phase timer per epoch.
-        per_epoch_phases = {
-            name: total / n_epochs for name, total in clock.phases.items()
-        }
-        telemetry.record_epoch_batch(
-            "epoch",
-            path_id,
-            trace_index,
-            per_epoch_phases,
-            [{"regime": _REGIMES[code]} for code in outcome.regime.tolist()],
+        # The engine times its array kernels once per trace, so the
+        # trace is the unit it records: one event and one sample per
+        # phase timer, plus one child span per phase under the open
+        # unit span.
+        regime_counts = np.bincount(outcome.regime, minlength=len(_REGIMES))
+        telemetry.record_phases(
+            "trace",
+            clock.phases,
+            n_epochs,
+            path=path_id,
+            trace=trace_index,
+            epochs=n_epochs,
+            regimes=dict(zip(_REGIMES, regime_counts.tolist())),
         )
-        # Spans stay at the granularity the engine measured: one child
-        # span per whole-trace phase under the open unit span.  A span
-        # per epoch (~14 us each) would cost more than the epoch.
         record_trace_phase_spans(telemetry, clock.phases, n_epochs)
     return trace
 

@@ -125,14 +125,16 @@ def summary_report(manifest: dict[str, Any]) -> str:
 
 
 def slowest_report(events: list[dict[str, Any]], n: int = 10) -> str:
-    """Top-``n`` slowest epochs by simulated wall time."""
-    epochs = [
-        event for event in events
-        if "elapsed_s" in event and "epoch" in event
-    ]
-    if not epochs:
-        return "no epoch events recorded"
-    ranked = sorted(epochs, key=lambda e: e["elapsed_s"], reverse=True)[:n]
+    """Top-``n`` slowest timed events by wall time.
+
+    Every event carrying ``elapsed_s`` is ranked: a fluid campaign's
+    ``trace`` events (a whole trace's phases) and the packet-level
+    runner's ``packet_epoch`` events (one epoch's).
+    """
+    timed = [event for event in events if "elapsed_s" in event]
+    if not timed:
+        return "no trace or epoch events recorded"
+    ranked = sorted(timed, key=lambda e: e["elapsed_s"], reverse=True)[:n]
     phase_keys = sorted(
         {
             key
@@ -141,14 +143,17 @@ def slowest_report(events: list[dict[str, Any]], n: int = 10) -> str:
             if key.endswith("_s") and key != "elapsed_s"
         }
     )
-    header = f"{'path':<10} {'trace':>5} {'epoch':>5} {'elapsed':>10}"
+    header = (
+        f"{'kind':<12} {'path':<10} {'trace':>5} {'epoch':>5} {'elapsed':>10}"
+    )
     for key in phase_keys:
         header += f" {key[:-2]:>10}"
     lines = [header]
     for event in ranked:
         row = (
+            f"{str(event.get('kind', '?')):<12} "
             f"{str(event.get('path', '?')):<10} "
-            f"{event.get('trace', 0):>5} {event.get('epoch', 0):>5} "
+            f"{event.get('trace', 0):>5} {event.get('epoch', '-'):>5} "
             f"{_fmt_seconds(event['elapsed_s']):>10}"
         )
         for key in phase_keys:

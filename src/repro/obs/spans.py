@@ -125,9 +125,10 @@ def _new_id() -> str:
     return f"{state[1]}-{next(state[2]):x}"
 
 
-# Epoch-granularity synthesis runs these env lookups once per epoch, so
-# they use the same raw-dict probe as ``obs_enabled`` plus a
-# last-raw-value parse cache instead of the os.environ Mapping layer.
+# Span synthesis runs these env lookups once per packet-level epoch and
+# once per sampled serve request, so they use the same raw-dict probe as
+# ``obs_enabled`` plus a last-raw-value parse cache instead of the
+# os.environ Mapping layer.
 try:
     _ENV_DATA: Any = os.environ._data
     _SAMPLE_KEY: Any = os.environ.encodekey(ENV_TRACE_SAMPLE)
@@ -451,7 +452,7 @@ def record_epoch_spans(
 ) -> None:
     """Synthesize one epoch span + its phase children from clock laps.
 
-    Called by the packet-level epoch runner next to ``record_epoch``.  No extra
+    Called by the packet-level epoch runner next to ``record_phases``.  No extra
     clock reads: one ``time.time()`` anchors the end of the epoch, and
     the lap durations are laid end to end backwards from it (repeated
     laps into one phase appear as that phase's single accumulated

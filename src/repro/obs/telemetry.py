@@ -54,9 +54,10 @@ ENV_OBS = "REPRO_OBS"
 try:
     # Fast path: probe the mapping behind os.environ with a pre-encoded
     # key.  os.environ.get() pays key encoding plus an internal KeyError
-    # (~1 us when the variable is unset), and obs_enabled() runs per
-    # epoch against fluid epochs of ~100 us — a plain dict .get() keeps
-    # the check out of the campaign's wall time.  Writes through
+    # (~1 us when the variable is unset), and obs_enabled() runs behind
+    # every instrument lookup, several times per served request (held
+    # to the 10k req/s floor) and per packet-level epoch — a plain dict
+    # .get() keeps the check off those hot paths.  Writes through
     # os.environ (including monkeypatch.setenv) mutate this same dict,
     # so the check stays live.
     _ENV_DATA: Any = os.environ._data
@@ -78,14 +79,15 @@ def obs_enabled() -> bool:
 class PhaseClock:
     """Accumulates wall-clock laps into named phases.
 
-    The epoch simulators use one clock per epoch::
+    The simulators use one clock per measured run — a whole trace for
+    the fluid engine, one epoch for the packet-level runner::
 
         clock = telemetry.phase_clock()
         ... pre-transfer probing ...
         clock.lap("ping")
         ... the transfer ...
         clock.lap("iperf")
-        telemetry.record_epoch(..., phases=clock.phases)
+        telemetry.record_phases("packet_epoch", clock.phases, path=...)
 
     Repeated laps into the same phase accumulate.  A disabled clock
     (handed out by a disabled :class:`Telemetry`) never reads the
@@ -114,26 +116,6 @@ class PhaseClock:
         return sum(self.phases.values())
 
 
-class _EpochHandles:
-    """Cached instrument handles for the per-epoch hot path.
-
-    :meth:`Telemetry.record_epoch` runs once per simulated epoch — tens
-    of thousands of times per campaign, against an epoch that itself
-    only takes ~100 us — so it must not pay the registry's
-    tag-sorting get-or-create on every call.  The handles stay valid
-    until the registry is replaced (``drain``/``reset``), which clears
-    this cache.
-    """
-
-    __slots__ = ("wall", "count", "phases")
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.wall = metrics.timer("epoch.wall_s")
-        self.count = metrics.counter("epochs.simulated")
-        #: phase name -> (Timer, event field name), built on first use
-        self.phases: dict[str, tuple[Any, str]] = {}
-
-
 class Telemetry:
     """Per-process collector of metrics, events, and run context."""
 
@@ -141,7 +123,6 @@ class Telemetry:
         self.metrics = MetricsRegistry()
         self.events: list[dict[str, Any]] = []
         self.context: dict[str, Any] = {}
-        self._epoch_handles: _EpochHandles | None = None
         #: span events buffered since the last drain/reset, checked
         #: against REPRO_TRACE_MAX_SPANS by repro.obs.spans.
         self.span_events = 0
@@ -204,105 +185,46 @@ class Telemetry:
     def clear_context(self) -> None:
         self.context.clear()
 
-    # -- epoch convenience ---------------------------------------------
+    # -- simulated epochs ----------------------------------------------
 
-    def record_epoch(
+    def record_phases(
         self,
         kind: str,
-        path_id: str,
-        trace_index: int,
-        epoch_index: int,
         phases: dict[str, float],
-        **extra: Any,
+        n_epochs: int = 1,
+        **fields: Any,
     ) -> None:
-        """Record one simulated epoch: phase timers + a structured event.
+        """Record one timed run of ``n_epochs`` simulated epochs.
+
+        Each phase adds one sample, the per-epoch mean
+        ``total / n_epochs``, to ``epoch.phase_s{phase=…}``; their sum
+        adds one to ``epoch.wall_s``; ``epochs.simulated`` grows by
+        ``n_epochs``.  One ``kind`` event is buffered holding
+        ``fields``, each phase total as ``<phase>_s`` and the run's
+        total as ``elapsed_s``.
 
         Args:
-            kind: event kind ("epoch" for the fluid simulator,
-                "packet_epoch" for the packet-level runner).
-            path_id/trace_index/epoch_index: identity of the epoch.
-            phases: per-phase wall seconds (a
+            kind: event kind ("trace" for one fluid trace,
+                "packet_epoch" for one packet-level epoch).
+            phases: per-phase wall seconds of the whole run (a
                 :attr:`PhaseClock.phases` dict).
-            extra: additional event fields (regime, drops, ...).
+            n_epochs: how many epochs the phases cover.
+            fields: event fields (identity, regime counts, drops, ...).
         """
         if not obs_enabled():
             return
-        handles = self._epoch_handles
-        if handles is None:
-            handles = self._epoch_handles = _EpochHandles(self.metrics)
-        by_phase = handles.phases
-        event = {"kind": kind, **self.context}
-        event["path"] = path_id
-        event["trace"] = trace_index
-        event["epoch"] = epoch_index
+        metrics = self.metrics
+        event = {"kind": kind, **self.context, **fields}
         elapsed = 0.0
         for phase, seconds in phases.items():
-            entry = by_phase.get(phase)
-            if entry is None:
-                entry = by_phase[phase] = (
-                    self.metrics.timer("epoch.phase_s", phase=phase),
-                    phase + "_s",
-                )
-            entry[0].samples.append(seconds)
-            event[entry[1]] = seconds
+            timer = metrics.timer("epoch.phase_s", phase=phase)
+            timer.observe(seconds / n_epochs)
+            event[phase + "_s"] = seconds
             elapsed += seconds
-        handles.wall.samples.append(elapsed)
-        handles.count.value += 1
+        metrics.timer("epoch.wall_s").observe(elapsed / n_epochs)
+        metrics.counter("epochs.simulated").inc(n_epochs)
         event["elapsed_s"] = elapsed
-        if extra:
-            event.update(extra)
         self.events.append(event)
-
-    def record_epoch_batch(
-        self,
-        kind: str,
-        path_id: str,
-        trace_index: int,
-        phases: dict[str, float],
-        extras: list[dict[str, Any]],
-    ) -> None:
-        """Record a whole trace of epochs sharing one phase breakdown.
-
-        The vectorized fluid engine times its array kernels once per
-        trace and attributes an equal per-epoch share to every epoch;
-        this emits exactly the timers and events ``len(extras)``
-        individual :meth:`record_epoch` calls would (epoch indices
-        ``0..n-1``, ``extras[e]`` merged into epoch ``e``'s event) while
-        paying the handle lookups and phase iteration only once.
-        """
-        if not obs_enabled():
-            return
-        n_epochs = len(extras)
-        handles = self._epoch_handles
-        if handles is None:
-            handles = self._epoch_handles = _EpochHandles(self.metrics)
-        by_phase = handles.phases
-        base = {"kind": kind, **self.context}
-        base["path"] = path_id
-        base["trace"] = trace_index
-        base["epoch"] = 0
-        elapsed = 0.0
-        phase_fields: list[tuple[str, float]] = []
-        for phase, seconds in phases.items():
-            entry = by_phase.get(phase)
-            if entry is None:
-                entry = by_phase[phase] = (
-                    self.metrics.timer("epoch.phase_s", phase=phase),
-                    phase + "_s",
-                )
-            entry[0].samples.extend([seconds] * n_epochs)
-            base[entry[1]] = seconds
-            elapsed += seconds
-        handles.wall.samples.extend([elapsed] * n_epochs)
-        handles.count.value += n_epochs
-        base["elapsed_s"] = elapsed
-        events = self.events
-        for epoch_index, extra in enumerate(extras):
-            event = dict(base)
-            event["epoch"] = epoch_index
-            if extra:
-                event.update(extra)
-            events.append(event)
 
     # -- snapshot / merge ----------------------------------------------
 
@@ -317,7 +239,6 @@ class Telemetry:
         snapshot["span_events"] = self.span_events
         self.metrics = MetricsRegistry()
         self.events = []
-        self._epoch_handles = None
         self.span_events = 0
         return snapshot
 
@@ -332,7 +253,6 @@ class Telemetry:
         self.metrics.reset()
         self.events = []
         self.context = {}
-        self._epoch_handles = None
         self.span_events = 0
 
 

@@ -37,8 +37,8 @@ derive from the same numbers and cannot drift apart.  Rendering
 progress by printing inside the callback is deprecated: keep callbacks
 side-effect-light and let the obs layer own the formatting.
 
-Telemetry collected inside worker processes (per-epoch phase timers,
-structured events) is drained per job and merged back into the parent's
+Telemetry collected inside worker processes (phase timers, per-trace
+events) is drained per job and merged back into the parent's
 collector in job order, so a parallel campaign's telemetry matches the
 serial one's.  Failed attempts' partial telemetry is discarded with the
 attempt; only the successful attempt of each job is merged.  The serial

@@ -204,12 +204,12 @@ class PacketEpochRunner:
                 transfer.retransmissions
             )
             telemetry.counter("tcp.timeouts").inc(transfer.timeouts)
-            telemetry.record_epoch(
+            telemetry.record_phases(
                 "packet_epoch",
-                path_id or cfg.path_id,
-                trace_index,
-                epoch_index,
                 clock.phases,
+                path=path_id or cfg.path_id,
+                trace=trace_index,
+                epoch=epoch_index,
                 events_processed=sim.events_processed,
                 queue_drops=queue_stats.drops,
                 queue_arrivals=queue_stats.arrivals,

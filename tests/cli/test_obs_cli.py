@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import campaign, obs
+from repro.testbed.io import load_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -46,10 +47,17 @@ class TestSummary:
 class TestSlowest:
     def test_lists_requested_count(self, tmp_path, capsys):
         dataset = run_campaign(tmp_path, "ds.csv")
-        assert obs.main(["slowest", str(dataset), "-n", "3"]) == 0
+        assert obs.main(["slowest", str(dataset), "-n", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4  # header + 3 epochs
+        assert len(lines) == 2  # header + 1 trace
         assert "elapsed" in lines[0]
+        # Unbounded by -n, it lists each simulated trace once: 2 paths x 1.
+        assert obs.main(["slowest", str(dataset), "-n", "10"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        path_ids = {trace.path_id for trace in load_dataset(dataset).traces}
+        assert sorted((row[0], row[1], row[2], row[3]) for row in rows) == sorted(
+            ("trace", path_id, "0", "-") for path_id in path_ids
+        )
 
     def test_rejects_bad_n(self, tmp_path, capsys):
         dataset = run_campaign(tmp_path, "ds.csv")

@@ -43,10 +43,10 @@ def make_recorder(tele, **kwargs):
 
 def record_small_run(tele):
     recorder = make_recorder(tele).start()
-    tele.record_epoch("epoch", "p01", 0, 0, {"ping": 0.01, "iperf": 0.03},
-                      regime="congestion")
-    tele.record_epoch("epoch", "p01", 0, 1, {"ping": 0.02, "iperf": 0.30},
-                      regime="window")
+    tele.record_phases("packet_epoch", {"ping": 0.01, "iperf": 0.03},
+                       path="p01", trace=0, epoch=0, regime="congestion")
+    tele.record_phases("packet_epoch", {"ping": 0.02, "iperf": 0.30},
+                       path="p01", trace=0, epoch=1, regime="window")
     tele.counter("cache.misses").inc()
     recorder.finish(cache_hit=False, n_paths=1, n_traces=1, n_epochs=2)
     return recorder
@@ -80,7 +80,7 @@ class TestRoundTrip:
         assert manifest["counts"] == {"paths": 1, "traces": 1, "epochs": 2}
         assert manifest["cache"] == {"hit": False}
         assert manifest["events"]["count"] == 2
-        assert manifest["events"]["by_kind"] == {"epoch": 2}
+        assert manifest["events"]["by_kind"] == {"packet_epoch": 2}
 
         counters = {c["name"]: c["value"] for c in manifest["counters"]}
         assert counters["epochs.simulated"] == 2
@@ -103,7 +103,7 @@ class TestRoundTrip:
         manifest_path, _ = recorder.write(tmp_path / "ds.csv")
         events = read_events(manifest_path)
         assert len(events) == 2
-        assert events[0]["kind"] == "epoch"
+        assert events[0]["kind"] == "packet_epoch"
         assert events[0]["run"] == "testrun000001"
         assert events[1]["regime"] == "window"
 
@@ -294,7 +294,7 @@ class TestRendering:
         assert "2 epochs" in report
         assert "epoch.phase_s{phase=ping}" in report
         assert "cache.misses" in report
-        assert "epoch=2" in report  # event tally
+        assert "packet_epoch=2" in report  # event tally
 
     def test_slowest_ranks_by_elapsed(self, tele, tmp_path):
         recorder = record_small_run(tele)
@@ -302,17 +302,37 @@ class TestRendering:
         report = slowest_report(read_events(manifest_path), n=1)
         lines = report.splitlines()
         assert len(lines) == 2  # header + 1 row
-        assert "epoch" in lines[0]
+        assert lines[0].split()[:5] == ["kind", "path", "trace", "epoch", "elapsed"]
         # Epoch 1 (0.32 s) is slower than epoch 0 (0.04 s).
-        assert lines[1].split()[2] == "1"
+        assert lines[1].split()[:4] == ["packet_epoch", "p01", "0", "1"]
+
+    def test_slowest_ranks_traces_and_epochs_alike(self, tele, tmp_path):
+        # Every event carrying elapsed_s is ranked; a whole-trace record
+        # has no epoch index.
+        recorder = make_recorder(tele).start()
+        tele.record_phases("packet_epoch", {"iperf": 0.5}, path="p01",
+                           trace=0, epoch=3)
+        tele.record_phases("trace", {"iperf": 0.9, "load": 0.1}, 150,
+                           path="p02", trace=1, epochs=150)
+        tele.emit("cache", outcome="miss")
+        recorder.finish(n_epochs=151)
+        manifest_path, _ = recorder.write(tmp_path / "ds.csv")
+        lines = slowest_report(read_events(manifest_path), n=5).splitlines()
+        assert len(lines) == 3  # header + 2 timed events
+        assert lines[1].split()[:4] == ["trace", "p02", "1", "-"]
+        assert lines[2].split()[:4] == ["packet_epoch", "p01", "0", "3"]
+        assert lines[2].split()[-1] == "-"  # no load phase in the epoch
 
     def test_slowest_with_no_epochs(self):
-        assert "no epoch events" in slowest_report([], n=5)
+        assert "no trace or epoch events" in slowest_report([], n=5)
+        untimed = [{"kind": "cache", "outcome": "hit"}]
+        assert "no trace or epoch events" in slowest_report(untimed, n=5)
 
     def test_compare_reports_deltas(self, tele):
         manifest_a = record_small_run(tele).manifest
         recorder_b = make_recorder(tele, run_id="testrun000002").start()
-        tele.record_epoch("epoch", "p01", 0, 0, {"ping": 0.01, "iperf": 0.03})
+        tele.record_phases("packet_epoch", {"ping": 0.01, "iperf": 0.03},
+                           path="p01", trace=0, epoch=0)
         recorder_b.finish(n_epochs=1)
         report = compare_report(manifest_a, recorder_b.manifest)
         assert "testrun000001" in report and "testrun000002" in report
@@ -381,7 +401,8 @@ class TestEventsSizeCap:
         tele2 = Telemetry()
         recorder = make_recorder(tele2).start()
         for epoch in range(60):
-            tele2.record_epoch("epoch", "p01", 0, epoch, {"iperf": 0.03})
+            tele2.record_phases("packet_epoch", {"iperf": 0.03},
+                                path="p01", trace=0, epoch=epoch)
         recorder.finish(cache_hit=False, n_paths=1, n_traces=1, n_epochs=60)
         capped = tmp_path / "capped.csv"
         capped.write_text("csv\n")

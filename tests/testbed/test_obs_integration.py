@@ -1,11 +1,13 @@
 """End-to-end telemetry: a campaign's manifest matches its dataset.
 
 The acceptance contract of the obs subsystem: running ``repro-campaign``
-produces ``manifest.json`` + ``events.jsonl`` whose epoch counts, phase
-timings, and cache hit/miss flags agree with the dataset that was
-written — serial or parallel, miss or hit — and ``REPRO_OBS=0`` turns
-all of it off.
+produces ``manifest.json`` + ``events.jsonl`` whose trace and epoch
+counts, phase timings, and cache hit/miss flags agree with the dataset
+that was written — serial or parallel, miss or hit — and ``REPRO_OBS=0``
+turns all of it off.
 """
+
+import time
 
 import pytest
 
@@ -41,25 +43,51 @@ class TestManifestMatchesDataset:
         manifest = load_manifest(manifest_path)
 
         n_epochs = len(dataset.epochs())
+        n_traces = len(dataset.traces)
         assert manifest["counts"]["epochs"] == n_epochs == 12
-        assert manifest["counts"]["traces"] == len(dataset.traces)
+        assert manifest["counts"]["traces"] == n_traces == 4
         assert counters_of(manifest)["epochs.simulated"] == n_epochs
 
-        # Every epoch contributes one sample to each phase timer.
+        # Every fluid trace contributes one sample to each phase timer.
         timers = {
             (t["name"], t["tags"].get("phase")): t for t in manifest["timers"]
         }
-        for phase in ("pathload", "ping", "iperf"):
-            assert timers[("epoch.phase_s", phase)]["count"] == n_epochs
-        assert timers[("epoch.wall_s", None)]["count"] == n_epochs
+        for phase in ("load", "pathload", "ping", "iperf"):
+            assert timers[("epoch.phase_s", phase)]["count"] == n_traces
+        assert timers[("epoch.wall_s", None)]["count"] == n_traces
 
-        # One epoch event per dataset epoch, with identities that match.
+        # One trace event per dataset trace, whose epoch and regime
+        # counts match that trace's CSV rows; no per-epoch events.
         events = read_events(manifest_path)
-        epoch_events = [e for e in events if e["kind"] == "epoch"]
-        assert {(e["path"], e["trace"], e["epoch"]) for e in epoch_events} == {
-            (m.path_id, m.trace_index, m.epoch_index) for m in dataset.epochs()
+        assert not [e for e in events if e["kind"] == "epoch"]
+        trace_events = {
+            (e["path"], e["trace"]): e for e in events if e["kind"] == "trace"
         }
+        assert len(trace_events) == len([e for e in events if e["kind"] == "trace"])
+        assert set(trace_events) == {
+            (t.path_id, t.trace_index) for t in dataset.traces
+        }
+        assert sum(e["epochs"] for e in trace_events.values()) == n_epochs
+        for trace in dataset.traces:
+            event = trace_events[(trace.path_id, trace.trace_index)]
+            assert event["epochs"] == len(trace)
+            assert event["regimes"] == {
+                regime: sum(m.truth.regime == regime for m in trace)
+                for regime in ("window", "loss", "congestion")
+            }
         assert events_path.is_file()
+
+    def test_wall_time_covers_output_write(self, tmp_path, monkeypatch):
+        real_save = campaign_cli.save_dataset
+
+        def slow_save(dataset, path):
+            time.sleep(0.2)
+            real_save(dataset, path)
+
+        monkeypatch.setattr(campaign_cli, "save_dataset", slow_save)
+        dataset_path = run_cli(tmp_path, "ds.csv", ["--no-cache"])
+        manifest = load_manifest(sidecar_paths(dataset_path)[0])
+        assert manifest["wall_time_s"] >= 0.2
 
     def test_cache_flags_miss_then_hit(self, tmp_path):
         first = run_cli(tmp_path, "first.csv")
@@ -91,13 +119,14 @@ class TestManifestMatchesDataset:
         manifest_s = load_manifest(sidecar_paths(serial)[0])
         manifest_p = load_manifest(sidecar_paths(parallel)[0])
         assert counters_of(manifest_s) == counters_of(manifest_p)
-        # Worker events merge in job order: identical line identities.
-        ids = lambda path: [
-            (e["path"], e["trace"], e["epoch"])
+        # Worker events merge in job order: identical trace records.
+        records = lambda path: [
+            (e["path"], e["trace"], e["epochs"], e["regimes"])
             for e in read_events(sidecar_paths(path)[0])
-            if e["kind"] == "epoch"
+            if e["kind"] == "trace"
         ]
-        assert ids(serial) == ids(parallel)
+        assert len(records(serial)) == 4
+        assert records(serial) == records(parallel)
 
     def test_progress_gauges_published(self, tmp_path):
         dataset_path = run_cli(tmp_path, "ds.csv", ["--no-cache"])

@@ -132,7 +132,7 @@ class TestSerialAttemptIsolation:
 
     The crash-injection hook raises before any RNG draw, so these tests
     inject the failure *after* the engine has run — every site stream of
-    the trace consumed, its epoch telemetry recorded — where a retry
+    the trace consumed, its trace telemetry recorded — where a retry
     that reused the parent campaign's cached generators would silently
     produce a different trace.
     """
@@ -168,10 +168,10 @@ class TestSerialAttemptIsolation:
         """Serial telemetry matches parallel: partial attempts vanish."""
         self._arm_mid_trace_fault(monkeypatch)
         small_campaign(seed=17).run(SETTINGS, retry=FAST_RETRY)
-        # 2 paths x 2 traces x 3 epochs = 12; the failed attempt's three
-        # epochs are discarded with the attempt, not double-counted.
-        epoch_events = [e for e in telemetry.events if e["kind"] == "epoch"]
-        assert len(epoch_events) == 12
+        # 2 paths x 2 traces x 3 epochs = 12; the failed attempt's trace
+        # record is discarded with the attempt, not double-counted.
+        trace_events = [e for e in telemetry.events if e["kind"] == "trace"]
+        assert len(trace_events) == 4
         assert counter_value(telemetry, "epochs.simulated") == 12
         # Only successful attempts record a trace timer sample.
         assert telemetry.metrics.timer("campaign.trace_s").count == 4
