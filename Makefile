@@ -171,15 +171,17 @@ vector-parity:
 
 # The HB-analysis bit-identity gate: repro-analyze stdout must match the
 # digest pinned in tools/analyze_parity.py, hash identically at workers
-# 1/2/4 (each cold run leaving one evaluation-cache pack), a warm rerun
-# against the populated pack must match while computing zero walks, and
-# a rerun over a garbage pack must match while recomputing every walk
-# (see docs/performance.md, "The evaluation cache").  The reduced grid
+# 1/2/4 (each cold run leaving one evaluation-cache pack) and at workers
+# 2 with a crash-injected worker (REPRO_FAULT_SPEC=<path>/0:exit:1, the
+# manifest reporting a pool rebuild), a warm rerun against the populated
+# pack must match while computing zero walks, and a rerun over a garbage
+# pack must match while recomputing every walk (see docs/performance.md,
+# "The evaluation cache", and docs/robustness.md).  The reduced grid
 # keeps `make test` quick; the tool's default invocation (no flags)
 # covers the full default catalog.
 analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
-	@echo "analyze parity OK (pinned, parallel, cached and damaged-pack outputs byte-identical)"
+	@echo "analyze parity OK (pinned, parallel, crash-recovered, cached and damaged-pack outputs byte-identical)"
 
 # Library code must report through repro.obs, not print().
 lint:

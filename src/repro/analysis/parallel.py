@@ -1,10 +1,9 @@
-"""Parallel warm-up of the HB evaluation cache for ``repro-analyze``.
+"""The HB warm phase of ``repro-analyze``: plan every walk, compute the rest.
 
 The HB figures (16, 17, 19-23) spend nearly all their time inside
 :func:`~repro.hb.evaluate.evaluate_predictor`, and every one of those
 walks is a pure function of ``(trace series, predictor spec,
-LsoConfig)`` — the same independence the campaign executor exploits for
-simulation.  This module makes that explicit:
+LsoConfig)``.  This module makes that explicit:
 
 * :func:`plan_units` derives, from the requested figure numbers, the
   exact set of :class:`EvalUnit` evaluations the figure renderers will
@@ -12,31 +11,35 @@ simulation.  This module makes that explicit:
   (:func:`~repro.analysis.hb_eval.ma_family` and friends) and reducing
   them to cache specs with :func:`~repro.analysis.evalcache.derive_spec`;
 * :func:`warm_eval_cache` opens the dataset's pack in the
-  :class:`~repro.analysis.evalcache.EvaluationCache` (one read),
-  executes the units it does not hold — serially, or fanned out per
-  trace over a ``ProcessPoolExecutor`` (``--workers N``) — and writes
-  the pack back with the new results (one write, only when something
-  was computed).
+  :class:`~repro.analysis.evalcache.EvaluationCache` (one read), builds
+  and keys each unit's series, hands the units the pack does not hold to
+  the campaign's engine (:func:`repro.testbed.executor.run_jobs`) as one
+  job per trace, and writes the pack back with the new results (one
+  write, only when something was computed).
+
+Each job carries the series the parent built to key its units, so no
+worker reads the dataset file: what is computed is always what was
+keyed.  The engine runs the jobs serially or over ``--workers N``
+processes with the campaign's guarantees — retry with backoff
+(:class:`~repro.testbed.executor.RetryPolicy` defaults), pool rebuilds,
+degradation to serial, ``REPRO_FAULT_SPEC`` injection keyed by
+``<path_id>/<trace>`` — and merges each trace's telemetry in planned
+order under an ``analysis`` span, so counters like ``hb.level_shifts``,
+the event stream and the span tree are identical at any worker count.
+Its counters and events are the ``analysis.*`` twins of the campaign's
+(``analysis.retries``, ``analysis.aborted``, ...).
 
 The figure phase then runs unchanged with the cache activated: each
 ``evaluate_predictor`` call hits the warm entry, and the rendered
 output is byte-identical to a serial, cache-less run (``make
-analyze-parity`` proves this at workers 1, 2, and 4).
-
-Telemetry determinism follows the campaign executor's discipline:
-worker collectors are drained per unit, shipped back with the result,
-and merged in planned-unit order — so counters like
-``hb.level_shifts`` and the event stream are identical whatever the
-worker count or scheduling.  A worker-pool failure
-(``BrokenProcessPool``) degrades to in-process execution of the
-remaining units rather than failing the analysis.
+analyze-parity`` proves this at workers 1, 2, and 4, and after a worker
+crash).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 from repro.analysis import hb_eval
 from repro.analysis.evalcache import (
@@ -51,9 +54,8 @@ from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.evaluate import HbEvaluation, evaluate_predictor
 from repro.hb.lso import LsoConfig
-from repro.obs import get_telemetry
 from repro.paths.records import Dataset
-from repro.testbed.executor import resolve_workers
+from repro.testbed.executor import Unit, resolve_workers, run_jobs
 
 
 @dataclass(frozen=True)
@@ -158,21 +160,24 @@ def _unit_series(dataset: Dataset, unit: EvalUnit) -> TimeSeries | None:
     return series
 
 
-def _evaluate(series: TimeSeries, unit: EvalUnit) -> HbEvaluation | None:
-    """Compute one unit fresh (never consults the active cache — the
-    warm phase runs before activation, and workers install none)."""
+def _evaluate(
+    series: TimeSeries, spec: PredictorSpec, lso: LsoConfig | None
+) -> HbEvaluation | None:
     try:
-        return evaluate_predictor(series, spec_factory(unit.spec), lso_config=unit.lso)
+        return evaluate_predictor(series, spec_factory(spec), lso_config=lso)
     except DataError:
         # An undevaluable series reads as "nothing to warm"; the figure
         # phase surfaces the error through its own skip handling.
         return None
 
 
-def _evaluate_unit(dataset: Dataset, unit: EvalUnit) -> HbEvaluation | None:
-    """Build a unit's series and compute it (pool workers and fallbacks)."""
-    series = _unit_series(dataset, unit)
-    return None if series is None else _evaluate(series, unit)
+def _walk_trace(_shared: None, unit: Unit) -> list[HbEvaluation | None]:
+    """Engine work: compute one trace's pending walks, in planned order.
+
+    Never consults the active cache: the warm phase runs before
+    activation, and workers install none.
+    """
+    return [_evaluate(series, spec, lso) for series, spec, lso in unit.payload]
 
 
 @dataclass(frozen=True)
@@ -192,53 +197,8 @@ class WarmStats:
     workers: int
 
 
-# ---------------------------------------------------------------------
-# Worker-process side
-# ---------------------------------------------------------------------
-
-_WORKER_DATASET: Dataset | None = None
-
-
-def _init_worker(dataset_path: str) -> None:
-    """Pool initializer: load the dataset once per worker process."""
-    global _WORKER_DATASET
-    from repro.testbed.io import load_dataset
-
-    _WORKER_DATASET = load_dataset(dataset_path)
-    get_telemetry().drain()
-
-
-def _run_trace_job(
-    units: tuple[EvalUnit, ...]
-) -> list[tuple[HbEvaluation | None, dict]]:
-    """Worker entry point: evaluate one trace's pending units.
-
-    Telemetry is drained per unit so the parent can merge snapshots in
-    planned-unit order regardless of how jobs landed on workers.
-    """
-    assert _WORKER_DATASET is not None, "pool initializer did not run"
-    telemetry = get_telemetry()
-    telemetry.drain()  # leftovers from a failed prior job in this worker
-    results = []
-    for unit in units:
-        evaluation = _evaluate_unit(_WORKER_DATASET, unit)
-        results.append((evaluation, telemetry.drain()))
-    return results
-
-
-# ---------------------------------------------------------------------
-# Parent side
-# ---------------------------------------------------------------------
-
-
-def _record(cache: EvaluationCache, key: str, evaluation: HbEvaluation | None) -> None:
-    if evaluation is not None:
-        cache.put(key, evaluation)
-
-
 def warm_eval_cache(
     dataset: Dataset,
-    dataset_path: str,
     figures: list[int],
     cache: EvaluationCache,
     n_workers: int = 1,
@@ -246,81 +206,62 @@ def warm_eval_cache(
     """Pre-compute every HB evaluation the requested figures need.
 
     Opens the dataset's pack (one read); units it holds are skipped
-    (that is the warm-run win).  The rest run serially, each right
-    after its key is built, or across ``n_workers`` processes (0 = all
-    CPUs), with results recorded into the cache and worker telemetry
-    merged in planned-unit order; the pack is then written back once.
-    The figure phase afterwards — run with the cache activated — only
-    takes hits, so its output is byte-identical to a cache-less serial
-    run.
+    (that is the warm-run win).  The rest go to the engine as one job per
+    trace, carrying the series they were keyed by, and run serially or
+    across ``n_workers`` processes (0 = all CPUs); their results are
+    recorded in planned order and the pack is written back once.  The
+    figure phase afterwards — run with the cache activated — only takes
+    hits, so its output is byte-identical to a cache-less serial run.
+
+    Raises:
+        ExecutionError: when a trace's walks fail permanently (retries
+            exhausted); the message names the trace, and nothing is
+            written to the pack.
     """
     units = plan_units(dataset, figures)
     workers = resolve_workers(n_workers)
     cache.open_pack(pack_key(dataset))
-    # (unit, key) left for the pool, which builds its own series.
-    pending: list[tuple[EvalUnit, str]] = []
-    cached = computed = 0
-    for unit in units:
-        series = _unit_series(dataset, unit)
-        if series is None:
-            continue
-        key = evaluation_key(series, unit.spec, unit.lso)
-        if cache.get(key) is not None:
-            cached += 1
-        elif workers > 1:
-            pending.append((unit, key))
-        else:
-            _record(cache, key, _evaluate(series, unit))
-            computed += 1
+    keys: list[str] = []  # of the walks still to compute, in planned order
+    jobs: list[list[Unit]] = []
+    cached = 0
+    for ordinal, trace_units in groupby(units, key=lambda unit: unit.trace_ordinal):
+        # A trace's units share a handful of series; build each once.
+        series_by_shape: dict[tuple[bool, int], TimeSeries | None] = {}
+        walks = []
+        for unit in trace_units:
+            shape = (unit.small_window, unit.downsample)
+            if shape not in series_by_shape:
+                series_by_shape[shape] = _unit_series(dataset, unit)
+            series = series_by_shape[shape]
+            if series is None:
+                continue
+            key = evaluation_key(series, unit.spec, unit.lso)
+            if cache.get(key) is not None:
+                cached += 1
+            else:
+                keys.append(key)
+                walks.append((series, unit.spec, unit.lso))
+        if walks:
+            trace = dataset.traces[ordinal]
+            jobs.append([Unit(trace.path_id, trace.trace_index, tuple(walks))])
 
-    if len({unit.trace_ordinal for unit, _ in pending}) > 1:
-        _warm_parallel(dataset, dataset_path, pending, cache, workers)
-    else:
-        for unit, key in pending:
-            _record(cache, key, _evaluate_unit(dataset, unit))
-    computed += len(pending)
-    if computed:
+    if jobs:
+        results = run_jobs(
+            "analysis",
+            _walk_trace,
+            None,
+            jobs,
+            n_workers=workers,
+            traces=len(jobs),
+            walks=len(keys),
+        )
+        # Release the walks' series before the pack write, the warm
+        # phase's memory peak.
+        del jobs
+        for key, evaluation in zip(keys, chain.from_iterable(results)):
+            if evaluation is not None:
+                cache.put(key, evaluation)
         cache.save_pack()
     return WarmStats(
-        planned=len(units), cached=cached, computed=computed, workers=workers
+        planned=len(units), cached=cached, computed=len(keys), workers=workers
     )
-
-
-def _warm_parallel(
-    dataset: Dataset,
-    dataset_path: str,
-    pending: list[tuple[EvalUnit, str]],
-    cache: EvaluationCache,
-    workers: int,
-) -> None:
-    """Fan pending units out per trace; merge results in planned order."""
-    jobs: dict[int, list[tuple[EvalUnit, str]]] = {}
-    for unit, key in pending:
-        jobs.setdefault(unit.trace_ordinal, []).append((unit, key))
-
-    telemetry = get_telemetry()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(str(dataset_path),),
-        ) as pool:
-            futures = [
-                pool.submit(_run_trace_job, tuple(unit for unit, _ in job))
-                for job in jobs.values()
-            ]
-            # Collect in submission (= trace) order; nothing is merged
-            # or recorded until every job has finished, so a pool crash
-            # below leaves no partial state behind.
-            job_results = [future.result() for future in futures]
-    except BrokenProcessPool:
-        telemetry.counter("analysis.pool_fallback").inc()
-        telemetry.emit("analysis.pool_fallback", pending=len(pending))
-        for unit, key in pending:
-            _record(cache, key, _evaluate_unit(dataset, unit))
-        return
-
-    for job, results in zip(jobs.values(), job_results):
-        for (_, key), (evaluation, snapshot) in zip(job, results):
-            telemetry.merge(snapshot)
-            _record(cache, key, evaluation)

@@ -8,9 +8,10 @@ wall times) is recorded and written as ``X.analysis.manifest.json`` +
 ``REPRO_OBS=0`` to disable telemetry (no sidecars are written).
 
 The HB figures run in two phases: a **warm phase** pre-computes every
-predictor walk the requested figures will need — optionally in parallel
-(``--workers N``) — then the figure renderers run with the cache
-activated and only take hits.  The walks persist in a content-addressed
+predictor walk the requested figures will need — one job per trace on
+the campaign's fault-tolerant engine, optionally over ``--workers N``
+processes — then the figure renderers run with the cache activated and
+only take hits.  The walks persist in a content-addressed
 evaluation cache (``~/.cache/repro/evals``, see
 :mod:`repro.analysis.evalcache`) as one pack file per dataset, keyed on
 the dataset's trace contents and the source of :mod:`repro.hb`: the
@@ -19,7 +20,10 @@ computed something.  Rendered output is byte-identical whatever the
 worker count or cache state (``make analyze-parity`` checks this).
 
 A dataset that is missing or malformed exits with status 2 and one
-line naming the file; no sidecars are written.
+line naming the file; no sidecars are written.  A warm-phase job that
+still fails after its retries exits with status 1 and one ``analysis
+aborted:`` line naming the trace; the sidecars are written, with the
+``analysis.aborted`` event.
 
 Examples::
 
@@ -48,7 +52,7 @@ from repro.analysis.report import (
     render_quantile_table,
     render_scatter_summary,
 )
-from repro.core.errors import DataError, ReproError
+from repro.core.errors import DataError, ExecutionError, ReproError
 from repro.obs import RunRecorder, get_telemetry
 from repro.obs.recorder import analysis_sidecar_paths, write_manifest
 from repro.paths.records import Dataset
@@ -295,10 +299,35 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     clock.lap("load")
 
+    def write_sidecars(extras: dict | None = None) -> Path | None:
+        """Finish the run record; write the sidecars when observing."""
+        if observing:
+            _flush_phase_timers(clock, telemetry)
+        recorder.finish(
+            n_paths=len(dataset.path_ids),
+            n_traces=len(dataset.traces),
+            n_epochs=len(dataset.epochs()),
+            extras=extras,
+        )
+        if not observing:
+            return None
+        manifest_path, events_path = analysis_sidecar_paths(dataset_path)
+        write_manifest(recorder.manifest, recorder.events, manifest_path, events_path)
+        return manifest_path
+
     cache = EvaluationCache(args.eval_cache_dir, memory_only=args.no_eval_cache)
-    warm = warm_eval_cache(
-        dataset, str(dataset_path), wanted, cache, n_workers=args.workers
-    )
+    try:
+        warm = warm_eval_cache(dataset, wanted, cache, n_workers=args.workers)
+    except ExecutionError as exc:
+        # As in repro-campaign: the run is dead, but its telemetry (the
+        # failures, retries, the analysis.aborted event) is still worth
+        # a manifest.
+        if profiler is not None:
+            profiler.disable()
+            profiler.dump_stats(f"{args.dataset}.analysis.pstats")
+        write_sidecars()
+        print(f"analysis aborted: {exc}", file=sys.stderr)
+        return 1
     clock.lap("warm")
     telemetry.emit(
         "analysis.warm",
@@ -360,13 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         if profiler is not None:
             profiler.disable()
             profiler.dump_stats(f"{args.dataset}.analysis.pstats")
-    if observing:
-        _flush_phase_timers(clock, telemetry)
-    recorder.finish(
-        n_paths=len(dataset.path_ids),
-        n_traces=len(dataset.traces),
-        n_epochs=len(dataset.epochs()),
-        extras={
+    manifest_path = write_sidecars(
+        {
             "analysis": {
                 "dataset": str(args.dataset),
                 "figures": rendered,
@@ -376,11 +400,9 @@ def main(argv: list[str] | None = None) -> int:
                 "warm_computed": warm.computed,
                 "workers": warm.workers,
             }
-        },
+        }
     )
-    if observing:
-        manifest_path, events_path = analysis_sidecar_paths(dataset_path)
-        write_manifest(recorder.manifest, recorder.events, manifest_path, events_path)
+    if manifest_path is not None:
         print(f"telemetry -> {manifest_path}", file=sys.stderr)
     return status
 

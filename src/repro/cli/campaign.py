@@ -99,15 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1; results are bit-identical for any worker count)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="(path, trace) units dispatched per parallel job; larger "
-        "chunks amortize dispatch overhead for short traces (default: "
-        "one job per path; results are bit-identical for any chunk size)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile the campaign under cProfile and write the stats "
@@ -239,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
                 checkpoint=checkpoint,
                 run_key=run_key,
                 resume=args.resume,
-                chunk_size=args.chunk_size,
             )
             hit = False
         else:
@@ -252,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
                 retry=retry,
                 checkpoint=checkpoint,
                 resume=args.resume,
-                chunk_size=args.chunk_size,
             )
     except ExecutionError as exc:
         # The campaign is dead, but its telemetry (retries, failures,

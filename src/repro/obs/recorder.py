@@ -97,6 +97,9 @@ ANALYSIS_CORE_COUNTERS = (
     "fb.model_selected",
     "hb.level_shifts",
     "hb.outliers_discarded",
+    # The warm phase's fault-tolerance accounting, as for campaigns.
+    "analysis.retries",
+    "analysis.job_failures",
 )
 
 #: The serving equivalent: request/ingest counters every ``repro-serve``

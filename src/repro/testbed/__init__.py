@@ -3,9 +3,10 @@
 * :mod:`repro.testbed.campaign` — the epoch/trace/campaign runner that
   reproduces the paper's measurement structure (150 epochs per trace,
   7 traces per path).
-* :mod:`repro.testbed.executor` — fault-tolerant parallel (path, trace)
-  fan-out: per-trace progress, retry with capped backoff, job timeouts,
-  pool rebuilds; bit-identical to serial execution.
+* :mod:`repro.testbed.executor` — the fault-tolerant engine for
+  per-trace jobs (the campaign's and ``repro-analyze``'s): retry with
+  capped backoff, job timeouts, pool rebuilds, per-trace progress;
+  bit-identical to serial execution.
 * :mod:`repro.testbed.checkpoint` — per-trace checkpointing so a
   crashed campaign can be resumed without losing completed work.
 * :mod:`repro.testbed.cache` — content-addressed on-disk dataset cache.

@@ -172,19 +172,15 @@ def run_cached(
     retry=None,
     checkpoint=None,
     resume: bool = False,
-    chunk_size: int | None = None,
 ) -> tuple[Dataset, bool]:
     """Run a campaign through the cache.
 
     Returns ``(dataset, hit)``: on a hit the saved dataset is loaded and
     no simulation happens (the progress callback is not invoked); on a
-    miss the campaign runs (honouring ``n_workers``/``progress``/
-    ``chunk_size`` and the robustness options
-    ``retry``/``checkpoint``/``resume``, all keyed by the same content
-    fingerprint as the cache entry) and the result is stored before
-    being returned.  ``chunk_size`` defaults to one job per path, as
-    for :meth:`~repro.testbed.campaign.Campaign.run`; it never affects
-    the cache key, since any value produces the bit-identical dataset.
+    miss the campaign runs (honouring ``n_workers``/``progress`` and the
+    robustness options ``retry``/``checkpoint``/``resume``, all keyed by
+    the same content fingerprint as the cache entry) and the result is
+    stored before being returned.
     """
     cache = cache or DatasetCache()
     key = campaign_cache_key(campaign, settings)
@@ -205,7 +201,6 @@ def run_cached(
         checkpoint=checkpoint,
         run_key=key,
         resume=resume,
-        chunk_size=chunk_size,
     )
     with telemetry.timer("cache.store_s"):
         cache.store(key, dataset)

@@ -97,7 +97,6 @@ class Campaign:
         checkpoint=None,
         run_key: str | None = None,
         resume: bool = False,
-        chunk_size: int | None = None,
     ) -> Dataset:
         """Execute the campaign and return the collected dataset.
 
@@ -121,10 +120,6 @@ class Campaign:
                 campaign's content fingerprint).
             resume: skip traces already checkpointed under ``run_key``;
                 the result is bit-identical to an uninterrupted run.
-            chunk_size: (path, trace) units per parallel job; larger
-                chunks amortize dispatch overhead for short traces.
-                ``None`` (the default) submits one job per *path*.
-                Bit-identical for every value; ignored when serial.
         """
         from repro.testbed.executor import run_campaign
 
@@ -138,7 +133,6 @@ class Campaign:
             checkpoint=checkpoint,
             run_key=run_key,
             resume=resume,
-            chunk_size=chunk_size,
         )
 
     def run_trace(

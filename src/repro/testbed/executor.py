@@ -1,58 +1,48 @@
-"""Fault-tolerant parallel campaign execution over (path, trace) units.
+"""The fault-tolerant engine that runs per-trace jobs, serially or over a pool.
 
-The campaign's unit of independence is the (path, trace) pair: each one
-draws from its own named RNG stream
-(``RngStreams.get(f"{path_id}/trace{i}")``), so a trace simulated alone
-in a worker process is bit-identical to the same trace simulated inside
-a serial campaign (see ``tests/testbed/test_campaign.py::
-test_subset_reproducibility``).  The executor exploits that twice over:
+Both fan-outs of the pipeline run on :func:`run_jobs`: the campaign
+(:func:`run_campaign`, one job per path, one unit per trace) and the
+HB warm phase of ``repro-analyze``
+(:func:`repro.analysis.parallel.warm_eval_cache`, one job per trace).
+A :class:`Unit` is one ``(path_id, trace)`` pair plus the payload its
+caller's work function needs.  Whatever the caller, the engine gives:
 
-* **parallelism** — traces fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` and reassemble in
-  catalog order, so the parallel dataset equals the serial one
-  regardless of scheduling;
-* **fault tolerance** — every finished trace is checkpointed to a
-  :class:`~repro.testbed.checkpoint.CheckpointStore` (when one is
-  given), a failed or hung job is retried with capped exponential
-  backoff (:class:`RetryPolicy`), a crashed worker
-  (``BrokenProcessPool``) triggers a pool rebuild, repeated rebuild
-  failures degrade gracefully to serial in-process execution, and
-  ``resume=True`` skips already-checkpointed traces — reassembling a
-  dataset bit-identical to an uninterrupted run.
+* **one unit body** — :func:`_run_unit` runs every attempt, in a worker
+  process and in the serial path alike: a ``trace`` span, the
+  crash-injection hook (:func:`maybe_inject_fault`), and a drained
+  telemetry collector, so a failed attempt's partial telemetry is
+  discarded and only a successful attempt's snapshot is kept;
+* **fault tolerance** — a failed attempt is retried with capped
+  exponential backoff (:class:`RetryPolicy`), a job over its timeout has
+  its workers terminated, a crashed worker (``BrokenProcessPool``)
+  triggers a pool rebuild, and repeated rebuilds degrade gracefully to
+  serial in-process execution;
+* **planned order** — results, and each unit's telemetry snapshot, come
+  back in the caller's planned order whatever the scheduling, and worker
+  spans are re-parented under the run's root span, so a parallel run's
+  results, counters and span tree equal the serial run's.
 
-When a job fails permanently (retries exhausted), outstanding jobs are
+When a unit fails permanently (retries exhausted), outstanding jobs are
 cancelled and an :class:`~repro.core.errors.ExecutionError` naming the
-failing ``(path_id, trace_index)`` is raised with the worker exception
-as its ``__cause__``; a terminal ``campaign.aborted`` event is emitted
-and the ``campaign.*`` progress gauges — which are reset at entry so an
-aborted run can never leak stale progress into the next one — keep
-whatever progress was truthfully made.
+failing ``(path_id, trace)`` is raised with the worker exception as its
+``__cause__``, after a terminal ``<name>.aborted`` event.  Counters and
+events are named after the caller: ``campaign.retries``,
+``analysis.pool_rebuilds`` and so on (``docs/robustness.md``).
 
+:func:`run_campaign` adds what only the campaign needs.  Each
+(path, trace) pair draws from its own named RNG stream, so a trace
+simulated in a worker, retried, or reloaded from a
+:class:`~repro.testbed.checkpoint.CheckpointStore` (``resume=True``) is
+bit-identical to the same trace in an uninterrupted serial campaign.
 Progress is reported per finished trace through an optional callback
-receiving :class:`CampaignProgress` snapshots — the CLI renders these
-with :func:`repro.obs.render.progress_line`.  Every snapshot is also
-published to the metrics registry (``campaign.traces_done`` /
-``campaign.epochs_done`` gauges), so progress displays and telemetry
-derive from the same numbers and cannot drift apart.  Rendering
-progress by printing inside the callback is deprecated: keep callbacks
-side-effect-light and let the obs layer own the formatting.
+receiving :class:`CampaignProgress` snapshots, which the CLI renders
+with :func:`repro.obs.render.progress_line`; every snapshot is also
+published as the ``campaign.*`` progress gauges, reset at entry so an
+aborted run can never leak stale progress into the next one.
 
-Telemetry collected inside worker processes (phase timers, per-trace
-events) is drained per job and merged back into the parent's
-collector in job order, so a parallel campaign's telemetry matches the
-serial one's.  Failed attempts' partial telemetry is discarded with the
-attempt; only the successful attempt of each job is merged.  The serial
-path gives every attempt the same isolation — a fresh single-path
-campaign (fresh RNG streams) and a drained telemetry collector — so a
-serially retried trace is bit-identical to, and reports the same
-telemetry as, an uninterrupted run.  Retries,
-failures, rebuilds, and resumed traces are themselves counted
-(``campaign.retries`` / ``campaign.job_failures`` /
-``campaign.pool_rebuilds`` / ``campaign.traces_resumed``) and surface
-in the run manifest.
-
-Crash injection (tests and the ``make resume-smoke`` target) is driven
-by two environment variables — see :func:`maybe_inject_fault`.
+Crash injection (tests, ``make resume-smoke`` and ``make
+analyze-parity``) is driven by two environment variables — see
+:func:`maybe_inject_fault`.
 """
 
 from __future__ import annotations
@@ -60,11 +50,11 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.core.errors import ConfigurationError, ExecutionError
 from repro.obs import get_telemetry
@@ -121,16 +111,16 @@ ProgressCallback = Callable[[CampaignProgress], None]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the executor responds to failing, crashing, or hung jobs.
+    """How the engine responds to failing, crashing, or hung jobs.
 
     Attributes:
-        max_retries: extra attempts granted to one job after its first
+        max_retries: extra attempts granted to one unit after its first
             failure; ``0`` aborts on the first failure.
         backoff_s: sleep before the first retry; each further retry of
-            the same job doubles it.
+            the same unit doubles it.
         backoff_cap_s: upper bound on any single backoff sleep.
         job_timeout_s: wall-clock budget for one parallel job measured
-            from dispatch to the pool.  The executor caps in-flight
+            from dispatch to the pool.  The engine caps in-flight
             submissions at the worker count, so a dispatched job starts
             (nearly) immediately and the budget covers running time,
             not queue wait — a queued job's clock has not started.  A
@@ -139,7 +129,7 @@ class RetryPolicy:
             ``None`` disables the watchdog.  Serial execution ignores
             it (there is no second process to enforce it from).
         max_pool_rebuilds: pool rebuilds tolerated (after worker
-            crashes or timeouts) before the executor gives up on
+            crashes or timeouts) before the engine gives up on
             process parallelism and degrades to serial in-process
             execution of the remaining jobs.
     """
@@ -191,11 +181,11 @@ def resolve_workers(n_workers: int) -> int:
 
 
 #: Crash-injection spec: ``"<path_id>/<trace>:<mode>[:<count>]"`` entries
-#: separated by ``;``.  A target of ``*`` matches every job.  Modes:
-#: ``raise`` (the job raises), ``exit`` (the process dies via
+#: separated by ``;``.  A target of ``*`` matches every unit.  Modes:
+#: ``raise`` (the unit raises), ``exit`` (the process dies via
 #: ``os._exit`` — a worker crash in parallel mode, a hard kill in serial
-#: mode), ``hang`` (the job sleeps 60 s, tripping the job timeout), and
-#: ``nap`` (not a fault: the job sleeps ``<count>`` seconds — a float —
+#: mode), ``hang`` (the unit sleeps 60 s, tripping the job timeout), and
+#: ``nap`` (not a fault: the unit sleeps ``<count>`` seconds — a float —
 #: on every attempt, for tests that need jobs of a known duration).
 #: With ``REPRO_FAULT_DIR`` set, each crash entry triggers at most
 #: ``count`` times across all processes (claimed through ``O_EXCL``
@@ -210,11 +200,12 @@ _HANG_FAULT_S = 60.0
 
 
 def maybe_inject_fault(path_id: str, trace_index: int) -> None:
-    """Crash-injection hook, run at the start of every job attempt.
+    """Crash-injection hook, run at the start of every unit attempt.
 
     A no-op unless ``REPRO_FAULT_SPEC`` is set; exists so tests and the
-    ``make resume-smoke`` target can exercise the retry, pool-rebuild,
-    timeout, and resume paths against real worker processes.
+    ``make resume-smoke``/``make analyze-parity`` targets can exercise
+    the retry, pool-rebuild, timeout, and resume paths against real
+    worker processes.
     """
     spec = os.environ.get(ENV_FAULT_SPEC, "").strip()
     if not spec:
@@ -258,29 +249,24 @@ def _claim_fault_token(fault_dir: str, target: str, mode: str, count: int) -> bo
     return False
 
 
-#: Campaign parameters shipped once per worker process by
-#: :func:`_init_worker` instead of being pickled into every job:
-#: ``(catalog, seed, label, tcp, small_tcp, settings)``.
-_WORKER_STATE: tuple | None = None
+class Unit(NamedTuple):
+    """One work unit: the (path, trace) it covers and its payload.
 
-
-def _init_worker(catalog, seed, label, tcp, small_tcp, settings) -> None:
-    """Pool initializer: receive the campaign parameters one time.
-
-    Runs once in each worker process when the pool spawns it.  Jobs
-    afterwards carry only ``(catalog_index, trace_index)`` pairs, so
-    dispatching a job no longer pickles the catalog, TCP parameter
-    sets, and settings over and over.
+    ``path_id`` and ``trace`` name the unit in fault specs, spans,
+    failure events and errors; ``payload`` is what the caller's work
+    function needs, pickled to a worker with the unit.
     """
-    global _WORKER_STATE
-    _WORKER_STATE = (catalog, seed, label, tcp, small_tcp, settings)
+
+    path_id: str
+    trace: int
+    payload: Any
 
 
 class ChunkUnitError(ExecutionError):
-    """One unit of a multi-unit chunk failed in a worker.
+    """One unit of a multi-unit job failed in a worker.
 
     Identifies the failing ``(path_id, trace_index)`` so the parent can
-    attribute the attempt to the right job; the original worker
+    attribute the attempt to the right unit; the original worker
     exception is summarized in ``cause_repr`` (the live exception
     object cannot cross the process boundary as a ``__cause__``).
 
@@ -296,428 +282,315 @@ class ChunkUnitError(ExecutionError):
 
     def __str__(self) -> str:
         return (
-            f"chunk unit (path {self.path_id!r}, trace {self.trace_index}) "
-            f"failed: {self.cause_repr}"
+            f"unit (path {self.path_id!r}, trace {self.trace_index}) of a "
+            f"multi-unit job failed: {self.cause_repr}"
         )
 
 
-def _run_chunk_job(units: tuple) -> list[tuple[Trace, dict[str, Any]]]:
-    """Worker entry point: simulate a chunk of (path, trace) units.
+#: ``(work, shared)`` installed once per worker process by
+#: :func:`_init_worker` instead of being pickled into every job.
+_WORKER_STATE: tuple | None = None
 
-    ``units`` is a tuple of ``(catalog_index, trace_index)`` pairs
-    resolved against the catalog installed by :func:`_init_worker`.
-    Each unit rebuilds a fresh single-path campaign; the named RNG
-    streams guarantee every trace matches the serial campaign's copy
-    regardless of which worker ran it or how units were chunked.
 
-    Returns one ``(trace, telemetry_snapshot)`` per unit, in order.
-    Telemetry is drained per unit, so the parent can merge snapshots in
-    job order whatever the chunking.  A failing unit in a multi-unit
-    chunk is wrapped in :class:`ChunkUnitError` to identify it; a
-    single-unit chunk lets the original exception propagate unchanged.
+def _init_worker(work: Callable[[Any, Unit], Any], shared: Any) -> None:
+    """Pool initializer: receive the work function and shared state once.
+
+    Jobs afterwards carry only their units, so a campaign's catalog, TCP
+    parameter sets and settings are pickled once per worker process, not
+    once per job.
     """
-    from repro.testbed.campaign import Campaign
+    global _WORKER_STATE
+    _WORKER_STATE = (work, shared)
 
-    assert _WORKER_STATE is not None, "pool initializer did not run"
-    catalog, seed, label, tcp, small_tcp, settings = _WORKER_STATE
+
+def _run_unit(
+    work: Callable[[Any, Unit], Any], shared: Any, unit: Unit
+) -> tuple[Any, dict[str, Any]]:
+    """One attempt at one unit — the body of the serial path and the workers.
+
+    The attempt records into a drained collector and returns its
+    snapshot with the result; the collector's earlier contents are
+    restored either way, so a failed attempt's partial telemetry is
+    discarded, in-process exactly as in a crashed worker.  The ``trace``
+    span nests under the run's root span wherever the span context is
+    present (in-process, and in workers forked while the root span is
+    open); a worker without it records the root of a private trace,
+    which the parent re-parents at merge time.  The sample key is the
+    same everywhere, so every path samples identical units.
+    """
     telemetry = get_telemetry()
+    held = telemetry.drain()
+    try:
+        with telemetry.span(
+            "trace",
+            sample_key=f"{unit.path_id}/{unit.trace}",
+            path=unit.path_id,
+            trace=unit.trace,
+        ):
+            maybe_inject_fault(unit.path_id, unit.trace)
+            result = work(shared, unit)
+    finally:
+        snapshot = telemetry.drain()
+        telemetry.merge(held)
+    return result, snapshot
+
+
+def _run_job(units: tuple[Unit, ...]) -> list[tuple[Any, dict[str, Any]]]:
+    """Worker entry point: run one job's units in order.
+
+    Returns one ``(result, telemetry snapshot)`` per unit.  A failing
+    unit of a multi-unit job is wrapped in :class:`ChunkUnitError` to
+    name it; a single-unit job lets the original exception propagate
+    unchanged.
+    """
+    assert _WORKER_STATE is not None, "pool initializer did not run"
+    work, shared = _WORKER_STATE
     results = []
-    for catalog_index, trace_index in units:
-        config = catalog[catalog_index]
-        telemetry.drain()  # leftovers from a crashed/failed prior unit
+    for unit in units:
         try:
-            # The unit span starts a fresh trace here (workers inherit
-            # no span context); the parent re-parents it under the
-            # campaign span at merge time.  The sample key matches the
-            # serial path's, so both sample identical units.
-            with telemetry.span(
-                "trace",
-                sample_key=f"{config.path_id}/{trace_index}",
-                path=config.path_id,
-                trace=trace_index,
-            ):
-                maybe_inject_fault(config.path_id, trace_index)
-                campaign = Campaign(
-                    [config], seed=seed, label=label, tcp=tcp, small_tcp=small_tcp
-                )
-                with telemetry.timer("campaign.trace_s"):
-                    trace = campaign.run_trace(config, trace_index, settings)
+            results.append(_run_unit(work, shared, unit))
         except Exception as exc:
             if len(units) == 1:
                 raise
-            raise ChunkUnitError(config.path_id, trace_index, repr(exc)) from exc
-        results.append((trace, telemetry.drain()))
+            raise ChunkUnitError(unit.path_id, unit.trace, repr(exc)) from exc
     return results
 
 
-class _CampaignRun:
-    """State and helpers shared by the serial and parallel paths of one
-    :func:`run_campaign` invocation."""
+class _Engine:
+    """State of one :func:`run_jobs` invocation.
+
+    Units are addressed by their position in planned order (the jobs'
+    units, flattened); a job is the list of its units' positions.
+    """
 
     def __init__(
         self,
-        campaign: "Campaign",
-        settings: "CampaignSettings",
+        name: str,
+        work: Callable[[Any, Unit], Any],
+        shared: Any,
+        jobs: Sequence[Sequence[Unit]],
         retry: RetryPolicy,
-        progress: ProgressCallback | None,
-        checkpoint: "CheckpointStore | None",
-        run_key: str | None,
-        chunk_size: int = 1,
+        on_complete: Callable[[int, Any], None] | None,
     ) -> None:
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self.campaign = campaign
-        self.settings = settings
+        self.name = name
+        self.work = work
+        self.shared = shared
         self.retry = retry
-        self.progress = progress
-        self.checkpoint = checkpoint
-        self.run_key = run_key or ""
-        self.chunk_size = chunk_size
+        self.on_complete = on_complete
         self.telemetry = get_telemetry()
-        self.jobs = [
-            (config, trace_index)
-            for config in campaign.catalog
-            for trace_index in range(settings.n_traces)
-        ]
-        #: The worker-side identity of ``jobs[i]``: indices into the
-        #: catalog shipped once per worker by the pool initializer.
-        self.units = [
-            (catalog_index, trace_index)
-            for catalog_index in range(len(campaign.catalog))
-            for trace_index in range(settings.n_traces)
-        ]
-        self.epochs_total = len(self.jobs) * settings.epochs_per_trace
-        self.traces: list[Trace | None] = [None] * len(self.jobs)
-        self.snapshots: list[dict[str, Any] | None] = [None] * len(self.jobs)
+        self.units: list[Unit] = []
+        self.jobs: list[list[int]] = []
+        for job in jobs:
+            start = len(self.units)
+            self.units.extend(job)
+            self.jobs.append(list(range(start, len(self.units))))
+        self.results: list[Any] = [None] * len(self.units)
+        self.snapshots: list[dict[str, Any] | None] = [None] * len(self.units)
+        self.merged = 0  # snapshots merged so far, a prefix in planned order
+        self.root: Any = None  # the run's root span, set by run_jobs
         self.attempts: dict[int, int] = {}
-        self.done_count = 0
-        self.started = time.perf_counter()
+        self.done = 0
 
-    # -- progress ------------------------------------------------------
+    def complete(self, index: int, result: Any, snapshot: dict[str, Any]) -> None:
+        self.results[index] = result
+        self.snapshots[index] = snapshot
+        self.done += 1
+        # Merge in planned order, not completion order, so the merged
+        # events' line order does not depend on scheduling; a snapshot
+        # waits only for units planned before it (in a serial run, none).
+        snapshots = self.snapshots
+        while self.merged < len(snapshots) and snapshots[self.merged] is not None:
+            self.merge(snapshots[self.merged])
+            snapshots[self.merged] = None
+            self.merged += 1
+        if self.on_complete is not None:
+            self.on_complete(index, result)
 
-    def reset_gauges(self) -> None:
-        """Zero the campaign progress gauges at run entry.
-
-        Without this, an aborted run's last gauge values survive into
-        the next in-process run (and its manifest), so ``repro-obs
-        compare`` would read stale progress.
-        """
-        telemetry = self.telemetry
-        telemetry.gauge("campaign.traces_done").set(0)
-        telemetry.gauge("campaign.epochs_done").set(0)
-        telemetry.gauge("campaign.traces_total").set(len(self.jobs))
-        telemetry.gauge("campaign.epochs_total").set(self.epochs_total)
-
-    def report(self) -> None:
-        snapshot = CampaignProgress(
-            traces_done=self.done_count,
-            traces_total=len(self.jobs),
-            epochs_done=self.done_count * self.settings.epochs_per_trace,
-            epochs_total=self.epochs_total,
-            elapsed_s=time.perf_counter() - self.started,
-        )
-        # Progress and telemetry derive from the same snapshot, so the
-        # live display and the recorded gauges cannot disagree.
-        telemetry = self.telemetry
-        telemetry.gauge("campaign.traces_done").set(snapshot.traces_done)
-        telemetry.gauge("campaign.traces_total").set(snapshot.traces_total)
-        telemetry.gauge("campaign.epochs_done").set(snapshot.epochs_done)
-        telemetry.gauge("campaign.epochs_total").set(snapshot.epochs_total)
-        if self.progress is not None:
-            self.progress(snapshot)
-
-    # -- checkpoint / resume -------------------------------------------
-
-    def resume_completed(self) -> None:
-        """Load checkpointed traces; leaves the rest for execution."""
-        if self.checkpoint is None:
-            return
-        resumed = 0
-        for index, (config, trace_index) in enumerate(self.jobs):
-            trace = self.checkpoint.load_trace(
-                self.run_key, config.path_id, trace_index
-            )
-            if trace is None or len(trace) != self.settings.epochs_per_trace:
-                continue
-            self.traces[index] = trace
-            resumed += 1
-        if resumed:
-            self.telemetry.counter("campaign.traces_resumed").inc(resumed)
-            self.telemetry.emit(
-                "campaign.resumed", traces=resumed, total=len(self.jobs)
-            )
-            self.done_count = resumed
-            self.report()
-
-    def complete(self, index: int, trace: Trace) -> None:
-        """Record one finished trace: checkpoint it, bump progress."""
-        self.traces[index] = trace
-        if self.checkpoint is not None:
-            self.checkpoint.store_trace(self.run_key, trace)
-        self.done_count += 1
-        self.report()
+    def merge(self, snapshot: dict[str, Any]) -> None:
+        """Merge a unit's telemetry, its spans re-parented under the root."""
+        trace_id = getattr(self.root, "trace_id", None)
+        if trace_id is not None:
+            reparent_spans(snapshot.get("events", ()), trace_id, self.root.span_id)
+        self.telemetry.merge(snapshot)
 
     # -- failure accounting --------------------------------------------
 
-    def record_failure(self, index: int, kind: str, error: str) -> int:
-        """Count one failed attempt; returns the new attempt number."""
-        attempt = self.attempts.get(index, 0) + 1
-        self.attempts[index] = attempt
-        config, trace_index = self.jobs[index]
-        self.telemetry.counter("campaign.job_failures").inc()
-        self.telemetry.emit(
-            "campaign.job_failure",
-            path=config.path_id,
-            trace=trace_index,
-            attempt=attempt,
-            failure=kind,
-            error=error,
-        )
-        return attempt
-
     def retry_or_abort(self, index: int, kind: str, exc: BaseException | None) -> None:
-        """After a failed attempt: sleep for the backoff, or abort.
+        """Count a failed attempt, then sleep for the backoff or abort.
 
         Raises:
-            ExecutionError: when the job has exhausted its retries.
+            ExecutionError: when the unit has exhausted its retries.
         """
-        attempt = self.record_failure(index, kind, repr(exc) if exc else kind)
-        config, trace_index = self.jobs[index]
+        name, telemetry = self.name, self.telemetry
+        unit = self.units[index]
+        attempt = self.attempts.get(index, 0) + 1
+        self.attempts[index] = attempt
+        telemetry.counter(f"{name}.job_failures").inc()
+        telemetry.emit(
+            f"{name}.job_failure",
+            path=unit.path_id,
+            trace=unit.trace,
+            attempt=attempt,
+            failure=kind,
+            error=repr(exc) if exc else kind,
+        )
         if attempt > self.retry.max_retries:
-            self.abort(index, kind, exc)
+            telemetry.emit(
+                f"{name}.aborted",
+                path=unit.path_id,
+                trace=unit.trace,
+                attempts=attempt,
+                failure=kind,
+                traces_done=self.done,
+            )
+            raise ExecutionError(
+                f"{name} job (path {unit.path_id!r}, trace {unit.trace}) "
+                f"failed permanently after {attempt} attempt(s) [{kind}]"
+                + (f": {exc!r}" if exc is not None else "")
+            ) from exc
         backoff = self.retry.backoff_for(attempt)
-        self.telemetry.counter("campaign.retries").inc()
-        self.telemetry.emit(
-            "campaign.retry",
-            path=config.path_id,
-            trace=trace_index,
+        telemetry.counter(f"{name}.retries").inc()
+        telemetry.emit(
+            f"{name}.retry",
+            path=unit.path_id,
+            trace=unit.trace,
             attempt=attempt,
             backoff_s=backoff,
         )
         if backoff > 0:
             time.sleep(backoff)
 
-    def abort(self, index: int, kind: str, exc: BaseException | None) -> None:
-        """Emit the terminal ``campaign.aborted`` event and raise."""
-        config, trace_index = self.jobs[index]
-        attempts = self.attempts.get(index, 0)
-        self.telemetry.emit(
-            "campaign.aborted",
-            path=config.path_id,
-            trace=trace_index,
-            attempts=attempts,
-            failure=kind,
-            traces_done=self.done_count,
-        )
-        raise ExecutionError(
-            f"campaign job (path {config.path_id!r}, trace {trace_index}) "
-            f"failed permanently after {attempts} attempt(s) [{kind}]"
-            + (f": {exc!r}" if exc is not None else "")
-        ) from exc
+    def _unit_index(self, error: ChunkUnitError, job: list[int]) -> int:
+        """Map a worker-side unit failure back to its position."""
+        for index in job:
+            unit = self.units[index]
+            if (unit.path_id, unit.trace) == (error.path_id, error.trace_index):
+                return index
+        return job[0]  # stale identity; blame the job head
 
     # -- execution paths -----------------------------------------------
 
-    def run_serial(self, indices: list[int]) -> None:
-        """Run jobs in-process, with the same retry/backoff semantics.
+    def run_serial(self, indices: Sequence[int]) -> None:
+        """Run units in-process, one at a time, with the same retries.
 
-        Mirrors the worker path (:func:`_run_trace_job`) on both axes of
-        attempt isolation:
-
-        * **RNG** — every attempt rebuilds a fresh single-path campaign,
-          because ``RngStreams.get`` caches generators per campaign
-          instance: retrying through the parent campaign would resume
-          from the RNG state the failed attempt already consumed,
-          silently producing a different trace than an uninterrupted
-          run.  A fresh campaign re-derives the ``path/traceN`` stream
-          from the seed, so the retried trace is bit-identical.
-        * **telemetry** — each attempt collects into a drained
-          collector and is merged back only on success, so a failed
-          attempt's partial timers/events are discarded exactly as a
-          crashed worker's are.
+        Unit by unit, not job by job: each unit completes (and the
+        campaign checkpoints it) before the next starts, so a failure
+        later in a path's job loses nothing already simulated.
         """
-        from repro.testbed.campaign import Campaign
-
-        campaign, settings = self.campaign, self.settings
-        seed = campaign.streams.seed
         for index in indices:
-            config, trace_index = self.jobs[index]
             while True:
-                held = self.telemetry.drain()
                 try:
-                    # The unit span nests under the campaign span (the
-                    # context survives the drain above); its event lands
-                    # in the attempt's collector, so a failed attempt's
-                    # span is discarded with the rest — exactly one
-                    # span survives per completed unit, as with workers.
-                    with self.telemetry.span(
-                        "trace",
-                        sample_key=f"{config.path_id}/{trace_index}",
-                        path=config.path_id,
-                        trace=trace_index,
-                    ):
-                        maybe_inject_fault(config.path_id, trace_index)
-                        attempt_campaign = Campaign(
-                            [config],
-                            seed=seed,
-                            label=campaign.label,
-                            tcp=campaign.tcp,
-                            small_tcp=campaign.small_tcp,
-                        )
-                        with self.telemetry.timer("campaign.trace_s"):
-                            trace = attempt_campaign.run_trace(
-                                config, trace_index, settings
-                            )
+                    result, snapshot = _run_unit(
+                        self.work, self.shared, self.units[index]
+                    )
                 except ExecutionError:
-                    self.telemetry.drain()
-                    self.telemetry.merge(held)
                     raise
                 except Exception as exc:
-                    # Discard the failed attempt's partial telemetry,
-                    # restore what the campaign had collected before it.
-                    self.telemetry.drain()
-                    self.telemetry.merge(held)
                     self.retry_or_abort(index, "error", exc)
                 else:
-                    snapshot = self.telemetry.drain()
-                    self.telemetry.merge(held)
-                    self.telemetry.merge(snapshot)
                     break
-            self.complete(index, trace)
+            self.complete(index, result, snapshot)
 
-    def _pool_init(self) -> tuple:
-        """The ``(initializer, initargs)`` every pool is built with.
-
-        Ships the campaign parameters (catalog, seed, label, TCP
-        parameter sets, settings) once per worker process; jobs then
-        carry only ``(catalog_index, trace_index)`` pairs.
-        """
-        campaign = self.campaign
-        return _init_worker, (
-            campaign.catalog,
-            campaign.streams.seed,
-            campaign.label,
-            campaign.tcp,
-            campaign.small_tcp,
-            self.settings,
+    def _new_pool(self, n_workers: int, n_jobs: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=min(n_workers, max(n_jobs, 1)),
+            initializer=_init_worker,
+            initargs=(self.work, self.shared),
         )
 
-    def _job_index(self, error: ChunkUnitError, chunk: list[int]) -> int:
-        """Map a worker-side unit failure back to its job index."""
-        for index in chunk:
-            config, trace_index = self.jobs[index]
-            if (
-                config.path_id == error.path_id
-                and trace_index == error.trace_index
-            ):
-                return index
-        return chunk[0]  # stale identity; blame the chunk head
-
-    def run_parallel(self, indices: list[int], n_workers: int) -> None:
+    def run_parallel(self, jobs: list[list[int]], n_workers: int) -> None:
         """Run jobs in a worker pool, surviving crashes and hangs.
 
-        Jobs are dispatched in chunks of up to ``chunk_size`` units per
-        future (default 1), against workers that received the campaign
-        parameters once at pool start.  In-flight submissions are
-        capped at the pool's worker count, so a submitted chunk is
-        picked up by a free worker (nearly) immediately:
-        ``dispatched_at`` approximates the chunk's actual start, and
-        the job timeout measures running time rather than queue wait
-        (one budget per dispatched *chunk*, so scale ``job_timeout_s``
-        with ``chunk_size``).  Retries and not-yet-dispatched jobs sit
-        in ``queue`` and are submitted only at the top of the loop,
-        where a ``BrokenProcessPool`` raised by ``submit`` itself
+        In-flight submissions are capped at the worker count, so a
+        submitted job is picked up by a free worker (nearly)
+        immediately: ``dispatched_at`` approximates the job's actual
+        start, and the job timeout measures running time rather than
+        queue wait (one budget per job).  Retried and not-yet-dispatched
+        jobs sit in ``queue`` and are submitted only at the top of the
+        loop, where a ``BrokenProcessPool`` raised by ``submit`` itself
         routes into the same rebuild machinery as a crash surfaced by a
-        future.
-
-        A failing unit inside a multi-unit chunk takes the attempt
-        blame (identified via :class:`ChunkUnitError`); the whole chunk
-        is requeued, which is correct — every unit rebuilds its
-        campaign from the seed — just mildly wasteful, which is the
-        chunking trade-off.
+        future.  A failed job is retried whole: its units are
+        recomputed, which is always correct because each unit rebuilds
+        its state from its payload.
         """
-        retry = self.retry
-        chunk_size = self.chunk_size
-        initializer, initargs = self._pool_init()
-
+        timeout = self.retry.job_timeout_s
         rebuilds = 0
-        cap = min(n_workers, len(indices))
-        pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=cap, initializer=initializer, initargs=initargs
-        )
-        queue: deque[int] = deque(indices)
+        pool = self._new_pool(n_workers, len(jobs))
+        queue: deque[list[int]] = deque(jobs)
         pending: dict[Any, list[int]] = {}
         dispatched_at: dict[Any, float] = {}
 
-        def pending_indices() -> list[int]:
-            return [index for chunk in pending.values() for index in chunk]
-
-        def replace_pool(resubmit: list[int]) -> bool:
-            """Install a fresh pool for ``resubmit``; ``False`` = degrade."""
-            nonlocal pool, rebuilds, cap, queue, pending, dispatched_at
-            pool, rebuilds = self._rebuild_pool(rebuilds, n_workers, len(resubmit))
-            pending = {}
-            dispatched_at = {}
+        def restart(resubmit: list[list[int]], hung: bool = False) -> bool:
+            """Replace the pool for ``resubmit``; ``False`` = degraded."""
+            nonlocal pool, rebuilds, queue, pending, dispatched_at
+            if hung:
+                _terminate_pool(pool)
+            else:
+                pool.shutdown(wait=False, cancel_futures=True)
+            rebuilds += 1
+            self.telemetry.counter(f"{self.name}.pool_rebuilds").inc()
+            queue, pending, dispatched_at = deque(sorted(resubmit)), {}, {}
+            pool = None
+            if rebuilds <= self.retry.max_pool_rebuilds:
+                try:
+                    pool = self._new_pool(n_workers, len(resubmit))
+                except OSError:  # pragma: no cover - fd/memory limits
+                    pass
             if pool is None:
+                self.telemetry.counter(f"{self.name}.degraded").inc()
+                self.telemetry.emit(
+                    f"{self.name}.degraded",
+                    remaining=len(resubmit),
+                    reason="pool_rebuild_limit",
+                )
+                self.run_serial([index for job in queue for index in job])
                 return False
-            cap = min(n_workers, len(resubmit))
-            queue = deque(resubmit)
+            self.telemetry.emit(f"{self.name}.pool_rebuild", rebuild=rebuilds)
             return True
 
         try:
             while pending or queue:
-                # Top up in-flight chunks to the worker count.
+                # Top up in-flight jobs to the worker count.
                 submit_broke_pool = False
-                while queue and len(pending) < cap:
-                    chunk = [
-                        queue.popleft()
-                        for _ in range(min(chunk_size, len(queue)))
-                    ]
+                while queue and len(pending) < n_workers:
+                    job = queue.popleft()
                     try:
                         future = pool.submit(
-                            _run_chunk_job,
-                            tuple(self.units[index] for index in chunk),
+                            _run_job, tuple(self.units[index] for index in job)
                         )
                     except BrokenProcessPool:
-                        queue.extendleft(reversed(chunk))
+                        queue.appendleft(job)
                         submit_broke_pool = True
                         break
-                    pending[future] = chunk
+                    pending[future] = job
                     dispatched_at[future] = time.perf_counter()
                 if submit_broke_pool and not pending:
                     # Nothing in flight to surface the crash through
-                    # ``future.result()``; rebuild directly.  No job
+                    # ``future.result()``; rebuild directly.  No unit
                     # takes attempt-count blame (none was running), and
                     # the rebuild cap bounds a pool that keeps breaking.
-                    resubmit = sorted(queue)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if not replace_pool(resubmit):
-                        self._degrade_to_serial(resubmit)
+                    if not restart(list(queue)):
                         return
                     continue
                 # With futures still pending after a failed submit, fall
                 # through: those futures are dead too, and wait()
                 # surfaces BrokenProcessPool via the crash branch below.
                 poll_s = None
-                if retry.job_timeout_s is not None and dispatched_at:
+                if timeout is not None and dispatched_at:
                     # Wake often enough to notice the earliest deadline.
                     oldest = min(dispatched_at.values())
-                    poll_s = max(
-                        0.05,
-                        retry.job_timeout_s - (time.perf_counter() - oldest),
-                    )
+                    poll_s = max(0.05, timeout - (time.perf_counter() - oldest))
                 finished, _ = wait(
                     set(pending), timeout=poll_s, return_when=FIRST_COMPLETED
                 )
                 if not finished:
-                    # Only in-flight (dispatched) chunks can expire; a
+                    # Only in-flight (dispatched) jobs can expire; a
                     # queued job's clock has not started.
+                    now = time.perf_counter()
                     expired = [
                         future
                         for future in pending
-                        if time.perf_counter() - dispatched_at[future]
-                        >= (retry.job_timeout_s or float("inf"))
+                        if now - dispatched_at[future] >= (timeout or float("inf"))
                     ]
                     if not expired:
                         continue
@@ -725,99 +598,48 @@ class _CampaignRun:
                     # futures API; terminate the pool and rebuild it.
                     try:
                         for future in expired:
-                            # The chunk head takes the blame: which unit
+                            # The job head takes the blame: which unit
                             # hung is unknowable from outside.
-                            self.retry_or_abort(
-                                pending[future][0], "timeout", None
-                            )
+                            self.retry_or_abort(pending[future][0], "timeout", None)
                     except ExecutionError:
                         _terminate_pool(pool)
                         raise
-                    resubmit = sorted([*pending_indices(), *queue])
-                    _terminate_pool(pool)
-                    if not replace_pool(resubmit):
-                        self._degrade_to_serial(resubmit)
+                    if not restart([*pending.values(), *queue], hung=True):
                         return
                     continue
-                pool_broken = False
                 for future in finished:
-                    chunk = pending.pop(future)
+                    job = pending.pop(future)
                     dispatched_at.pop(future, None)
                     try:
                         results = future.result()
                     except BrokenProcessPool:
                         # Every pending future on this pool is dead; the
-                        # first chunk surfaced takes the blame (the true
+                        # first job surfaced takes the blame (the true
                         # culprit is unknowable), the rebuild cap bounds
                         # the damage either way.
-                        self.retry_or_abort(chunk[0], "worker_crash", None)
-                        resubmit = sorted({*chunk, *pending_indices(), *queue})
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        if not replace_pool(resubmit):
-                            self._degrade_to_serial(resubmit)
+                        self.retry_or_abort(job[0], "worker_crash", None)
+                        if not restart([job, *pending.values(), *queue]):
                             return
-                        pool_broken = True
                         break
                     except ChunkUnitError as exc:
-                        try:
-                            self.retry_or_abort(
-                                self._job_index(exc, chunk), "error", exc
-                            )
-                        except ExecutionError:
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            raise
-                        queue.extend(chunk)
+                        self.retry_or_abort(self._unit_index(exc, job), "error", exc)
+                        # Resubmit at the top of the loop: submitting
+                        # here could raise BrokenProcessPool past the
+                        # rebuild machinery.
+                        queue.append(job)
                     except ExecutionError:
                         raise
                     except Exception as exc:
-                        try:
-                            self.retry_or_abort(chunk[0], "error", exc)
-                        except ExecutionError:
-                            # Cancel jobs still queued so a dead campaign
-                            # does not keep burning CPU behind the raise.
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            raise
-                        # Defer the resubmission to the top of the loop:
-                        # submitting here could raise BrokenProcessPool
-                        # past the rebuild machinery.
-                        queue.extend(chunk)
+                        self.retry_or_abort(job[0], "error", exc)
+                        queue.append(job)
                     else:
-                        for index, (trace, snapshot) in zip(chunk, results):
-                            self.snapshots[index] = snapshot
-                            self.complete(index, trace)
-                if pool_broken:
-                    continue
+                        for index, (result, snapshot) in zip(job, results):
+                            self.complete(index, result, snapshot)
         finally:
+            # Cancels jobs still queued, so a dead run does not keep
+            # burning CPU behind a raise.
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
-
-    def _rebuild_pool(
-        self, rebuilds: int, n_workers: int, n_jobs: int
-    ) -> tuple[ProcessPoolExecutor | None, int]:
-        """Build a replacement pool, or ``None`` to degrade to serial."""
-        rebuilds += 1
-        self.telemetry.counter("campaign.pool_rebuilds").inc()
-        if rebuilds > self.retry.max_pool_rebuilds:
-            return None, rebuilds
-        initializer, initargs = self._pool_init()
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(n_workers, max(n_jobs, 1)),
-                initializer=initializer,
-                initargs=initargs,
-            )
-        except OSError:  # pragma: no cover - fork failure (fd/memory limits)
-            return None, rebuilds
-        self.telemetry.emit("campaign.pool_rebuild", rebuild=rebuilds)
-        return pool, rebuilds
-
-    def _degrade_to_serial(self, indices: list[int]) -> None:
-        """Last resort: finish the remaining jobs in-process."""
-        self.telemetry.counter("campaign.degraded").inc()
-        self.telemetry.emit(
-            "campaign.degraded", remaining=len(indices), reason="pool_rebuild_limit"
-        )
-        self.run_serial(indices)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -837,6 +659,121 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def run_jobs(
+    name: str,
+    work: Callable[[Any, Unit], Any],
+    shared: Any,
+    jobs: Sequence[Sequence[Unit]],
+    *,
+    n_workers: int = 1,
+    retry: RetryPolicy | None = None,
+    on_complete: Callable[[int, Any], None] | None = None,
+    **span_tags: Any,
+) -> list[Any]:
+    """Run every unit of ``jobs`` through ``work``, serially or over a pool.
+
+    Args:
+        name: the caller (``"campaign"``, ``"analysis"``): the name of
+            the run's root span and the prefix of its counters and
+            events.
+        work: ``work(shared, unit) -> result``, a module-level function
+            (workers receive it by reference).
+        shared: what every unit needs, shipped once per worker process.
+        jobs: the units, grouped into jobs, in planned order.  A job is
+            dispatched to one worker and retried whole.
+        n_workers: resolved worker count; 1, or a single unit, runs
+            serially in-process.
+        retry: retry/backoff/timeout policy (default: :class:`RetryPolicy`).
+        on_complete: called in this process as
+            ``on_complete(position, result)`` after each unit completes,
+            ``position`` being the unit's place in planned order.
+        span_tags: tags of the root span.  They must not depend on the
+            worker count, or the parity guarantee (parallel tree ==
+            serial tree) would break.
+
+    Returns:
+        Every unit's result, in planned order.
+
+    Raises:
+        ExecutionError: when a unit fails permanently; outstanding jobs
+            are cancelled and the failing ``(path_id, trace)`` is named.
+    """
+    engine = _Engine(name, work, shared, jobs, retry or RetryPolicy(), on_complete)
+    with engine.telemetry.span(name, **span_tags) as engine.root:
+        try:
+            if n_workers == 1 or len(engine.units) == 1:
+                engine.run_serial(range(len(engine.units)))
+            else:
+                engine.run_parallel(engine.jobs, n_workers)
+        finally:
+            # An aborted run keeps the telemetry of every unit it
+            # completed, including those past the failed one.
+            for snapshot in engine.snapshots:
+                if snapshot is not None:
+                    engine.merge(snapshot)
+    return engine.results
+
+
+# -- the campaign ------------------------------------------------------
+
+
+def _simulate_trace(shared: tuple, unit: Unit) -> Trace:
+    """Campaign work: simulate one (path, trace) unit.
+
+    ``shared`` is ``(catalog, seed, label, tcp, small_tcp, settings)``
+    and the payload the unit's catalog index.  Every attempt builds a
+    fresh single-path campaign: ``RngStreams.get`` caches generators per
+    campaign instance, so retrying through a used campaign would resume
+    from the RNG state the failed attempt consumed.  A fresh campaign
+    re-derives the ``path/traceN`` streams from the seed, so the trace
+    is bit-identical wherever, and however often, it ran.
+    """
+    from repro.testbed.campaign import Campaign
+
+    catalog, seed, label, tcp, small_tcp, settings = shared
+    config = catalog[unit.payload]
+    campaign = Campaign([config], seed=seed, label=label, tcp=tcp, small_tcp=small_tcp)
+    with get_telemetry().timer("campaign.trace_s"):
+        return campaign.run_trace(config, unit.trace, settings)
+
+
+class _Progress:
+    """Campaign progress: callback snapshots and gauges from one count."""
+
+    def __init__(
+        self, callback: ProgressCallback | None, traces_total: int, epochs_per_trace: int
+    ) -> None:
+        self.callback = callback
+        self.traces_total = traces_total
+        self.epochs_per_trace = epochs_per_trace
+        self.done = 0
+        self.started = time.perf_counter()
+        # Zero the gauges at entry: without this, an aborted run's last
+        # values would survive into the next in-process run's manifest.
+        self._publish()
+
+    def _publish(self) -> CampaignProgress:
+        snapshot = CampaignProgress(
+            traces_done=self.done,
+            traces_total=self.traces_total,
+            epochs_done=self.done * self.epochs_per_trace,
+            epochs_total=self.traces_total * self.epochs_per_trace,
+            elapsed_s=time.perf_counter() - self.started,
+        )
+        telemetry = get_telemetry()
+        for field in ("traces_done", "traces_total", "epochs_done", "epochs_total"):
+            telemetry.gauge(f"campaign.{field}").set(getattr(snapshot, field))
+        return snapshot
+
+    def advance(self, traces: int = 1) -> None:
+        """Count finished traces; the live display and the recorded
+        gauges derive from the same snapshot, so they cannot disagree."""
+        self.done += traces
+        snapshot = self._publish()
+        if self.callback is not None:
+            self.callback(snapshot)
+
+
 def run_campaign(
     campaign: "Campaign",
     settings: "CampaignSettings",
@@ -847,9 +784,11 @@ def run_campaign(
     checkpoint: "CheckpointStore | None" = None,
     run_key: str | None = None,
     resume: bool = False,
-    chunk_size: int | None = None,
 ) -> Dataset:
     """Execute ``campaign`` with ``settings``, optionally in parallel.
+
+    The engine gets one job per path, holding that path's traces still
+    to simulate.
 
     Args:
         campaign: the campaign to run.
@@ -860,13 +799,6 @@ def run_campaign(
             :class:`CampaignProgress` snapshot.
         retry: retry/backoff/timeout policy (default: a
             :class:`RetryPolicy` with two retries and no job timeout).
-        chunk_size: (path, trace) units dispatched per parallel job.
-            ``None`` (the default) resolves to ``settings.n_traces`` —
-            one job per path, since a trace's wall time is small enough
-            that per-unit dispatch overhead would dominate.  Explicit
-            values override (1 keeps per-unit retry/timeout
-            granularity); the result is bit-identical for every chunk
-            size.  Serial execution ignores it.
         checkpoint: when given, every finished trace is persisted here
             under ``run_key``, and the store is cleared once the
             campaign completes.
@@ -890,60 +822,71 @@ def run_campaign(
             named in the message.
     """
     n_workers = resolve_workers(n_workers)
-    retry = retry or RetryPolicy()
-    if chunk_size is None:
-        chunk_size = settings.n_traces
     if checkpoint is not None and run_key is None:
         from repro.testbed.cache import campaign_cache_key
 
         run_key = campaign_cache_key(campaign, settings)
+    telemetry = get_telemetry()
+    catalog = campaign.catalog
+    pairs = [
+        (catalog_index, trace_index)
+        for catalog_index in range(len(catalog))
+        for trace_index in range(settings.n_traces)
+    ]
+    traces: list[Trace | None] = [None] * len(pairs)
+    tracker = _Progress(progress, len(pairs), settings.epochs_per_trace)
+    if resume and checkpoint is not None:
+        for index, (catalog_index, trace_index) in enumerate(pairs):
+            trace = checkpoint.load_trace(
+                run_key, catalog[catalog_index].path_id, trace_index
+            )
+            if trace is not None and len(trace) == settings.epochs_per_trace:
+                traces[index] = trace
+        resumed = len(pairs) - traces.count(None)
+        if resumed:
+            telemetry.counter("campaign.traces_resumed").inc(resumed)
+            telemetry.emit("campaign.resumed", traces=resumed, total=len(pairs))
+            tracker.advance(resumed)
+    remaining = [index for index, trace in enumerate(traces) if trace is None]
+    telemetry.counter("campaign.traces_attempted").inc(len(remaining))
 
-    run = _CampaignRun(
-        campaign, settings, retry, progress, checkpoint, run_key, chunk_size
-    )
-    run.reset_gauges()
-    if resume:
-        run.resume_completed()
-    remaining = [i for i, trace in enumerate(run.traces) if trace is None]
-    run.telemetry.counter("campaign.traces_attempted").inc(len(remaining))
+    def complete(position: int, trace: Trace) -> None:
+        traces[remaining[position]] = trace
+        if checkpoint is not None:
+            checkpoint.store_trace(run_key, trace)
+        tracker.advance()
 
     if remaining:
-        # The campaign span is the root of the run's trace; unit spans
-        # hang under it — directly (serial: the context is ambient) or
-        # via re-parenting (parallel: workers' spans come back as roots
-        # of private traces).  Tags must not depend on worker count or
-        # chunking, or the parity guarantee (parallel tree == serial
-        # tree) would break.
-        with run.telemetry.span(
+        jobs: dict[int, list[Unit]] = {}
+        for index in remaining:
+            catalog_index, trace_index = pairs[index]
+            jobs.setdefault(catalog_index, []).append(
+                Unit(catalog[catalog_index].path_id, trace_index, catalog_index)
+            )
+        shared = (
+            catalog,
+            campaign.streams.seed,
+            campaign.label,
+            campaign.tcp,
+            campaign.small_tcp,
+            settings,
+        )
+        run_jobs(
             "campaign",
+            _simulate_trace,
+            shared,
+            list(jobs.values()),
+            n_workers=n_workers,
+            retry=retry,
+            on_complete=complete,
             label=campaign.label,
-            paths=len(campaign.catalog),
+            paths=len(catalog),
             traces=settings.n_traces,
             epochs=settings.epochs_per_trace,
-        ) as campaign_span:
-            if n_workers == 1 or len(remaining) == 1:
-                run.run_serial(remaining)
-            else:
-                run.run_parallel(remaining, n_workers)
-            # Merge worker telemetry in job order (not completion order)
-            # so the merged events.jsonl line order is independent of
-            # scheduling.  Resumed/serial traces contribute no snapshot.
-            trace_id = getattr(campaign_span, "trace_id", None)
-            for snapshot in run.snapshots:
-                if snapshot is not None:
-                    if trace_id is not None:
-                        reparent_spans(
-                            snapshot.get("events", ()),
-                            trace_id,
-                            campaign_span.span_id,
-                        )
-                    run.telemetry.merge(snapshot)
+        )
 
-    dataset = Dataset(label=campaign.label)
-    for trace in run.traces:
-        assert trace is not None  # every job completed, resumed, or raised
-        dataset.traces.append(trace)
+    dataset = Dataset(label=campaign.label, traces=traces)
     if checkpoint is not None:
         # The campaign is whole; the crash-recovery copies are done.
-        checkpoint.discard(run.run_key)
+        checkpoint.discard(run_key)
     return dataset

@@ -1,4 +1,5 @@
-"""The warm-phase planner and executor behind ``repro-analyze --workers``."""
+"""The warm-phase planner and its run on the engine behind
+``repro-analyze --workers``."""
 
 import shutil
 from pathlib import Path
@@ -11,8 +12,17 @@ from repro.analysis import evalcache
 from repro.analysis.evalcache import EvaluationCache
 from repro.analysis.hb_eval import hw, ma_family, predictor_cdfs, with_lso
 from repro.analysis.parallel import plan_units, warm_eval_cache
+from repro.core.errors import ExecutionError
 from repro.hb.lso import LsoConfig
-from repro.testbed.io import save_dataset
+from repro.paths.config import may_2004_catalog
+from repro.testbed.campaign import Campaign, CampaignSettings
+from repro.testbed.io import load_dataset, save_dataset
+from tests.faults import (  # noqa: F401
+    counter_value,
+    inject,
+    normalized,
+    telemetry,
+)
 
 #: Every figure with HB walks.
 HB_FIGURES = [16, 17, 19, 20, 21, 22, 23]
@@ -51,7 +61,7 @@ def test_warm_then_figures_equal_cold(dataset, tmp_path, monkeypatch):
     cold = predictor_cdfs(subset, ma_family((1, 10)))
 
     cache = EvaluationCache(tmp_path / "cache")
-    stats = warm_eval_cache(subset, "", [16], cache, n_workers=1)
+    stats = warm_eval_cache(subset, [16], cache, n_workers=1)
     assert stats.planned == 4 * len(ma_family((1, 5, 10, 20)))
     assert stats.computed == stats.planned
     assert stats.cached == 0
@@ -60,7 +70,7 @@ def test_warm_then_figures_equal_cold(dataset, tmp_path, monkeypatch):
     for name in cold:
         assert cold[name].sorted_values.tobytes() == warm[name].sorted_values.tobytes()
 
-    again = warm_eval_cache(subset, "", [16], cache, n_workers=1)
+    again = warm_eval_cache(subset, [16], cache, n_workers=1)
     assert again.computed == 0
     assert again.cached == again.planned
 
@@ -68,7 +78,7 @@ def test_warm_then_figures_equal_cold(dataset, tmp_path, monkeypatch):
 def test_memory_only_cache_still_shares_walks(dataset):
     subset = type(dataset)(label=dataset.label, traces=dataset.traces[:2])
     cache = EvaluationCache(memory_only=True)
-    stats = warm_eval_cache(subset, "", [19], cache, n_workers=1)
+    stats = warm_eval_cache(subset, [19], cache, n_workers=1)
     assert stats.computed == len(subset.traces)
     with cache.activated():
         warm = predictor_cdfs(subset, {"HW-LSO": with_lso(hw())})
@@ -88,7 +98,7 @@ def _pack_entries(path):
 
 def test_full_warm_phase_leaves_one_pack(subset, tmp_path):
     cache_dir = tmp_path / "cache"
-    stats = warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    stats = warm_eval_cache(subset, HB_FIGURES, EvaluationCache(cache_dir))
     assert stats.computed == stats.planned > len(subset.traces)
     assert [p.name for p in cache_dir.iterdir()] == [
         f"{evalcache.pack_key(subset)}.npz"
@@ -97,10 +107,10 @@ def test_full_warm_phase_leaves_one_pack(subset, tmp_path):
 
 def test_rerun_computes_nothing_and_leaves_pack_untouched(subset, tmp_path):
     cache_dir = tmp_path / "cache"
-    warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    warm_eval_cache(subset, HB_FIGURES, EvaluationCache(cache_dir))
     (pack,) = cache_dir.iterdir()
     before = (pack.read_bytes(), pack.stat().st_mtime_ns)
-    again = warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    again = warm_eval_cache(subset, HB_FIGURES, EvaluationCache(cache_dir))
     assert again.computed == 0
     assert again.cached == again.planned
     assert (pack.read_bytes(), pack.stat().st_mtime_ns) == before
@@ -109,26 +119,23 @@ def test_rerun_computes_nothing_and_leaves_pack_untouched(subset, tmp_path):
 
 def test_figure_runs_accumulate_in_one_pack(subset, tmp_path):
     cache_dir = tmp_path / "cache"
-    first = warm_eval_cache(subset, "", [16], EvaluationCache(cache_dir))
-    second = warm_eval_cache(subset, "", [17], EvaluationCache(cache_dir))
+    first = warm_eval_cache(subset, [16], EvaluationCache(cache_dir))
+    second = warm_eval_cache(subset, [17], EvaluationCache(cache_dir))
     assert first.computed == len(plan_units(subset, [16]))
     assert second.computed == len(plan_units(subset, [17]))
     assert second.cached == 0
-    both = warm_eval_cache(subset, "", [16, 17], EvaluationCache(cache_dir))
+    both = warm_eval_cache(subset, [16, 17], EvaluationCache(cache_dir))
     assert both.computed == 0
     assert both.cached == first.computed + second.computed
     assert len(list(cache_dir.iterdir())) == 1
 
 
 def test_parallel_warm_stores_what_serial_stores(subset, tmp_path):
-    dataset_path = tmp_path / "subset.csv"
-    save_dataset(subset, dataset_path)
     packs = []
     for workers in (1, 2):
         cache_dir = tmp_path / f"cache-w{workers}"
         stats = warm_eval_cache(
-            subset, str(dataset_path), HB_FIGURES, EvaluationCache(cache_dir),
-            n_workers=workers,
+            subset, HB_FIGURES, EvaluationCache(cache_dir), n_workers=workers
         )
         assert stats.workers == workers
         (pack,) = cache_dir.iterdir()
@@ -138,9 +145,9 @@ def test_parallel_warm_stores_what_serial_stores(subset, tmp_path):
 
 def test_code_change_recomputes_every_unit(subset, tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
-    warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    warm_eval_cache(subset, HB_FIGURES, EvaluationCache(cache_dir))
     monkeypatch.setattr(evalcache, "code_fingerprint", lambda: "edited")
-    again = warm_eval_cache(subset, "", HB_FIGURES, EvaluationCache(cache_dir))
+    again = warm_eval_cache(subset, HB_FIGURES, EvaluationCache(cache_dir))
     assert again.cached == 0
     assert again.computed == again.planned
 
@@ -154,3 +161,69 @@ def test_code_fingerprint_covers_hb_sources(tmp_path, monkeypatch):
     source = copy / "holt_winters.py"
     source.write_text(source.read_text() + "\n# edited\n")
     assert fingerprint() != evalcache.code_fingerprint()
+
+
+def _warm_pack(dataset, cache_dir, workers=1):
+    """Warm every HB figure into a fresh cache; the pack's entries."""
+    warm_eval_cache(dataset, HB_FIGURES, EvaluationCache(cache_dir), n_workers=workers)
+    (pack,) = cache_dir.glob("*.npz")
+    return _pack_entries(pack)
+
+
+def test_workers_walk_the_keyed_series_not_the_file(subset, tmp_path):
+    """Regression: pool workers re-loaded the dataset file, so a file
+    rewritten after the parent loaded it had its walks stored under the
+    loaded dataset's pack key, where a later run served them."""
+    path = tmp_path / "a.csv"
+    save_dataset(subset, path)
+    loaded = load_dataset(path)
+    other = Campaign(may_2004_catalog()[:2], seed=99).run(
+        CampaignSettings(n_traces=2, epochs_per_trace=80)
+    )
+    save_dataset(other, path)
+    assert _warm_pack(loaded, tmp_path / "w2", workers=2) == _warm_pack(
+        subset, tmp_path / "w1"
+    )
+
+
+class TestFaultTolerance:
+    """The warm phase runs on the campaign's engine: the same retries,
+    pool rebuilds, aborts and span tree, counted as ``analysis.*``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transient_failure_retried(self, subset, tmp_path, telemetry, inject, workers):
+        clean = _warm_pack(subset, tmp_path / "clean")
+        telemetry.drain()
+        inject("p01/0:raise:1")
+        assert _warm_pack(subset, tmp_path / "faulty", workers) == clean
+        assert counter_value(telemetry, "analysis.retries") == 1
+
+    def test_worker_crash_rebuilds_the_pool(self, subset, tmp_path, telemetry, inject):
+        clean = _warm_pack(subset, tmp_path / "clean")
+        telemetry.drain()
+        inject("p01/0:exit:1")
+        assert _warm_pack(subset, tmp_path / "crashed", workers=2) == clean
+        assert counter_value(telemetry, "analysis.pool_rebuilds") >= 1
+
+    def test_exhausted_retries_name_the_trace(self, subset, tmp_path, telemetry, inject):
+        inject("p01/0:raise", counted=False)  # fails every attempt
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(ExecutionError, match=r"'p01', trace 0"):
+            warm_eval_cache(subset, [19], EvaluationCache(cache_dir), n_workers=2)
+        aborted = [e for e in telemetry.events if e["kind"] == "analysis.aborted"]
+        assert len(aborted) == 1
+        assert (aborted[0]["path"], aborted[0]["trace"]) == ("p01", 0)
+        assert list(tmp_path.glob("cache/*.npz")) == []
+
+    def test_span_tree_is_the_same_at_any_worker_count(self, subset, telemetry):
+        trees = []
+        for workers in (1, 2):
+            cache = EvaluationCache(memory_only=True)
+            warm_eval_cache(subset, [19], cache, n_workers=workers)
+            trees.append(normalized(telemetry.drain()["events"]))
+        assert trees[0] == trees[1]
+        ((root_tags, units),) = trees[0]
+        assert ("name", "analysis") in root_tags
+        assert len(units) == len(subset.traces)
+        for unit_tags, _children in units:
+            assert ("name", "trace") in unit_tags

@@ -265,6 +265,40 @@ class TestAnalyzeCommand:
             [] if content is None else ["nonexistent.csv"]
         )
 
+    def test_failing_warm_phase_aborts_with_sidecars(
+        self, saved_dataset, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: a warm-phase job failing past its retries escaped
+        as a traceback, and no sidecars were written."""
+        import json
+        import shutil
+
+        from repro.testbed.io import load_dataset
+
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        dataset = tmp_path / "ds.csv"
+        shutil.copy(saved_dataset, dataset)
+        path_id = load_dataset(dataset).traces[0].path_id
+        monkeypatch.setenv("REPRO_FAULT_SPEC", f"{path_id}/0:raise")  # every attempt
+        code = analyze.main([str(dataset), "--figures", "2", "19", "--no-eval-cache"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("analysis aborted: ")
+        assert f"{path_id!r}, trace 0" in line
+
+        events = [
+            json.loads(row)
+            for row in dataset.with_name("ds.analysis.events.jsonl").read_text().splitlines()
+        ]
+        aborted = [e for e in events if e["kind"] == "analysis.aborted"]
+        assert [(e["path"], e["trace"]) for e in aborted] == [(path_id, 0)]
+        manifest = json.loads(dataset.with_name("ds.analysis.manifest.json").read_text())
+        counters = {e["name"]: e["value"] for e in manifest["counters"]}
+        assert counters["analysis.job_failures"] == 3  # the default two retries
+        assert counters["analysis.retries"] == 2
+
 
 class TestAnalyzeTelemetry:
     def test_writes_analysis_sidecars(self, saved_dataset, capsys, monkeypatch):

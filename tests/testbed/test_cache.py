@@ -124,17 +124,20 @@ class TestDatasetCache:
         assert len(list(tmp_path.glob("*.csv"))) == 2
 
     def test_miss_defaults_to_one_job_per_path(self, tmp_path, monkeypatch):
-        """``chunk_size`` defaults as for ``Campaign.run``: ``None``."""
-        chunk_sizes = []
-        real_run = Campaign.run
+        """A miss runs the campaign as one engine job per path."""
+        from repro.testbed import executor
 
-        def spy(campaign, settings, **kwargs):
-            chunk_sizes.append(kwargs["chunk_size"])
-            return real_run(campaign, settings, **kwargs)
+        job_sizes = []
+        real_run_jobs = executor.run_jobs
 
-        monkeypatch.setattr(Campaign, "run", spy)
-        run_cached(small_campaign(), SETTINGS, cache=DatasetCache(tmp_path))
-        assert chunk_sizes == [None]
+        def spy(name, work, shared, jobs, **kwargs):
+            job_sizes.append([len(job) for job in jobs])
+            return real_run_jobs(name, work, shared, jobs, **kwargs)
+
+        monkeypatch.setattr(executor, "run_jobs", spy)
+        settings = CampaignSettings(n_traces=2, epochs_per_trace=4)
+        run_cached(small_campaign(), settings, cache=DatasetCache(tmp_path))
+        assert job_sizes == [[2, 2]]
 
     def test_different_settings_are_different_entries(self, tmp_path):
         cache = DatasetCache(tmp_path)

@@ -132,26 +132,7 @@ class TestProgressReporting:
 
 
 class TestChunkedDispatch:
-    def test_chunked_equals_serial(self):
-        """Multi-unit chunks reproduce the serial dataset exactly."""
-        serial = small_campaign(seed=11).run(SETTINGS, n_workers=1)
-        for chunk_size in (2, 3, 8):
-            chunked = small_campaign(seed=11).run(
-                SETTINGS, n_workers=2, chunk_size=chunk_size
-            )
-            assert chunked == serial, f"chunk_size={chunk_size}"
-
-    def test_chunked_progress_counts_every_trace(self):
-        snapshots: list[CampaignProgress] = []
-        small_campaign().run(
-            SETTINGS, n_workers=2, chunk_size=2, progress=snapshots.append
-        )
-        assert snapshots[-1].done
-        assert snapshots[-1].traces_done == 4
-
-    def test_chunk_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            small_campaign().run(SETTINGS, n_workers=2, chunk_size=0)
+    """A job of several units: one path's traces."""
 
     def test_chunk_unit_error_is_picklable(self):
         import pickle
@@ -166,14 +147,14 @@ class TestChunkedDispatch:
 
 class TestWorkerInitializer:
     def test_chunk_job_requires_initializer(self):
-        """_run_chunk_job refuses to run without the shipped state."""
+        """The worker entry point refuses to run without the shipped state."""
         import repro.testbed.executor as ex
 
         state = ex._WORKER_STATE
         ex._WORKER_STATE = None
         try:
             with pytest.raises(AssertionError):
-                ex._run_chunk_job(((0, 0),))
+                ex._run_job((ex.Unit("p01", 0, 0),))
         finally:
             ex._WORKER_STATE = state
 
@@ -181,13 +162,17 @@ class TestWorkerInitializer:
         import repro.testbed.executor as ex
 
         campaign = small_campaign(seed=5)
+        catalog = campaign.catalog
         state = ex._WORKER_STATE
         try:
             ex._init_worker(
-                campaign.catalog, 5, campaign.label, campaign.tcp,
-                campaign.small_tcp, SETTINGS,
+                ex._simulate_trace,
+                (catalog, 5, campaign.label, campaign.tcp,
+                 campaign.small_tcp, SETTINGS),
             )
-            results = ex._run_chunk_job(((0, 0), (1, 1)))
+            results = ex._run_job(
+                (ex.Unit(catalog[0].path_id, 0, 0), ex.Unit(catalog[1].path_id, 1, 1))
+            )
             assert len(results) == 2
             traces = [trace for trace, _ in results]
             assert traces[0].path_id == campaign.catalog[0].path_id

@@ -1,20 +1,18 @@
 """Fault-tolerant campaign execution: retry, rebuild, timeout, resume.
 
-Faults are injected through the executor's crash-injection hook
-(``REPRO_FAULT_SPEC`` / ``REPRO_FAULT_DIR``), which runs at the start of
-every job attempt — in worker processes and in the serial path alike —
-so these tests exercise the real retry/rebuild/resume machinery against
-real process crashes, not mocks.
+Faults are injected through the engine's crash-injection hook (see
+``tests/faults.py``), so these tests exercise the real
+retry/rebuild/resume machinery against real process crashes, not mocks.
 """
 
 import pytest
 
 from repro.core.errors import ConfigurationError, ExecutionError
-from repro.obs import get_telemetry
 from repro.paths.config import may_2004_catalog, scaled_catalog
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.checkpoint import CheckpointStore
 from repro.testbed.executor import RetryPolicy
+from tests.faults import counter_value, inject, telemetry  # noqa: F401
 
 SETTINGS = CampaignSettings(n_traces=2, epochs_per_trace=3)
 
@@ -24,34 +22,6 @@ FAST_RETRY = RetryPolicy(max_retries=2, backoff_s=0.0)
 
 def small_campaign(seed=0, n_paths=2):
     return Campaign(scaled_catalog(may_2004_catalog(), n_paths), seed=seed)
-
-
-@pytest.fixture()
-def telemetry(monkeypatch):
-    """The live telemetry singleton, drained before and after the test."""
-    monkeypatch.delenv("REPRO_OBS", raising=False)
-    instance = get_telemetry()
-    instance.drain()
-    yield instance
-    instance.drain()
-
-
-@pytest.fixture()
-def inject(monkeypatch, tmp_path):
-    """Arm the crash-injection hook with a spec string."""
-
-    def arm(spec: str, counted: bool = True) -> None:
-        monkeypatch.setenv("REPRO_FAULT_SPEC", spec)
-        if counted:
-            monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path / "faults"))
-
-    yield arm
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_DIR", raising=False)
-
-
-def counter_value(telemetry, name):
-    return telemetry.metrics.counter(name).value
 
 
 class TestRetryPolicy:
@@ -178,7 +148,7 @@ class TestSerialAttemptIsolation:
 
 
 class TestVectorEngineRetry:
-    """The crash-injection suite against the engine's chunked jobs.
+    """The crash-injection suite against the fluid engine's per-path jobs.
 
     The engine pre-draws whole per-trace site streams up front; an
     abandoned attempt must not leave any of that state behind — the
@@ -187,8 +157,8 @@ class TestVectorEngineRetry:
     """
 
     def test_parallel_chunked_retry_bit_identical(self, telemetry, inject):
-        """Default chunking packs each path's traces into one job; a
-        fault in one unit retries just that unit."""
+        """Each path's traces form one job; a fault in one unit retries
+        the job once, counted against that unit."""
         clean = small_campaign(seed=5).run(SETTINGS)
         telemetry.drain()
         inject("p18/1:raise:1")
@@ -235,16 +205,15 @@ class TestJobTimeout:
         than the 4 s job timeout — but no single job exceeds it, so a
         timeout measured from dispatch (not submission) never fires.
         ``max_retries=0`` turns any spurious expiry into a hard abort.
-        ``chunk_size=1`` pins the 12-single-trace-job shape the timing
-        argument rests on (the default packs each path into one job).
+        12 one-trace paths make the 12 single-trace jobs the timing
+        argument rests on (the engine packs each path into one job).
         """
         inject("*:nap:0.75", counted=False)
         policy = RetryPolicy(max_retries=0, backoff_s=0.0, job_timeout_s=4.0)
-        dataset = small_campaign(seed=6).run(
-            CampaignSettings(n_traces=6, epochs_per_trace=2),
+        dataset = small_campaign(seed=6, n_paths=12).run(
+            CampaignSettings(n_traces=1, epochs_per_trace=2),
             n_workers=2,
             retry=policy,
-            chunk_size=1,
         )
         assert len(dataset.traces) == 12
         assert counter_value(telemetry, "campaign.job_failures") == 0
@@ -347,14 +316,15 @@ class TestGaugeHygiene:
 
 
 class TestChunkedRetry:
-    """Chunked dispatch keeps per-unit failure attribution and retry."""
+    """A job of several units (one path's traces) keeps per-unit failure
+    attribution and retry."""
 
     def test_failed_unit_in_chunk_retried_and_attributed(self, telemetry, inject):
         clean = small_campaign(seed=5).run(SETTINGS)
         telemetry.drain()
         inject("p18/1:raise:1")
         dataset = small_campaign(seed=5).run(
-            SETTINGS, n_workers=2, chunk_size=2, retry=FAST_RETRY
+            SETTINGS, n_workers=2, retry=FAST_RETRY
         )
         assert dataset == clean
         assert counter_value(telemetry, "campaign.retries") == 1
@@ -370,7 +340,6 @@ class TestChunkedRetry:
             small_campaign().run(
                 SETTINGS,
                 n_workers=2,
-                chunk_size=2,
                 retry=RetryPolicy(max_retries=0, backoff_s=0.0),
             )
         aborted = [e for e in telemetry.events if e["kind"] == "campaign.aborted"]
@@ -382,7 +351,7 @@ class TestChunkedRetry:
         telemetry.drain()
         inject("p01/0:exit:1")
         dataset = small_campaign(seed=5).run(
-            SETTINGS, n_workers=2, chunk_size=2, retry=FAST_RETRY
+            SETTINGS, n_workers=2, retry=FAST_RETRY
         )
         assert dataset == clean
         assert counter_value(telemetry, "campaign.pool_rebuilds") >= 1

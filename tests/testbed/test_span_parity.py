@@ -1,5 +1,5 @@
-"""Span-tree parity: serial, parallel, chunked, and retried campaigns
-must all record the *same* causal tree.
+"""Span-tree parity: serial, parallel, and retried campaigns must all
+record the *same* causal tree.
 
 Worker-process spans travel through the executor's drain/merge protocol
 and get re-parented under the dispatching campaign span, so the only
@@ -9,78 +9,19 @@ which is exactly what :func:`normalized` strips before comparing.
 
 import pytest
 
-from repro.obs import get_telemetry
 from repro.paths.config import may_2004_catalog, scaled_catalog
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.executor import RetryPolicy
 from repro.testbed.io import save_dataset
+from tests.faults import inject, normalized, spans_named, telemetry  # noqa: F401
 
 SETTINGS = CampaignSettings(n_traces=2, epochs_per_trace=3)
 
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_s=0.0)
 
-#: Fields stripped before tree comparison: identity and timing differ
-#: between runs by construction; everything else must not.
-_VOLATILE = frozenset(
-    ("trace_id", "span_id", "parent_id", "ts", "dur_s", "run")
-)
-
 
 def small_campaign(seed=0, n_paths=2):
     return Campaign(scaled_catalog(may_2004_catalog(), n_paths), seed=seed)
-
-
-@pytest.fixture()
-def telemetry(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
-    instance = get_telemetry()
-    instance.drain()
-    yield instance
-    instance.drain()
-
-
-@pytest.fixture()
-def inject(monkeypatch, tmp_path):
-    def arm(spec: str) -> None:
-        monkeypatch.setenv("REPRO_FAULT_SPEC", spec)
-        monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path / "faults"))
-
-    yield arm
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_DIR", raising=False)
-
-
-def normalized(events):
-    """Span events as a canonical nested tuple: ids and times stripped,
-    children sorted structurally (not by wall time)."""
-    spans = [e for e in events if e.get("kind") == "span"]
-    by_id = {e["span_id"]: e for e in spans}
-    children: dict[str, list[dict]] = {}
-    roots = []
-    for event in spans:
-        parent = event.get("parent_id")
-        if parent in by_id:
-            children.setdefault(parent, []).append(event)
-        else:
-            roots.append(event)
-
-    def node(event):
-        tags = tuple(
-            sorted(
-                (k, v) for k, v in event.items()
-                if k not in _VOLATILE and k != "kind"
-            )
-        )
-        kids = tuple(
-            sorted(
-                (node(c) for c in children.get(event["span_id"], ())),
-                key=repr,
-            )
-        )
-        return (tags, kids)
-
-    return tuple(sorted((node(r) for r in roots), key=repr))
 
 
 def run_and_snapshot(telemetry, seed=5, **kwargs):
@@ -89,22 +30,11 @@ def run_and_snapshot(telemetry, seed=5, **kwargs):
     return dataset, snapshot["events"]
 
 
-def spans_named(events, name):
-    return [
-        e for e in events
-        if e.get("kind") == "span" and e.get("name") == name
-    ]
-
-
 class TestExecutionModeParity:
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"n_workers": 2},
-            {"n_workers": 4},
-            {"n_workers": 2, "chunk_size": 1},
-        ],
-        ids=["workers2", "workers4", "workers2-chunk1"],
+        [{"n_workers": 2}, {"n_workers": 4}],
+        ids=["workers2", "workers4"],
     )
     def test_parallel_tree_matches_serial(self, telemetry, kwargs):
         serial_ds, serial_events = run_and_snapshot(telemetry)

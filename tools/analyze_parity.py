@@ -2,13 +2,17 @@
 
 Builds one campaign dataset, then runs ``repro-analyze`` on it: a cold
 run at one worker (the reference), a cold run at each further requested
-worker count (each against a fresh evaluation-cache directory), a warm
-rerun against the reference's now-populated cache, and a rerun after
-that cache's pack was overwritten with garbage.  Every run's rendered
-stdout must be *byte-identical* to the reference.  Each cold run must
-leave exactly one pack file; the warm rerun must have computed nothing
-(every HB walk comes out of the pack); the damaged-pack rerun must have
-recomputed every walk and left the damaged pack as ``*.corrupt``.
+worker count (each against a fresh evaluation-cache directory), a cold
+run at two workers whose first job kills its worker process
+(``REPRO_FAULT_SPEC="<first trace's path>/0:exit:1"``), a warm rerun
+against the reference's now-populated cache, and a rerun after that
+cache's pack was overwritten with garbage.  Every run's rendered stdout
+must be *byte-identical* to the reference.  Each cold run must leave
+exactly one pack file; the crashed run's analysis manifest must report
+at least one ``analysis.pool_rebuilds``; the warm rerun must have
+computed nothing (every HB walk comes out of the pack); the damaged-pack
+rerun must have recomputed every walk and left the damaged pack as
+``*.corrupt``.
 
 Runs that agree with each other can still agree on a changed output, so
 the reference itself is checked against :data:`PINNED`, the stdout
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -37,6 +42,7 @@ _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.obs.recorder import analysis_sidecar_paths  # noqa: E402
 from repro.paths.config import expanded_catalog, may_2004_catalog  # noqa: E402
 from repro.testbed.campaign import Campaign, CampaignSettings  # noqa: E402
 from repro.testbed.io import save_dataset  # noqa: E402
@@ -50,11 +56,14 @@ PINNED = {
 }
 
 
-def run_analyze(dataset: Path, cache_dir: Path, workers: int) -> tuple[str, str, str]:
+def run_analyze(
+    dataset: Path, cache_dir: Path, workers: int, **extra_env: str
+) -> tuple[str, str, str]:
     """One ``repro-analyze`` subprocess; returns (stdout sha256, stdout, stderr)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC)
     env["REPRO_EVAL_CACHE_DIR"] = str(cache_dir)
+    env.update(extra_env)
     proc = subprocess.run(
         [
             sys.executable,
@@ -77,6 +86,12 @@ def warm_counts(stderr: str) -> tuple[int, int] | None:
     """(computed, cached) evaluations, parsed from the warm-phase note."""
     match = re.search(r"warm phase: (\d+) evaluations computed, (\d+) cached", stderr)
     return (int(match.group(1)), int(match.group(2))) if match else None
+
+
+def counter(manifest_path: Path, name: str) -> int:
+    """A counter's value in an analysis manifest (0 when absent)."""
+    manifest = json.loads(manifest_path.read_text())
+    return sum(e["value"] for e in manifest.get("counters", ()) if e["name"] == name)
 
 
 def one_pack(cache_dir: Path) -> tuple[bool, str]:
@@ -123,9 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="analyze-parity-") as tmp:
         workdir = Path(tmp)
         dataset = workdir / "parity.csv"
-        save_dataset(
-            Campaign(catalog, seed=args.seed).run(settings), dataset
-        )
+        campaign_dataset = Campaign(catalog, seed=args.seed).run(settings)
+        save_dataset(campaign_dataset, dataset)
 
         warm_cache = workdir / "cache-w1"
         reference, _, stderr = run_analyze(dataset, warm_cache, 1)
@@ -151,6 +165,25 @@ def main(argv: list[str] | None = None) -> int:
                 f"{'ok' if match else 'MISMATCH'}{pack_note}"
             )
             failed = failed or not match or not packed
+
+        # A worker dies on the first trace's job; the engine must rebuild
+        # its pool and still produce the reference output.
+        target = f"{campaign_dataset.traces[0].path_id}/0"
+        digest, _, _ = run_analyze(
+            dataset,
+            workdir / "cache-crash",
+            2,
+            REPRO_FAULT_SPEC=f"{target}:exit:1",
+            REPRO_FAULT_DIR=str(workdir / "faults"),
+        )
+        manifest_path, _ = analysis_sidecar_paths(dataset)
+        rebuilds = counter(manifest_path, "analysis.pool_rebuilds")
+        match = digest == reference
+        print(
+            f"  workers=2 (exit) {digest}  {'ok' if match else 'MISMATCH'}"
+            f"{'' if rebuilds else f'  NO POOL REBUILD AFTER {target}:exit'}"
+        )
+        failed = failed or not match or not rebuilds
 
         digest, _, stderr = run_analyze(dataset, warm_cache, 1)
         counts = warm_counts(stderr)
@@ -180,14 +213,15 @@ def main(argv: list[str] | None = None) -> int:
 
     if failed:
         print(
-            "analyze-parity FAILED: runs disagree, drift from the pin, or the "
-            "cache misbehaved",
+            "analyze-parity FAILED: runs disagree, drift from the pin, a "
+            "crashed worker's pool was not rebuilt, or the cache misbehaved",
             file=sys.stderr,
         )
         return 1
     print(
         "analyze-parity OK: all runs byte-identical, one pack per cold run, "
-        "warm run fully cached, damaged pack recomputed"
+        "crashed worker's pool rebuilt, warm run fully cached, damaged pack "
+        "recomputed"
     )
     return 0
 
