@@ -10,18 +10,19 @@ PERF_SMOKE_DIR := .perf-smoke
 SERVE_SMOKE_DIR := .serve-smoke
 BENCH_SERVE_DIR := .bench-serve
 TRACE_SMOKE_DIR := .trace-smoke
+BENCH_TABLES_DIR := .bench-tables
 
 .PHONY: install test test-fast campaign-smoke obs-smoke resume-smoke \
 	analyze-obs-smoke bench-check perf-smoke serve-smoke bench-serve \
-	trace-smoke vector-parity analyze-parity lint bench bench-full bench-obs \
-	bench-perf examples clean
+	trace-smoke vector-parity analyze-parity bench-tables lint bench \
+	bench-full bench-obs bench-perf examples clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test: lint campaign-smoke obs-smoke resume-smoke analyze-obs-smoke bench-check \
 		perf-smoke serve-smoke bench-serve trace-smoke vector-parity \
-		analyze-parity
+		analyze-parity bench-tables
 	$(PYTHON) -m pytest tests/
 
 test-fast:
@@ -183,6 +184,22 @@ analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
 	@echo "analyze parity OK (pinned, parallel, crash-recovered, cached and damaged-pack outputs byte-identical)"
 
+# The reduced-scale figure tables: regenerate every table of the
+# benchmark suite from freshly simulated campaigns (2 x 80-epoch May-2004
+# and 1 x 40-epoch March-2006 sets, REPRO_FULL_CAMPAIGN unset) and
+# require them byte-identical to the tracked benchmarks/output/.  No CLI
+# digest pin reaches Figs. 4, 5, 9, 10, 13 and 14, Section 4.2.4 or the
+# model ablation; this gate does.  A change that moves a table on
+# purpose commits the regenerated file with it.
+bench-tables:
+	rm -rf $(BENCH_TABLES_DIR)
+	env -u REPRO_FULL_CAMPAIGN REPRO_CACHE_DIR=$(BENCH_TABLES_DIR)/cache \
+		REPRO_CHECKPOINT_DIR=$(BENCH_TABLES_DIR)/ckpt \
+		REPRO_EVAL_CACHE_DIR=$(BENCH_TABLES_DIR)/evals \
+		$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -p no:cacheprovider
+	git diff --exit-code -- benchmarks/output
+	@echo "bench tables OK (every reduced-scale table byte-identical to benchmarks/output/)"
+
 # Library code must report through repro.obs, not print().
 lint:
 	$(PYTHON) tools/no_print_lint.py
@@ -212,5 +229,6 @@ examples:
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache $(SMOKE_DIR) $(OBS_SMOKE_DIR) \
 		$(RESUME_SMOKE_DIR) $(ANALYZE_SMOKE_DIR) $(BENCH_CHECK_DIR) \
-		$(PERF_SMOKE_DIR) $(SERVE_SMOKE_DIR) $(BENCH_SERVE_DIR) $(TRACE_SMOKE_DIR)
+		$(PERF_SMOKE_DIR) $(SERVE_SMOKE_DIR) $(BENCH_SERVE_DIR) $(TRACE_SMOKE_DIR) \
+		$(BENCH_TABLES_DIR)
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -2,18 +2,29 @@
 
 Every function here evaluates the FB predictor of Eq. (3) (or a variant)
 over a dataset and aggregates the relative errors (Eq. 4) the way the
-corresponding figure does.
+corresponding figure does.  A figure reads the epoch fields it needs as
+float64 columns, in ``dataset.epochs()`` order, and predicts every row
+with one :meth:`FormulaBasedPredictor.predict_many` call per input set;
+per-path and per-trace groups are index arrays and slices of those
+columns.  :func:`predict_epoch` is the one-epoch form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.errors import DataError
-from repro.core.metrics import Cdf, pearson_correlation, relative_error, rmsre
+from repro.core.metrics import (
+    Cdf,
+    pearson_correlation,
+    relative_error,
+    relative_errors,
+    rmsre,
+)
 from repro.obs import get_telemetry
 from repro.formulas.fb_predictor import FormulaBasedPredictor
 from repro.formulas.params import PathEstimates, TcpParameters
@@ -65,14 +76,99 @@ def predict_epoch(
     )
 
 
+#: The epoch fields Eq. (3) reads, then the throughput Eq. (4) scores.
+_PLAIN = ("that_s", "phat", "ahat_mbps", "throughput_mbps")
+
+
+def _columns(epochs: list[EpochMeasurement], *names: str) -> tuple[np.ndarray, ...]:
+    """The named fields of ``epochs`` as float64 columns, in epoch order.
+
+    Raises:
+        DataError: on a non-finite value, naming the column and the epoch.
+    """
+    get = attrgetter(*names)
+    table = np.array([get(e) for e in epochs], dtype=np.float64).reshape(
+        len(epochs), len(names)
+    )
+    _require_finite(table, names, epochs)
+    return tuple(table.T.copy())
+
+
+def _require_finite(
+    table: np.ndarray, names: tuple[str, ...], epochs: list[EpochMeasurement]
+) -> None:
+    """Reject the first non-finite cell of an (epoch, column) table."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        epoch = epochs[row]
+        raise DataError(
+            f"{names[col]} must be finite, got {table[row, col]} at epoch "
+            f"{epoch.epoch_index} of trace ({epoch.path_id!r}, {epoch.trace_index})"
+        )
+
+
+def _rows_by_path(epochs: list[EpochMeasurement]) -> dict[str, np.ndarray]:
+    """Each path's row indices into ``epochs``, in epoch order."""
+    rows: dict[str, list[int]] = {}
+    for row, epoch in enumerate(epochs):
+        rows.setdefault(epoch.path_id, []).append(row)
+    return {path_id: np.asarray(indices) for path_id, indices in rows.items()}
+
+
+def _trace_slices(dataset: Dataset) -> list[slice]:
+    """Each trace's rows of ``dataset.epochs()``."""
+    slices, start = [], 0
+    for trace in dataset:
+        slices.append(slice(start, start + len(trace)))
+        start += len(trace)
+    return slices
+
+
+def _predict_table(
+    predictor: FormulaBasedPredictor | None,
+    that_s: np.ndarray,
+    phat: np.ndarray,
+    ahat_mbps: np.ndarray,
+) -> np.ndarray:
+    """Eq. (3) on every epoch's a priori inputs, in one kernel call.
+
+    Records what :func:`predict_epoch` records per epoch, at the
+    granularity it is computed: ``predictions.made`` grows by the row
+    count of each regime, and ``predict.wall_s`` takes one sample for
+    the whole table.  The default predictor is the paper's (W = 1 MB).
+    """
+    predictor = predictor or FormulaBasedPredictor(
+        tcp=TcpParameters.congestion_limited()
+    )
+    started = perf_counter()
+    predicted = predictor.predict_many(that_s, phat, ahat_mbps)
+    tele = get_telemetry()
+    if tele.enabled:
+        tele.metrics.timer("predict.wall_s", predictor="fb").observe(
+            perf_counter() - started
+        )
+        n_lossy = int(np.count_nonzero(phat > 0))
+        for regime, count in (("lossless", phat.size - n_lossy), ("lossy", n_lossy)):
+            if count:
+                tele.metrics.counter(
+                    "predictions.made", predictor="fb", regime=regime
+                ).inc(count)
+    return predicted
+
+
 def evaluate(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[FbEpochResult]:
     """FB predictions for every epoch of the dataset."""
-    predictor = predictor or FormulaBasedPredictor(
-        tcp=TcpParameters.congestion_limited()
-    )
-    return [predict_epoch(epoch, predictor) for epoch in dataset.epochs()]
+    epochs = dataset.epochs()
+    that_s, phat, ahat, throughput = _columns(epochs, *_PLAIN)
+    predicted = _predict_table(predictor, that_s, phat, ahat)
+    errors = relative_errors(predicted, throughput)
+    return [
+        FbEpochResult(epoch=epoch, predicted_mbps=value, error=error)
+        for epoch, value, error in zip(epochs, predicted.tolist(), errors.tolist())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -105,18 +201,18 @@ def error_cdfs(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ErrorCdfs:
     """Fig. 2: the error CDFs for all, lossy, and lossless predictions."""
-    results = evaluate(dataset, predictor)
-    if not results:
+    epochs = dataset.epochs()
+    if not epochs:
         raise DataError("dataset has no epochs")
-    all_errors = [r.error for r in results]
-    lossy = [r.error for r in results if r.lossy]
-    lossless = [r.error for r in results if not r.lossy]
-    if not lossy or not lossless:
+    that_s, phat, ahat, throughput = _columns(epochs, *_PLAIN)
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    lossy = phat > 0
+    if lossy.all() or not lossy.any():
         raise DataError("dataset lacks lossy or lossless predictions")
     return ErrorCdfs(
-        all=Cdf.from_values(all_errors, label="all predictions"),
-        lossy=Cdf.from_values(lossy, label="lossy paths (PFTK)"),
-        lossless=Cdf.from_values(lossless, label="lossless paths (avail-bw)"),
+        all=Cdf.from_values(errors, label="all predictions"),
+        lossy=Cdf.from_values(errors[lossy], label="lossy paths (PFTK)"),
+        lossless=Cdf.from_values(errors[~lossy], label="lossless paths (avail-bw)"),
     )
 
 
@@ -158,22 +254,23 @@ def increase_cdfs(dataset: Dataset) -> IncreaseCdfs:
     epochs = dataset.epochs()
     if not epochs:
         raise DataError("dataset has no epochs")
-    rtt_abs = [e.ttilde_s - e.that_s for e in epochs]
-    loss_abs = [e.ptilde - e.phat for e in epochs]
-    rtt_rel = [(e.ttilde_s - e.that_s) / e.that_s for e in epochs]
-    lossy = [e for e in epochs if e.phat > 0]
-    if not lossy:
+    that_s, phat, ttilde_s, ptilde = _columns(
+        epochs, "that_s", "phat", "ttilde_s", "ptilde"
+    )
+    rtt_abs = ttilde_s - that_s
+    lossy = phat > 0
+    if not lossy.any():
         raise DataError("no lossy epochs for relative loss increase")
-    loss_rel = [(e.ptilde - e.phat) / e.phat for e in lossy]
-    rtt_ratios = [e.ttilde_s / e.that_s for e in epochs]
-    loss_ratios = [e.ptilde / e.phat for e in lossy]
+    phat_lossy, ptilde_lossy = phat[lossy], ptilde[lossy]
     return IncreaseCdfs(
         rtt_absolute_s=Cdf.from_values(rtt_abs, label="RTT increase (s)"),
-        loss_absolute=Cdf.from_values(loss_abs, label="loss increase"),
-        rtt_relative=Cdf.from_values(rtt_rel, label="relative RTT increase"),
-        loss_relative=Cdf.from_values(loss_rel, label="relative loss increase"),
-        mean_rtt_ratio=float(np.mean(rtt_ratios)),
-        mean_loss_ratio=float(np.mean(loss_ratios)),
+        loss_absolute=Cdf.from_values(ptilde - phat, label="loss increase"),
+        rtt_relative=Cdf.from_values(rtt_abs / that_s, label="relative RTT increase"),
+        loss_relative=Cdf.from_values(
+            (ptilde_lossy - phat_lossy) / phat_lossy, label="relative loss increase"
+        ),
+        mean_rtt_ratio=float(np.mean(ttilde_s / that_s)),
+        mean_loss_ratio=float(np.mean(ptilde_lossy / phat_lossy)),
     )
 
 
@@ -212,31 +309,22 @@ def during_flow_prediction(
     predictor = predictor or FormulaBasedPredictor(
         tcp=TcpParameters.congestion_limited()
     )
-    prior_errors, during_errors = [], []
-    for epoch in dataset.epochs():
-        if epoch.phat <= 0 or epoch.ptilde <= 0:
-            continue
-        prior = predictor.predict(
-            PathEstimates(
-                rtt_s=epoch.that_s,
-                loss_rate=epoch.phat,
-                availbw_mbps=epoch.ahat_mbps,
-            )
-        )
-        during = predictor.predict(
-            PathEstimates(
-                rtt_s=epoch.ttilde_s,
-                loss_rate=epoch.ptilde,
-                availbw_mbps=epoch.ahat_mbps,
-            )
-        )
-        prior_errors.append(relative_error(prior, epoch.throughput_mbps))
-        during_errors.append(relative_error(during, epoch.throughput_mbps))
-    if not prior_errors:
+    that_s, phat, ahat, throughput, ttilde_s, ptilde = _columns(
+        dataset.epochs(), *_PLAIN, "ttilde_s", "ptilde"
+    )
+    both = (phat > 0) & (ptilde > 0)
+    if not both.any():
         raise DataError("no epochs lossy both before and during the flow")
+    ahat, throughput = ahat[both], throughput[both]
+    prior = predictor.predict_many(that_s[both], phat[both], ahat)
+    during = predictor.predict_many(ttilde_s[both], ptilde[both], ahat)
     return DuringFlowComparison(
-        with_prior=Cdf.from_values(prior_errors, label="using (T^, p^)"),
-        with_during=Cdf.from_values(during_errors, label="using (T~, p~)"),
+        with_prior=Cdf.from_values(
+            relative_errors(prior, throughput), label="using (T^, p^)"
+        ),
+        with_during=Cdf.from_values(
+            relative_errors(during, throughput), label="using (T~, p~)"
+        ),
     )
 
 
@@ -260,27 +348,40 @@ def per_path_percentiles(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[PathErrorSummary]:
     """Fig. 7: median and 10/90th percentiles of E per path."""
-    predictor = predictor or FormulaBasedPredictor(
-        tcp=TcpParameters.congestion_limited()
-    )
+    epochs = dataset.epochs()
+    that_s, phat, ahat, throughput = _columns(epochs, *_PLAIN)
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    return _path_summaries(dataset, _rows_by_path(epochs), errors)
+
+
+def _path_summaries(
+    dataset: Dataset, rows: dict[str, np.ndarray], errors: np.ndarray
+) -> list[PathErrorSummary]:
+    """Fig. 7's bars from every epoch's error and each path's rows."""
     summaries = []
     for path_id in dataset.path_ids:
-        errors = [
-            predict_epoch(e, predictor).error for e in dataset.epochs(path_id)
-        ]
-        if not errors:
+        if path_id not in rows:
             continue
-        arr = np.asarray(errors)
+        arr = errors[rows[path_id]]
         summaries.append(
             PathErrorSummary(
                 path_id=path_id,
                 median=float(np.median(arr)),
                 p10=float(np.quantile(arr, 0.10)),
                 p90=float(np.quantile(arr, 0.90)),
-                n=len(errors),
+                n=arr.size,
             )
         )
     return summaries
+
+
+def rmsre_per_trace(
+    dataset: Dataset, predictor: FormulaBasedPredictor | None = None
+) -> list[float]:
+    """FB RMSRE of each trace, in dataset order (Fig. 19's FB half)."""
+    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    return [rmsre(errors[rows]) for rows in _trace_slices(dataset)]
 
 
 # ----------------------------------------------------------------------
@@ -317,38 +418,30 @@ def throughput_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 8: actual throughput versus prediction error."""
-    results = evaluate(dataset, predictor)
-    return ScatterRelation(
-        x=np.asarray([r.epoch.throughput_mbps for r in results]),
-        errors=np.asarray([r.error for r in results]),
-        x_label="R (Mbps)",
-    )
+    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    return ScatterRelation(x=throughput, errors=errors, x_label="R (Mbps)")
 
 
 def loss_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 9: a priori loss rate versus error (lossy epochs only)."""
-    results = [r for r in evaluate(dataset, predictor) if r.lossy]
-    if not results:
+    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    lossy = phat > 0
+    if not lossy.any():
         raise DataError("no lossy epochs")
-    return ScatterRelation(
-        x=np.asarray([r.epoch.phat for r in results]),
-        errors=np.asarray([r.error for r in results]),
-        x_label="p^",
-    )
+    return ScatterRelation(x=phat[lossy], errors=errors[lossy], x_label="p^")
 
 
 def rtt_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 10: a priori RTT versus error."""
-    results = evaluate(dataset, predictor)
-    return ScatterRelation(
-        x=np.asarray([r.epoch.that_s for r in results]),
-        errors=np.asarray([r.error for r in results]),
-        x_label="T^ (s)",
-    )
+    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    return ScatterRelation(x=that_s, errors=errors, x_label="T^ (s)")
 
 
 # ----------------------------------------------------------------------
@@ -400,23 +493,31 @@ def worst_paths_analysis(
     disproportionately PFTK-based, and the loss rate (not the RTT)
     climbs once the flow starts.
     """
-    summaries = per_path_percentiles(dataset, predictor)
+    epochs = dataset.epochs()
+    that_s, phat, ahat, throughput, ttilde_s, ptilde = _columns(
+        epochs, *_PLAIN, "ttilde_s", "ptilde"
+    )
+    errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
+    rows = _rows_by_path(epochs)
+    summaries = _path_summaries(dataset, rows, errors)
     if len(summaries) < n_worst:
         raise DataError(f"need at least {n_worst} paths, have {len(summaries)}")
     ranked = sorted(summaries, key=lambda s: -s.median)
     worst_ids = tuple(s.path_id for s in ranked[:n_worst])
 
-    all_epochs = dataset.epochs()
-    worst_epochs = [e for e in all_epochs if e.path_id in worst_ids]
-    lossy_worst = [e for e in worst_epochs if e.phat > 0]
-    loss_ratios = [e.ptilde / e.phat for e in lossy_worst]
-    rtt_ratios = [e.ttilde_s / e.that_s for e in worst_epochs]
+    worst = np.zeros(len(epochs), dtype=bool)
+    for path_id in worst_ids:
+        worst[rows[path_id]] = True
+    lossy = phat > 0
+    lossy_worst = worst & lossy
+    loss_ratios = ptilde[lossy_worst] / phat[lossy_worst]
     return WorstPathsAnalysis(
         worst_path_ids=worst_ids,
-        lossy_fraction_worst=len(lossy_worst) / len(worst_epochs),
-        lossy_fraction_all=sum(e.phat > 0 for e in all_epochs) / len(all_epochs),
-        mean_loss_ratio_worst=float(np.mean(loss_ratios)) if loss_ratios else 1.0,
-        mean_rtt_ratio_worst=float(np.mean(rtt_ratios)),
+        lossy_fraction_worst=int(np.count_nonzero(lossy_worst))
+        / int(np.count_nonzero(worst)),
+        lossy_fraction_all=int(np.count_nonzero(lossy)) / len(epochs),
+        mean_loss_ratio_worst=float(np.mean(loss_ratios)) if loss_ratios.size else 1.0,
+        mean_rtt_ratio_worst=float(np.mean(ttilde_s[worst] / that_s[worst])),
     )
 
 
@@ -448,25 +549,24 @@ def duration_effect(
     predictor = predictor or FormulaBasedPredictor(
         tcp=TcpParameters.congestion_limited()
     )
-    per_cut: dict[str, list[float]] = {label: [] for label in cut_labels}
-    for epoch in dataset.epochs():
-        if len(epoch.duration_throughputs_mbps) != len(cut_labels):
-            continue
-        predicted = predictor.predict(
-            PathEstimates(
-                rtt_s=epoch.that_s,
-                loss_rate=epoch.phat,
-                availbw_mbps=epoch.ahat_mbps,
-            )
-        )
-        for label, throughput in zip(cut_labels, epoch.duration_throughputs_mbps):
-            per_cut[label].append(relative_error(predicted, throughput))
-    if not any(per_cut.values()):
+    n_cuts = len(cut_labels)
+    epochs = [
+        e for e in dataset.epochs() if len(e.duration_throughputs_mbps) == n_cuts
+    ]
+    if not epochs or not n_cuts:
         raise DataError("dataset has no duration checkpoints (need the 2006 set)")
+    that_s, phat, ahat = _columns(epochs, "that_s", "phat", "ahat_mbps")
+    cuts = np.array(
+        [e.duration_throughputs_mbps for e in epochs], dtype=np.float64
+    )
+    _require_finite(cuts, ("duration_throughputs_mbps",) * n_cuts, epochs)
+    predicted = predictor.predict_many(that_s, phat, ahat)
     return DurationEffect(
         cdfs={
-            label: Cdf.from_values(errors, label=f"E at {label}")
-            for label, errors in per_cut.items()
+            label: Cdf.from_values(
+                relative_errors(predicted, cuts[:, cut]), label=f"E at {label}"
+            )
+            for cut, label in enumerate(cut_labels)
         }
     )
 
@@ -499,43 +599,38 @@ def window_limited(
     """
     large_tcp = large_tcp or TcpParameters.congestion_limited()
     small_tcp = small_tcp or TcpParameters.window_limited()
-    fb_large = FormulaBasedPredictor(tcp=large_tcp)
-    fb_small = FormulaBasedPredictor(tcp=small_tcp)
+    epochs = [e for e in dataset.epochs() if e.smallw_throughput_mbps is not None]
+    if not epochs:
+        raise DataError("dataset has no small-window measurements")
+    that_s, phat, ahat, throughput, smallw = _columns(
+        epochs, *_PLAIN, "smallw_throughput_mbps"
+    )
+    large_errors = relative_errors(
+        FormulaBasedPredictor(tcp=large_tcp).predict_many(that_s, phat, ahat),
+        throughput,
+    )
+    small_errors = relative_errors(
+        FormulaBasedPredictor(tcp=small_tcp).predict_many(that_s, phat, ahat),
+        smallw,
+    )
+    ratios = small_tcp.max_window_bytes * 8 / that_s / 1e6 / ahat
 
+    rows = _rows_by_path(epochs)
     comparisons = []
     for path_id in dataset.path_ids:
-        epochs = [
-            e for e in dataset.epochs(path_id) if e.smallw_throughput_mbps is not None
-        ]
-        if not epochs:
+        if path_id not in rows:
             continue
-        large_errors, small_errors, ratios = [], [], []
-        for e in epochs:
-            estimates = PathEstimates(
-                rtt_s=e.that_s, loss_rate=e.phat, availbw_mbps=e.ahat_mbps
-            )
-            large_errors.append(
-                relative_error(fb_large.predict(estimates), e.throughput_mbps)
-            )
-            small_errors.append(
-                relative_error(
-                    fb_small.predict(estimates), e.smallw_throughput_mbps
-                )
-            )
-            window_mbps = small_tcp.max_window_bytes * 8 / e.that_s / 1e6
-            ratios.append(window_mbps / e.ahat_mbps)
-        ratio = float(np.median(ratios))
+        path_rows = rows[path_id]
+        ratio = float(np.median(ratios[path_rows]))
         comparisons.append(
             WindowLimitedComparison(
                 path_id=path_id,
-                rmsre_large_window=rmsre(large_errors),
-                rmsre_small_window=rmsre(small_errors),
+                rmsre_large_window=rmsre(large_errors[path_rows]),
+                rmsre_small_window=rmsre(small_errors[path_rows]),
                 window_limited=ratio < 1.0,
                 window_availbw_ratio=ratio,
             )
         )
-    if not comparisons:
-        raise DataError("dataset has no small-window measurements")
     return comparisons
 
 
@@ -547,9 +642,15 @@ def window_limited(
 def revised_model_comparison(dataset: Dataset) -> dict[str, Cdf]:
     """Fig. 13: error CDFs of the original vs revised PFTK predictors."""
     tcp = TcpParameters.congestion_limited()
+    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
     return {
         name: Cdf.from_values(
-            [r.error for r in evaluate(dataset, FormulaBasedPredictor(tcp=tcp, model=model))],
+            relative_errors(
+                _predict_table(
+                    FormulaBasedPredictor(tcp=tcp, model=model), that_s, phat, ahat
+                ),
+                throughput,
+            ),
             label=name,
         )
         for name, model in [("original PFTK", "pftk"), ("revised PFTK", "pftk-revised")]
@@ -568,27 +669,28 @@ def smoothed_inputs(dataset: Dataset, ma_order: int = 10) -> dict[str, Cdf]:
     ``ma_order`` epochs' measurements, as in the paper.
     """
     predictor = FormulaBasedPredictor(tcp=TcpParameters.congestion_limited())
-    plain_errors, smoothed_errors = [], []
-    for trace in dataset:
+    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    plain_errors = relative_errors(
+        _predict_table(predictor, that_s, phat, ahat), throughput
+    )
+    rtt_values, loss_values = that_s.tolist(), phat.tolist()
+    smoothed_rtt, smoothed_loss, rows = [], [], []
+    for trace_rows in _trace_slices(dataset):
         rtt_ma = MovingAverage(ma_order)
         loss_ma = MovingAverage(ma_order)
-        for epoch in trace:
-            plain_errors.append(predict_epoch(epoch, predictor).error)
+        for row in range(trace_rows.start, trace_rows.stop):
             if rtt_ma.ready:
-                estimates = PathEstimates(
-                    rtt_s=rtt_ma.forecast(),
-                    loss_rate=max(0.0, loss_ma.forecast()),
-                    availbw_mbps=epoch.ahat_mbps,
-                )
-                smoothed_errors.append(
-                    relative_error(
-                        predictor.predict(estimates), epoch.throughput_mbps
-                    )
-                )
-            rtt_ma.update(epoch.that_s)
-            loss_ma.update(epoch.phat)
-    if not smoothed_errors:
+                smoothed_rtt.append(rtt_ma.forecast())
+                smoothed_loss.append(max(0.0, loss_ma.forecast()))
+                rows.append(row)
+            rtt_ma.update(rtt_values[row])
+            loss_ma.update(loss_values[row])
+    if not rows:
         raise DataError("traces too short for smoothed inputs")
+    smoothed_errors = relative_errors(
+        predictor.predict_many(smoothed_rtt, smoothed_loss, ahat[rows]),
+        throughput[rows],
+    )
     return {
         "plain": Cdf.from_values(plain_errors, label="latest measurements"),
         "smoothed": Cdf.from_values(smoothed_errors, label=f"{ma_order}-MA smoothed"),

@@ -13,8 +13,6 @@ import numpy as np
 
 from repro.core.errors import DataError
 from repro.core.metrics import Cdf, pearson_correlation, rmsre
-from repro.formulas.fb_predictor import FormulaBasedPredictor
-from repro.formulas.params import TcpParameters
 from repro.hb.base import PredictorFactory
 from repro.hb.evaluate import evaluate_predictor, lso_segmentation
 from repro.hb.ewma import Ewma
@@ -22,7 +20,7 @@ from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
-from repro.analysis.fb_eval import predict_epoch
+from repro.analysis import fb_eval
 from repro.paths.records import Dataset, Trace
 
 # ----------------------------------------------------------------------
@@ -250,12 +248,8 @@ def fb_vs_hb(
 ) -> FbHbComparison:
     """Fig. 19: FB against HB (HW-LSO by default), per-trace RMSRE."""
     hb_factory = hb_factory or with_lso(hw())
-    fb_predictor = FormulaBasedPredictor(tcp=TcpParameters.congestion_limited())
-    fb_rmsres, hb_rmsres = [], []
-    for trace in dataset:
-        errors = [predict_epoch(e, fb_predictor).error for e in trace]
-        fb_rmsres.append(rmsre(errors))
-        hb_rmsres.append(trace_rmsre(trace, hb_factory))
+    fb_rmsres = fb_eval.rmsre_per_trace(dataset)
+    hb_rmsres = [trace_rmsre(trace, hb_factory) for trace in dataset]
     return FbHbComparison(
         fb=Cdf.from_values(fb_rmsres, label="FB per-trace RMSRE"),
         hb=Cdf.from_values(hb_rmsres, label="HB (HW-LSO) per-trace RMSRE"),

@@ -18,12 +18,18 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError, PredictionError
 from repro.obs import get_telemetry
 from repro.formulas.availbw import availbw_prediction
 from repro.formulas.mathis import mathis_throughput
 from repro.formulas.params import PathEstimates, TcpParameters
-from repro.formulas.pftk import pftk_full_throughput, pftk_throughput
+from repro.formulas.pftk import (
+    pftk_full_throughput,
+    pftk_throughput,
+    pftk_throughput_array,
+)
 from repro.formulas.pftk_revised import pftk_revised_throughput
 
 #: Signature shared by the lossy-path models: (rtt_s, loss_rate, rto_s, tcp) -> Mbps.
@@ -103,6 +109,81 @@ class FormulaBasedPredictor:
         rto = estimate_rto(estimates.rtt_s)
         modeled = model_fn(estimates.rtt_s, estimates.loss_rate, rto, self.tcp)
         return min(modeled, window_limit)
+
+    def predict_many(self, rtt_s, loss_rate, availbw_mbps) -> np.ndarray:
+        """:meth:`predict` over equal-length arrays of a priori estimates.
+
+        Row ``i`` equals ``predict(PathEstimates(rtt_s[i], loss_rate[i],
+        availbw_mbps[i]))`` bit for bit.  ``"pftk"`` (the paper's
+        Eq. (2)) runs as one array expression, the same expression tree
+        as the scalar path built from correctly rounded elementwise
+        operations; the other models apply their scalar function to
+        each lossy row.  ``fb.model_selected`` grows by the row counts.
+
+        Raises:
+            ConfigurationError: before any arithmetic, on the first row
+                :class:`PathEstimates` would reject (``rtt_s`` and
+                ``availbw_mbps`` positive and finite, ``loss_rate`` in
+                [0, 1)), or on arrays of unequal shape.
+        """
+        rtt = np.asarray(rtt_s, dtype=np.float64)
+        loss = np.asarray(loss_rate, dtype=np.float64)
+        availbw = np.asarray(availbw_mbps, dtype=np.float64)
+        if rtt.ndim != 1 or loss.shape != rtt.shape or availbw.shape != rtt.shape:
+            raise ConfigurationError(
+                "predict_many needs equal-length 1-d arrays, got shapes "
+                f"{rtt.shape}, {loss.shape}, {availbw.shape}"
+            )
+        for name, values, valid, rule in (
+            ("rtt_s", rtt, (rtt > 0) & np.isfinite(rtt), "positive and finite"),
+            ("loss_rate", loss, (loss >= 0.0) & (loss < 1.0), "in [0, 1)"),
+            (
+                "availbw_mbps",
+                availbw,
+                (availbw > 0) & np.isfinite(availbw),
+                "positive and finite",
+            ),
+        ):
+            if not valid.all():
+                row = int(np.argmin(valid))
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {values[row]} at row {row}"
+                )
+
+        window_limit = self.tcp.max_window_bytes * 8 / rtt / 1e6
+        lossless = loss == 0.0
+        lossy = ~lossless
+        predicted = np.empty_like(rtt)
+        predicted[lossless] = np.minimum(window_limit[lossless], availbw[lossless])
+        rtt_lossy = rtt[lossy]
+        if self.model == "pftk":
+            modeled = pftk_throughput_array(
+                rtt_lossy,
+                loss[lossy],
+                np.maximum(MIN_RTO_S, 2.0 * rtt_lossy),
+                self.tcp,
+            )
+        else:
+            model_fn = MODEL_VARIANTS[self.model]
+            # Python floats, so each row runs exactly the scalar code.
+            modeled = np.array(
+                [
+                    model_fn(r, p, estimate_rto(r), self.tcp)
+                    for r, p in zip(rtt_lossy.tolist(), loss[lossy].tolist())
+                ],
+                dtype=np.float64,
+            )
+        predicted[lossy] = np.minimum(modeled, window_limit[lossy])
+
+        n_lossy = int(np.count_nonzero(lossy))
+        telemetry = get_telemetry()
+        if n_lossy < rtt.size:
+            telemetry.counter("fb.model_selected", model="availbw").inc(
+                rtt.size - n_lossy
+            )
+        if n_lossy:
+            telemetry.counter("fb.model_selected", model=self.model).inc(n_lossy)
+        return predicted
 
     def predict_from(
         self,

@@ -88,15 +88,20 @@ class PathEstimates:
     availbw_mbps: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rtt_s <= 0:
-            raise ConfigurationError(f"rtt_s must be positive, got {self.rtt_s}")
+        if not (self.rtt_s > 0 and math.isfinite(self.rtt_s)):
+            raise ConfigurationError(
+                f"rtt_s must be positive and finite, got {self.rtt_s}"
+            )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
             )
-        if self.availbw_mbps is not None and self.availbw_mbps <= 0:
+        if self.availbw_mbps is not None and not (
+            self.availbw_mbps > 0 and math.isfinite(self.availbw_mbps)
+        ):
             raise ConfigurationError(
-                f"availbw_mbps must be positive when given, got {self.availbw_mbps}"
+                "availbw_mbps must be positive and finite when given, "
+                f"got {self.availbw_mbps}"
             )
 
     @property

@@ -1,11 +1,15 @@
 """FB evaluation computations (Figs. 2-14)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.analysis import fb_eval
-from repro.formulas.fb_predictor import FormulaBasedPredictor
+from repro.analysis import fb_eval, hb_eval
+from repro.core.errors import ReproError
+from repro.formulas.fb_predictor import MODEL_VARIANTS, FormulaBasedPredictor
 from repro.formulas.params import TcpParameters
+from tests.analysis import fb_oracle
 
 
 class TestEvaluate:
@@ -157,3 +161,126 @@ class TestWorstPaths:
 
     def test_summary_renders(self, dataset):
         assert "worst paths" in fb_eval.worst_paths_analysis(dataset).summary()
+
+
+# ----------------------------------------------------------------------
+# Bit parity with the per-epoch oracle (tests/analysis/fb_oracle.py)
+# ----------------------------------------------------------------------
+
+#: The paper's default predictor (None) and every model at W = 1 MB and
+#: W = 20 KB.
+PREDICTORS = {"default": None} | {
+    f"{model}-{window}": FormulaBasedPredictor(tcp=tcp, model=model)
+    for model in sorted(MODEL_VARIANTS)
+    for window, tcp in (
+        ("1MB", TcpParameters.congestion_limited()),
+        ("20KB", TcpParameters.window_limited()),
+    )
+}
+
+#: Public figure functions taking a ``predictor=``.
+PREDICTOR_FUNCTIONS = (
+    "evaluate",
+    "error_cdfs",
+    "during_flow_prediction",
+    "per_path_percentiles",
+    "rmsre_per_trace",
+    "throughput_vs_error",
+    "loss_vs_error",
+    "rtt_vs_error",
+    "worst_paths_analysis",
+    "duration_effect",
+)
+
+#: Public figure functions of the dataset alone.
+DATASET_FUNCTIONS = (
+    "increase_cdfs",
+    "window_limited",
+    "revised_model_comparison",
+    "smoothed_inputs",
+)
+
+
+def assert_identical(shipped, reference, where="result"):
+    """Equal type and bytes all the way down: arrays by ``tobytes()``,
+    dataclasses field by field, floats by their bits."""
+    assert type(shipped) is type(reference), where
+    if isinstance(shipped, np.ndarray):
+        assert shipped.dtype == reference.dtype, where
+        assert shipped.shape == reference.shape, where
+        assert shipped.tobytes() == reference.tobytes(), where
+    elif dataclasses.is_dataclass(shipped):
+        for f in dataclasses.fields(shipped):
+            assert_identical(
+                getattr(shipped, f.name), getattr(reference, f.name), f"{where}.{f.name}"
+            )
+    elif isinstance(shipped, dict):
+        assert list(shipped) == list(reference), where
+        for key in shipped:
+            assert_identical(shipped[key], reference[key], f"{where}[{key!r}]")
+    elif isinstance(shipped, (list, tuple)):
+        assert len(shipped) == len(reference), where
+        for i, (a, b) in enumerate(zip(shipped, reference)):
+            assert_identical(a, b, f"{where}[{i}]")
+    elif isinstance(shipped, float):
+        assert shipped.hex() == reference.hex(), where
+    else:
+        assert shipped == reference, where
+
+
+def outcome(function, *args, **kwargs):
+    """The result, or the type and message of the error it raised."""
+    try:
+        return function(*args, **kwargs)
+    except ReproError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(params=["dataset", "dataset_2006"])
+def any_dataset(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestOracleParity:
+    @pytest.mark.parametrize("predictor", PREDICTORS.values(), ids=list(PREDICTORS))
+    @pytest.mark.parametrize("name", PREDICTOR_FUNCTIONS)
+    def test_predictor_functions(self, dataset_2006, name, predictor):
+        assert_identical(
+            outcome(getattr(fb_eval, name), dataset_2006, predictor=predictor),
+            outcome(getattr(fb_oracle, name), dataset_2006, predictor=predictor),
+        )
+
+    @pytest.mark.parametrize(
+        "predictor",
+        [PREDICTORS["default"], PREDICTORS["pftk-20KB"]],
+        ids=["default", "pftk-20KB"],
+    )
+    @pytest.mark.parametrize("name", PREDICTOR_FUNCTIONS)
+    def test_predictor_functions_at_scale(self, dataset, name, predictor):
+        assert_identical(
+            outcome(getattr(fb_eval, name), dataset, predictor=predictor),
+            outcome(getattr(fb_oracle, name), dataset, predictor=predictor),
+        )
+
+    @pytest.mark.parametrize("predictor", PREDICTORS.values(), ids=list(PREDICTORS))
+    def test_every_model_at_scale(self, dataset, predictor):
+        assert_identical(
+            fb_eval.evaluate(dataset, predictor), fb_oracle.evaluate(dataset, predictor)
+        )
+
+    @pytest.mark.parametrize("name", DATASET_FUNCTIONS)
+    def test_dataset_functions(self, any_dataset, name):
+        assert_identical(
+            outcome(getattr(fb_eval, name), any_dataset),
+            outcome(getattr(fb_oracle, name), any_dataset),
+        )
+
+    def test_window_limited_small_window(self, dataset):
+        tcp = TcpParameters.window_limited()
+        assert_identical(
+            fb_eval.window_limited(dataset, large_tcp=tcp, small_tcp=tcp),
+            fb_oracle.window_limited(dataset, large_tcp=tcp, small_tcp=tcp),
+        )
+
+    def test_fb_vs_hb(self, any_dataset):
+        assert_identical(hb_eval.fb_vs_hb(any_dataset), fb_oracle.fb_vs_hb(any_dataset))

@@ -238,6 +238,44 @@ class TestAnalyzeCommand:
         assert "positive and finite, got nan at epoch 3" in out
 
     @pytest.mark.parametrize(
+        "column, broken",
+        [
+            ("that_s", (2, 3, 7, 8)),
+            ("ttilde_s", (3,)),
+            ("throughput_mbps", (2, 7, 8)),
+        ],
+    )
+    def test_nan_input_makes_fb_figures_not_derivable(
+        self, saved_dataset, tmp_path, capsys, column, broken
+    ):
+        """Regression: a NaN FB input passed every check, so Figs. 2, 3,
+        7 and 8 printed nan statistics (and a lossless epoch with NaN
+        avail-bw silently predicted W/T).  The figures that read the
+        column now say which value broke them; the others still render."""
+        rows = list(csv.reader(saved_dataset.open(newline="")))
+        header = rows[1]
+        rows[2 + 3][header.index(column)] = "nan"  # first trace, epoch 3
+        path_id = rows[2 + 3][header.index("path_id")]
+        corrupted = tmp_path / "nan.csv"
+        with corrupted.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        figures = (2, 3, 7, 8)
+        code = analyze.main(
+            [str(corrupted), "--figures", *map(str, figures), "--no-eval-cache"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        for number in figures:
+            skipped = f"[fig {number}] not derivable from this dataset" in out
+            assert skipped == (number in broken), number
+        assert "nan" not in out.replace(
+            f"{column} must be finite, got nan at epoch 3 of trace ({path_id!r}, 0)", ""
+        )
+        assert out.count(f"{column} must be finite, got nan at epoch 3 of trace") == len(
+            broken
+        )
+
+    @pytest.mark.parametrize(
         "content, reason",
         [
             (None, "No such file or directory"),
@@ -337,6 +375,41 @@ class TestAnalyzeTelemetry:
         assert ("analysis.figure_s", "2") in timers
         assert ("analysis.figure_s", "16") in timers
         assert ("analysis.load_s", None) in timers
+
+    def test_fb_counters_match_the_per_epoch_path(
+        self, saved_dataset, capsys, monkeypatch
+    ):
+        """The FB tables count what one prediction per epoch counted:
+        every figure's totals equal the per-epoch path's (recorded on
+        this fixture before the figures predicted over arrays), while
+        ``predict.wall_s{predictor=fb}`` takes one sample per table:
+        Figs. 2, 7, 8 and 19."""
+        import json
+
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert analyze.main([str(saved_dataset)]) == 0
+        capsys.readouterr()
+        manifest = json.loads(
+            saved_dataset.with_name("ds.analysis.manifest.json").read_text()
+        )
+        counters = {
+            (e["name"], tuple(sorted(e["tags"].items()))): e["value"]
+            for e in manifest["counters"]
+            if e["name"] == "fb.model_selected"
+            or e["tags"].get("predictor") == "fb"
+        }
+        assert counters == {
+            ("fb.model_selected", ()): 0,
+            ("fb.model_selected", (("model", "availbw"),)): 1104,
+            ("fb.model_selected", (("model", "pftk"),)): 862,
+            ("predictions.made", (("predictor", "fb"), ("regime", "lossless"))): 736,
+            ("predictions.made", (("predictor", "fb"), ("regime", "lossy"))): 464,
+        }
+        (timer,) = [
+            e for e in manifest["timers"]
+            if e["name"] == "predict.wall_s" and e["tags"] == {"predictor": "fb"}
+        ]
+        assert timer["count"] == 4
 
     def test_figure_events_record_status(self, saved_dataset, monkeypatch,
                                          capsys):
