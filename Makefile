@@ -29,13 +29,16 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
 # Fast end-to-end check: a 2-path x 2-trace x 10-epoch parallel campaign
-# through the CLI, twice — the second run must be served from the cache
-# and produce a byte-identical dataset.
+# through the CLI, twice — the cache must hold exactly one .npz entry and
+# no CSV, and the second run must be served from it and produce a
+# byte-identical dataset.
 campaign-smoke:
 	rm -rf $(SMOKE_DIR)
 	PYTHONPATH=src REPRO_CACHE_DIR=$(SMOKE_DIR)/cache \
 		REPRO_CHECKPOINT_DIR=$(SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 2 --traces 2 --epochs 10 --workers 2 -o $(SMOKE_DIR)/smoke.csv
+	test "$$(find $(SMOKE_DIR)/cache -name '*.npz' | wc -l)" -eq 1
+	test -z "$$(find $(SMOKE_DIR)/cache -name '*.csv')"
 	PYTHONPATH=src REPRO_CACHE_DIR=$(SMOKE_DIR)/cache \
 		REPRO_CHECKPOINT_DIR=$(SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 2 --traces 2 --epochs 10 --workers 2 -o $(SMOKE_DIR)/smoke-again.csv \
@@ -73,7 +76,7 @@ resume-smoke:
 		--paths 2 --traces 2 --epochs 8 --no-cache --quiet -o $(RESUME_SMOKE_DIR)/resumed.csv; \
 		test $$? -ne 0
 	test ! -f $(RESUME_SMOKE_DIR)/resumed.csv
-	ls $(RESUME_SMOKE_DIR)/ckpt/*/*.csv > /dev/null
+	ls $(RESUME_SMOKE_DIR)/ckpt/*/*.npz > /dev/null
 	PYTHONPATH=src REPRO_CHECKPOINT_DIR=$(RESUME_SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 2 --traces 2 --epochs 8 --no-cache --quiet --resume -o $(RESUME_SMOKE_DIR)/resumed.csv
 	cmp $(RESUME_SMOKE_DIR)/ref.csv $(RESUME_SMOKE_DIR)/resumed.csv

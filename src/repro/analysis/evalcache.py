@@ -177,15 +177,16 @@ def pack_key(dataset: Dataset) -> str:
     Covers every trace's identity and its throughput samples (the main
     and the W=20 KB transfers: everything a walk reads), plus
     :func:`code_fingerprint`.  The dataset's path and label are left
-    out, so a copy of a dataset shares its pack.
+    out, so a copy of a dataset shares its pack.  Each trace hashes as
+    (main, W=20 KB) pairs of float64, an absent W=20 KB sample as the
+    NaN its column holds.
     """
     digest = hashlib.sha256()
     for trace in dataset.traces:
         digest.update(repr((trace.path_id, trace.trace_index, len(trace))).encode())
         digest.update(
-            np.array(
-                [(e.throughput_mbps, e.smallw_throughput_mbps) for e in trace.epochs],
-                dtype=float,
+            np.column_stack(
+                (trace.throughput_mbps, trace.smallw_throughput_mbps)
             ).tobytes()
         )
     return stable_fingerprint({"traces": digest.hexdigest(), "code": code_fingerprint()})

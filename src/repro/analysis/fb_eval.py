@@ -2,17 +2,17 @@
 
 Every function here evaluates the FB predictor of Eq. (3) (or a variant)
 over a dataset and aggregates the relative errors (Eq. 4) the way the
-corresponding figure does.  A figure reads the epoch fields it needs as
-float64 columns, in ``dataset.epochs()`` order, and predicts every row
-with one :meth:`FormulaBasedPredictor.predict_many` call per input set;
-per-path and per-trace groups are index arrays and slices of those
-columns.  :func:`predict_epoch` is the one-epoch form.
+corresponding figure does.  A figure reads the trace columns it needs,
+concatenated in dataset order (epoch by epoch, trace by trace), and
+predicts every row with one :meth:`FormulaBasedPredictor.predict_many`
+call per input set; per-path and per-trace groups are index arrays and
+slices of those columns, and a figure that reads only some epochs
+selects them with a mask.  :func:`predict_epoch` is the one-epoch form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
@@ -80,44 +80,71 @@ def predict_epoch(
 _PLAIN = ("that_s", "phat", "ahat_mbps", "throughput_mbps")
 
 
-def _columns(epochs: list[EpochMeasurement], *names: str) -> tuple[np.ndarray, ...]:
-    """The named fields of ``epochs`` as float64 columns, in epoch order.
+def _columns(
+    dataset: Dataset, *names: str, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """The named columns of every trace, concatenated in dataset order.
+
+    With ``mask``, only the epochs it selects.
 
     Raises:
         DataError: on a non-finite value, naming the column and the epoch.
     """
-    get = attrgetter(*names)
-    table = np.array([get(e) for e in epochs], dtype=np.float64).reshape(
-        len(epochs), len(names)
-    )
-    _require_finite(table, names, epochs)
-    return tuple(table.T.copy())
+    columns = tuple(dataset.column(name) for name in names)
+    if mask is not None:
+        columns = tuple(column[mask] for column in columns)
+    _require_finite(np.column_stack(columns), names, dataset, mask)
+    return columns
 
 
 def _require_finite(
-    table: np.ndarray, names: tuple[str, ...], epochs: list[EpochMeasurement]
+    table: np.ndarray,
+    names: tuple[str, ...],
+    dataset: Dataset,
+    mask: np.ndarray | None = None,
 ) -> None:
-    """Reject the first non-finite cell of an (epoch, column) table."""
+    """Reject the first non-finite cell of an (epoch, column) table.
+
+    The table's rows are the dataset's epochs in order, or those
+    ``mask`` selects.
+    """
     finite = np.isfinite(table)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
-        epoch = epochs[row]
+        at = int(row if mask is None else np.flatnonzero(mask)[row])
+        for trace, rows in zip(dataset.traces, _trace_slices(dataset)):
+            if at < rows.stop:
+                break
         raise DataError(
             f"{names[col]} must be finite, got {table[row, col]} at epoch "
-            f"{epoch.epoch_index} of trace ({epoch.path_id!r}, {epoch.trace_index})"
+            f"{at - rows.start} of trace ({trace.path_id!r}, {trace.trace_index})"
         )
 
 
-def _rows_by_path(epochs: list[EpochMeasurement]) -> dict[str, np.ndarray]:
-    """Each path's row indices into ``epochs``, in epoch order."""
-    rows: dict[str, list[int]] = {}
-    for row, epoch in enumerate(epochs):
-        rows.setdefault(epoch.path_id, []).append(row)
-    return {path_id: np.asarray(indices) for path_id, indices in rows.items()}
+def _rows_by_path(
+    dataset: Dataset, mask: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """Each path's row indices into the columns (those ``mask`` selects),
+    in epoch order; a path with no selected epoch has no entry."""
+    rows: dict[str, list[np.ndarray]] = {}
+    for trace, trace_rows in zip(dataset.traces, _trace_slices(dataset)):
+        rows.setdefault(trace.path_id, []).append(
+            np.arange(trace_rows.start, trace_rows.stop)
+        )
+    by_path = {path_id: np.concatenate(parts) for path_id, parts in rows.items()}
+    if mask is None:
+        return by_path
+    # Row r of the full columns is row position[r] of the selected ones.
+    position = np.cumsum(mask) - 1
+    return {
+        path_id: position[indices[mask[indices]]]
+        for path_id, indices in by_path.items()
+        if mask[indices].any()
+    }
 
 
 def _trace_slices(dataset: Dataset) -> list[slice]:
-    """Each trace's rows of ``dataset.epochs()``."""
+    """Each trace's rows of the concatenated columns."""
     slices, start = [], 0
     for trace in dataset:
         slices.append(slice(start, start + len(trace)))
@@ -161,10 +188,10 @@ def evaluate(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[FbEpochResult]:
     """FB predictions for every epoch of the dataset."""
-    epochs = dataset.epochs()
-    that_s, phat, ahat, throughput = _columns(epochs, *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     predicted = _predict_table(predictor, that_s, phat, ahat)
     errors = relative_errors(predicted, throughput)
+    epochs = dataset.epochs()
     return [
         FbEpochResult(epoch=epoch, predicted_mbps=value, error=error)
         for epoch, value, error in zip(epochs, predicted.tolist(), errors.tolist())
@@ -201,10 +228,9 @@ def error_cdfs(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ErrorCdfs:
     """Fig. 2: the error CDFs for all, lossy, and lossless predictions."""
-    epochs = dataset.epochs()
-    if not epochs:
+    if not dataset.n_epochs:
         raise DataError("dataset has no epochs")
-    that_s, phat, ahat, throughput = _columns(epochs, *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
     lossy = phat > 0
     if lossy.all() or not lossy.any():
@@ -251,11 +277,10 @@ def increase_cdfs(dataset: Dataset) -> IncreaseCdfs:
     Relative loss increases are computed only over epochs that were lossy
     even before the transfer (``phat > 0``), as in the paper.
     """
-    epochs = dataset.epochs()
-    if not epochs:
+    if not dataset.n_epochs:
         raise DataError("dataset has no epochs")
     that_s, phat, ttilde_s, ptilde = _columns(
-        epochs, "that_s", "phat", "ttilde_s", "ptilde"
+        dataset, "that_s", "phat", "ttilde_s", "ptilde"
     )
     rtt_abs = ttilde_s - that_s
     lossy = phat > 0
@@ -310,7 +335,7 @@ def during_flow_prediction(
         tcp=TcpParameters.congestion_limited()
     )
     that_s, phat, ahat, throughput, ttilde_s, ptilde = _columns(
-        dataset.epochs(), *_PLAIN, "ttilde_s", "ptilde"
+        dataset, *_PLAIN, "ttilde_s", "ptilde"
     )
     both = (phat > 0) & (ptilde > 0)
     if not both.any():
@@ -348,10 +373,9 @@ def per_path_percentiles(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[PathErrorSummary]:
     """Fig. 7: median and 10/90th percentiles of E per path."""
-    epochs = dataset.epochs()
-    that_s, phat, ahat, throughput = _columns(epochs, *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
-    return _path_summaries(dataset, _rows_by_path(epochs), errors)
+    return _path_summaries(dataset, _rows_by_path(dataset), errors)
 
 
 def _path_summaries(
@@ -379,7 +403,7 @@ def rmsre_per_trace(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> list[float]:
     """FB RMSRE of each trace, in dataset order (Fig. 19's FB half)."""
-    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
     return [rmsre(errors[rows]) for rows in _trace_slices(dataset)]
 
@@ -418,7 +442,7 @@ def throughput_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 8: actual throughput versus prediction error."""
-    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
     return ScatterRelation(x=throughput, errors=errors, x_label="R (Mbps)")
 
@@ -427,7 +451,7 @@ def loss_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 9: a priori loss rate versus error (lossy epochs only)."""
-    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
     lossy = phat > 0
     if not lossy.any():
@@ -439,7 +463,7 @@ def rtt_vs_error(
     dataset: Dataset, predictor: FormulaBasedPredictor | None = None
 ) -> ScatterRelation:
     """Fig. 10: a priori RTT versus error."""
-    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
     return ScatterRelation(x=that_s, errors=errors, x_label="T^ (s)")
 
@@ -493,19 +517,18 @@ def worst_paths_analysis(
     disproportionately PFTK-based, and the loss rate (not the RTT)
     climbs once the flow starts.
     """
-    epochs = dataset.epochs()
     that_s, phat, ahat, throughput, ttilde_s, ptilde = _columns(
-        epochs, *_PLAIN, "ttilde_s", "ptilde"
+        dataset, *_PLAIN, "ttilde_s", "ptilde"
     )
     errors = relative_errors(_predict_table(predictor, that_s, phat, ahat), throughput)
-    rows = _rows_by_path(epochs)
+    rows = _rows_by_path(dataset)
     summaries = _path_summaries(dataset, rows, errors)
     if len(summaries) < n_worst:
         raise DataError(f"need at least {n_worst} paths, have {len(summaries)}")
     ranked = sorted(summaries, key=lambda s: -s.median)
     worst_ids = tuple(s.path_id for s in ranked[:n_worst])
 
-    worst = np.zeros(len(epochs), dtype=bool)
+    worst = np.zeros(phat.size, dtype=bool)
     for path_id in worst_ids:
         worst[rows[path_id]] = True
     lossy = phat > 0
@@ -515,7 +538,7 @@ def worst_paths_analysis(
         worst_path_ids=worst_ids,
         lossy_fraction_worst=int(np.count_nonzero(lossy_worst))
         / int(np.count_nonzero(worst)),
-        lossy_fraction_all=int(np.count_nonzero(lossy)) / len(epochs),
+        lossy_fraction_all=int(np.count_nonzero(lossy)) / phat.size,
         mean_loss_ratio_worst=float(np.mean(loss_ratios)) if loss_ratios.size else 1.0,
         mean_rtt_ratio_worst=float(np.mean(ttilde_s[worst] / that_s[worst])),
     )
@@ -550,16 +573,21 @@ def duration_effect(
         tcp=TcpParameters.congestion_limited()
     )
     n_cuts = len(cut_labels)
-    epochs = [
-        e for e in dataset.epochs() if len(e.duration_throughputs_mbps) == n_cuts
+    with_cuts = [
+        trace.duration_throughputs_mbps.shape[1] == n_cuts for trace in dataset
     ]
-    if not epochs or not n_cuts:
+    mask = np.repeat(np.array(with_cuts, dtype=bool), [len(t) for t in dataset])
+    if not mask.any() or not n_cuts:
         raise DataError("dataset has no duration checkpoints (need the 2006 set)")
-    that_s, phat, ahat = _columns(epochs, "that_s", "phat", "ahat_mbps")
-    cuts = np.array(
-        [e.duration_throughputs_mbps for e in epochs], dtype=np.float64
+    that_s, phat, ahat = _columns(dataset, "that_s", "phat", "ahat_mbps", mask=mask)
+    cuts = np.concatenate(
+        [
+            trace.duration_throughputs_mbps
+            for trace, chosen in zip(dataset, with_cuts)
+            if chosen
+        ]
     )
-    _require_finite(cuts, ("duration_throughputs_mbps",) * n_cuts, epochs)
+    _require_finite(cuts, ("duration_throughputs_mbps",) * n_cuts, dataset, mask)
     predicted = predictor.predict_many(that_s, phat, ahat)
     return DurationEffect(
         cdfs={
@@ -599,11 +627,11 @@ def window_limited(
     """
     large_tcp = large_tcp or TcpParameters.congestion_limited()
     small_tcp = small_tcp or TcpParameters.window_limited()
-    epochs = [e for e in dataset.epochs() if e.smallw_throughput_mbps is not None]
-    if not epochs:
+    mask = dataset.column("smallw_present")
+    if not mask.any():
         raise DataError("dataset has no small-window measurements")
     that_s, phat, ahat, throughput, smallw = _columns(
-        epochs, *_PLAIN, "smallw_throughput_mbps"
+        dataset, *_PLAIN, "smallw_throughput_mbps", mask=mask
     )
     large_errors = relative_errors(
         FormulaBasedPredictor(tcp=large_tcp).predict_many(that_s, phat, ahat),
@@ -615,7 +643,7 @@ def window_limited(
     )
     ratios = small_tcp.max_window_bytes * 8 / that_s / 1e6 / ahat
 
-    rows = _rows_by_path(epochs)
+    rows = _rows_by_path(dataset, mask)
     comparisons = []
     for path_id in dataset.path_ids:
         if path_id not in rows:
@@ -642,7 +670,7 @@ def window_limited(
 def revised_model_comparison(dataset: Dataset) -> dict[str, Cdf]:
     """Fig. 13: error CDFs of the original vs revised PFTK predictors."""
     tcp = TcpParameters.congestion_limited()
-    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     return {
         name: Cdf.from_values(
             relative_errors(
@@ -669,7 +697,7 @@ def smoothed_inputs(dataset: Dataset, ma_order: int = 10) -> dict[str, Cdf]:
     ``ma_order`` epochs' measurements, as in the paper.
     """
     predictor = FormulaBasedPredictor(tcp=TcpParameters.congestion_limited())
-    that_s, phat, ahat, throughput = _columns(dataset.epochs(), *_PLAIN)
+    that_s, phat, ahat, throughput = _columns(dataset, *_PLAIN)
     plain_errors = relative_errors(
         _predict_table(predictor, that_s, phat, ahat), throughput
     )

@@ -399,11 +399,10 @@ def lossy_path_correlation(
     hb_factory = hb_factory or with_lso(hw())
     loss_rates, rmsres_, ids = [], [], []
     for path_id in dataset.path_ids:
-        epochs = dataset.epochs(path_id)
-        mean_loss = float(np.mean([e.phat for e in epochs]))
+        traces = dataset.traces_for(path_id)
+        mean_loss = float(np.mean(np.concatenate([t.phat for t in traces])))
         if mean_loss < min_loss:
             continue
-        traces = dataset.traces_for(path_id)
         loss_rates.append(mean_loss)
         rmsres_.append(float(np.mean([trace_rmsre(t, hb_factory) for t in traces])))
         ids.append(path_id)

@@ -306,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         recorder.finish(
             n_paths=len(dataset.path_ids),
             n_traces=len(dataset.traces),
-            n_epochs=len(dataset.epochs()),
+            n_epochs=dataset.n_epochs,
             extras=extras,
         )
         if not observing:

@@ -268,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_hit=hit,
         n_paths=len(catalog),
         n_traces=len(dataset.traces),
-        n_epochs=len(dataset.epochs()),
+        n_epochs=dataset.n_epochs,
     )
     elapsed = manifest["wall_time_s"]
 

@@ -84,7 +84,7 @@ from repro.formulas.pftk import pftk_loss_for_throughput_array, pftk_throughput_
 from repro.obs import get_telemetry
 from repro.obs.spans import record_trace_phase_spans
 from repro.paths.config import PathConfig
-from repro.paths.records import EpochMeasurement, EpochTruth, Trace
+from repro.paths.records import Trace
 
 #: Probe counts of the paper's methodology: 600 before (60 s at 10 Hz),
 #: 500 during the 50 s transfer.
@@ -176,7 +176,7 @@ def run_fluid_trace(
     start_time_s: float,
     regime_mean: float | None = None,
 ) -> Trace:
-    """Simulate one whole trace and return its measurement records.
+    """Simulate one whole trace and return it as columns.
 
     Args:
         config: the path's static parameters.
@@ -327,7 +327,7 @@ def run_fluid_trace(
         path_id,
         trace_index,
         start_time_s,
-        dt_list,
+        dt_s,
         ahat_mbps,
         phat,
         that_s,
@@ -604,7 +604,7 @@ def _assemble_trace(
     path_id: str,
     trace_index: int,
     start_time_s: float,
-    dt_list: list,
+    dt_s: np.ndarray,
     ahat_mbps: np.ndarray,
     phat: np.ndarray,
     that_s: np.ndarray,
@@ -617,101 +617,42 @@ def _assemble_trace(
     util_during: np.ndarray,
     outliers: list[bool],
 ) -> Trace:
-    """Build the Trace from column arrays, bypassing dataclass ``__init__``.
+    """Build the Trace from the column arrays.
 
-    At a million epochs per campaign sweep, frozen-dataclass
-    construction (``object.__setattr__`` per field) is a measurable
-    cost; validation is done on the whole columns first, then records
-    are assembled through ``__dict__`` with plain Python floats (NumPy
-    scalars would change the CSV writer's ``repr`` output).
+    Epoch ``e`` starts at ``start_time_s + dt_s[0] + ... + dt_s[e]``,
+    summed left to right: ``np.add.accumulate`` over
+    ``[start_time_s, *dt_s]`` is that sequential fold, bit for bit,
+    where ``start_time_s + np.cumsum(dt_s)`` would group the sum
+    differently.
     """
-    throughput = outcome.throughput_mbps
-    valid = (
-        float(throughput.min()) > 0.0
-        and 0.0 <= float(phat.min())
-        and float(phat.max()) < 1.0
-        and 0.0 <= float(ptilde.min())
-        and float(ptilde.max()) < 1.0
-    )
-    n_epochs = int(throughput.size)
-
-    ahat_l = ahat_mbps.tolist()
-    phat_l = phat.tolist()
-    that_l = that_s.tolist()
-    thr_l = throughput.tolist()
-    ptilde_l = ptilde.tolist()
-    ttilde_l = ttilde_s.tolist()
-    smallw_l = smallw.tolist() if smallw is not None else None
-    cp_rows = (
-        list(zip(*(col.tolist() for col in checkpoint_cols)))
-        if checkpoint_cols
-        else None
-    )
-    util_pre_l = util_pre.tolist()
-    util_during_l = util_during.tolist()
-    loss_event_l = outcome.loss_event_rate.tolist()
-    regime_l = [_REGIMES[code] for code in outcome.regime.tolist()]
-
-    if smallw_l is None:
-        smallw_l = [None] * n_epochs
-    if cp_rows is None:
-        cp_rows = [()] * n_epochs
-
-    measurement_new = EpochMeasurement.__new__
-    truth_new = EpochTruth.__new__
-    oset = object.__setattr__  # both record types are frozen dataclasses
-    epochs: list[EpochMeasurement] = []
-    append = epochs.append
-    time_s = start_time_s
-    rows = zip(
-        dt_list,
-        ahat_l,
-        phat_l,
-        that_l,
-        thr_l,
-        ptilde_l,
-        ttilde_l,
-        smallw_l,
-        cp_rows,
-        util_pre_l,
-        util_during_l,
-        loss_event_l,
-        regime_l,
-        outliers,
-    )
-    for e, (dt, ahat, ph, th, thr, pt, tt, sw, cps, up, ud, le, rg, ol) in enumerate(
-        rows
-    ):
-        time_s += dt
-        truth = truth_new(EpochTruth)
-        oset(truth, "__dict__", {
-            "utilization_pre": up,
-            "utilization_during": ud,
-            "loss_event_rate": le,
-            "regime": rg,
-            "outlier": ol,
-        })
-        fields = {
-            "path_id": path_id,
-            "trace_index": trace_index,
-            "epoch_index": e,
-            "start_time_s": time_s,
-            "ahat_mbps": ahat,
-            "phat": ph,
-            "that_s": th,
-            "throughput_mbps": thr,
-            "ptilde": pt,
-            "ttilde_s": tt,
-            "smallw_throughput_mbps": sw,
-            "duration_throughputs_mbps": cps,
-            "truth": truth,
+    n_epochs = int(dt_s.size)
+    start_times = np.add.accumulate(np.concatenate(([start_time_s], dt_s)))[1:]
+    small = {}
+    if smallw is not None:
+        small = {
+            "smallw_throughput_mbps": smallw,
+            "smallw_present": np.ones(n_epochs, dtype=bool),
         }
-        if not valid:
-            # Rare: route through the validating constructor so the
-            # offending epoch raises its exact DataError.
-            append(EpochMeasurement(**fields))
-            continue
-        record = measurement_new(EpochMeasurement)
-        oset(record, "__dict__", fields)
-        append(record)
-    return Trace(path_id=path_id, trace_index=trace_index, epochs=epochs)
+    return Trace(
+        path_id,
+        trace_index,
+        start_time_s=start_times,
+        ahat_mbps=ahat_mbps,
+        phat=phat,
+        that_s=that_s,
+        throughput_mbps=outcome.throughput_mbps,
+        ptilde=ptilde,
+        ttilde_s=ttilde_s,
+        **small,
+        duration_throughputs_mbps=(
+            np.column_stack(checkpoint_cols)
+            if checkpoint_cols
+            else np.empty((n_epochs, 0))
+        ),
+        truth_present=np.ones(n_epochs, dtype=bool),
+        truth_utilization_pre=util_pre,
+        truth_utilization_during=util_during,
+        truth_loss_event_rate=outcome.loss_event_rate,
+        truth_regime=[_REGIMES[code] for code in outcome.regime.tolist()],
+        truth_outlier=outliers,
+    )

@@ -34,7 +34,7 @@ Typical run bracket (what ``repro-campaign`` does)::
 
     recorder = RunRecorder(label="may2004", seed=7, workers=4).start()
     dataset = campaign.run(settings, n_workers=4)
-    recorder.finish(n_epochs=len(dataset.epochs()), ...)
+    recorder.finish(n_epochs=dataset.n_epochs, ...)
     recorder.write("may.csv")       # may.manifest.json + may.events.jsonl
 """
 

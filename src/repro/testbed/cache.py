@@ -4,24 +4,22 @@ A campaign's output is fully determined by (catalog, seed, label, TCP
 parameters, settings) plus the code that simulates it.  The cache maps a
 :func:`~repro.core.cachekey.stable_fingerprint` of exactly those inputs
 — the code as :func:`code_fingerprint`, the source of the simulating
-modules — to a saved CSV (the same format as
-:func:`repro.testbed.io.save_dataset`), so benchmarks and the
+modules — to the dataset's columns, saved as one ``.npz`` entry
+(:func:`repro.testbed.io.write_entry`), so benchmarks and the
 ``repro-campaign`` CLI can reuse a previously simulated campaign
 instead of re-running it.
 
 The cache directory defaults to ``~/.cache/repro/datasets`` and is
 overridden with the ``REPRO_CACHE_DIR`` environment variable (or the
-CLI's ``--cache-dir``).  Entries are plain CSV files named after their
-key — safe to inspect, copy, or delete by hand; a corrupt or truncated
-entry is treated as a miss and re-simulated.
+CLI's ``--cache-dir``).  Entries are ``<key>.npz`` files — safe to
+inspect (``np.load``), copy, or delete by hand; a corrupt or truncated
+entry is quarantined, treated as a miss and re-simulated.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,7 +27,7 @@ from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.errors import DataError
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset
-from repro.testbed.io import FORMAT_VERSION, load_dataset, save_dataset
+from repro.testbed.io import STORE_VERSION, read_entry, write_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.testbed.campaign import Campaign, CampaignSettings
@@ -78,8 +76,9 @@ def campaign_cache_key(campaign: "Campaign", settings: "CampaignSettings") -> st
     Covers everything that shapes the dataset: the full path catalog
     (every field of every :class:`~repro.paths.config.PathConfig`), the
     root seed, the label, both TCP parameter sets, the campaign
-    settings, the CSV format version, and :func:`code_fingerprint`, so
-    an entry simulated by different code is never served.
+    settings, the entry layout (:data:`~repro.testbed.io.STORE_VERSION`),
+    and :func:`code_fingerprint`, so an entry simulated by different
+    code, or stored in another layout, is never served.
     """
     return stable_fingerprint(
         {
@@ -90,7 +89,7 @@ def campaign_cache_key(campaign: "Campaign", settings: "CampaignSettings") -> st
             "small_tcp": campaign.small_tcp,
             "settings": settings,
             "code": code_fingerprint(),
-            "format_version": FORMAT_VERSION,
+            "store_version": STORE_VERSION,
         }
     )
 
@@ -108,7 +107,7 @@ class DatasetCache:
 
     def path_for(self, key: str) -> Path:
         """The file a dataset with ``key`` is (or would be) stored at."""
-        return self.root / f"{key}.csv"
+        return self.root / f"{key}.npz"
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists for ``key`` (it may still be corrupt)."""
@@ -117,11 +116,11 @@ class DatasetCache:
     def load(self, key: str) -> Dataset | None:
         """Return the cached dataset for ``key``, or ``None`` on a miss.
 
-        A malformed entry counts as a miss rather than an error — not
-        just a clean :class:`DataError` from the loader, but any of the
-        ways a truncated, binary-garbage, or permission-mangled file can
-        fail to parse (``OSError``, ``UnicodeDecodeError``,
-        ``csv.Error``).  The bad file is quarantined (renamed
+        A malformed entry counts as a miss rather than an error: a
+        truncated or garbage file, a missing member, an object array,
+        columns that disagree with the index (each a :class:`DataError`
+        from :func:`~repro.testbed.io.read_entry`), or one that cannot
+        be read (``OSError``).  The bad file is quarantined (renamed
         ``*.corrupt``) so it is kept for inspection and cannot shadow
         the fresh entry the caller is about to store, and a
         ``cache.corrupt`` counter/event records the incident.
@@ -130,8 +129,8 @@ class DatasetCache:
         if not path.is_file():
             return None
         try:
-            return load_dataset(path)
-        except (DataError, OSError, UnicodeDecodeError, csv.Error):
+            return read_entry(path)
+        except (DataError, OSError):
             telemetry = get_telemetry()
             telemetry.counter("cache.corrupt").inc()
             telemetry.emit("cache", outcome="corrupt", key=key)
@@ -147,19 +146,7 @@ class DatasetCache:
         The write is atomic (temp file + rename), so a concurrent reader
         never observes a half-written entry.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        os.close(fd)
-        try:
-            save_dataset(dataset, tmp_name)
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):  # pragma: no cover - error path
-                os.unlink(tmp_name)
-        return path
+        return write_entry(dataset, self.path_for(key))
 
 
 def run_cached(

@@ -12,16 +12,17 @@ uninterrupted run.
 
 Layout::
 
-    <root>/<run_key>/<path_id>.t<trace_index>.csv
+    <root>/<run_key>/<path_id>.t<trace_index>.npz
 
 ``run_key`` is the campaign's content fingerprint (the same
 :func:`~repro.testbed.cache.campaign_cache_key` the dataset cache
 uses), so checkpoints can never leak between campaigns with different
-catalogs, seeds, settings, or simulating code.  Each entry is a
-single-trace dataset in the normal CSV format — inspectable and
-deletable by hand.  Writes are atomic (temp file + ``os.replace``); a
-corrupt or truncated entry is quarantined (renamed ``*.corrupt``) and
-treated as absent, so a torn write can only cost the one trace it
+catalogs, seeds, settings, simulating code, or entry layouts.  Each
+entry is a single-trace dataset in the dataset cache's ``.npz`` layout
+(:func:`~repro.testbed.io.write_entry`) — inspectable with ``np.load``
+and deletable by hand.  Writes are atomic (temp file + ``os.replace``);
+a corrupt or truncated entry is quarantined (renamed ``*.corrupt``)
+and treated as absent, so a torn write can only cost the one trace it
 belongs to.
 
 The store root defaults to ``~/.cache/repro/checkpoints`` and is
@@ -32,12 +33,12 @@ overridden with ``REPRO_CHECKPOINT_DIR`` (or the CLI's
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
+from repro.core.errors import DataError
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset, Trace
-from repro.testbed.io import load_dataset, save_dataset
+from repro.testbed.io import read_entry, write_entry
 
 __all__ = [
     "ENV_CHECKPOINT_DIR",
@@ -76,31 +77,20 @@ class CheckpointStore:
 
     def trace_path(self, run_key: str, path_id: str, trace_index: int) -> Path:
         """Where the checkpoint of one (path, trace) pair lives."""
-        return self.run_dir(run_key) / f"{path_id}.t{trace_index}.csv"
+        return self.run_dir(run_key) / f"{path_id}.t{trace_index}.npz"
 
     def store_trace(self, run_key: str, trace: Trace) -> Path:
         """Atomically persist one finished trace; returns the entry path.
 
-        Uses the same temp-file + ``os.replace`` pattern as the dataset
-        cache, so a crash mid-write never leaves a half-written entry
-        under the final name.
+        Written by the dataset cache's entry writer (temp file +
+        ``os.replace``), so a crash mid-write never leaves a
+        half-written entry under the final name.
         """
-        run_dir = self.run_dir(run_key)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        path = self.trace_path(run_key, trace.path_id, trace.trace_index)
-        dataset = Dataset(label="checkpoint", traces=[trace])
-        fd, tmp_name = tempfile.mkstemp(
-            dir=run_dir, prefix=f".{trace.path_id}-", suffix=".tmp"
+        path = write_entry(
+            Dataset(label="checkpoint", traces=[trace]),
+            self.trace_path(run_key, trace.path_id, trace.trace_index),
         )
-        os.close(fd)
-        try:
-            save_dataset(dataset, tmp_name)
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):  # pragma: no cover - error path
-                os.unlink(tmp_name)
-        telemetry = get_telemetry()
-        telemetry.counter("checkpoint.stored").inc()
+        get_telemetry().counter("checkpoint.stored").inc()
         return path
 
     def load_trace(self, run_key: str, path_id: str, trace_index: int) -> Trace | None:
@@ -115,22 +105,19 @@ class CheckpointStore:
             return None
         telemetry = get_telemetry()
         try:
-            dataset = load_dataset(path)
-            (trace,) = dataset.traces
-            if trace.path_id != path_id or trace.trace_index != trace_index:
-                raise ValueError(
-                    f"checkpoint {path} holds trace "
-                    f"({trace.path_id}, {trace.trace_index})"
-                )
-        except Exception:
-            # Any parse/shape failure — DataError, OSError, csv errors,
-            # a multi-trace file — means the entry cannot be trusted.
+            traces = read_entry(path).traces
+            held = [(t.path_id, t.trace_index) for t in traces]
+            if held != [(path_id, trace_index)]:
+                raise DataError(f"checkpoint {path} holds traces {held}")
+        except (DataError, OSError):
+            # An unreadable or damaged entry, or one holding anything but
+            # this trace, cannot be trusted.
             telemetry.counter("checkpoint.corrupt").inc()
             telemetry.emit("checkpoint", outcome="corrupt", path=str(path))
             _quarantine(path)
             return None
         telemetry.counter("checkpoint.loaded").inc()
-        return trace
+        return traces[0]
 
     def completed(self, run_key: str) -> set[tuple[str, int]]:
         """The ``(path_id, trace_index)`` pairs checkpointed for a run.
@@ -142,8 +129,8 @@ class CheckpointStore:
         if not run_dir.is_dir():
             return set()
         done: set[tuple[str, int]] = set()
-        for entry in run_dir.glob("*.csv"):
-            stem = entry.name[: -len(".csv")]
+        for entry in run_dir.glob("*.npz"):
+            stem = entry.name[: -len(".npz")]
             path_id, sep, index = stem.rpartition(".t")
             if not sep or not index.isdigit():
                 continue

@@ -1,8 +1,11 @@
-"""CSV serialization of datasets.
+"""Dataset files: the user-facing CSV and the stores' ``.npz`` entries.
 
-One row per epoch, with the hidden truth columns included (prefixed
-``truth_``) so saved campaigns remain fully analysable.  The format is
-deliberately flat CSV: easy to load into any analysis tool.
+**CSV.**  One row per epoch, with the hidden truth columns included
+(prefixed ``truth_``) so saved campaigns remain fully analysable.  The
+format is deliberately flat CSV: easy to load into any analysis tool.
+:func:`save_dataset` writes it from a trace's columns, every number as
+the ``repr`` of a Python float (the pinned output digests are of these
+bytes); :func:`load_dataset` parses it straight back into columns.
 
 Format history:
 
@@ -11,36 +14,54 @@ Format history:
   records whose regime was the empty string.  v1 files still load.
 * v2 (current) records truth-presence explicitly in ``truth_present``,
   so ``load_dataset(save_dataset(ds))`` preserves every truth record.
+
+**Entries.**  The dataset cache and the checkpoints keep the same
+columns as ``.npz`` files (:func:`write_entry`, :func:`read_entry`):
+exact float64, nothing formatted or parsed.  One member per column,
+concatenated over the traces, plus an ``index`` member — UTF-8 JSON of
+the label, each trace's ``[path_id, trace_index, epochs, cuts]`` and
+every epoch's regime.  Inspect one with ``np.load(path)``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import os
+import tempfile
+import zipfile
+import zlib
+from collections.abc import Iterator
+from io import BytesIO
 from pathlib import Path
 
-from repro.core.errors import DataError
-from repro.paths.records import Dataset, EpochMeasurement, EpochTruth, Trace
+import numpy as np
 
-#: Bumped when the on-disk layout changes; part of the dataset cache key.
+from repro.core.errors import DataError
+from repro.paths.records import (
+    ARRAY_COLUMNS,
+    MEASUREMENT_COLUMNS,
+    TRUTH_COLUMNS,
+    Dataset,
+    Trace,
+)
+
+#: The CSV format version (see the format history above).
 FORMAT_VERSION = 2
+
+#: Bumped when the ``.npz`` entry layout changes; part of the dataset
+#: cache and checkpoint keys, so an entry of another layout is never read.
+STORE_VERSION = 1
 
 _COLUMNS = [
     "path_id",
     "trace_index",
     "epoch_index",
-    "start_time_s",
-    "ahat_mbps",
-    "phat",
-    "that_s",
-    "throughput_mbps",
-    "ptilde",
-    "ttilde_s",
+    *MEASUREMENT_COLUMNS,
     "smallw_throughput_mbps",
     "duration_throughputs_mbps",
     "truth_present",
-    "truth_utilization_pre",
-    "truth_utilization_during",
-    "truth_loss_event_rate",
+    *TRUTH_COLUMNS,
     "truth_regime",
     "truth_outlier",
 ]
@@ -56,39 +77,48 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(["# dataset", dataset.label])
         writer.writerow(_COLUMNS)
-        for epoch in dataset.epochs():
-            writer.writerow(_epoch_row(epoch))
+        for trace in dataset.traces:
+            writer.writerows(_trace_rows(trace))
 
 
-def _epoch_row(epoch: EpochMeasurement) -> list[str]:
-    truth = epoch.truth
-    return [
-        epoch.path_id,
-        str(epoch.trace_index),
-        str(epoch.epoch_index),
-        repr(epoch.start_time_s),
-        repr(epoch.ahat_mbps),
-        repr(epoch.phat),
-        repr(epoch.that_s),
-        repr(epoch.throughput_mbps),
-        repr(epoch.ptilde),
-        repr(epoch.ttilde_s),
-        "" if epoch.smallw_throughput_mbps is None else repr(epoch.smallw_throughput_mbps),
-        ";".join(repr(v) for v in epoch.duration_throughputs_mbps),
-        "" if truth is None else "1",
-        "" if truth is None else repr(truth.utilization_pre),
-        "" if truth is None else repr(truth.utilization_during),
-        "" if truth is None else repr(truth.loss_event_rate),
-        "" if truth is None else truth.regime,
-        "" if truth is None else str(truth.outlier),
-    ]
+def _trace_rows(trace: Trace) -> Iterator[list[str]]:
+    """One trace's CSV rows, each number the ``repr`` of a Python float."""
+    path_id, trace_index = trace.path_id, str(trace.trace_index)
+    measured = zip(
+        *(map(repr, getattr(trace, name).tolist()) for name in MEASUREMENT_COLUMNS)
+    )
+    smallw = (
+        repr(value) if present else ""
+        for value, present in zip(
+            trace.smallw_throughput_mbps.tolist(), trace.smallw_present.tolist()
+        )
+    )
+    cuts = (
+        ";".join(map(repr, row)) for row in trace.duration_throughputs_mbps.tolist()
+    )
+    absent = [""] * 6
+    truths = (
+        ["1", repr(pre), repr(during), repr(loss), regime, str(outlier)]
+        if present
+        else absent
+        for present, pre, during, loss, regime, outlier in zip(
+            trace.truth_present.tolist(),
+            *(getattr(trace, name).tolist() for name in TRUTH_COLUMNS),
+            trace.truth_regime,
+            trace.truth_outlier.tolist(),
+        )
+    )
+    rows = zip(measured, smallw, cuts, truths)
+    for index, (values, small, cut, truth) in enumerate(rows):
+        yield [path_id, trace_index, str(index), *values, small, cut, *truth]
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset previously written by :func:`save_dataset`.
 
     Accepts both the current format and the legacy (v1) one without a
-    ``truth_present`` column.
+    ``truth_present`` column.  Each trace's ``epoch_index`` must run
+    0, 1, ..., n-1 in file order.
 
     Raises:
         DataError: on malformed files.
@@ -111,44 +141,143 @@ def load_dataset(path: str | Path) -> Dataset:
         else:
             raise DataError(f"{path} has unexpected columns: {columns}")
 
-        dataset = Dataset(label=label)
-        traces: dict[tuple[str, int], Trace] = {}
+        width = len(columns)
+        # (path_id, trace_index) -> the trace's runs of consecutive rows,
+        # each converted to columns as soon as it ends, so the text of
+        # one run at most is held at a time.
+        runs: dict[tuple[str, int], list[tuple[int, dict]]] = {}
+        counts: dict[tuple[str, int], int] = {}
+        key, rows, lines = None, [], []
         for row in reader:
+            if len(row) != width:
+                raise DataError(f"{path}: row has {len(row)} fields, expected {width}")
             try:
-                epoch = _parse_row(row, path, legacy)
+                row_key = (row[0], int(row[1]))
+                epoch_index = int(row[2])
             except ValueError:
                 raise DataError(
                     f"{path}, line {reader.line_num}: {_unparsable_field(row, legacy)}"
                 ) from None
-            key = (epoch.path_id, epoch.trace_index)
-            if key not in traces:
-                traces[key] = Trace(path_id=epoch.path_id, trace_index=epoch.trace_index)
-                dataset.traces.append(traces[key])
-            traces[key].append(epoch)
-    return dataset
+            if row_key != key:
+                if rows:
+                    runs.setdefault(key, []).append(
+                        _parse_run(key, rows, lines, path, columns, legacy)
+                    )
+                key, rows, lines = row_key, [], []
+            expected = counts.get(key, 0)
+            if epoch_index != expected:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: epoch_index {epoch_index} "
+                    f"of trace {key!r}, expected {expected}"
+                )
+            counts[key] = expected + 1
+            rows.append(row)
+            lines.append(reader.line_num)
+        if rows:
+            runs.setdefault(key, []).append(
+                _parse_run(key, rows, lines, path, columns, legacy)
+            )
+    return Dataset(
+        label=label,
+        traces=[_join_runs(key, parts, path) for key, parts in runs.items()],
+    )
 
 
-#: The columns :func:`_parse_row` converts with ``int`` and ``float``
-#: (the truth ones only when the row carries truth).
+def _parse_run(
+    key: tuple[str, int],
+    rows: list[list[str]],
+    lines: list[int],
+    path: Path,
+    columns: list[str],
+    legacy: bool,
+) -> tuple[int, dict]:
+    """Consecutive rows of one trace as :class:`Trace` columns, with the
+    line the run starts on."""
+    n = len(rows)
+    text = dict(zip(columns, zip(*rows)))
+    smallw = text["smallw_throughput_mbps"]
+    smallw_present = [bool(v) for v in smallw]
+    # v1 files could only signal truth-presence through the regime.
+    present = [bool(v) for v in text["truth_regime" if legacy else "truth_present"]]
+
+    def numbers(cells: tuple[str, ...], where: list[bool] | None = None):
+        """The cells as floats; NaN where ``where`` is False."""
+        if where is None or all(where):
+            return np.fromiter(map(float, cells), np.float64, n)
+        return np.array([float(v) if p else np.nan for v, p in zip(cells, where)])
+
+    try:
+        measured = {name: numbers(text[name]) for name in MEASUREMENT_COLUMNS}
+        smallw = numbers(smallw, smallw_present)
+        truth = {name: numbers(text[name], present) for name in TRUTH_COLUMNS}
+        cuts = [
+            [float(v) for v in cell.split(";") if v]
+            for cell in text["duration_throughputs_mbps"]
+        ]
+    except ValueError:
+        for row, line in zip(rows, lines):
+            reason = _unparsable_field(row, legacy)
+            if reason is not None:
+                raise DataError(f"{path}, line {line}: {reason}") from None
+        raise  # pragma: no cover - _unparsable_field mirrors the conversions
+    for values, line in zip(cuts, lines):
+        if len(values) != len(cuts[0]):
+            raise DataError(
+                f"{path}, line {line}: {len(values)} duration_throughputs_mbps "
+                f"values in trace {key!r}, expected {len(cuts[0])}"
+            )
+    return lines[0], {
+        **measured,
+        "smallw_throughput_mbps": smallw,
+        "smallw_present": np.array(smallw_present),
+        "duration_throughputs_mbps": np.array(cuts, dtype=np.float64).reshape(
+            n, len(cuts[0])
+        ),
+        "truth_present": np.array(present),
+        **truth,
+        "truth_regime": [r if p else "" for r, p in zip(text["truth_regime"], present)],
+        "truth_outlier": np.array(
+            [o == "True" and p for o, p in zip(text["truth_outlier"], present)]
+        ),
+    }
+
+
+def _join_runs(
+    key: tuple[str, int], runs: list[tuple[int, dict]], path: Path
+) -> Trace:
+    """One trace from its runs of rows, in file order."""
+    (_, columns), *later = runs
+    for line, more in later:
+        n_cuts = columns["duration_throughputs_mbps"].shape[1]
+        if more["duration_throughputs_mbps"].shape[1] != n_cuts:
+            raise DataError(
+                f"{path}, line {line}: "
+                f"{more['duration_throughputs_mbps'].shape[1]} "
+                f"duration_throughputs_mbps values in trace {key!r}, "
+                f"expected {n_cuts}"
+            )
+        columns = {
+            name: value + more[name]
+            if isinstance(value, list)
+            else np.concatenate((value, more[name]))
+            for name, value in columns.items()
+        }
+    return Trace(*key, **columns)
+
+
+#: The columns :func:`load_dataset` converts with ``int``.
 _INT_COLUMNS = ("trace_index", "epoch_index")
-_FLOAT_COLUMNS = (
-    "start_time_s", "ahat_mbps", "phat", "that_s", "throughput_mbps", "ptilde",
-    "ttilde_s",
-)
-_TRUTH_FLOAT_COLUMNS = (
-    "truth_utilization_pre", "truth_utilization_during", "truth_loss_event_rate",
-)
 
 
-def _unparsable_field(row: list[str], legacy: bool) -> str:
-    """Name the field of a row :func:`_parse_row` failed to convert.
+def _unparsable_field(row: list[str], legacy: bool) -> str | None:
+    """Name the first field of a row that does not convert, if any.
 
     Only called once parsing has failed, so loading pays nothing for it.
     """
     fields = dict(zip(_LEGACY_COLUMNS if legacy else _COLUMNS, row))
     has_truth = fields["truth_regime"] if legacy else fields["truth_present"]
     checks = [(name, int, [fields[name]]) for name in _INT_COLUMNS]
-    checks += [(name, float, [fields[name]]) for name in _FLOAT_COLUMNS]
+    checks += [(name, float, [fields[name]]) for name in MEASUREMENT_COLUMNS]
     smallw = fields["smallw_throughput_mbps"]
     checks.append(("smallw_throughput_mbps", float, [smallw] if smallw else []))
     durations = fields["duration_throughputs_mbps"]
@@ -156,58 +285,132 @@ def _unparsable_field(row: list[str], legacy: bool) -> str:
         ("duration_throughputs_mbps", float, [v for v in durations.split(";") if v])
     )
     if has_truth:
-        checks += [(name, float, [fields[name]]) for name in _TRUTH_FLOAT_COLUMNS]
+        checks += [(name, float, [fields[name]]) for name in TRUTH_COLUMNS]
     for name, convert, values in checks:
         for value in values:
             try:
                 convert(value)
             except ValueError:
                 return f"column {name!r}: {value!r} is not a number"
-    return "a field is not a number"  # pragma: no cover - checks mirror _parse_row
+    return None
 
 
-def _parse_row(row: list[str], path: Path, legacy: bool) -> EpochMeasurement:
-    expected = _LEGACY_COLUMNS if legacy else _COLUMNS
-    if len(row) != len(expected):
-        raise DataError(f"{path}: row has {len(row)} fields, expected {len(expected)}")
-    if legacy:
-        (
-            path_id, trace_index, epoch_index, start_time_s,
-            ahat, phat, that, throughput, ptilde, ttilde,
-            smallw, durations, t_upre, t_udur, t_loss, t_regime, t_outlier,
-        ) = row
-        # v1 files could only signal truth-presence through the regime.
-        t_present = "1" if t_regime else ""
-    else:
-        (
-            path_id, trace_index, epoch_index, start_time_s,
-            ahat, phat, that, throughput, ptilde, ttilde,
-            smallw, durations, t_present, t_upre, t_udur, t_loss,
-            t_regime, t_outlier,
-        ) = row
-    truth = None
-    if t_present:
-        truth = EpochTruth(
-            utilization_pre=float(t_upre),
-            utilization_during=float(t_udur),
-            loss_event_rate=float(t_loss),
-            regime=t_regime,
-            outlier=t_outlier == "True",
+# -- the stores' entries -----------------------------------------------
+
+#: The ``.npz`` members holding columns, each concatenated over the
+#: traces (the duration cuts flattened row by row).
+_ENTRY_COLUMNS = {**ARRAY_COLUMNS, "duration_throughputs_mbps": np.float64}
+
+
+def write_entry(dataset: Dataset, path: Path) -> Path:
+    """Store ``dataset`` at ``path`` as ``.npz`` columns; returns ``path``.
+
+    The write is atomic (temp file + ``os.replace``), so a concurrent
+    reader, or one after a crash, never sees half an entry.
+    """
+    index = {
+        "label": dataset.label,
+        "traces": [
+            [
+                t.path_id,
+                int(t.trace_index),
+                len(t),
+                t.duration_throughputs_mbps.shape[1],
+            ]
+            for t in dataset.traces
+        ],
+        "regimes": [regime for t in dataset.traces for regime in t.truth_regime],
+    }
+    members = {"index": np.frombuffer(json.dumps(index).encode(), dtype=np.uint8)}
+    for name, dtype in _ENTRY_COLUMNS.items():
+        members[name] = np.concatenate(
+            [np.empty(0, dtype), *(getattr(t, name).ravel() for t in dataset.traces)]
         )
-    return EpochMeasurement(
-        path_id=path_id,
-        trace_index=int(trace_index),
-        epoch_index=int(epoch_index),
-        start_time_s=float(start_time_s),
-        ahat_mbps=float(ahat),
-        phat=float(phat),
-        that_s=float(that),
-        throughput_mbps=float(throughput),
-        ptilde=float(ptilde),
-        ttilde_s=float(ttilde),
-        smallw_throughput_mbps=float(smallw) if smallw else None,
-        duration_throughputs_mbps=tuple(
-            float(v) for v in durations.split(";") if v
-        ),
-        truth=truth,
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:16]}-", suffix=".tmp"
     )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, allow_pickle=False, **members)
+        os.replace(tmp_name, path)
+    finally:
+        if os.path.exists(tmp_name):  # pragma: no cover - error path
+            os.unlink(tmp_name)
+    return path
+
+
+def read_entry(path: Path) -> Dataset:
+    """The dataset :func:`write_entry` stored at ``path``.
+
+    Reads each member with ``allow_pickle=False``: an entry holds plain
+    arrays or nothing is read from it.
+
+    Raises:
+        OSError: the file cannot be read.
+        DataError: it is not an entry: not a zip archive, a member
+            missing or of the wrong dtype, or columns whose lengths
+            disagree with the index.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            index = json.loads(_entry_member(archive, "index", np.uint8).tobytes())
+            arrays = {
+                name: _entry_member(archive, name, dtype)
+                for name, dtype in _ENTRY_COLUMNS.items()
+            }
+        return _entry_dataset(index, arrays)
+    except (
+        KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error
+    ) as exc:
+        raise DataError(f"{path} is not a dataset entry: {exc}") from exc
+
+
+def _entry_member(archive: zipfile.ZipFile, name: str, dtype: type) -> np.ndarray:
+    array = np.lib.format.read_array(
+        BytesIO(archive.read(f"{name}.npy")), allow_pickle=False
+    )
+    if array.dtype != dtype or array.ndim != 1:
+        raise ValueError(f"member {name!r} is {array.dtype} of shape {array.shape}")
+    return array
+
+
+def _entry_dataset(index: dict, arrays: dict[str, np.ndarray]) -> Dataset:
+    """Split the concatenated columns back into traces."""
+    label, traces, regimes = index["label"], index["traces"], index["regimes"]
+    if not isinstance(label, str):
+        raise ValueError(f"bad label {label!r}")
+    for path_id, trace_index, n, n_cuts in traces:
+        if not (
+            isinstance(path_id, str)
+            and all(type(v) is int for v in (trace_index, n, n_cuts))
+            and n >= 0
+            and n_cuts >= 0
+        ):
+            raise ValueError(f"bad trace entry {[path_id, trace_index, n, n_cuts]}")
+    n_epochs = sum(n for _, _, n, _ in traces)
+    n_cut_values = sum(n * n_cuts for _, _, n, n_cuts in traces)
+    if (
+        any(arrays[name].size != n_epochs for name in ARRAY_COLUMNS)
+        or arrays["duration_throughputs_mbps"].size != n_cut_values
+        or len(regimes) != n_epochs
+    ):
+        raise ValueError("column lengths disagree with the trace offsets")
+    if not set(map(type, regimes)) <= {str}:
+        raise ValueError("a regime is not a string")
+    result, epoch, cut = [], 0, 0
+    for path_id, trace_index, n, n_cuts in traces:
+        rows = slice(epoch, epoch + n)
+        result.append(
+            Trace(
+                path_id,
+                trace_index,
+                **{name: arrays[name][rows] for name in ARRAY_COLUMNS},
+                duration_throughputs_mbps=arrays["duration_throughputs_mbps"][
+                    cut : cut + n * n_cuts
+                ].reshape(n, n_cuts),
+                truth_regime=regimes[rows],
+            )
+        )
+        epoch, cut = epoch + n, cut + n * n_cuts
+    return Dataset(label=label, traces=result)

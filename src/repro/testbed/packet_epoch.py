@@ -298,7 +298,7 @@ class PacketTraceRunner:
 
         if n_epochs < 1:
             raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
-        trace = Trace(path_id=self.config.path_id, trace_index=trace_index)
+        epochs = []
         time_s = 0.0
         for epoch_index in range(n_epochs):
             time_s += epoch_interval_s
@@ -311,7 +311,5 @@ class PacketTraceRunner:
                 trace_index=trace_index,
                 epoch_index=epoch_index,
             )
-            trace.append(
-                replace(epoch, start_time_s=time_s)
-            )
-        return trace
+            epochs.append(replace(epoch, start_time_s=time_s))
+        return Trace.from_epochs(self.config.path_id, trace_index, epochs)

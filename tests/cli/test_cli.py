@@ -5,6 +5,8 @@ import csv
 import pytest
 
 from repro.cli import analyze, campaign, predict, serve
+from repro.paths.records import Trace
+from repro.testbed.io import _COLUMNS
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +188,12 @@ class TestCampaignCommand:
         assert out.exists()
 
 
+def _duplicated_epoch_csv() -> bytes:
+    """A dataset CSV whose one trace lists epoch 0 twice."""
+    row = "p01,0,0,180.0,5.0,0.0,0.05,4.5,0.0,0.06" + "," * 8
+    return "\r\n".join(["# dataset,dup", ",".join(_COLUMNS), row, row, ""]).encode()
+
+
 @pytest.fixture(scope="module")
 def saved_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "ds.csv"
@@ -281,8 +289,12 @@ class TestAnalyzeCommand:
             (None, "No such file or directory"),
             (b"not,a,dataset\n1,2,3\n", "missing dataset header row"),
             (b"\xff\xfe\x00garbage", "can't decode"),
+            (
+                _duplicated_epoch_csv(),
+                "line 4: epoch_index 0 of trace ('p01', 0), expected 1",
+            ),
         ],
-        ids=["missing", "garbage-header", "binary"],
+        ids=["missing", "garbage-header", "binary", "duplicated-epoch"],
     )
     def test_unloadable_dataset_exits_2_without_sidecars(
         self, tmp_path, capsys, monkeypatch, content, reason
@@ -336,6 +348,41 @@ class TestAnalyzeCommand:
         counters = {e["name"]: e["value"] for e in manifest["counters"]}
         assert counters["analysis.job_failures"] == 3  # the default two retries
         assert counters["analysis.retries"] == 2
+
+
+class TestColumnarPipeline:
+    def test_cli_pipeline_builds_no_epoch_record(self, tmp_path, capsys, monkeypatch):
+        """From the engine to the figures, both CLIs work on trace
+        columns: with the builder of epoch records made to raise, a
+        campaign (cache and checkpoints on), its cache-hit rerun, and
+        repro-analyze on every figure, cold and then warm, all run."""
+        expected = {}
+
+        def run_pipeline(name):
+            out = tmp_path / name / "ds.csv"
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name / "cache"))
+            monkeypatch.setenv("REPRO_EVAL_CACHE_DIR", str(tmp_path / name / "evals"))
+            argv = ["--paths", "4", "--traces", "1", "--epochs", "24", "-o", str(out)]
+            assert campaign.main(argv) == 0
+            assert "cache hit" not in capsys.readouterr().out
+            assert campaign.main(argv) == 0
+            assert "cache hit" in capsys.readouterr().out
+            assert len(list((tmp_path / name / "cache").glob("*.npz"))) == 1
+            outputs = []
+            for _ in ("cold", "warm"):
+                assert analyze.main([str(out)]) == 0
+                outputs.append(capsys.readouterr().out)
+            return out.read_bytes(), outputs
+
+        expected = run_pipeline("records-allowed")
+
+        def refuse(self):
+            raise AssertionError("an EpochMeasurement was built")
+
+        monkeypatch.setattr(Trace, "_epoch_rows", refuse)
+        dataset_bytes, (cold, warm) = run_pipeline("records-refused")
+        assert (dataset_bytes, [cold, warm]) == expected
+        assert cold == warm
 
 
 class TestAnalyzeTelemetry:

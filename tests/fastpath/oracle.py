@@ -490,11 +490,11 @@ def _run_epochs(
     **epoch_kwargs,
 ) -> Trace:
     """One trace on the loop, epoch ``e`` starting ``dt_s[:e + 1]`` in."""
-    trace = Trace(path_id=path_id, trace_index=trace_index)
+    epochs = []
     time_s = start_time_s
     for epoch_index, dt in enumerate(dt_s):
         time_s += dt
-        trace.append(
+        epochs.append(
             simulator.run_epoch(
                 path_id=path_id,
                 trace_index=trace_index,
@@ -504,7 +504,7 @@ def _run_epochs(
                 **epoch_kwargs,
             )
         )
-    return trace
+    return Trace.from_epochs(path_id, trace_index, epochs)
 
 
 def oracle_run_trace(

@@ -1,9 +1,14 @@
 """Epoch records, traces, datasets."""
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import DataError
 from repro.paths.records import (
+    MEASUREMENT_COLUMNS,
     Dataset,
     EpochMeasurement,
     EpochTruth,
@@ -49,40 +54,96 @@ class TestEpochMeasurement:
 
 
 class TestTrace:
-    def test_append_validates_identity(self):
-        trace = Trace(path_id="p01", trace_index=0)
-        trace.append(epoch())
+    def test_from_epochs_validates_identity(self):
+        Trace.from_epochs("p01", 0, [epoch()])
         with pytest.raises(DataError):
-            trace.append(epoch(path_id="p02"))
+            Trace.from_epochs("p01", 0, [epoch(), epoch(path_id="p02")])
         with pytest.raises(DataError):
-            trace.append(epoch(trace_index=1))
+            Trace.from_epochs("p01", 0, [epoch(), epoch(trace_index=1)])
 
     def test_throughput_series(self):
-        trace = Trace(path_id="p01", trace_index=0)
-        for i, value in enumerate([1.0, 2.0, 3.0]):
-            trace.append(epoch(epoch_index=i, throughput=value))
+        epochs = [
+            epoch(epoch_index=i, throughput=value)
+            for i, value in enumerate([1.0, 2.0, 3.0])
+        ]
+        trace = Trace.from_epochs("p01", 0, epochs)
         series = trace.throughput_series()
         assert series.values.tolist() == [1.0, 2.0, 3.0]
         assert "p01" in series.name
 
     def test_small_window_series(self):
-        trace = Trace(path_id="p01", trace_index=0)
-        trace.append(epoch(smallw_throughput_mbps=0.5))
+        trace = Trace.from_epochs("p01", 0, [epoch(smallw_throughput_mbps=0.5)])
         series = trace.throughput_series(small_window=True)
         assert series.values.tolist() == [0.5]
 
     def test_small_window_missing_raises(self):
-        trace = Trace(path_id="p01", trace_index=0)
-        trace.append(epoch())
+        trace = Trace.from_epochs("p01", 0, [epoch()])
         with pytest.raises(DataError):
             trace.throughput_series(small_window=True)
 
     def test_len_and_iter(self):
-        trace = Trace(path_id="p01", trace_index=0)
-        trace.append(epoch(epoch_index=0))
-        trace.append(epoch(epoch_index=1))
+        trace = Trace.from_epochs("p01", 0, [epoch(epoch_index=i) for i in range(2)])
         assert len(trace) == 2
         assert [e.epoch_index for e in trace] == [0, 1]
+
+
+class TestTraceColumns:
+    def test_from_epochs_requires_epoch_indices_in_sequence(self):
+        epochs = [epoch(epoch_index=0), epoch(epoch_index=2)]
+        with pytest.raises(DataError) as excinfo:
+            Trace.from_epochs("p01", 0, epochs)
+        assert str(excinfo.value) == "epoch_index 2 of trace ('p01', 0), expected 1"
+
+    def test_column_of_wrong_length_rejected(self):
+        columns = {name: [1.0, 2.0] for name in MEASUREMENT_COLUMNS}
+        columns.update(phat=[0.0, 0.0], ptilde=[0.0, 0.0], ahat_mbps=[1.0])
+        with pytest.raises(DataError, match="column ahat_mbps has shape"):
+            Trace("p01", 0, **columns)
+
+    def test_pickled_trace_keeps_read_only_columns(self):
+        trace = Trace.from_epochs("p01", 0, [epoch(smallw_throughput_mbps=0.5)])
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored == trace
+        assert not restored.phat.flags.writeable
+        assert not restored.duration_throughputs_mbps.flags.writeable
+
+    def test_equality_compares_column_bytes(self):
+        a = Trace.from_epochs("p01", 0, [epoch(phat=0.0)])
+        assert a == Trace.from_epochs("p01", 0, [epoch(phat=0.0)])
+        assert a != Trace.from_epochs("p01", 0, [epoch(phat=-0.0)])
+        assert a != Trace.from_epochs("p01", 1, [epoch(trace_index=1, phat=0.0)])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(),
+                st.floats(-0.5, 1.5) | st.just(float("nan")),
+                st.floats(-0.5, 1.5) | st.just(float("nan")),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_column_checks_raise_what_the_first_bad_record_raises(self, rows):
+        expected = None
+        for index, (throughput, phat, ptilde) in enumerate(rows):
+            try:
+                epoch(
+                    epoch_index=index, throughput=throughput, phat=phat, ptilde=ptilde
+                )
+            except DataError as exc:
+                expected = str(exc)
+                break
+        columns = {name: [1.0] * len(rows) for name in MEASUREMENT_COLUMNS}
+        columns["throughput_mbps"], columns["phat"], columns["ptilde"] = (
+            list(column) for column in zip(*rows)
+        )
+        if expected is None:
+            Trace("p01", 0, **columns)
+        else:
+            with pytest.raises(DataError) as excinfo:
+                Trace("p01", 0, **columns)
+            assert str(excinfo.value) == expected
 
 
 class TestDataset:
@@ -90,12 +151,11 @@ class TestDataset:
         ds = Dataset(label="test")
         for path_id in ("p01", "p02"):
             for t in range(2):
-                trace = Trace(path_id=path_id, trace_index=t)
-                for i in range(3):
-                    trace.append(
-                        epoch(path_id=path_id, trace_index=t, epoch_index=i)
-                    )
-                ds.traces.append(trace)
+                epochs = [
+                    epoch(path_id=path_id, trace_index=t, epoch_index=i)
+                    for i in range(3)
+                ]
+                ds.traces.append(Trace.from_epochs(path_id, t, epochs))
         return ds
 
     def test_path_ids_in_order(self):

@@ -1,6 +1,5 @@
 """The content-addressed dataset cache."""
 
-import csv
 import importlib
 import shutil
 from pathlib import Path
@@ -16,6 +15,8 @@ from repro.testbed.cache import (
     run_cached,
 )
 from repro.testbed.campaign import Campaign, CampaignSettings
+from tests.faults import counter_value, telemetry  # noqa: F401
+from tests.testbed.entry_damage import DAMAGE, Tripwire, text_member
 
 SETTINGS = CampaignSettings(n_traces=1, epochs_per_trace=4)
 
@@ -121,7 +122,7 @@ class TestDatasetCache:
         assert not hit
         assert snapshots  # simulated, not loaded
         assert again == first
-        assert len(list(tmp_path.glob("*.csv"))) == 2
+        assert len(list(tmp_path.glob("*.npz"))) == 2
 
     def test_miss_defaults_to_one_job_per_path(self, tmp_path, monkeypatch):
         """A miss runs the campaign as one engine job per path."""
@@ -189,19 +190,39 @@ class TestDatasetCache:
         assert quarantined.read_text() == "garbage\n"
 
     def test_unparsable_number_is_quarantined_and_resimulated(self, tmp_path):
+        """An entry whose ``ahat_mbps`` member holds text ("abc" first)."""
         cache = DatasetCache(tmp_path)
         key = campaign_cache_key(small_campaign(), SETTINGS)
         simulated, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
         entry = cache.path_for(key)
-        rows = list(csv.reader(entry.open(newline="")))
-        rows[2][rows[1].index("ahat_mbps")] = "abc"
-        with entry.open("w", newline="") as handle:
-            csv.writer(handle).writerows(rows)
+        text_member(entry)
         rerun, hit = run_cached(small_campaign(), SETTINGS, cache=cache)
         assert not hit
         assert rerun == simulated
         assert entry.with_name(entry.name + ".corrupt").is_file()
         assert cache.load(key) == simulated
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_quarantined_and_resimulated(
+        self, tmp_path, telemetry, damage
+    ):
+        cache = DatasetCache(tmp_path)
+        key = campaign_cache_key(small_campaign(), SETTINGS)
+        simulated, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
+        entry = cache.path_for(key)
+        DAMAGE[damage](entry)
+        telemetry.drain()
+        snapshots = []
+        rerun, hit = run_cached(
+            small_campaign(), SETTINGS, cache=cache, progress=snapshots.append
+        )
+        assert not hit
+        assert snapshots  # simulated, not loaded
+        assert rerun == simulated
+        assert entry.with_name(entry.name + ".corrupt").is_file()
+        assert counter_value(telemetry, "cache.corrupt") == 1
+        assert cache.load(key) == simulated
+        assert not Tripwire.tripped
 
     def test_store_and_load_roundtrip(self, tmp_path):
         cache = DatasetCache(tmp_path)

@@ -2,9 +2,14 @@
 
 import shutil
 
+import pytest
+
 from repro.paths.config import may_2004_catalog, scaled_catalog
+from repro.testbed.cache import campaign_cache_key
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.checkpoint import CheckpointStore, default_checkpoint_dir
+from tests.faults import counter_value, telemetry  # noqa: F401
+from tests.testbed.entry_damage import DAMAGE, Tripwire
 
 SETTINGS = CampaignSettings(n_traces=2, epochs_per_trace=3)
 RUN_KEY = "deadbeef" * 8
@@ -62,6 +67,35 @@ class TestCheckpointStore:
         assert store.load_trace(RUN_KEY, trace.path_id, trace.trace_index) is None
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").is_file()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_quarantined_and_resimulated(
+        self, tmp_path, telemetry, damage
+    ):
+        """A damaged entry is quarantined and counted; a resumed run
+        loads every intact checkpoint, re-simulates the damaged one and
+        equals an uninterrupted run."""
+        reference = small_campaign().run(SETTINGS)
+        store = CheckpointStore(tmp_path)
+        run_key = campaign_cache_key(small_campaign(), SETTINGS)
+        for trace in reference.traces:
+            store.store_trace(run_key, trace)
+        damaged = store.trace_path(run_key, "p01", 1)
+        DAMAGE[damage](damaged)
+        telemetry.drain()
+        assert store.load_trace(run_key, "p01", 1) is None
+        assert damaged.with_name(damaged.name + ".corrupt").is_file()
+        assert counter_value(telemetry, "checkpoint.corrupt") == 1
+
+        store.store_trace(run_key, reference.traces[1])
+        DAMAGE[damage](damaged)
+        telemetry.drain()
+        resumed = small_campaign().run(SETTINGS, checkpoint=store, resume=True)
+        assert resumed == reference
+        assert counter_value(telemetry, "checkpoint.corrupt") == 1
+        assert counter_value(telemetry, "campaign.traces_resumed") == 3
+        assert counter_value(telemetry, "campaign.traces_attempted") == 1
+        assert not Tripwire.tripped
 
     def test_mislabeled_entry_quarantined(self, tmp_path):
         """An entry whose contents disagree with its filename is corrupt."""

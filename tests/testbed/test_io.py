@@ -1,16 +1,21 @@
-"""Dataset CSV serialization."""
+"""Dataset files: the CSV and the stores' ``.npz`` entries."""
 
 import csv
+import math
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DataError
 from repro.paths.config import may_2004_catalog, scaled_catalog
 from repro.paths.records import Dataset, EpochMeasurement, EpochTruth, Trace
+from repro.testbed.cache import DatasetCache
 from repro.testbed.campaign import Campaign, CampaignSettings
-from repro.testbed.io import _LEGACY_COLUMNS, load_dataset, save_dataset
+from repro.testbed.checkpoint import CheckpointStore
+from repro.testbed.io import _COLUMNS, _LEGACY_COLUMNS, load_dataset, save_dataset
+from tests.testbed.csv_oracle import oracle_csv_bytes
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +104,65 @@ class TestErrorHandling:
         )
 
 
+class TestEpochSequence:
+    """Each trace's ``epoch_index`` must run 0, 1, ..., n-1 in file order."""
+
+    @pytest.mark.parametrize(
+        "edit, line, found, expected",
+        [("duplicated", 7, 3, 4), ("missing", 6, 4, 3), ("swapped", 6, 4, 3)],
+    )
+    def test_out_of_sequence_epoch_rejected(
+        self, dataset, tmp_path, edit, line, found, expected
+    ):
+        path = tmp_path / "ds.csv"
+        save_dataset(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = 2 + 3  # the first trace's epoch 3, on line 6
+        if edit == "duplicated":
+            lines.insert(at + 1, lines[at])
+        elif edit == "missing":
+            del lines[at]
+        else:
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        path.write_text("".join(lines))
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        first = dataset.traces[0]
+        assert str(excinfo.value) == (
+            f"{path}, line {line}: epoch_index {found} of trace "
+            f"{(first.path_id, first.trace_index)!r}, expected {expected}"
+        )
+
+
+    def test_interleaved_traces_load(self, dataset, tmp_path):
+        """The rows of two traces may alternate: each keeps its epochs in
+        file order."""
+        path = tmp_path / "ds.csv"
+        save_dataset(dataset, path)
+        header, columns, *rows = path.read_text().splitlines(keepends=True)
+        n = len(dataset.traces[0])
+        first, second, rest = rows[:n], rows[n : 2 * n], rows[2 * n :]
+        mixed = [row for pair in zip(first, second) for row in pair]
+        path.write_text("".join([header, columns, *mixed, *rest]))
+        assert load_dataset(path) == dataset
+
+    def test_ragged_duration_cuts_rejected(self, tmp_path):
+        """One trace's epochs must all carry the same number of cuts."""
+        path = tmp_path / "ds.csv"
+        rows = [
+            f"p01,0,{index},{180.0 * (index + 1)},5.0,0.0,0.05,4.5,0.0,0.06,,"
+            f"{cuts},,,,,,"
+            for index, cuts in enumerate(["1.0;2.0", "1.0;2.0", "3.0"])
+        ]
+        path.write_text("\n".join(["# dataset,x", ",".join(_COLUMNS), *rows, ""]))
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == (
+            f"{path}, line 5: 1 duration_throughputs_mbps values in trace "
+            "('p01', 0), expected 2"
+        )
+
+
 def _epoch(epoch_index: int, truth: EpochTruth | None) -> EpochMeasurement:
     return EpochMeasurement(
         path_id="p01",
@@ -116,9 +180,9 @@ def _epoch(epoch_index: int, truth: EpochTruth | None) -> EpochMeasurement:
 
 
 def _single_trace_dataset(truths: list[EpochTruth | None]) -> Dataset:
-    trace = Trace(path_id="p01", trace_index=0)
-    for index, truth in enumerate(truths):
-        trace.append(_epoch(index, truth))
+    trace = Trace.from_epochs(
+        "p01", 0, [_epoch(index, truth) for index, truth in enumerate(truths)]
+    )
     return Dataset(label="truth-test", traces=[trace])
 
 
@@ -194,3 +258,78 @@ def test_roundtrip_preserves_every_truth_record(tmp_path_factory, truth_list):
     loaded = load_dataset(path)
     assert loaded.epochs() == dataset.epochs()
     assert [e.truth for e in loaded.epochs()] == truth_list
+
+
+#: Any float, NaN as the one NaN the CSV text can carry: ``repr`` writes
+#: every NaN as ``nan``, which parses back as ``math.nan``.
+any_float = st.floats(allow_nan=False) | st.just(math.nan)
+#: What EpochMeasurement accepts: loss rates in [0, 1) (-0.0 included),
+#: and throughputs not <= 0 (NaN and +inf included).
+loss_rates = st.floats(0.0, 1.0, exclude_max=True) | st.just(-0.0)
+throughputs = st.floats(min_value=0.0, exclude_min=True) | st.just(math.nan)
+epoch_truths = st.none() | st.builds(
+    EpochTruth,
+    utilization_pre=any_float,
+    utilization_during=any_float,
+    loss_event_rate=any_float,
+    regime=st.sampled_from(["", "window", "congestion"]),
+    outlier=st.booleans(),
+)
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    """1-3 paths of 1-2 traces, 1-4 epochs each, 0 or 3 duration cuts."""
+    traces = []
+    for path_number in range(draw(st.integers(1, 3))):
+        path_id = f"p{path_number:02d}"
+        for trace_index in range(draw(st.integers(1, 2))):
+            n_cuts = draw(st.sampled_from([0, 3]))
+            epochs = [
+                EpochMeasurement(
+                    path_id,
+                    trace_index,
+                    epoch_index,
+                    start_time_s=draw(any_float),
+                    ahat_mbps=draw(any_float),
+                    phat=draw(loss_rates),
+                    that_s=draw(any_float),
+                    throughput_mbps=draw(throughputs),
+                    ptilde=draw(loss_rates),
+                    ttilde_s=draw(any_float),
+                    smallw_throughput_mbps=draw(st.none() | any_float),
+                    duration_throughputs_mbps=tuple(
+                        draw(any_float) for _ in range(n_cuts)
+                    ),
+                    truth=draw(epoch_truths),
+                )
+                for epoch_index in range(draw(st.integers(1, 4)))
+            ]
+            traces.append(Trace.from_epochs(path_id, trace_index, epochs))
+    label = draw(st.text(string.ascii_letters + string.digits + ' ,"-', max_size=8))
+    return Dataset(label=label, traces=traces)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(datasets())
+def test_every_store_round_trips_column_bytes(tmp_path_factory, dataset):
+    """The CSV (byte-equal to the per-record writer), the dataset cache
+    and the checkpoints each give back the same column bytes."""
+    root = tmp_path_factory.mktemp("round-trip")
+    path = root / "ds.csv"
+    save_dataset(dataset, path)
+    assert path.read_bytes() == oracle_csv_bytes(dataset)
+    assert load_dataset(path) == dataset
+
+    cache = DatasetCache(root / "cache")
+    cache.store("key", dataset)
+    assert cache.load("key") == dataset
+
+    checkpoints = CheckpointStore(root / "checkpoints")
+    for trace in dataset.traces:
+        checkpoints.store_trace("run", trace)
+        assert checkpoints.load_trace("run", trace.path_id, trace.trace_index) == trace

@@ -105,7 +105,7 @@ class TestManifestMatchesDataset:
     def test_manifest_written_next_to_cache_entry(self, tmp_path):
         run_cli(tmp_path, "ds.csv")
         cache_dir = tmp_path / "dataset-cache"
-        entries = list(cache_dir.glob("*.csv"))
+        entries = list(cache_dir.glob("*.npz"))
         assert len(entries) == 1
         manifest_path, events_path = sidecar_paths(entries[0])
         assert manifest_path.is_file() and events_path.is_file()
