@@ -14,15 +14,15 @@ BENCH_TABLES_DIR := .bench-tables
 
 .PHONY: install test test-fast campaign-smoke obs-smoke resume-smoke \
 	analyze-obs-smoke bench-check perf-smoke serve-smoke bench-serve \
-	trace-smoke vector-parity analyze-parity bench-tables lint bench \
-	bench-full bench-obs bench-perf examples clean
+	trace-smoke vector-parity analyze-parity bench-tables e2e-smoke lint \
+	bench bench-full bench-obs bench-perf examples clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test: lint campaign-smoke obs-smoke resume-smoke analyze-obs-smoke bench-check \
 		perf-smoke serve-smoke bench-serve trace-smoke vector-parity \
-		analyze-parity bench-tables
+		analyze-parity bench-tables e2e-smoke
 	$(PYTHON) -m pytest tests/
 
 test-fast:
@@ -202,6 +202,15 @@ bench-tables:
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -p no:cacheprovider
 	git diff --exit-code -- benchmarks/output
 	@echo "bench tables OK (every reduced-scale table byte-identical to benchmarks/output/)"
+
+# The end-to-end benchmark's self-test (benchmarks/e2e/test_e2e.py):
+# `run.py --smoke` over all four workloads on a tiny catalog, untraced
+# and traced, checked against BENCHMARK.json and the smoke catalog's
+# pinned digests.  The traced run wraps repro functions by module path
+# (benchmarks/e2e/shim.py), so renaming a probed function, or moving the
+# HB walks off `repro.hb.vector_eval.vector_walk`, fails it here.
+e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Library code must report through repro.obs, not print().
 lint:

@@ -17,6 +17,14 @@ LsoConfig)``.  This module makes that explicit:
   job per trace, and writes the pack back with the new results (one
   write, only when something was computed).
 
+A job walks each series of its trace (the main series, the W = 20 KB
+series, each down-sampling) once, with every pending unit of that
+series in the one pass of :func:`~repro.hb.evaluate.evaluate_predictors`:
+units of one predictor spec share its walk, and LSO wrappers with equal
+thresholds and Fig. 20's outlier exclusion share one LSO kernel.  The
+results are those of one :func:`~repro.hb.evaluate.evaluate_predictor`
+call per unit, bit for bit.
+
 Each job carries the series the parent built to key its units, so no
 worker reads the dataset file: what is computed is always what was
 keyed.  The engine runs the jobs serially or over ``--workers N``
@@ -52,7 +60,7 @@ from repro.analysis.evalcache import (
 )
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
-from repro.hb.evaluate import HbEvaluation, evaluate_predictor
+from repro.hb.evaluate import HbEvaluation, evaluate_predictors
 from repro.hb.lso import LsoConfig
 from repro.paths.records import Dataset
 from repro.testbed.executor import Unit, resolve_workers, run_jobs
@@ -160,24 +168,40 @@ def _unit_series(dataset: Dataset, unit: EvalUnit) -> TimeSeries | None:
     return series
 
 
-def _evaluate(
-    series: TimeSeries, spec: PredictorSpec, lso: LsoConfig | None
-) -> HbEvaluation | None:
+#: One pending unit of a series: (its position in the trace's planned
+#: walks, spec, lso).
+_Walk = tuple[int, PredictorSpec, LsoConfig | None]
+
+
+def _evaluate(series: TimeSeries, walks: list[_Walk]) -> list[HbEvaluation | None]:
+    """One series' pending units, walked in one pass, in their order."""
+    factories = {spec: spec_factory(spec) for _, spec, _ in walks}
     try:
-        return evaluate_predictor(series, spec_factory(spec), lso_config=lso)
+        return evaluate_predictors(
+            series, [(factories[spec], lso) for _, spec, lso in walks]
+        )
     except DataError:
-        # An undevaluable series reads as "nothing to warm"; the figure
-        # phase surfaces the error through its own skip handling.
-        return None
+        # An invalid series reads as "nothing to warm" for every unit on
+        # it; the figure phase surfaces the error through its own skip
+        # handling, as it does for a unit voided alone.
+        return [None] * len(walks)
 
 
 def _walk_trace(_shared: None, unit: Unit) -> list[HbEvaluation | None]:
     """Engine work: compute one trace's pending walks, in planned order.
 
-    Never consults the active cache: the warm phase runs before
-    activation, and workers install none.
+    The payload holds each series of the trace with its pending walks;
+    each series is walked in one pass.  Never consults the active
+    cache: the warm phase runs before activation, and workers install
+    none.
     """
-    return [_evaluate(series, spec, lso) for series, spec, lso in unit.payload]
+    results: list[HbEvaluation | None] = [None] * sum(
+        len(walks) for _, walks in unit.payload
+    )
+    for series, walks in unit.payload:
+        for (position, _, _), evaluation in zip(walks, _evaluate(series, walks)):
+            results[position] = evaluation
+    return results
 
 
 @dataclass(frozen=True)
@@ -225,9 +249,11 @@ def warm_eval_cache(
     jobs: list[list[Unit]] = []
     cached = 0
     for ordinal, trace_units in groupby(units, key=lambda unit: unit.trace_ordinal):
-        # A trace's units share a handful of series; build each once.
+        # A trace's units share a handful of series; build each once and
+        # gather its pending walks for one pass.
         series_by_shape: dict[tuple[bool, int], TimeSeries | None] = {}
-        walks = []
+        walks_by_shape: dict[tuple[bool, int], list[_Walk]] = {}
+        pending = 0
         for unit in trace_units:
             shape = (unit.small_window, unit.downsample)
             if shape not in series_by_shape:
@@ -240,10 +266,17 @@ def warm_eval_cache(
                 cached += 1
             else:
                 keys.append(key)
-                walks.append((series, unit.spec, unit.lso))
-        if walks:
+                walks_by_shape.setdefault(shape, []).append(
+                    (pending, unit.spec, unit.lso)
+                )
+                pending += 1
+        if pending:
             trace = dataset.traces[ordinal]
-            jobs.append([Unit(trace.path_id, trace.trace_index, tuple(walks))])
+            payload = tuple(
+                (series_by_shape[shape], walks)
+                for shape, walks in walks_by_shape.items()
+            )
+            jobs.append([Unit(trace.path_id, trace.trace_index, payload)])
 
     if jobs:
         results = run_jobs(

@@ -19,8 +19,11 @@ offline evaluation and online serving, and
 
 :func:`~repro.hb.evaluate.evaluate_predictor` walks a throughput
 :class:`~repro.core.timeseries.TimeSeries` and produces the one-step
-errors and RMSRE used by every HB figure of the paper; every predictor
-takes the same loop, :func:`~repro.hb.vector_eval.vector_walk`.
+errors and RMSRE used by every HB figure of the paper;
+:func:`~repro.hb.evaluate.evaluate_predictors` walks several predictors
+over one series in one pass, LSO wrappers with equal thresholds sharing
+one kernel.  Every predictor takes the same loop,
+:func:`~repro.hb.vector_eval.vector_walk`.
 :class:`~repro.hb.streaming.StreamingPredictorState` serves the same
 predictors online.
 """
@@ -31,6 +34,7 @@ from repro.hb.evaluate import (
     HbEvaluation,
     active_eval_cache,
     evaluate_predictor,
+    evaluate_predictors,
     set_active_eval_cache,
 )
 from repro.hb.ewma import Ewma
@@ -78,6 +82,7 @@ __all__ = [
     "detect_level_shift",
     "detect_outliers",
     "evaluate_predictor",
+    "evaluate_predictors",
     "set_active_eval_cache",
     "vector_walk",
 ]

@@ -4,9 +4,12 @@
 every HB figure of the paper: at each epoch the predictor (built fresh
 for the trace) forecasts the next throughput from the history so far,
 the relative error (Eq. 4) is recorded, and the trace's accuracy is
-summarised with RMSRE (Eq. 5).  The walk itself is
-:func:`~repro.hb.vector_eval.vector_walk`, the one loop every predictor
-takes.
+summarised with RMSRE (Eq. 5).  :func:`evaluate_predictors` evaluates
+several predictors over one trace in one pass, LSO wrappers with equal
+thresholds sharing one kernel; its results are those of
+:func:`evaluate_predictor` on each predictor alone, bit for bit.  The
+walk itself is :func:`~repro.hb.vector_eval.vector_walk`, the one loop
+every predictor takes.
 
 :func:`lso_segmentation` runs the paper's LSO heuristics over a whole
 trace and reports the final outlier indices and stationary segments —
@@ -14,7 +17,10 @@ what Section 6.1.3 needs to compute a trace's CoV (weighted across
 stationary periods, outliers excluded) and to exclude outliers from the
 RMSRE of Fig. 20.  It drives the same LSO kernel
 (:class:`~repro.hb.lso.LsoKernel`) the LSO predictor wraps, tracking
-original epoch indices alongside.
+original epoch indices alongside (:class:`EpochTrack`).  An evaluation's
+outlier exclusion tracks the kernel of its own pass the same way, so a
+pass that walks an LSO wrapper with the exclusion's thresholds detects
+the trace's LSO structure once.
 
 An evaluation cache (:mod:`repro.analysis.evalcache`) can be installed
 with :func:`set_active_eval_cache`; :func:`evaluate_predictor` then
@@ -25,6 +31,7 @@ not create an hb -> analysis import cycle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Protocol
@@ -34,7 +41,7 @@ import numpy as np
 from repro.core.errors import DataError
 from repro.core.metrics import rmsre, segmented_cov
 from repro.core.timeseries import TimeSeries
-from repro.hb.base import PredictorFactory
+from repro.hb.base import HistoryPredictor, PredictorFactory
 from repro.hb.lso import LsoConfig, LsoKernel, first_invalid_sample
 from repro.hb.vector_eval import vector_errors, vector_walk
 from repro.obs import get_telemetry
@@ -135,6 +142,22 @@ def active_eval_cache() -> EvaluationCacheHook | None:
     return _ACTIVE_EVAL_CACHE
 
 
+def _checked_values(series: TimeSeries) -> np.ndarray:
+    """The series' samples, after checking each is positive and finite.
+
+    Raises:
+        DataError: naming the first bad sample by epoch and series.
+    """
+    values = series.values
+    epoch = first_invalid_sample(values)
+    if epoch is not None:
+        raise DataError(
+            f"throughput must be positive and finite, got {float(values[epoch])} "
+            f"at epoch {epoch} of series {series.name!r}"
+        )
+    return values
+
+
 def evaluate_predictor(
     series: TimeSeries,
     factory: PredictorFactory,
@@ -156,18 +179,11 @@ def evaluate_predictor(
     Raises:
         DataError: when the trace carries a non-positive or non-finite
             sample — named by epoch and series, up front, before any
-            predictor sees it.
+            predictor sees it — or when the predictor forecasts a
+            non-positive value.
     """
-    values = series.values
-    epoch = first_invalid_sample(values)
-    if epoch is not None:
-        raise DataError(
-            f"throughput must be positive and finite, got {float(values[epoch])} "
-            f"at epoch {epoch} of series {series.name!r}"
-        )
-
+    values = _checked_values(series)
     predictor = factory()
-    name = getattr(predictor, "name", type(predictor).__name__)
 
     cache = _ACTIVE_EVAL_CACHE
     if cache is not None:
@@ -175,35 +191,125 @@ def evaluate_predictor(
         if cached is not None:
             return cached
 
-    started = perf_counter()
-    predictions = vector_walk(values, predictor)
-    errors = vector_errors(predictions, values)
-    elapsed = perf_counter() - started
-
-    tele = get_telemetry()
-    if tele.enabled:
-        made = int(np.count_nonzero(~np.isnan(predictions)))
-        if made:
-            # One sample per walk (covering every forecast of the trace)
-            # and one counter bump for all of them: the instrumented path
-            # no longer pays per-epoch clock reads and handle lookups.
-            tele.metrics.timer("predict.wall_s", predictor=name).observe(elapsed)
-            tele.metrics.counter("predictions.made", predictor=name).inc(made)
-
-    outliers: frozenset[int] = frozenset()
-    if lso_config is not None:
-        outliers = frozenset(lso_segmentation(values, lso_config).outlier_indices)
-
-    evaluation = HbEvaluation(
-        predictor_name=name,
-        series_name=series.name,
-        predictions=predictions,
-        errors=errors,
-        outlier_indices=outliers,
-    )
+    (evaluation,) = _evaluate_pass(series, values, [predictor], [(0, lso_config)])
+    if isinstance(evaluation, DataError):
+        raise evaluation
     if cache is not None:
         cache.record(series, predictor, lso_config, evaluation)
     return evaluation
+
+
+def evaluate_predictors(
+    series: TimeSeries,
+    walks: Sequence[tuple[PredictorFactory, LsoConfig | None]],
+) -> list[HbEvaluation | None]:
+    """:func:`evaluate_predictor` for several predictors, in one pass.
+
+    Each walk is a ``(factory, lso_config)`` pair, as the two arguments
+    of :func:`evaluate_predictor`.  Walks that name the same factory
+    object share one predictor (its forecasts do not depend on the
+    outlier exclusion), LSO wrappers with equal thresholds and every
+    exclusion with those thresholds share one LSO kernel, and each
+    result equals :func:`evaluate_predictor`'s for its walk, bit for bit.
+    The active evaluation cache is not consulted.
+
+    Returns:
+        One evaluation per walk, in order; ``None`` for a walk whose
+        predictor raised :class:`~repro.core.errors.DataError` (e.g. a
+        non-positive forecast), which voids that predictor's walks only.
+
+    Raises:
+        DataError: when the trace carries a non-positive or non-finite
+            sample, named by epoch and series; it voids every walk.
+    """
+    values = _checked_values(series)
+    slots: dict[int, int] = {}  # id(factory) -> its predictor's position
+    predictors: list[HistoryPredictor] = []
+    for factory, _ in walks:
+        if id(factory) not in slots:
+            slots[id(factory)] = len(predictors)
+            predictors.append(factory())
+    try:
+        results = _evaluate_pass(
+            series, values, predictors, [(slots[id(f)], lso) for f, lso in walks]
+        )
+    except DataError:
+        if len(predictors) == 1:
+            return [None] * len(walks)
+        # A predictor failed mid-walk: walk each alone, so the failure
+        # voids its own walks and no others.
+        return [
+            evaluation
+            for walk in walks
+            for evaluation in evaluate_predictors(series, [walk])
+        ]
+    return [None if isinstance(r, DataError) else r for r in results]
+
+
+def _evaluate_pass(
+    series: TimeSeries,
+    values: np.ndarray,
+    predictors: list[HistoryPredictor],
+    walks: list[tuple[int, LsoConfig | None]],
+) -> list[HbEvaluation | DataError]:
+    """Walk fresh ``predictors`` over checked ``values`` in one pass.
+
+    Each walk is ``(predictor position, lso_config)``.  A predictor whose
+    errors are undefined (a non-positive forecast) yields its
+    :class:`~repro.core.errors.DataError` for each of its walks instead
+    of an evaluation.  Telemetry: one ``predict.wall_s{predictor=hb}``
+    sample for the pass, and ``predictions.made{predictor=…}`` by each
+    evaluated predictor's forecast count.
+
+    Raises:
+        DataError: from a predictor that raised it mid-walk.
+    """
+    tracks = {lso: EpochTrack() for _, lso in walks if lso is not None}
+    started = perf_counter()
+    rows = vector_walk(
+        values, predictors, {lso: track.record for lso, track in tracks.items()}
+    )
+    outcomes: list[np.ndarray | DataError] = []
+    for predictions in rows:
+        try:
+            outcomes.append(vector_errors(predictions, values))
+        except DataError as exc:
+            outcomes.append(exc)
+    elapsed = perf_counter() - started
+
+    names = [getattr(p, "name", type(p).__name__) for p in predictors]
+    tele = get_telemetry()
+    if tele.enabled:
+        made = [
+            0 if isinstance(outcome, DataError)
+            else int(np.count_nonzero(~np.isnan(predictions)))
+            for predictions, outcome in zip(rows, outcomes)
+        ]
+        if any(made):
+            # One timer sample per pass (covering every forecast of every
+            # predictor in it) and one counter bump per predictor.
+            tele.metrics.timer("predict.wall_s", predictor="hb").observe(elapsed)
+            for name, count in zip(names, made):
+                if count:
+                    tele.metrics.counter("predictions.made", predictor=name).inc(count)
+
+    outliers = {lso: frozenset(track.outlier_indices) for lso, track in tracks.items()}
+    results: list[HbEvaluation | DataError] = []
+    for position, lso in walks:
+        errors = outcomes[position]
+        if isinstance(errors, DataError):
+            results.append(errors)
+            continue
+        results.append(
+            HbEvaluation(
+                predictor_name=names[position],
+                series_name=series.name,
+                predictions=rows[position],
+                errors=errors,
+                outlier_indices=frozenset() if lso is None else outliers[lso],
+            )
+        )
+    return results
 
 
 @dataclass(frozen=True)
@@ -249,21 +355,47 @@ def lso_segmentation(
             f"throughput must be positive and finite, got {float(vals[epoch])} "
             f"at epoch {epoch}"
         )
-    lso = LsoKernel(config)
-    indices: list[int] = []  # original epoch of each clean-history sample
-    outlier_indices: list[int] = []
-    shift_indices: list[int] = []
-    for idx, value in enumerate(vals.tolist()):
-        indices.append(idx)
-        outliers, shift = lso.add(value)
+    add = LsoKernel(config).add
+    track = EpochTrack()
+    record = track.record
+    for value in vals.tolist():
+        record(*add(value))
+    return _assemble_segmentation(vals, track.outlier_indices, track.shift_indices)
+
+
+class EpochTrack:
+    """Original epoch indices of an LSO kernel's detections.
+
+    :meth:`record` takes the kernel's answer to each sample, in order,
+    and keeps the original epoch of every clean-history sample, so the
+    outliers and shifts the kernel reports by history position are
+    recorded by epoch.
+
+    Attributes:
+        outlier_indices: epochs discarded as outliers, in detection order.
+        shift_indices: first epoch after each level shift, in order.
+    """
+
+    __slots__ = ("_indices", "_count", "outlier_indices", "shift_indices")
+
+    def __init__(self) -> None:
+        self._indices: list[int] = []  # original epoch of each history sample
+        self._count = 0
+        self.outlier_indices: list[int] = []
+        self.shift_indices: list[int] = []
+
+    def record(self, outliers: list[int], shift: int | None) -> None:
+        """Record the kernel's answer to the next sample."""
+        indices = self._indices
+        indices.append(self._count)
+        self._count += 1
         if outliers:
-            outlier_indices.extend(indices[k] for k in outliers)
+            self.outlier_indices.extend(indices[k] for k in outliers)
             for k in reversed(outliers):
                 del indices[k]
         if shift is not None:
-            shift_indices.append(indices[shift])
+            self.shift_indices.append(indices[shift])
             del indices[:shift]
-    return _assemble_segmentation(vals, outlier_indices, shift_indices)
 
 
 def _assemble_segmentation(

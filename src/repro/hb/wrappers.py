@@ -11,10 +11,18 @@ shift restarting it from the shift point).  Predictors are
 deterministic state machines over their update sequence, so feeding
 incrementally and rebuilding give the same bits.
 
+An update is two steps: the kernel takes the sample, then the wrapper
+catches up from the kernel's answer (:meth:`LsoPredictor.catch_up`).
+The wrapper's forecast depends only on the kernel's clean history, its
+answers, and the wrapper's own ``harden`` setting and base predictor,
+so one kernel can drive many wrappers with equal thresholds:
+:func:`~repro.hb.vector_eval.vector_walk` feeds each sample to one
+shared kernel and lets every wrapper following it catch up.
+
 The same wrapper serves the offline walk-forward evaluation
 (:func:`~repro.hb.evaluate.evaluate_predictor`) and online serving
-(:class:`~repro.hb.streaming.PredictorSpec` builds it), at O(1)
-amortised cost per observation.
+(:class:`~repro.hb.streaming.PredictorSpec` builds it, one kernel per
+wrapper), at O(1) amortised cost per observation.
 """
 
 from __future__ import annotations
@@ -86,37 +94,53 @@ class LsoPredictor(HistoryPredictor):
         """The retained history: post-shift samples, outliers removed."""
         return tuple(self._lso.history)
 
+    @property
+    def config(self) -> LsoConfig:
+        """The LSO thresholds."""
+        return self._config
+
     def update(self, value: float) -> None:
-        outliers, shift = self._lso.add(float(value))
-        self._feed(shift is not None or (bool(outliers) and outliers[0] < self._fed))
-
-    def _feed(self, rebuild: bool) -> None:
-        """Bring the base predictor up to date with the clean history.
-
-        The newest sample cannot be judged by the outlier rule yet (it
-        may be the start of a level shift).  If it deviates from the
-        history median beyond the outlier threshold it is *quarantined*:
-        kept in the history for future shift/outlier decisions, but not
-        fed to the base predictor until the next sample disambiguates
-        it.  This keeps one isolated outlier from polluting exactly one
-        forecast.
-        """
         lso = self._lso
-        history = lso.history
-        target = len(history)
-        if self.harden and target >= 3:
-            last = history[-1]
-            med = lso.median()
-            # relative_difference(last, med), inlined on the per-sample path.
-            deviation = (last - med) / med if last >= med else (med - last) / last
-            if deviation > self._config.outlier_threshold:
-                target -= 1
+        outliers, shift = lso.add(float(value))
+        self.catch_up(outliers, shift, feed_target(lso, self.harden))
+
+    def follow(self, kernel: LsoKernel) -> None:
+        """Read the clean history of ``kernel``, which the caller drives.
+
+        After this the caller adds each sample to ``kernel`` and passes
+        its answer to :meth:`catch_up`; :meth:`update` must not be called,
+        since it would add the sample to the shared kernel again.
+
+        Raises:
+            ValueError: unless this wrapper and ``kernel`` are both fresh
+                and the kernel's thresholds equal this wrapper's.
+        """
+        if self._lso.count or kernel.count or kernel.config != self._config:
+            raise ValueError(
+                "only a fresh LSO predictor can follow a fresh kernel with "
+                "its own thresholds"
+            )
+        self._lso = kernel
+
+    def catch_up(self, outliers: list[int], shift: int | None, target: int) -> None:
+        """Bring the base predictor up to date after the kernel took a sample.
+
+        Args:
+            outliers, shift: the kernel's answer to that sample
+                (:meth:`~repro.hb.lso.LsoKernel.add`).
+            target: :func:`feed_target` of the kernel for this wrapper's
+                ``harden`` setting.
+
+        The base is rebuilt from the clean history only when the history
+        changed under it: a level shift, an already-fed sample discarded
+        as an outlier, or a quarantined tail (see :func:`feed_target`).
+        """
         fed = self._fed
-        if rebuild or target < fed:
+        if shift is not None or (outliers and outliers[0] < fed) or target < fed:
             self._base = self._factory()
             fed = 0
         base = self._base
-        for sample in history[fed:target]:
+        for sample in self._lso.history[fed:target]:
             base.update(sample)
         self._fed = target
         self._ready = base.ready
@@ -139,7 +163,8 @@ class LsoPredictor(HistoryPredictor):
         return high if raw > high else raw
 
     def reset(self) -> None:
-        self._lso.reset()
+        # A kernel of its own: a shared one has other wrappers following it.
+        self._lso = LsoKernel(self._config)
         self._base = self._factory()
         self._fed = 0
         self._ready = self._base.ready
@@ -158,4 +183,30 @@ class LsoPredictor(HistoryPredictor):
                 left unchanged.
         """
         self._lso.load_state(state)
-        self._feed(rebuild=True)
+        self._base = self._factory()
+        self._fed = 0
+        self.catch_up([], None, feed_target(self._lso, self.harden))
+
+
+def feed_target(kernel: LsoKernel, harden: bool) -> int:
+    """How much of ``kernel``'s clean history a wrapper feeds its base.
+
+    The newest sample cannot be judged by the outlier rule yet (it may
+    be the start of a level shift).  With ``harden``, if it deviates
+    from the history median beyond the outlier threshold it is
+    *quarantined*: kept in the history for future shift/outlier
+    decisions, but not fed to the base predictor until the next sample
+    disambiguates it.  This keeps one isolated outlier from polluting
+    exactly one forecast.  The decision depends on the kernel and
+    ``harden`` only, so wrappers sharing both share it.
+    """
+    history = kernel.history
+    target = len(history)
+    if harden and target >= 3:
+        last = history[-1]
+        med = kernel.median()
+        # relative_difference(last, med), inlined on the per-sample path.
+        deviation = (last - med) / med if last >= med else (med - last) / last
+        if deviation > kernel.config.outlier_threshold:
+            target -= 1
+    return target

@@ -172,7 +172,7 @@ class Trace:
             throughput, or a loss rate outside ``[0, 1)``.
     """
 
-    __slots__ = ("path_id", "trace_index", *_ALL_COLUMNS)
+    __slots__ = ("path_id", "trace_index", *_ALL_COLUMNS, "_series")
 
     def __init__(self, path_id: str, trace_index: int, **columns) -> None:
         unknown = columns.keys() - _ALL_COLUMNS
@@ -180,6 +180,8 @@ class Trace:
             raise TypeError(f"unknown trace columns: {sorted(unknown)}")
         self.path_id = path_id
         self.trace_index = trace_index
+        #: small_window -> the throughput series, built on first request.
+        self._series: dict[bool, TimeSeries] = {}
         n = len(columns.get("throughput_mbps", ()))
         where = f"trace ({path_id}, {trace_index})"
         for name, dtype in ARRAY_COLUMNS.items():
@@ -356,6 +358,10 @@ class Trace:
     def throughput_series(self, small_window: bool = False) -> TimeSeries:
         """The trace's throughput time series (for HB prediction).
 
+        Built once per window and returned again on every later call: the
+        columns are read-only and the series immutable.  The memo is left
+        out of pickling and of ``==``.
+
         Args:
             small_window: use the companion W=20 KB transfers instead of
                 the main transfers.
@@ -364,6 +370,12 @@ class Trace:
             DataError: if ``small_window`` is requested but the trace has
                 no small-window measurements.
         """
+        series = self._series.get(small_window)
+        if series is None:
+            series = self._series[small_window] = self._build_series(small_window)
+        return series
+
+    def _build_series(self, small_window: bool) -> TimeSeries:
         values = self.throughput_mbps
         if small_window:
             if not self.smallw_present.all():

@@ -9,11 +9,16 @@ import pytest
 
 import repro.hb
 from repro.analysis import evalcache
-from repro.analysis.evalcache import EvaluationCache
+from repro.analysis.evalcache import (
+    EvaluationCache,
+    evaluation_key,
+    spec_factory,
+)
 from repro.analysis.hb_eval import hw, ma_family, predictor_cdfs, with_lso
 from repro.analysis.parallel import plan_units, warm_eval_cache
+from repro.cli.analyze import FIGURES
 from repro.core.errors import ExecutionError
-from repro.hb.lso import LsoConfig
+from repro.hb.lso import LsoConfig, LsoKernel
 from repro.paths.config import may_2004_catalog
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.io import load_dataset, save_dataset
@@ -23,6 +28,7 @@ from tests.faults import (  # noqa: F401
     normalized,
     telemetry,
 )
+from tests.hb import oracle
 
 #: Every figure with HB walks.
 HB_FIGURES = [16, 17, 19, 20, 21, 22, 23]
@@ -161,6 +167,69 @@ def test_code_fingerprint_covers_hb_sources(tmp_path, monkeypatch):
     source = copy / "holt_winters.py"
     source.write_text(source.read_text() + "\n# edited\n")
     assert fingerprint() != evalcache.code_fingerprint()
+
+
+def _series(trace, small_window, downsample):
+    series = trace.throughput_series(small_window=small_window)
+    return series.downsample(downsample) if downsample > 1 else series
+
+
+def _oracle_factory(spec):
+    """The oracle's predictor for a spec: the LSO replay for LSO specs."""
+    if spec[0] != "lso":
+        return spec_factory(spec)
+    _, inner, chi, psi, harden = spec
+    return lambda: oracle.ReplayLso(spec_factory(inner), LsoConfig(chi, psi), harden)
+
+
+def test_each_series_takes_one_kernel_pass_per_config(tmp_path, monkeypatch):
+    """A cold warm phase over the CLI figure set feeds each distinct
+    (series, LsoConfig) of a trace to one kernel, once; and every stored
+    entry is the oracle's walk of its unit, bit for bit."""
+    dataset = Campaign(may_2004_catalog()[:2], seed=7).run(
+        CampaignSettings(n_traces=1, epochs_per_trace=150)
+    )
+    samples = []
+    add = LsoKernel.add
+
+    def counting_add(kernel, value):
+        samples.append(value)
+        return add(kernel, value)
+
+    monkeypatch.setattr(LsoKernel, "add", counting_add)
+    cache = EvaluationCache(tmp_path / "cache")
+    units = plan_units(dataset, sorted(FIGURES))
+    stats = warm_eval_cache(dataset, sorted(FIGURES), cache, n_workers=1)
+    monkeypatch.undo()
+    assert stats.computed == stats.planned == len(units)
+
+    kernels = set()  # (trace, small_window, downsample, LsoConfig)
+    for unit in units:
+        configs = {unit.lso} - {None}
+        if unit.spec[0] == "lso":
+            configs.add(LsoConfig(unit.spec[2], unit.spec[3]))
+        shape = (unit.trace_ordinal, unit.small_window, unit.downsample)
+        kernels.update((*shape, config) for config in configs)
+    expected = sum(
+        len(_series(dataset.traces[ordinal], small_window, downsample))
+        for ordinal, small_window, downsample, _ in kernels
+    )
+    # Per trace: the main and W=20 KB series, and 1/2, 1/8 and 1/15 of
+    # the main one: 150 + 150 + 75 + 19 + 10.
+    assert expected == 404 * len(dataset.traces)
+    assert len(samples) == expected
+
+    for unit in units:
+        trace = dataset.traces[unit.trace_ordinal]
+        series = _series(trace, unit.small_window, unit.downsample)
+        stored = cache.get(evaluation_key(series, unit.spec, unit.lso))
+        predictions, errors = oracle.walk(series.values, _oracle_factory(unit.spec)())
+        assert stored.predictions.tobytes() == predictions.tobytes(), unit
+        assert stored.errors.tobytes() == errors.tobytes(), unit
+        outliers = set()
+        if unit.lso is not None:
+            outliers = set(oracle.rescan_segmentation(series.values, unit.lso)[0])
+        assert stored.outlier_indices == outliers, unit
 
 
 def _warm_pack(dataset, cache_dir, workers=1):

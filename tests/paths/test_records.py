@@ -80,6 +80,30 @@ class TestTrace:
         trace = Trace.from_epochs("p01", 0, [epoch()])
         with pytest.raises(DataError):
             trace.throughput_series(small_window=True)
+        with pytest.raises(DataError):
+            trace.throughput_series(small_window=True)
+
+    def test_series_built_once_per_window(self):
+        epochs = [
+            epoch(epoch_index=i, throughput=v, smallw_throughput_mbps=v / 2)
+            for i, v in enumerate([1.0, 2.0, 3.0])
+        ]
+        trace = Trace.from_epochs("p01", 0, epochs)
+        main = trace.throughput_series()
+        small = trace.throughput_series(small_window=True)
+        assert trace.throughput_series() is main
+        assert trace.throughput_series(small_window=False) is main
+        assert trace.throughput_series(small_window=True) is small
+        assert small is not main
+
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored == trace
+        rebuilt = restored.throughput_series()
+        assert rebuilt is not main
+        assert rebuilt == main and rebuilt.name == main.name
+        assert restored.throughput_series(small_window=True) == small
+        # The memo takes no part in equality.
+        assert Trace.from_epochs("p01", 0, epochs) == trace
 
     def test_len_and_iter(self):
         trace = Trace.from_epochs("p01", 0, [epoch(epoch_index=i) for i in range(2)])
