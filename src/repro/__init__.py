@@ -41,8 +41,67 @@ Quickstart::
     campaign = Campaign(may_2004_catalog(), seed=1)
     dataset = campaign.run(CampaignSettings(n_traces=2, epochs_per_trace=50))
     print(fb_eval.error_cdfs(dataset).summary())
+
+Package-level names load on first use.  Each subpackage ``__init__``
+lists its exports in one table, public name -> defining module, and
+installs the PEP 562 ``__getattr__``/``__dir__`` that
+:func:`lazy_exports` builds from it, so ``from repro.testbed import
+Campaign`` imports :mod:`repro.testbed.campaign` then, and only then: a
+command imports only the modules its run executes.
 """
+
+from __future__ import annotations
+
+import importlib
+from collections.abc import Callable
+from typing import Any
 
 from repro._version import __version__
 
 __all__ = ["__version__"]
+
+
+def lazy_exports(
+    namespace: dict[str, Any], table: dict[str, str]
+) -> tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for the package ``namespace``.
+
+    Used as::
+
+        __all__, __getattr__, __dir__ = lazy_exports(globals(), {
+            "Campaign": ".campaign",
+            "PathConfig": "repro.paths.config",
+        })
+
+    A module path that starts with a dot is relative to the package.  A
+    name whose module is the package's own submodule of that name
+    (``"fb_eval": ".fb_eval"``) exports the submodule.  The first access
+    to a name imports its module and binds the value in ``namespace``,
+    so every later access is a plain attribute read.
+
+    Args:
+        namespace: the package's ``globals()``.
+        table: public name -> module that defines it, in ``__all__``
+            order.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        try:
+            source = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        module = importlib.import_module(source, package)
+        if module.__name__ == f"{package}.{name}":
+            value: Any = module
+        else:
+            value = getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *table})
+
+    return list(table), __getattr__, __dir__

@@ -13,6 +13,14 @@ Each function takes a :class:`repro.paths.records.Dataset` and returns
 plain result objects; nothing here reads the hidden ``truth`` fields.
 """
 
-from repro.analysis import fb_eval, hb_eval, report, stats
+from repro import lazy_exports
 
-__all__ = ["fb_eval", "hb_eval", "report", "stats"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "fb_eval": ".fb_eval",
+        "hb_eval": ".hb_eval",
+        "report": ".report",
+        "stats": ".stats",
+    },
+)

@@ -4,59 +4,34 @@ This subpackage holds everything that more than one subsystem needs and
 that is not specific to either predictor family or to either simulator.
 """
 
-from repro.core.cachekey import canonical_encoding, stable_fingerprint
-from repro.core.errors import (
-    ConfigurationError,
-    DataError,
-    PredictionError,
-    ReproError,
-    SimulationError,
-)
-from repro.core.metrics import (
-    Cdf,
-    coefficient_of_variation,
-    pearson_correlation,
-    relative_error,
-    rmsre,
-    segmented_cov,
-)
-from repro.core.rng import RngStreams
-from repro.core.timeseries import TimeSeries
-from repro.core.units import (
-    BITS_PER_BYTE,
-    Bandwidth,
-    bits_to_mbps,
-    bytes_to_bits,
-    kbit,
-    kbyte,
-    mbit,
-    mbyte,
-    mbps_to_bps,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BITS_PER_BYTE",
-    "Bandwidth",
-    "Cdf",
-    "ConfigurationError",
-    "DataError",
-    "PredictionError",
-    "ReproError",
-    "RngStreams",
-    "SimulationError",
-    "TimeSeries",
-    "bits_to_mbps",
-    "bytes_to_bits",
-    "canonical_encoding",
-    "coefficient_of_variation",
-    "kbit",
-    "kbyte",
-    "mbit",
-    "mbps_to_bps",
-    "mbyte",
-    "pearson_correlation",
-    "relative_error",
-    "rmsre",
-    "segmented_cov",
-    "stable_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "BITS_PER_BYTE": ".units",
+        "Bandwidth": ".units",
+        "Cdf": ".metrics",
+        "ConfigurationError": ".errors",
+        "DataError": ".errors",
+        "PredictionError": ".errors",
+        "ReproError": ".errors",
+        "RngStreams": ".rng",
+        "SimulationError": ".errors",
+        "TimeSeries": ".timeseries",
+        "bits_to_mbps": ".units",
+        "bytes_to_bits": ".units",
+        "canonical_encoding": ".cachekey",
+        "coefficient_of_variation": ".metrics",
+        "kbit": ".units",
+        "kbyte": ".units",
+        "mbit": ".units",
+        "mbps_to_bps": ".units",
+        "mbyte": ".units",
+        "pearson_correlation": ".metrics",
+        "relative_error": ".metrics",
+        "rmsre": ".metrics",
+        "segmented_cov": ".metrics",
+        "stable_fingerprint": ".cachekey",
+    },
+)

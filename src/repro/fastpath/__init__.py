@@ -22,25 +22,18 @@ The packet-level simulator (``repro.simnet``) validates this model; see
 ``tests/integration/test_fluid_vs_packet.py``.
 """
 
-from repro.fastpath.loadmodel import CrossLoadProcess, EpochLoad
-from repro.fastpath.queueing import (
-    mm1k_loss_probability,
-    mm1k_mean_queue_delay_s,
-    mm1k_mean_system_occupancy,
-)
-from repro.fastpath.sampling import (
-    probe_loss_estimate,
-    probe_rtt_estimate,
-)
-from repro.fastpath.vector import run_fluid_trace
+from repro import lazy_exports
 
-__all__ = [
-    "CrossLoadProcess",
-    "EpochLoad",
-    "mm1k_loss_probability",
-    "mm1k_mean_queue_delay_s",
-    "mm1k_mean_system_occupancy",
-    "probe_loss_estimate",
-    "probe_rtt_estimate",
-    "run_fluid_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "CrossLoadProcess": ".loadmodel",
+        "EpochLoad": ".loadmodel",
+        "mm1k_loss_probability": ".queueing",
+        "mm1k_mean_queue_delay_s": ".queueing",
+        "mm1k_mean_system_occupancy": ".queueing",
+        "probe_loss_estimate": ".sampling",
+        "probe_rtt_estimate": ".sampling",
+        "run_fluid_trace": ".vector",
+    },
+)

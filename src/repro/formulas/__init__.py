@@ -17,31 +17,23 @@ All models take path characteristics in SI units (seconds, bytes,
 probabilities) and return throughput in **Mbps**.
 """
 
-from repro.formulas.availbw import availbw_prediction
-from repro.formulas.cardwell import (
-    expected_short_transfer_throughput_mbps,
-    expected_slow_start_segments,
-    expected_transfer_time_s,
-    slow_start_fraction,
-)
-from repro.formulas.fb_predictor import FormulaBasedPredictor, estimate_rto
-from repro.formulas.mathis import mathis_throughput
-from repro.formulas.params import PathEstimates, TcpParameters
-from repro.formulas.pftk import pftk_full_throughput, pftk_throughput
-from repro.formulas.pftk_revised import pftk_revised_throughput
+from repro import lazy_exports
 
-__all__ = [
-    "FormulaBasedPredictor",
-    "PathEstimates",
-    "TcpParameters",
-    "availbw_prediction",
-    "estimate_rto",
-    "expected_short_transfer_throughput_mbps",
-    "expected_slow_start_segments",
-    "expected_transfer_time_s",
-    "mathis_throughput",
-    "pftk_full_throughput",
-    "pftk_revised_throughput",
-    "pftk_throughput",
-    "slow_start_fraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "FormulaBasedPredictor": ".fb_predictor",
+        "PathEstimates": ".params",
+        "TcpParameters": ".params",
+        "availbw_prediction": ".availbw",
+        "estimate_rto": ".fb_predictor",
+        "expected_short_transfer_throughput_mbps": ".cardwell",
+        "expected_slow_start_segments": ".cardwell",
+        "expected_transfer_time_s": ".cardwell",
+        "mathis_throughput": ".mathis",
+        "pftk_full_throughput": ".pftk",
+        "pftk_revised_throughput": ".pftk_revised",
+        "pftk_throughput": ".pftk",
+        "slow_start_fraction": ".cardwell",
+    },
+)

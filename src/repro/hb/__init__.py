@@ -28,61 +28,35 @@ one kernel.  Every predictor takes the same loop,
 predictors online.
 """
 
-from repro.hb.autoregressive import AutoRegressive
-from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.evaluate import (
-    HbEvaluation,
-    active_eval_cache,
-    evaluate_predictor,
-    evaluate_predictors,
-    set_active_eval_cache,
-)
-from repro.hb.ewma import Ewma
-from repro.hb.hybrid import HybridPredictor
-from repro.hb.holt_winters import HoltWinters
-from repro.hb.lso import (
-    DEFAULT_LEVEL_SHIFT_THRESHOLD,
-    DEFAULT_OUTLIER_THRESHOLD,
-    LsoConfig,
-    LsoKernel,
-    detect_level_shift,
-    detect_outliers,
-)
-from repro.hb.moving_average import MovingAverage
-from repro.hb.nws import AdaptiveEnsemble
-from repro.hb.streaming import (
-    BASE_PREDICTORS,
-    DEFAULT_SERVE_PREDICTORS,
-    PredictorSpec,
-    StreamingPredictorState,
-)
-from repro.hb.vector_eval import vector_walk
-from repro.hb.wrappers import LsoPredictor
+from repro import lazy_exports
 
-__all__ = [
-    "AdaptiveEnsemble",
-    "AutoRegressive",
-    "BASE_PREDICTORS",
-    "DEFAULT_LEVEL_SHIFT_THRESHOLD",
-    "DEFAULT_OUTLIER_THRESHOLD",
-    "DEFAULT_SERVE_PREDICTORS",
-    "Ewma",
-    "HybridPredictor",
-    "HbEvaluation",
-    "HistoryPredictor",
-    "HoltWinters",
-    "LsoConfig",
-    "LsoKernel",
-    "LsoPredictor",
-    "MovingAverage",
-    "PredictorFactory",
-    "PredictorSpec",
-    "StreamingPredictorState",
-    "active_eval_cache",
-    "detect_level_shift",
-    "detect_outliers",
-    "evaluate_predictor",
-    "evaluate_predictors",
-    "set_active_eval_cache",
-    "vector_walk",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "AdaptiveEnsemble": ".nws",
+        "AutoRegressive": ".autoregressive",
+        "BASE_PREDICTORS": ".streaming",
+        "DEFAULT_LEVEL_SHIFT_THRESHOLD": ".lso",
+        "DEFAULT_OUTLIER_THRESHOLD": ".lso",
+        "DEFAULT_SERVE_PREDICTORS": ".streaming",
+        "Ewma": ".ewma",
+        "HybridPredictor": ".hybrid",
+        "HbEvaluation": ".evaluate",
+        "HistoryPredictor": ".base",
+        "HoltWinters": ".holt_winters",
+        "LsoConfig": ".lso",
+        "LsoKernel": ".lso",
+        "LsoPredictor": ".wrappers",
+        "MovingAverage": ".moving_average",
+        "PredictorFactory": ".base",
+        "PredictorSpec": ".streaming",
+        "StreamingPredictorState": ".streaming",
+        "active_eval_cache": ".evaluate",
+        "detect_level_shift": ".lso",
+        "detect_outliers": ".lso",
+        "evaluate_predictor": ".evaluate",
+        "evaluate_predictors": ".evaluate",
+        "set_active_eval_cache": ".evaluate",
+        "vector_walk": ".vector_eval",
+    },
+)

@@ -38,93 +38,49 @@ Typical run bracket (what ``repro-campaign`` does)::
     recorder.write("may.csv")       # may.manifest.json + may.events.jsonl
 """
 
-from repro.obs.export import to_flat_json, to_openmetrics
-from repro.obs.metrics import (
-    TIMER_MAX_SAMPLES,
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    SampleBuffer,
-    Timer,
-    percentile,
-)
-from repro.obs.quality import PredictorQuality, QualityConfig, QualityTracker
-from repro.obs.recorder import (
-    ANALYSIS_CORE_COUNTERS,
-    CORE_COUNTERS,
-    MANIFEST_VERSION,
-    RunRecorder,
-    analysis_sidecar_paths,
-    load_manifest,
-    read_events,
-    resolve_manifest,
-    sidecar_paths,
-)
-from repro.obs.regress import (
-    check_against_baseline,
-    load_baseline,
-    record_baseline,
-)
-from repro.obs.spans import (
-    ENV_TRACE_MAX_SPANS,
-    ENV_TRACE_SAMPLE,
-    Span,
-    reparent_spans,
-    start_span,
-    trace_sample_rate,
-)
-from repro.obs.telemetry import (
-    ENV_OBS,
-    PhaseClock,
-    Telemetry,
-    get_telemetry,
-    obs_enabled,
-)
-from repro.obs.traceview import (
-    build_traces,
-    critical_path,
-    render_timeline,
-    to_chrome_trace,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Timer",
-    "MetricsRegistry",
-    "SampleBuffer",
-    "TIMER_MAX_SAMPLES",
-    "percentile",
-    "PredictorQuality",
-    "QualityConfig",
-    "QualityTracker",
-    "ENV_OBS",
-    "PhaseClock",
-    "Telemetry",
-    "get_telemetry",
-    "obs_enabled",
-    "MANIFEST_VERSION",
-    "CORE_COUNTERS",
-    "ANALYSIS_CORE_COUNTERS",
-    "RunRecorder",
-    "load_manifest",
-    "read_events",
-    "resolve_manifest",
-    "sidecar_paths",
-    "analysis_sidecar_paths",
-    "to_openmetrics",
-    "to_flat_json",
-    "check_against_baseline",
-    "load_baseline",
-    "record_baseline",
-    "ENV_TRACE_SAMPLE",
-    "ENV_TRACE_MAX_SPANS",
-    "Span",
-    "start_span",
-    "reparent_spans",
-    "trace_sample_rate",
-    "build_traces",
-    "render_timeline",
-    "critical_path",
-    "to_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Counter": ".metrics",
+        "Gauge": ".metrics",
+        "Timer": ".metrics",
+        "MetricsRegistry": ".metrics",
+        "SampleBuffer": ".metrics",
+        "TIMER_MAX_SAMPLES": ".metrics",
+        "percentile": ".metrics",
+        "PredictorQuality": ".quality",
+        "QualityConfig": ".quality",
+        "QualityTracker": ".quality",
+        "ENV_OBS": ".telemetry",
+        "PhaseClock": ".telemetry",
+        "Telemetry": ".telemetry",
+        "get_telemetry": ".telemetry",
+        "obs_enabled": ".telemetry",
+        "MANIFEST_VERSION": ".recorder",
+        "CORE_COUNTERS": ".recorder",
+        "ANALYSIS_CORE_COUNTERS": ".recorder",
+        "RunRecorder": ".recorder",
+        "load_manifest": ".recorder",
+        "read_events": ".recorder",
+        "resolve_manifest": ".recorder",
+        "sidecar_paths": ".recorder",
+        "analysis_sidecar_paths": ".recorder",
+        "to_openmetrics": ".export",
+        "to_flat_json": ".export",
+        "check_against_baseline": ".regress",
+        "load_baseline": ".regress",
+        "record_baseline": ".regress",
+        "ENV_TRACE_SAMPLE": ".spans",
+        "ENV_TRACE_MAX_SPANS": ".spans",
+        "Span": ".spans",
+        "start_span": ".spans",
+        "reparent_spans": ".spans",
+        "trace_sample_rate": ".spans",
+        "build_traces": ".traceview",
+        "render_timeline": ".traceview",
+        "critical_path": ".traceview",
+        "to_chrome_trace": ".traceview",
+    },
+)

@@ -9,21 +9,18 @@ campaign runner (``repro.testbed``):
   trace/dataset containers.
 """
 
-from repro.paths.config import (
-    PathConfig,
-    march_2006_catalog,
-    may_2004_catalog,
-    scaled_catalog,
-)
-from repro.paths.records import Dataset, EpochMeasurement, EpochTruth, Trace
+from repro import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "EpochMeasurement",
-    "EpochTruth",
-    "PathConfig",
-    "Trace",
-    "march_2006_catalog",
-    "may_2004_catalog",
-    "scaled_catalog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Dataset": ".records",
+        "EpochMeasurement": ".records",
+        "EpochTruth": ".records",
+        "PathConfig": ".config",
+        "Trace": ".records",
+        "march_2006_catalog": ".config",
+        "may_2004_catalog": ".config",
+        "scaled_catalog": ".config",
+    },
+)

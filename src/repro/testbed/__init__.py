@@ -16,26 +16,24 @@ Path catalogs and measurement records live in :mod:`repro.paths` and are
 re-exported here for convenience.
 """
 
-from repro.paths.config import PathConfig, march_2006_catalog, may_2004_catalog
-from repro.paths.records import Dataset, EpochMeasurement, Trace
-from repro.testbed.cache import DatasetCache, campaign_cache_key, run_cached
-from repro.testbed.campaign import Campaign
-from repro.testbed.checkpoint import CheckpointStore
-from repro.testbed.executor import CampaignProgress, RetryPolicy, run_campaign
+from repro import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignProgress",
-    "CheckpointStore",
-    "Dataset",
-    "DatasetCache",
-    "EpochMeasurement",
-    "PathConfig",
-    "RetryPolicy",
-    "Trace",
-    "campaign_cache_key",
-    "march_2006_catalog",
-    "may_2004_catalog",
-    "run_cached",
-    "run_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "Campaign": ".campaign",
+        "CampaignProgress": ".executor",
+        "CheckpointStore": ".checkpoint",
+        "Dataset": "repro.paths.records",
+        "DatasetCache": ".cache",
+        "EpochMeasurement": "repro.paths.records",
+        "PathConfig": "repro.paths.config",
+        "RetryPolicy": ".executor",
+        "Trace": "repro.paths.records",
+        "campaign_cache_key": ".cache",
+        "march_2006_catalog": "repro.paths.config",
+        "may_2004_catalog": "repro.paths.config",
+        "run_cached": ".cache",
+        "run_campaign": ".executor",
+    },
+)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RngStreams
-from repro.fastpath.sites import FluidSites
-from repro.fastpath.vector import run_fluid_trace
 from repro.formulas.params import TcpParameters
 from repro.paths.config import PathConfig
 from repro.paths.records import Dataset, Trace
@@ -121,6 +119,9 @@ class Campaign:
             resume: skip traces already checkpointed under ``run_key``;
                 the result is bit-identical to an uninterrupted run.
         """
+        # Import the engine before run_campaign can fork a pool, so
+        # forked workers inherit it instead of each importing it.
+        import repro.fastpath.vector  # noqa: F401
         from repro.testbed.executor import run_campaign
 
         settings = settings or CampaignSettings()
@@ -147,10 +148,16 @@ class Campaign:
         (``{path}/trace{i}/fluid/{site}``), so it is the same whether
         simulated alone or inside a whole campaign.
         """
+        # Imported here, not at module level, so a dataset-cache hit
+        # never loads the engine; it is looked up on its module per call.
+        from repro.fastpath import sites as fluid_sites, vector
+
         settings = settings or CampaignSettings()
-        sites = FluidSites.from_streams(self.streams, config.path_id, trace_index)
+        sites = fluid_sites.FluidSites.from_streams(
+            self.streams, config.path_id, trace_index
+        )
         dt_s = sites.dt.uniform(*EPOCH_INTERVAL_RANGE_S, settings.epochs_per_trace)
-        return run_fluid_trace(
+        return vector.run_fluid_trace(
             config,
             sites,
             trace_index,

@@ -51,8 +51,6 @@ import os
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -61,7 +59,9 @@ from repro.obs import get_telemetry
 from repro.obs.spans import reparent_spans
 from repro.paths.records import Dataset, Trace
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+if TYPE_CHECKING:  # pragma: no cover - types only: import cycles, pool path
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.testbed.campaign import Campaign, CampaignSettings
     from repro.testbed.checkpoint import CheckpointStore
 
@@ -492,6 +492,10 @@ class _Engine:
             self.complete(index, result, snapshot)
 
     def _new_pool(self, n_workers: int, n_jobs: int) -> ProcessPoolExecutor:
+        # The pool machinery (and ``multiprocessing`` with it) loads here,
+        # on the pool path only: serial runs never import it.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=min(n_workers, max(n_jobs, 1)),
             initializer=_init_worker,
@@ -513,6 +517,9 @@ class _Engine:
         recomputed, which is always correct because each unit rebuilds
         its state from its payload.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         timeout = self.retry.job_timeout_s
         rebuilds = 0
         pool = self._new_pool(n_workers, len(jobs))

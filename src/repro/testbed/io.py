@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 import zipfile
@@ -34,6 +35,7 @@ import zlib
 from collections.abc import Iterator
 from io import BytesIO
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -118,10 +120,12 @@ def load_dataset(path: str | Path) -> Dataset:
 
     Accepts both the current format and the legacy (v1) one without a
     ``truth_present`` column.  Each trace's ``epoch_index`` must run
-    0, 1, ..., n-1 in file order.
+    0, 1, ..., n-1 in file order, and every present number must be
+    finite: ``nan``, ``inf`` and ``-inf`` are rejected in measurement,
+    small-window, duration-cut and truth cells alike.
 
     Raises:
-        DataError: on malformed files.
+        DataError: on malformed files, naming the line and column.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -226,20 +230,48 @@ def _parse_run(
                 f"{path}, line {line}: {len(values)} duration_throughputs_mbps "
                 f"values in trace {key!r}, expected {len(cuts[0])}"
             )
+    cuts = np.array(cuts, dtype=np.float64).reshape(n, len(cuts[0]))
+    smallw_mask, present_mask = np.array(smallw_present), np.array(present)
+    # A present cell must be finite: NaN slips through every comparison
+    # downstream.  Absent cells hold NaN by construction.
+    finite = {name: np.isfinite(values) for name, values in measured.items()}
+    finite["smallw_throughput_mbps"] = np.isfinite(smallw) | ~smallw_mask
+    finite["duration_throughputs_mbps"] = np.isfinite(cuts).all(axis=1)
+    for name in TRUTH_COLUMNS:
+        finite[name] = np.isfinite(truth[name]) | ~present_mask
+    if not all(ok.all() for ok in finite.values()):
+        _reject_non_finite(finite, text, columns, lines, path)
     return lines[0], {
         **measured,
         "smallw_throughput_mbps": smallw,
-        "smallw_present": np.array(smallw_present),
-        "duration_throughputs_mbps": np.array(cuts, dtype=np.float64).reshape(
-            n, len(cuts[0])
-        ),
-        "truth_present": np.array(present),
+        "smallw_present": smallw_mask,
+        "duration_throughputs_mbps": cuts,
+        "truth_present": present_mask,
         **truth,
         "truth_regime": [r if p else "" for r, p in zip(text["truth_regime"], present)],
         "truth_outlier": np.array(
             [o == "True" and p for o, p in zip(text["truth_outlier"], present)]
         ),
     }
+
+
+def _reject_non_finite(
+    finite: dict[str, np.ndarray],
+    text: dict[str, tuple[str, ...]],
+    columns: list[str],
+    lines: list[int],
+    path: Path,
+) -> NoReturn:
+    """Raise for the first cell, in file order, that ``finite`` flags.
+
+    Only called once a check has failed, so loading pays nothing for it.
+    """
+    row = min(int(np.argmin(ok)) for ok in finite.values() if not ok.all())
+    name = next(c for c in columns if c in finite and not finite[c][row])
+    cell = text[name][row]
+    if name == "duration_throughputs_mbps":
+        cell = next(v for v in cell.split(";") if v and not math.isfinite(float(v)))
+    raise DataError(f"{path}, line {lines[row]}: {name} must be finite, got {cell}")
 
 
 def _join_runs(

@@ -1,12 +1,15 @@
 """The console commands."""
 
 import csv
+import dataclasses
+import math
 
 import pytest
 
 from repro.cli import analyze, campaign, predict, serve
-from repro.paths.records import Trace
-from repro.testbed.io import _COLUMNS
+from repro.core.errors import ReproError
+from repro.paths.records import Dataset, Trace
+from repro.testbed.io import _COLUMNS, load_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -194,6 +197,16 @@ def _duplicated_epoch_csv() -> bytes:
     return "\r\n".join(["# dataset,dup", ",".join(_COLUMNS), row, row, ""]).encode()
 
 
+def _nan_at_epoch_3(dataset: Dataset, column: str) -> Dataset:
+    """``dataset`` with ``column`` NaN at its first trace's epoch 3, built
+    in code: the CSV loader rejects the value."""
+    first, *rest = dataset.traces
+    epochs = first.epochs
+    epochs[3] = dataclasses.replace(epochs[3], **{column: math.nan})
+    broken = Trace.from_epochs(first.path_id, first.trace_index, epochs)
+    return Dataset(dataset.label, [broken, *rest])
+
+
 @pytest.fixture(scope="module")
 def saved_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "ds.csv"
@@ -225,25 +238,15 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "no renderer" in capsys.readouterr().out
 
-    def test_nan_throughput_makes_hb_figures_not_derivable(
-        self, saved_dataset, tmp_path, capsys
-    ):
+    def test_nan_throughput_makes_hb_figures_not_derivable(self, saved_dataset):
         """Regression: a NaN throughput used to pass every HB input check,
-        so Figs. 16 and 21 printed RMSREs computed through it."""
-        rows = list(csv.reader(saved_dataset.open(newline="")))
-        column = rows[1].index("throughput_mbps")
-        rows[2 + 3][column] = "nan"  # first trace, epoch 3
-        corrupted = tmp_path / "nan.csv"
-        with corrupted.open("w", newline="") as handle:
-            csv.writer(handle).writerows(rows)
-        code = analyze.main(
-            [str(corrupted), "--figures", "16", "21", "--no-eval-cache"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
+        so Figs. 16 and 21 printed RMSREs computed through it.  A CSV can
+        no longer carry one (the FB test below), but a dataset built in
+        code still can, and the HB figures still refuse it."""
+        dataset = _nan_at_epoch_3(load_dataset(saved_dataset), "throughput_mbps")
         for number in (16, 21):
-            assert f"[fig {number}] not derivable from this dataset" in out
-        assert "positive and finite, got nan at epoch 3" in out
+            with pytest.raises(ReproError, match="positive and finite, got nan at epoch 3"):
+                analyze.FIGURES[number](dataset)
 
     @pytest.mark.parametrize(
         "column, broken",
@@ -258,11 +261,14 @@ class TestAnalyzeCommand:
     ):
         """Regression: a NaN FB input passed every check, so Figs. 2, 3,
         7 and 8 printed nan statistics (and a lossless epoch with NaN
-        avail-bw silently predicted W/T).  The figures that read the
-        column now say which value broke them; the others still render."""
+        avail-bw silently predicted W/T).  A CSV carrying one is now
+        refused at load, exit 2 with one line naming the file, line and
+        column.  A dataset built in code still reaches the figures: those
+        that read the column say which value broke them, the others
+        still render."""
         rows = list(csv.reader(saved_dataset.open(newline="")))
         header = rows[1]
-        rows[2 + 3][header.index(column)] = "nan"  # first trace, epoch 3
+        rows[2 + 3][header.index(column)] = "nan"  # first trace, epoch 3, line 6
         path_id = rows[2 + 3][header.index("path_id")]
         corrupted = tmp_path / "nan.csv"
         with corrupted.open("w", newline="") as handle:
@@ -271,17 +277,24 @@ class TestAnalyzeCommand:
         code = analyze.main(
             [str(corrupted), "--figures", *map(str, figures), "--no-eval-cache"]
         )
-        assert code == 0
-        out = capsys.readouterr().out
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: cannot load dataset {corrupted}: "
+            f"{corrupted}, line 6: {column} must be finite, got nan\n"
+        )
+
+        dataset = _nan_at_epoch_3(load_dataset(saved_dataset), column)
         for number in figures:
-            skipped = f"[fig {number}] not derivable from this dataset" in out
-            assert skipped == (number in broken), number
-        assert "nan" not in out.replace(
-            f"{column} must be finite, got nan at epoch 3 of trace ({path_id!r}, 0)", ""
-        )
-        assert out.count(f"{column} must be finite, got nan at epoch 3 of trace") == len(
-            broken
-        )
+            if number in broken:
+                with pytest.raises(ReproError) as excinfo:
+                    analyze.FIGURES[number](dataset)
+                assert str(excinfo.value) == (
+                    f"{column} must be finite, got nan at epoch 3 of trace ({path_id!r}, 0)"
+                )
+            else:
+                assert "nan" not in analyze.FIGURES[number](dataset)
 
     @pytest.mark.parametrize(
         "content, reason",

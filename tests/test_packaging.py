@@ -1,5 +1,6 @@
 """The package metadata takes its version from ``repro._version``."""
 
+import importlib.metadata
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,13 @@ def test_version_is_read_from_the_version_module():
     dynamic = config["tool"]["setuptools"]["dynamic"]
     assert dynamic["version"] == {"attr": "repro._version.__version__"}
     assert repro.__version__ == repro._version.__version__
+
+
+def test_distribution_metadata_matches_the_package():
+    """Metadata found on the path (an install, or a stale ``*.egg-info``
+    beside the sources) must carry the package's own version."""
+    try:
+        version = importlib.metadata.version("repro")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("no repro distribution metadata on the path")
+    assert version == repro.__version__

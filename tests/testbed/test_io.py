@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from repro.core.errors import DataError
 from repro.paths.config import may_2004_catalog, scaled_catalog
-from repro.paths.records import Dataset, EpochMeasurement, EpochTruth, Trace
+from repro.paths.records import (
+    MEASUREMENT_COLUMNS,
+    TRUTH_COLUMNS,
+    Dataset,
+    EpochMeasurement,
+    EpochTruth,
+    Trace,
+)
 from repro.testbed.cache import DatasetCache
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.checkpoint import CheckpointStore
@@ -102,6 +109,78 @@ class TestErrorHandling:
             f"{path}, line 5: column {column!r}: "
             f"{value.split(';')[-1]!r} is not a number"
         )
+
+
+@pytest.fixture(scope="module")
+def cut_dataset():
+    """A dataset with every optional column present: small-window
+    transfers, truth and two duration cuts."""
+    campaign = Campaign(scaled_catalog(may_2004_catalog(), 2), seed=3, label="cuts")
+    return campaign.run(
+        CampaignSettings(
+            n_traces=1,
+            epochs_per_trace=5,
+            transfer_duration_s=120.0,
+            checkpoint_fractions=(0.5, 1.0),
+        )
+    )
+
+
+def _edit_cells(dataset, path, edits):
+    """Save ``dataset`` to ``path`` with ``{column: text}`` set on line 5."""
+    save_dataset(dataset, path)
+    rows = list(csv.reader(path.open(newline="")))
+    for column, text in edits.items():
+        rows[4][rows[1].index(column)] = text  # the third epoch, line 5
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+class TestNonFiniteCells:
+    """A present number must be finite: the engine never writes NaN or
+    ±inf, and every consumer downstream would otherwise have to re-check."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            *MEASUREMENT_COLUMNS,
+            "smallw_throughput_mbps",
+            "duration_throughputs_mbps",
+            *TRUTH_COLUMNS,
+        ],
+    )
+    def test_rejected_naming_line_and_column(self, cut_dataset, tmp_path, column, value):
+        path = tmp_path / "ds.csv"
+        text = f"1.0;{value}" if column == "duration_throughputs_mbps" else value
+        _edit_cells(cut_dataset, path, {column: text})
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"{path}, line 5: {column} must be finite, got {value}"
+
+    def test_first_cell_in_file_order_is_named(self, cut_dataset, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(cut_dataset, path)
+        rows = list(csv.reader(path.open(newline="")))
+        rows[3][rows[1].index("truth_loss_event_rate")] = "inf"  # line 4
+        rows[3][rows[1].index("ttilde_s")] = "nan"
+        rows[2][rows[1].index("ptilde")] = "-inf"  # line 3, another column
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(DataError, match=r"line 3: ptilde must be finite, got -inf$"):
+            load_dataset(path)
+
+    def test_absent_truth_and_small_window_cells_load(self, cut_dataset, tmp_path):
+        path = tmp_path / "ds.csv"
+        absent = dict.fromkeys(
+            ["smallw_throughput_mbps", "truth_present", *TRUTH_COLUMNS,
+             "truth_regime", "truth_outlier"],
+            "",
+        )
+        _edit_cells(cut_dataset, path, absent)
+        trace = load_dataset(path).traces[0]
+        assert not trace.smallw_present[2] and not trace.truth_present[2]
+        assert trace.smallw_present.sum() == trace.truth_present.sum() == 4
 
 
 class TestEpochSequence:
@@ -263,23 +342,28 @@ def test_roundtrip_preserves_every_truth_record(tmp_path_factory, truth_list):
 #: Any float, NaN as the one NaN the CSV text can carry: ``repr`` writes
 #: every NaN as ``nan``, which parses back as ``math.nan``.
 any_float = st.floats(allow_nan=False) | st.just(math.nan)
+#: What the CSV loader accepts in a present cell.
+finite_float = st.floats(allow_nan=False, allow_infinity=False)
 #: What EpochMeasurement accepts: loss rates in [0, 1) (-0.0 included),
 #: and throughputs not <= 0 (NaN and +inf included).
 loss_rates = st.floats(0.0, 1.0, exclude_max=True) | st.just(-0.0)
 throughputs = st.floats(min_value=0.0, exclude_min=True) | st.just(math.nan)
-epoch_truths = st.none() | st.builds(
-    EpochTruth,
-    utilization_pre=any_float,
-    utilization_during=any_float,
-    loss_event_rate=any_float,
-    regime=st.sampled_from(["", "window", "congestion"]),
-    outlier=st.booleans(),
-)
+finite_throughputs = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
-def datasets(draw) -> Dataset:
-    """1-3 paths of 1-2 traces, 1-4 epochs each, 0 or 3 duration cuts."""
+def datasets(draw, finite: bool = False) -> Dataset:
+    """1-3 paths of 1-2 traces, 1-4 epochs each, 0 or 3 duration cuts;
+    every present number finite when ``finite``."""
+    number = finite_float if finite else any_float
+    epoch_truths = st.none() | st.builds(
+        EpochTruth,
+        utilization_pre=number,
+        utilization_during=number,
+        loss_event_rate=number,
+        regime=st.sampled_from(["", "window", "congestion"]),
+        outlier=st.booleans(),
+    )
     traces = []
     for path_number in range(draw(st.integers(1, 3))):
         path_id = f"p{path_number:02d}"
@@ -290,16 +374,16 @@ def datasets(draw) -> Dataset:
                     path_id,
                     trace_index,
                     epoch_index,
-                    start_time_s=draw(any_float),
-                    ahat_mbps=draw(any_float),
+                    start_time_s=draw(number),
+                    ahat_mbps=draw(number),
                     phat=draw(loss_rates),
-                    that_s=draw(any_float),
-                    throughput_mbps=draw(throughputs),
+                    that_s=draw(number),
+                    throughput_mbps=draw(finite_throughputs if finite else throughputs),
                     ptilde=draw(loss_rates),
-                    ttilde_s=draw(any_float),
-                    smallw_throughput_mbps=draw(st.none() | any_float),
+                    ttilde_s=draw(number),
+                    smallw_throughput_mbps=draw(st.none() | number),
                     duration_throughputs_mbps=tuple(
-                        draw(any_float) for _ in range(n_cuts)
+                        draw(number) for _ in range(n_cuts)
                     ),
                     truth=draw(epoch_truths),
                 )
@@ -315,15 +399,34 @@ def datasets(draw) -> Dataset:
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(datasets())
+@given(datasets(finite=True))
 def test_every_store_round_trips_column_bytes(tmp_path_factory, dataset):
     """The CSV (byte-equal to the per-record writer), the dataset cache
     and the checkpoints each give back the same column bytes."""
-    root = tmp_path_factory.mktemp("round-trip")
+    _assert_stores_round_trip(tmp_path_factory.mktemp("round-trip"), dataset)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(datasets())
+def test_entries_round_trip_non_finite_columns(tmp_path_factory, dataset):
+    """The ``.npz`` entries keep NaN and ±inf bits, and the CSV writer
+    still writes them; only the CSV loader rejects them
+    (:class:`TestNonFiniteCells`)."""
+    _assert_stores_round_trip(
+        tmp_path_factory.mktemp("round-trip"), dataset, load_csv=False
+    )
+
+
+def _assert_stores_round_trip(root, dataset, load_csv: bool = True) -> None:
     path = root / "ds.csv"
     save_dataset(dataset, path)
     assert path.read_bytes() == oracle_csv_bytes(dataset)
-    assert load_dataset(path) == dataset
+    if load_csv:
+        assert load_dataset(path) == dataset
 
     cache = DatasetCache(root / "cache")
     cache.store("key", dataset)

@@ -110,10 +110,11 @@ class TestSerialAttemptIsolation:
     @staticmethod
     def _arm_mid_trace_fault(monkeypatch):
         """Make the 2nd engine call of the run raise, once, after the
-        real call returns."""
-        from repro.testbed import campaign
+        real call returns.  The campaign looks the engine up on its
+        module at call time, so the patch goes there."""
+        from repro.fastpath import vector
 
-        real_run_fluid_trace = campaign.run_fluid_trace
+        real_run_fluid_trace = vector.run_fluid_trace
         calls = {"n": 0}
 
         def flaky_run_fluid_trace(*args, **kwargs):
@@ -123,7 +124,7 @@ class TestSerialAttemptIsolation:
                 raise RuntimeError("injected mid-trace fault")
             return trace
 
-        monkeypatch.setattr(campaign, "run_fluid_trace", flaky_run_fluid_trace)
+        monkeypatch.setattr(vector, "run_fluid_trace", flaky_run_fluid_trace)
 
     def test_mid_trace_failure_retries_bit_identical(self, telemetry, monkeypatch):
         """A failure after consuming RNG draws must not perturb the retry."""
