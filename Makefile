@@ -31,7 +31,9 @@ test-fast:
 # Fast end-to-end check: a 2-path x 2-trace x 10-epoch parallel campaign
 # through the CLI, twice — the cache must hold exactly one .npz entry and
 # no CSV, and the second run must be served from it and produce a
-# byte-identical dataset.
+# byte-identical dataset.  Then one byte inside the entry's stored
+# dataset.csv is flipped: the third run must re-simulate, quarantine the
+# entry as *.corrupt and still write the same bytes.
 campaign-smoke:
 	rm -rf $(SMOKE_DIR)
 	PYTHONPATH=src REPRO_CACHE_DIR=$(SMOKE_DIR)/cache \
@@ -44,7 +46,17 @@ campaign-smoke:
 		--paths 2 --traces 2 --epochs 10 --workers 2 -o $(SMOKE_DIR)/smoke-again.csv \
 		| grep -q "cache hit"
 	cmp $(SMOKE_DIR)/smoke.csv $(SMOKE_DIR)/smoke-again.csv
-	@echo "campaign smoke OK (parallel run + cache hit)"
+	$(PYTHON) -c "import sys; from pathlib import Path; \
+		from tests.testbed.entry_damage import flip_csv_byte; \
+		flip_csv_byte(Path(sys.argv[1]))" $$(find $(SMOKE_DIR)/cache -name '*.npz')
+	PYTHONPATH=src REPRO_CACHE_DIR=$(SMOKE_DIR)/cache \
+		REPRO_CHECKPOINT_DIR=$(SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
+		--paths 2 --traces 2 --epochs 10 --workers 2 -o $(SMOKE_DIR)/smoke-damaged.csv \
+		> $(SMOKE_DIR)/damaged.out
+	! grep -q "cache hit" $(SMOKE_DIR)/damaged.out
+	test "$$(find $(SMOKE_DIR)/cache -name '*.corrupt' | wc -l)" -eq 1
+	cmp $(SMOKE_DIR)/smoke.csv $(SMOKE_DIR)/smoke-damaged.csv
+	@echo "campaign smoke OK (parallel run + cache hit + damaged entry re-simulated)"
 
 # Telemetry end-to-end check: a tiny campaign must write its run
 # manifest sidecars with one `trace` event per fluid trace (4 here) and

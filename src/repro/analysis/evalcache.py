@@ -60,7 +60,6 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-import repro.hb
 from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
@@ -168,7 +167,7 @@ def evaluation_key(
 def code_fingerprint() -> str:
     """Fingerprint of the source of every module in :mod:`repro.hb`,
     read once per process."""
-    return source_fingerprint(repro.hb)
+    return source_fingerprint("repro.hb")
 
 
 def pack_key(dataset: Dataset) -> str:

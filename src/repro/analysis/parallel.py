@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
+from typing import TYPE_CHECKING
 
 from repro.analysis import hb_eval
 from repro.analysis.evalcache import (
@@ -60,10 +61,13 @@ from repro.analysis.evalcache import (
 )
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
+from repro.core.workers import resolve_workers
 from repro.hb.evaluate import HbEvaluation, evaluate_predictors
 from repro.hb.lso import LsoConfig
 from repro.paths.records import Dataset
-from repro.testbed.executor import Unit, resolve_workers, run_jobs
+
+if TYPE_CHECKING:  # pragma: no cover - types only: a cached run loads no engine
+    from repro.testbed.executor import Unit
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def warm_eval_cache(
     workers = resolve_workers(n_workers)
     cache.open_pack(pack_key(dataset))
     keys: list[str] = []  # of the walks still to compute, in planned order
-    jobs: list[list[Unit]] = []
+    jobs: list[tuple[str, int, tuple]] = []  # one (path, trace, payload) per trace
     cached = 0
     for ordinal, trace_units in groupby(units, key=lambda unit: unit.trace_ordinal):
         # A trace's units share a handful of series; build each once and
@@ -276,14 +280,17 @@ def warm_eval_cache(
                 (series_by_shape[shape], walks)
                 for shape, walks in walks_by_shape.items()
             )
-            jobs.append([Unit(trace.path_id, trace.trace_index, payload)])
+            jobs.append((trace.path_id, trace.trace_index, payload))
 
     if jobs:
+        # Only a run with walks to compute loads the engine.
+        from repro.testbed.executor import Unit, run_jobs
+
         results = run_jobs(
             "analysis",
             _walk_trace,
             None,
-            jobs,
+            [[Unit(*job)] for job in jobs],
             n_workers=workers,
             traces=len(jobs),
             walks=len(keys),

@@ -1,10 +1,10 @@
 """``repro-campaign``: run a measurement campaign and save the dataset.
 
 Campaigns are cached on disk by content (catalog, seed, settings, and
-the source of the modules that simulate them): re-running the same
-invocation loads the prior dataset instead of re-simulating.  Set
-``REPRO_CACHE_DIR`` (or ``--cache-dir``) to relocate the cache, or
-``--no-cache`` to bypass it.
+the source of the modules that simulate and write them): re-running the
+same invocation writes the stored CSV bytes instead of re-simulating,
+without loading numpy or the engine.  Set ``REPRO_CACHE_DIR`` (or
+``--cache-dir``) to relocate the cache, or ``--no-cache`` to bypass it.
 
 Every run also records telemetry (phase timings, cache hit/miss,
 simulation counters) and writes it as sidecars of the output —
@@ -40,11 +40,9 @@ from repro.core.errors import ExecutionError
 from repro.obs import RunRecorder, get_telemetry
 from repro.obs.render import progress_line
 from repro.paths.config import expanded_catalog, march_2006_catalog, may_2004_catalog
-from repro.testbed.cache import DatasetCache, campaign_cache_key, run_cached
+from repro.testbed.cache import DatasetCache, campaign_cache_key
 from repro.testbed.campaign import Campaign, CampaignSettings
-from repro.testbed.checkpoint import CheckpointStore
 from repro.testbed.executor import CampaignProgress, RetryPolicy
-from repro.testbed.io import save_dataset
 
 CATALOGS = {
     "may2004": may_2004_catalog,
@@ -198,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     cache = None if args.no_cache else DatasetCache(args.cache_dir)
     run_key = campaign_cache_key(campaign, settings)
     cache_key = "" if cache is None else run_key
-    checkpoint = None if args.no_checkpoint else CheckpointStore(args.checkpoint_dir)
     retry = RetryPolicy(
         max_retries=args.max_retries,
         backoff_s=args.retry_backoff,
@@ -220,8 +217,16 @@ def main(argv: list[str] | None = None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
+    checkpoint = None
     try:
-        if cache is None:
+        entry = None if cache is None else cache.lookup(run_key)
+        if entry is None:
+            # Only a miss simulates, so only it loads the checkpoint
+            # store (and the engine, which Campaign.run imports).
+            if not args.no_checkpoint:
+                from repro.testbed.checkpoint import CheckpointStore
+
+                checkpoint = CheckpointStore(args.checkpoint_dir)
             dataset = campaign.run(
                 settings,
                 n_workers=args.workers,
@@ -229,18 +234,6 @@ def main(argv: list[str] | None = None) -> int:
                 retry=retry,
                 checkpoint=checkpoint,
                 run_key=run_key,
-                resume=args.resume,
-            )
-            hit = False
-        else:
-            dataset, hit = run_cached(
-                campaign,
-                settings,
-                n_workers=args.workers,
-                cache=cache,
-                progress=progress,
-                retry=retry,
-                checkpoint=checkpoint,
                 resume=args.resume,
             )
     except ExecutionError as exc:
@@ -263,12 +256,31 @@ def main(argv: list[str] | None = None) -> int:
             profiler.dump_stats(f"{args.output}.pstats")
     # The output write is part of the run; only the sidecars, which
     # carry the wall time, are written after it is stamped.
-    save_dataset(dataset, args.output)
+    hit = entry is not None
+    if hit:
+        # The entry's CSV was read whole, CRC-checked, before this write.
+        with open(args.output, "wb") as handle:
+            handle.write(entry.csv)
+        summary, n_traces, n_epochs = entry.summary(), entry.n_traces, entry.n_epochs
+    else:
+        from repro.testbed.io import save_dataset
+
+        if cache is not None:
+            # The cache directory exists before the output is written,
+            # so an output beside it (--cache-dir out/cache -o
+            # out/ds.csv) finds its directory.
+            cache.root.mkdir(parents=True, exist_ok=True)
+        csv = save_dataset(dataset, args.output)
+        if cache is not None:
+            with get_telemetry().timer("cache.store_s"):
+                cache.store(run_key, dataset, csv)
+        summary, n_traces, n_epochs = (
+            dataset.summary(),
+            len(dataset.traces),
+            dataset.n_epochs,
+        )
     manifest = recorder.finish(
-        cache_hit=hit,
-        n_paths=len(catalog),
-        n_traces=len(dataset.traces),
-        n_epochs=dataset.n_epochs,
+        cache_hit=hit, n_paths=len(catalog), n_traces=n_traces, n_epochs=n_epochs
     )
     elapsed = manifest["wall_time_s"]
 
@@ -282,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         telemetry_note = f"telemetry -> {manifest_path}"
 
     if not args.quiet:
-        print(dataset.summary())
+        print(summary)
         if hit:
             print(f"cache hit, loaded in {elapsed:.1f}s -> {args.output}")
         else:

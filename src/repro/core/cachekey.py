@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from importlib.util import find_spec
 from pathlib import Path
-from types import ModuleType
 from typing import Any
 
 
@@ -69,23 +69,29 @@ def stable_fingerprint(obj: Any) -> str:
     return hashlib.sha256(canonical_encoding(obj).encode("utf-8")).hexdigest()
 
 
-def source_fingerprint(*modules: ModuleType) -> str:
-    """:func:`stable_fingerprint` of the source code of ``modules``.
+def source_fingerprint(*names: str) -> str:
+    """:func:`stable_fingerprint` of the source code of the modules ``names``.
 
-    A package stands for every ``*.py`` file in its directory, taken in
-    name order; a plain module for its own file.  Each source is paired
-    with its dotted module name, so moving code between modules changes
-    the fingerprint too.  The files are read on every call (~150 KB
-    take a few milliseconds), so callers cache the result per process.
+    Each dotted name is looked up with :func:`importlib.util.find_spec`,
+    which reads an imported module's ``__spec__`` and imports no module
+    but the parent package of one that is not.  A package stands for
+    every ``*.py`` file in its directory, taken in name order; a plain
+    module for its own file.  Each source is paired with its dotted
+    module name, so moving code between modules changes the fingerprint
+    too.  The files are read on every call (~150 KB take a few
+    milliseconds), so callers cache the result per process.
     """
     sources = []
-    for module in modules:
-        path = Path(module.__file__)
-        if path.name == "__init__.py":
+    for name in names:
+        spec = find_spec(name)
+        if spec is None or spec.origin is None:
+            raise ModuleNotFoundError(f"no source for module {name!r}")
+        path = Path(spec.origin)
+        if spec.submodule_search_locations is not None:
             sources.extend(
-                (f"{module.__name__}.{file.stem}", file.read_text(encoding="utf-8"))
+                (f"{name}.{file.stem}", file.read_text(encoding="utf-8"))
                 for file in sorted(path.parent.glob("*.py"))
             )
         else:
-            sources.append((module.__name__, path.read_text(encoding="utf-8")))
+            sources.append((name, path.read_text(encoding="utf-8")))
     return stable_fingerprint(sources)

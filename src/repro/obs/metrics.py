@@ -44,6 +44,7 @@ __all__ = [
     "NULL_TIMER",
     "SampleBuffer",
     "TIMER_MAX_SAMPLES",
+    "nearest_rank",
     "percentile",
 ]
 
@@ -72,6 +73,13 @@ def percentile(sorted_samples: list[float], q: float) -> float:
         for i in range(len(sorted_samples) - 1)
     ):
         raise ValueError("percentile requires an ascending-sorted sample")
+    return nearest_rank(sorted_samples, q)
+
+
+def nearest_rank(sorted_samples: list[float], q: float) -> float:
+    """:func:`percentile` without its checks, for a caller whose sample is
+    non-empty and sorted by construction (an ``insort`` mirror), where
+    re-checking the order would cost a pass over it on every read."""
     if q == 0.0:
         return sorted_samples[0]
     rank = math.ceil(q / 100.0 * len(sorted_samples))

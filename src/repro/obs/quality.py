@@ -51,7 +51,7 @@ from typing import Any
 
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import relative_error
-from repro.obs.metrics import percentile
+from repro.obs.metrics import nearest_rank
 from repro.obs.telemetry import get_telemetry, obs_enabled
 
 __all__ = ["QualityConfig", "PredictorQuality", "QualityTracker"]
@@ -219,7 +219,7 @@ class PredictorQuality:
 
         drift_alert = False
         if len(window) == config.window:
-            windowed_p95 = percentile(ordered, 95.0)
+            windowed_p95 = nearest_rank(ordered, 95.0)
             if self.baseline_p95 is None:
                 self.baseline_p95 = windowed_p95
             else:
@@ -241,10 +241,15 @@ class PredictorQuality:
         return slo_breach, drift_alert, shift_reset
 
     def windowed_quantile(self, q: float) -> float | None:
-        """Exact nearest-rank |E| quantile over the current window."""
+        """Exact nearest-rank |E| quantile over the current window.
+
+        Read by rank: the mirror is sorted by construction (``insort``).
+        """
         if not self._sorted:
             return None
-        return percentile(self._sorted, q)
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q}")
+        return nearest_rank(self._sorted, q)
 
     def summary(self) -> dict[str, Any]:
         """JSON-able statistics of this series."""

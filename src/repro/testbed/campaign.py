@@ -12,13 +12,18 @@ the campaign reproduces identically regardless of execution order.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RngStreams
 from repro.formulas.params import TcpParameters
 from repro.paths.config import PathConfig
-from repro.paths.records import Dataset, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - types only: a cache hit loads no numpy
+    from repro.core.rng import RngStreams
+    from repro.paths.records import Dataset, Trace
 
 #: Epoch spacing: the paper reports 2-3 minutes between transfers.
 EPOCH_INTERVAL_RANGE_S = (150.0, 190.0)
@@ -80,10 +85,19 @@ class Campaign:
         if not catalog:
             raise ConfigurationError("catalog must contain at least one path")
         self.catalog = list(catalog)
-        self.streams = RngStreams(seed)
+        #: the root seed, as a plain int (the cache key reads it).
+        self.seed = operator.index(seed)
         self.label = label
         self.tcp = tcp or TcpParameters.congestion_limited()
         self.small_tcp = small_tcp or TcpParameters.window_limited()
+
+    @functools.cached_property
+    def streams(self) -> RngStreams:
+        """The named RNG streams of :attr:`seed`, built on first use so
+        that keying a campaign (a dataset-cache hit) loads no numpy."""
+        from repro.core.rng import RngStreams
+
+        return RngStreams(self.seed)
 
     def run(
         self,

@@ -55,13 +55,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.core.errors import ConfigurationError, ExecutionError
+from repro.core.workers import resolve_workers
 from repro.obs import get_telemetry
-from repro.obs.spans import reparent_spans
-from repro.paths.records import Dataset, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - types only: import cycles, pool path
     from concurrent.futures import ProcessPoolExecutor
 
+    from repro.paths.records import Dataset, Trace
     from repro.testbed.campaign import Campaign, CampaignSettings
     from repro.testbed.checkpoint import CheckpointStore
 
@@ -161,23 +161,6 @@ class RetryPolicy:
         if attempt < 1:
             return 0.0
         return min(self.backoff_cap_s, self.backoff_s * (2.0 ** (attempt - 1)))
-
-
-def resolve_workers(n_workers: int) -> int:
-    """Normalize a worker-count request.
-
-    ``0`` (or any non-positive value) means "use all CPUs".
-
-    Raises:
-        ConfigurationError: for non-integer values.
-    """
-    if not isinstance(n_workers, int) or isinstance(n_workers, bool):
-        raise ConfigurationError(
-            f"n_workers must be an int, got {type(n_workers).__name__}"
-        )
-    if n_workers <= 0:
-        return os.cpu_count() or 1
-    return n_workers
 
 
 #: Crash-injection spec: ``"<path_id>/<trace>:<mode>[:<count>]"`` entries
@@ -410,6 +393,8 @@ class _Engine:
         """Merge a unit's telemetry, its spans re-parented under the root."""
         trace_id = getattr(self.root, "trace_id", None)
         if trace_id is not None:
+            from repro.obs.spans import reparent_spans
+
             reparent_spans(snapshot.get("events", ()), trace_id, self.root.span_id)
         self.telemetry.merge(snapshot)
 
@@ -872,7 +857,7 @@ def run_campaign(
             )
         shared = (
             catalog,
-            campaign.streams.seed,
+            campaign.seed,
             campaign.label,
             campaign.tcp,
             campaign.small_tcp,
@@ -891,6 +876,8 @@ def run_campaign(
             traces=settings.n_traces,
             epochs=settings.epochs_per_trace,
         )
+
+    from repro.paths.records import Dataset
 
     dataset = Dataset(label=campaign.label, traces=traces)
     if checkpoint is not None:

@@ -20,7 +20,9 @@ columns as ``.npz`` files (:func:`write_entry`, :func:`read_entry`):
 exact float64, nothing formatted or parsed.  One member per column,
 concatenated over the traces, plus an ``index`` member — UTF-8 JSON of
 the label, each trace's ``[path_id, trace_index, epochs, cuts]`` and
-every epoch's regime.  Inspect one with ``np.load(path)``.
+every epoch's regime.  A caller may add plain members beside them (the
+dataset cache stores the CSV bytes and their counts; see
+:mod:`repro.testbed.cache`).  Inspect one with ``np.load(path)``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import os
 import tempfile
 import zipfile
 import zlib
-from collections.abc import Iterator
+from collections.abc import Mapping
 from io import BytesIO
 from pathlib import Path
 from typing import NoReturn
@@ -51,10 +53,6 @@ from repro.paths.records import (
 #: The CSV format version (see the format history above).
 FORMAT_VERSION = 2
 
-#: Bumped when the ``.npz`` entry layout changes; part of the dataset
-#: cache and checkpoint keys, so an entry of another layout is never read.
-STORE_VERSION = 1
-
 _COLUMNS = [
     "path_id",
     "trace_index",
@@ -72,23 +70,41 @@ _COLUMNS = [
 _LEGACY_COLUMNS = [c for c in _COLUMNS if c != "truth_present"]
 
 
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset to CSV at ``path``."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["# dataset", dataset.label])
-        writer.writerow(_COLUMNS)
-        for trace in dataset.traces:
-            writer.writerows(_trace_rows(trace))
+def save_dataset(dataset: Dataset, path: str | Path) -> bytes:
+    """Write a dataset to CSV at ``path``; returns the bytes written."""
+    data = dataset_csv(dataset)
+    Path(path).write_bytes(data)
+    return data
 
 
-def _trace_rows(trace: Trace) -> Iterator[list[str]]:
+def dataset_csv(dataset: Dataset) -> bytes:
+    """The CSV text of ``dataset``, UTF-8 encoded: what :func:`save_dataset`
+    writes.
+
+    Rows end in ``\\r\\n`` and string fields are quoted exactly as
+    ``csv.writer`` quotes them by default (``QUOTE_MINIMAL``): the bytes
+    are those ``csv.writer`` would write.
+    """
+    head = f"# dataset,{_quote(dataset.label)}\r\n{','.join(_COLUMNS)}\r\n"
+    return "".join([head, *map(_trace_text, dataset.traces)]).encode()
+
+
+#: The characters that make ``csv.writer`` quote a field.
+_NEEDS_QUOTES = frozenset(',"\r\n')
+
+
+def _quote(field: str) -> str:
+    """``field`` as ``csv.writer`` writes it under ``QUOTE_MINIMAL``."""
+    if _NEEDS_QUOTES.isdisjoint(field):
+        return field
+    return '"' + field.replace('"', '""') + '"'
+
+
+def _trace_text(trace: Trace) -> str:
     """One trace's CSV rows, each number the ``repr`` of a Python float."""
-    path_id, trace_index = trace.path_id, str(trace.trace_index)
-    measured = zip(
-        *(map(repr, getattr(trace, name).tolist()) for name in MEASUREMENT_COLUMNS)
-    )
+    prefix = f"{_quote(trace.path_id)},{trace.trace_index},"
+    columns = (getattr(trace, name).tolist() for name in MEASUREMENT_COLUMNS)
+    measured = map(",".join, zip(*(map(repr, column) for column in columns)))
     smallw = (
         repr(value) if present else ""
         for value, present in zip(
@@ -98,11 +114,10 @@ def _trace_rows(trace: Trace) -> Iterator[list[str]]:
     cuts = (
         ";".join(map(repr, row)) for row in trace.duration_throughputs_mbps.tolist()
     )
-    absent = [""] * 6
     truths = (
-        ["1", repr(pre), repr(during), repr(loss), regime, str(outlier)]
+        f"1,{pre!r},{during!r},{loss!r},{_quote(regime)},{outlier}"
         if present
-        else absent
+        else ",,,,,"
         for present, pre, during, loss, regime, outlier in zip(
             trace.truth_present.tolist(),
             *(getattr(trace, name).tolist() for name in TRUTH_COLUMNS),
@@ -110,9 +125,12 @@ def _trace_rows(trace: Trace) -> Iterator[list[str]]:
             trace.truth_outlier.tolist(),
         )
     )
-    rows = zip(measured, smallw, cuts, truths)
-    for index, (values, small, cut, truth) in enumerate(rows):
-        yield [path_id, trace_index, str(index), *values, small, cut, *truth]
+    return "".join(
+        f"{prefix}{index},{values},{small},{cut},{truth}\r\n"
+        for index, (values, small, cut, truth) in enumerate(
+            zip(measured, smallw, cuts, truths)
+        )
+    )
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -128,7 +146,7 @@ def load_dataset(path: str | Path) -> Dataset:
         DataError: on malformed files, naming the line and column.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -334,11 +352,15 @@ def _unparsable_field(row: list[str], legacy: bool) -> str | None:
 _ENTRY_COLUMNS = {**ARRAY_COLUMNS, "duration_throughputs_mbps": np.float64}
 
 
-def write_entry(dataset: Dataset, path: Path) -> Path:
+def write_entry(
+    dataset: Dataset, path: Path, extra: Mapping[str, bytes] | None = None
+) -> Path:
     """Store ``dataset`` at ``path`` as ``.npz`` columns; returns ``path``.
 
-    The write is atomic (temp file + ``os.replace``), so a concurrent
-    reader, or one after a crash, never sees half an entry.
+    ``extra`` maps further member names to bytes, stored as they are
+    (uncompressed, like the columns).  The write is atomic (temp file +
+    ``os.replace``), so a concurrent reader, or one after a crash, never
+    sees half an entry.
     """
     index = {
         "label": dataset.label,
@@ -363,8 +385,13 @@ def write_entry(dataset: Dataset, path: Path) -> Path:
         dir=path.parent, prefix=f".{path.name[:16]}-", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, allow_pickle=False, **members)
+        with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+            # What np.savez writes, one stored ``<name>.npy`` per column.
+            for name, array in members.items():
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+            for name, data in (extra or {}).items():
+                archive.writestr(name, data)
         os.replace(tmp_name, path)
     finally:
         if os.path.exists(tmp_name):  # pragma: no cover - error path

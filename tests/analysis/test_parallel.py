@@ -2,6 +2,7 @@
 ``repro-analyze --workers``."""
 
 import shutil
+from importlib.util import spec_from_file_location
 from pathlib import Path
 
 import numpy as np
@@ -159,9 +160,14 @@ def test_code_change_recomputes_every_unit(subset, tmp_path, monkeypatch):
 
 
 def test_code_fingerprint_covers_hb_sources(tmp_path, monkeypatch):
+    """The fingerprint finds ``repro.hb``'s source through its spec, so
+    the spec is pointed at an edited copy of the package."""
     copy = tmp_path / "hb"
     shutil.copytree(Path(repro.hb.__file__).parent, copy)
-    monkeypatch.setattr(repro.hb, "__file__", str(copy / "__init__.py"))
+    spec = spec_from_file_location(
+        "repro.hb", copy / "__init__.py", submodule_search_locations=[str(copy)]
+    )
+    monkeypatch.setattr(repro.hb, "__spec__", spec)
     fingerprint = evalcache.code_fingerprint.__wrapped__
     assert fingerprint() == evalcache.code_fingerprint()
     source = copy / "holt_winters.py"

@@ -7,9 +7,13 @@ to the residuals :func:`evaluate_predictor` computes offline over the
 same trace — ``==`` on floats, no tolerance.
 """
 
+import itertools
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.timeseries import TimeSeries
@@ -19,6 +23,8 @@ from repro.hb.streaming import (
     PredictorSpec,
     StreamingPredictorState,
 )
+from repro.obs import metrics, quality
+from repro.obs.metrics import percentile
 from repro.obs.quality import PredictorQuality, QualityConfig, QualityTracker
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.paths.config import may_2004_catalog
@@ -213,6 +219,77 @@ class TestPredictorQuality:
         assert doc["mean_abs_error"] == 0.5
         assert doc["last_error"] == 0.5
         assert doc["window_len"] == 1
+
+
+def reference_p95_stream(config, stream):
+    """``(drift_alert, baseline_p95, windowed p95)`` after each
+    ``(error, level_shifts)`` of ``stream``, with every p95 taken as
+    ``percentile(sorted(window))``: the tracker's rules, re-sorted."""
+    window, baseline, streak, seen = deque(maxlen=config.window), None, 0, None
+    out = []
+    for error, shifts in stream:
+        if seen is None:
+            seen = shifts
+        elif shifts > seen:
+            seen, baseline, streak = shifts, None, 0
+            window.clear()
+        window.append(error)
+        p95 = percentile(sorted(abs(e) for e in window), 95.0)
+        alert = False
+        if len(window) == config.window:
+            if baseline is None:
+                baseline = p95
+            elif p95 > max(
+                baseline * config.drift_factor, baseline + config.drift_min_delta
+            ):
+                streak += 1
+                if streak >= config.drift_patience:
+                    alert, baseline, streak = True, p95, 0
+            else:
+                streak = 0
+        out.append((alert, baseline, p95))
+    return out
+
+
+errors = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.5, 2.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.integers(2, 9),
+    patience=st.integers(1, 3),
+    stream=st.lists(st.tuples(errors, st.sampled_from([0] * 9 + [1])), max_size=60),
+)
+def test_p95_by_rank_equals_percentile_of_the_sorted_window(window, patience, stream):
+    config = QualityConfig(
+        window=window, slo_abs_error=None, drift_min_delta=0.01, drift_patience=patience
+    )
+    # Level-shift odometer: cumulative bumps.
+    shifts = itertools.accumulate(bump for _, bump in stream)
+    stream = [(error, total) for (error, _), total in zip(stream, shifts)]
+    series = PredictorQuality(config)
+    observed = []
+    for error, total in stream:
+        alert = series.observe(error, total)[1]
+        observed.append((alert, series.baseline_p95, series.windowed_quantile(95.0)))
+    assert observed == reference_p95_stream(config, stream)
+
+
+def test_scoring_never_re_checks_the_sorted_window(monkeypatch):
+    """The tracker's mirror is sorted by construction (``insort``), so
+    scoring reads its p95 by rank; :func:`percentile`, which checks the
+    order of its whole sample on every call, is never called."""
+
+    def unchecked(*args):
+        raise AssertionError("percentile() called while scoring")
+
+    monkeypatch.setattr(quality, "percentile", unchecked, raising=False)
+    monkeypatch.setattr(metrics, "percentile", unchecked)
+    tracker = QualityTracker(QualityConfig(drift_patience=1, drift_min_delta=0.0))
+    for i in range(200):
+        actual = 11.0 if i < 120 else 40.0  # a jump: drift alerts fire
+        tracker.score("p", "last", 10.0, actual)
+    assert tracker.path_summary("p")["last"]["drift_alerts"] >= 1
 
 
 class TestQualityTracker:

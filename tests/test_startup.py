@@ -2,9 +2,11 @@
 
 Package exports load on first use (:func:`repro.lazy_exports`), the
 process-pool machinery loads on the pool path only, and the fluid engine
-loads on a dataset-cache miss, before any fork.  The footprint checks
-run in a fresh interpreter: this process has imported everything
-already.
+loads on a dataset-cache miss, before any fork.  A dataset-cache hit
+writes the stored CSV bytes, so it loads neither numpy nor the records,
+the writer or the checkpoint store; a fully cached warm phase loads no
+engine.  The footprint checks run in a fresh interpreter: this process
+has imported everything already.
 """
 
 import ast
@@ -109,6 +111,11 @@ class TestWarmFootprint:
             "repro.serve",
             "repro.obs.regress",
             "repro.obs.traceview",
+            "numpy",
+            "repro.core.rng",
+            "repro.paths.records",
+            "repro.testbed.io",
+            "repro.testbed.checkpoint",
         }
         assert not loaded
 
@@ -124,6 +131,8 @@ class TestWarmFootprint:
             "repro.hb.streaming",
             "repro.obs.regress",
             "repro.obs.traceview",
+            "repro.testbed.executor",
+            "repro.obs.spans",
         }
         assert not loaded
 

@@ -2,11 +2,16 @@
 
 Each function of :data:`DAMAGE` rewrites a good entry in place, so the
 stores' tests can require every kind to be quarantined, counted and
-re-simulated.  The object-dtype member holds :class:`Tripwire`
+re-simulated; :data:`CACHE_DAMAGE` adds the kinds that only a
+dataset-cache entry, with its ``dataset.csv`` and ``dataset.json``
+members, can suffer.  The object-dtype member holds :class:`Tripwire`
 instances, whose unpickling sets :attr:`Tripwire.tripped`: a store that
 unpickled an entry would trip it.
 """
 
+import struct
+import zipfile
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +31,31 @@ def _trip() -> None:
 
 
 def _rewrite(path: Path, change) -> None:
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
+    """Rewrite an entry through ``change(members)``: ``.npy`` members as
+    arrays under their stem, any other member as its bytes."""
+    members = {}
+    with zipfile.ZipFile(path) as archive:
+        for name in archive.namelist():
+            data = archive.read(name)
+            if name.endswith(".npy"):
+                members[name[: -len(".npy")]] = np.lib.format.read_array(
+                    BytesIO(data), allow_pickle=False
+                )
+            else:
+                members[name] = data
     change(members)
-    with path.open("wb") as handle:
-        np.savez(handle, **members)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in members.items():
+            if isinstance(value, bytes):
+                archive.writestr(name, value)
+                continue
+            with archive.open(f"{name}.npy", "w") as member:
+                np.lib.format.write_array(member, value, allow_pickle=True)
+
+
+def replace_member(path: Path, name: str, data: bytes) -> None:
+    """Replace (or add) the plain member ``name`` of an entry."""
+    _rewrite(path, lambda members: members.update({name: data}))
 
 
 def truncate(path: Path) -> None:
@@ -65,9 +90,42 @@ def text_member(path: Path) -> None:
     )
 
 
+def flip_csv_byte(path: Path) -> None:
+    """Flip one byte in the middle of the stored ``dataset.csv``, in
+    place: the archive stays whole, the member's CRC-32 no longer
+    matches."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("dataset.csv")
+    data = bytearray(path.read_bytes())
+    # A local file header is 30 fixed bytes, then the name and the extra
+    # field, whose lengths are its last two 16-bit fields.
+    header = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", data[header + 26 : header + 30])
+    data[header + 30 + name_len + extra_len + info.file_size // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def drop_csv(path: Path) -> None:
+    _rewrite(path, lambda members: members.pop("dataset.csv"))
+
+
+def malformed_counts(path: Path) -> None:
+    """A ``dataset.json`` cut off mid-document."""
+    with zipfile.ZipFile(path) as archive:
+        counts = archive.read("dataset.json")
+    replace_member(path, "dataset.json", counts[:-2])
+
+
 DAMAGE = {
     "truncated-zip": truncate,
     "missing-member": drop_member,
     "lengths-disagree-with-offsets": shorten_column,
     "object-dtype-member": object_member,
+}
+
+CACHE_DAMAGE = {
+    **DAMAGE,
+    "flipped-csv-byte": flip_csv_byte,
+    "missing-csv": drop_csv,
+    "malformed-counts": malformed_counts,
 }

@@ -1,22 +1,37 @@
 """The content-addressed dataset cache."""
 
 import importlib
+import json
+import os
 import shutil
+import subprocess
+import sys
+from importlib.util import spec_from_file_location
 from pathlib import Path
 
 import pytest
 
 from repro.paths.config import may_2004_catalog, scaled_catalog
 from repro.testbed import cache as cache_module
+from repro.core.errors import DataError
+from repro.testbed.io import dataset_csv
 from repro.testbed.cache import (
+    COUNTS_MEMBER,
     DatasetCache,
     campaign_cache_key,
     default_cache_dir,
+    read_served,
     run_cached,
 )
 from repro.testbed.campaign import Campaign, CampaignSettings
 from tests.faults import counter_value, telemetry  # noqa: F401
-from tests.testbed.entry_damage import DAMAGE, Tripwire, text_member
+from tests.testbed.entry_damage import (
+    CACHE_DAMAGE,
+    Tripwire,
+    replace_member,
+    shorten_column,
+    text_member,
+)
 
 SETTINGS = CampaignSettings(n_traces=1, epochs_per_trace=4)
 
@@ -62,27 +77,64 @@ class TestCacheKey:
             ("repro.paths", "config.py"),
             ("repro.core.rng", None),
             ("repro.testbed.campaign", None),
+            ("repro.testbed.io", None),
         ],
     )
     def test_code_fingerprint_covers_engine_sources(
         self, tmp_path, monkeypatch, module_name, edited
     ):
         """Editing a copy of any module that decides a campaign's output
-        changes the fingerprint (``edited=None``: a plain module)."""
+        changes the fingerprint (``edited=None``: a plain module).  The
+        fingerprint finds a module's source through its spec, so the
+        module's spec is pointed at the copy."""
         module = importlib.import_module(module_name)
-        source = Path(module.__file__)
+        source = Path(module.__spec__.origin)
         if edited is None:
             copy = target = tmp_path / source.name
             shutil.copy(source, copy)
+            spec = spec_from_file_location(module_name, copy)
         else:
             shutil.copytree(source.parent, tmp_path / source.parent.name)
             copy = tmp_path / source.parent.name / "__init__.py"
             target = copy.parent / edited
-        monkeypatch.setattr(module, "__file__", str(copy))
+            spec = spec_from_file_location(
+                module_name, copy, submodule_search_locations=[str(copy.parent)]
+            )
+        monkeypatch.setattr(module, "__spec__", spec)
         fingerprint = cache_module.code_fingerprint.__wrapped__
         assert fingerprint() == cache_module.code_fingerprint()
         target.write_text(target.read_text() + "\n# edited\n")
         assert fingerprint() != cache_module.code_fingerprint()
+
+    def test_code_fingerprint_imports_no_module_it_covers(self):
+        """Keying a campaign reads the covered sources by name, so a
+        cache hit never imports them (the engine, numpy, the writer)."""
+        probe = (
+            "import json, sys\n"
+            "from repro.testbed.cache import code_fingerprint\n"
+            "code_fingerprint()\n"
+            "json.dump(sorted(sys.modules), sys.stdout)\n"
+        )
+        src = Path(cache_module.__file__).resolve().parents[2]
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**env, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        loaded = set(json.loads(done.stdout))
+        covered = {
+            "repro.fastpath",
+            "repro.formulas",
+            "repro.paths",
+            "repro.core.rng",
+            "repro.testbed.campaign",
+            "repro.testbed.io",
+        }
+        assert not loaded & (covered | {"numpy"})
 
 
 class TestDatasetCache:
@@ -200,9 +252,9 @@ class TestDatasetCache:
         assert not hit
         assert rerun == simulated
         assert entry.with_name(entry.name + ".corrupt").is_file()
-        assert cache.load(key) == simulated
+        assert cache.load(key).dataset() == simulated
 
-    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
     def test_damaged_entry_is_quarantined_and_resimulated(
         self, tmp_path, telemetry, damage
     ):
@@ -210,7 +262,7 @@ class TestDatasetCache:
         key = campaign_cache_key(small_campaign(), SETTINGS)
         simulated, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
         entry = cache.path_for(key)
-        DAMAGE[damage](entry)
+        CACHE_DAMAGE[damage](entry)
         telemetry.drain()
         snapshots = []
         rerun, hit = run_cached(
@@ -221,7 +273,7 @@ class TestDatasetCache:
         assert rerun == simulated
         assert entry.with_name(entry.name + ".corrupt").is_file()
         assert counter_value(telemetry, "cache.corrupt") == 1
-        assert cache.load(key) == simulated
+        assert cache.load(key).dataset() == simulated
         assert not Tripwire.tripped
 
     def test_store_and_load_roundtrip(self, tmp_path):
@@ -230,7 +282,54 @@ class TestDatasetCache:
         path = cache.store("somekey", dataset)
         assert path.is_file()
         assert cache.contains("somekey")
-        assert cache.load("somekey") == dataset
+        assert cache.load("somekey").dataset() == dataset
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"label": 7, "paths": 2, "traces": 2, "epochs": 8},
+            {"label": "x", "paths": -1, "traces": 2, "epochs": 8},
+            {"label": "x", "paths": 2, "traces": True, "epochs": 8},
+            {"label": "x", "paths": 2, "traces": 2, "epochs": 8.0},
+            {"label": "x", "paths": 2, "traces": 2},
+            ["x", 2, 2, 8],
+        ],
+    )
+    def test_malformed_counts_are_not_served(self, tmp_path, telemetry, counts):
+        cache = DatasetCache(tmp_path)
+        cache.store("key", small_campaign().run(SETTINGS))
+        entry = cache.path_for("key")
+        replace_member(entry, COUNTS_MEMBER, json.dumps(counts).encode())
+        with pytest.raises(DataError):
+            read_served(entry)
+        telemetry.drain()
+        assert cache.load("key") is None
+        assert counter_value(telemetry, "cache.corrupt") == 1
+        assert entry.with_name(entry.name + ".corrupt").is_file()
+
+    def test_damaged_columns_matter_only_to_readers_of_columns(self, tmp_path):
+        """A hit serving the CSV reads no column; ``columns=True`` (what
+        :func:`run_cached` asks for) quarantines the same entry."""
+        cache = DatasetCache(tmp_path)
+        dataset = small_campaign().run(SETTINGS)
+        cache.store("key", dataset)
+        shorten_column(cache.path_for("key"))
+        entry = cache.load("key")
+        assert entry.csv == dataset_csv(dataset)
+        with pytest.raises(DataError):
+            entry.dataset()
+        assert cache.load("key", columns=True) is None
+        assert not cache.contains("key")
+
+    def test_counts_must_agree_with_the_columns(self, tmp_path):
+        cache = DatasetCache(tmp_path)
+        cache.store("key", small_campaign().run(SETTINGS))
+        counts = {"label": "cache-test", "paths": 2, "traces": 2, "epochs": 9}
+        entry = cache.path_for("key")
+        replace_member(entry, COUNTS_MEMBER, json.dumps(counts).encode())
+        with pytest.raises(DataError, match="columns hold"):
+            cache.load("key").dataset()
+        assert cache.load("key", columns=True) is None
 
     def test_load_missing_key(self, tmp_path):
         assert DatasetCache(tmp_path).load("absent") is None

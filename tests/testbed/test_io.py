@@ -21,7 +21,13 @@ from repro.paths.records import (
 from repro.testbed.cache import DatasetCache
 from repro.testbed.campaign import Campaign, CampaignSettings
 from repro.testbed.checkpoint import CheckpointStore
-from repro.testbed.io import _COLUMNS, _LEGACY_COLUMNS, load_dataset, save_dataset
+from repro.testbed.io import (
+    _COLUMNS,
+    _LEGACY_COLUMNS,
+    dataset_csv,
+    load_dataset,
+    save_dataset,
+)
 from tests.testbed.csv_oracle import oracle_csv_bytes
 
 
@@ -430,9 +436,80 @@ def _assert_stores_round_trip(root, dataset, load_csv: bool = True) -> None:
 
     cache = DatasetCache(root / "cache")
     cache.store("key", dataset)
-    assert cache.load("key") == dataset
+    assert cache.load("key").dataset() == dataset
 
     checkpoints = CheckpointStore(root / "checkpoints")
     for trace in dataset.traces:
         checkpoints.store_trace("run", trace)
         assert checkpoints.load_trace("run", trace.path_id, trace.trace_index) == trace
+
+
+#: Strings ``csv.writer`` must quote, and some it must not: separators,
+#: quotes, line breaks, spaces and the empty string.
+awkward_text = st.text(alphabet=' ,"\r\na;', max_size=6)
+
+
+@st.composite
+def quoted_datasets(draw) -> Dataset:
+    """Datasets whose label, path ids and regimes are awkward text."""
+    truths = st.none() | st.builds(
+        EpochTruth,
+        utilization_pre=st.just(0.5),
+        utilization_during=st.just(0.75),
+        loss_event_rate=st.just(0.0),
+        regime=awkward_text,
+        outlier=st.booleans(),
+    )
+    traces = []
+    for path_id in draw(st.lists(awkward_text, min_size=1, max_size=3, unique=True)):
+        epochs = [
+            EpochMeasurement(
+                path_id,
+                0,
+                epoch_index,
+                start_time_s=150.0 * epoch_index,
+                ahat_mbps=2.5,
+                phat=0.01,
+                that_s=0.1,
+                throughput_mbps=3.0,
+                ptilde=0.02,
+                ttilde_s=0.125,
+                smallw_throughput_mbps=draw(st.none() | st.just(1.5)),
+                truth=draw(truths),
+            )
+            for epoch_index in range(draw(st.integers(1, 3)))
+        ]
+        traces.append(Trace.from_epochs(path_id, 0, epochs))
+    return Dataset(label=draw(awkward_text), traces=traces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quoted_datasets())
+def test_writer_quotes_strings_as_csv_writer_does(dataset):
+    """The joined rows quote the label, path ids and regimes exactly as
+    ``csv.writer`` does (``QUOTE_MINIMAL``): the bytes are the oracle's."""
+    assert dataset_csv(dataset) == oracle_csv_bytes(dataset)
+
+
+@pytest.mark.parametrize(
+    "text", ["", " ", "a b", "a,b", 'a"b', '"', "a\rb", "a\nb", "\r\n", ",\"\n"]
+)
+def test_writer_quotes_each_awkward_field(text, tmp_path):
+    dataset = Dataset(
+        label=text,
+        traces=[
+            Trace.from_epochs(
+                text,
+                0,
+                [
+                    EpochMeasurement(
+                        text, 0, 0, 0.0, 2.5, 0.01, 0.1, 3.0, 0.02, 0.125,
+                        truth=EpochTruth(0.5, 0.75, 0.0, text, False),
+                    )
+                ],
+            )
+        ],
+    )
+    path = tmp_path / "ds.csv"
+    assert save_dataset(dataset, path) == path.read_bytes() == oracle_csv_bytes(dataset)
+    assert load_dataset(path) == dataset

@@ -78,13 +78,16 @@ class TestManifestMatchesDataset:
         assert events_path.is_file()
 
     def test_wall_time_covers_output_write(self, tmp_path, monkeypatch):
-        real_save = campaign_cli.save_dataset
+        # The CLI imports the writer on the miss path, from its module.
+        from repro.testbed import io
+
+        real_save = io.save_dataset
 
         def slow_save(dataset, path):
             time.sleep(0.2)
-            real_save(dataset, path)
+            return real_save(dataset, path)
 
-        monkeypatch.setattr(campaign_cli, "save_dataset", slow_save)
+        monkeypatch.setattr(io, "save_dataset", slow_save)
         dataset_path = run_cli(tmp_path, "ds.csv", ["--no-cache"])
         manifest = load_manifest(sidecar_paths(dataset_path)[0])
         assert manifest["wall_time_s"] >= 0.2
