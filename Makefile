@@ -190,14 +190,15 @@ vector-parity:
 # 1/2/4 (each cold run leaving one evaluation-cache pack) and at workers
 # 2 with a crash-injected worker (REPRO_FAULT_SPEC=<path>/0:exit:1, the
 # manifest reporting a pool rebuild), a warm rerun against the populated
-# pack must match while computing zero walks, and a rerun over a garbage
-# pack must match while recomputing every walk (see docs/performance.md,
+# pack must match while computing zero walks and counting no LSO
+# detection (hb.level_shifts, hb.outliers_discarded), and a rerun over a
+# garbage pack must match while recomputing every walk (see docs/performance.md,
 # "The evaluation cache", and docs/robustness.md).  The reduced grid
 # keeps `make test` quick; the tool's default invocation (no flags)
 # covers the full default catalog.
 analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
-	@echo "analyze parity OK (pinned, parallel, crash-recovered, cached and damaged-pack outputs byte-identical)"
+	@echo "analyze parity OK (pinned, parallel, crash-recovered, cached and damaged-pack outputs byte-identical; the cached run walked and segmented nothing)"
 
 # The reduced-scale figure tables: regenerate every table of the
 # benchmark suite from freshly simulated campaigns (2 x 80-epoch May-2004

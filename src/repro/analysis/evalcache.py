@@ -1,32 +1,38 @@
-"""Content-addressed cache of walk-forward HB evaluations.
+"""HB evaluation units and the pack that keeps their walks per dataset.
 
-The figure benches of ``repro-analyze`` and the MA-order / EWMA-alpha /
-chi-psi grid sweeps evaluate many *identical* (trace, predictor,
-LsoConfig) triples — Fig. 21's ``10-MA`` walk is Fig. 16's, Fig. 22's
-large-window HW-LSO walk is Fig. 19's, and so on.  This cache keys one
-:class:`~repro.hb.evaluate.HbEvaluation` on everything that determines
-it (:func:`evaluation_key`):
+Every HB figure of ``repro-analyze`` (16, 17, 19-23) reduces to
+walk-forward evaluations of one predictor over one series of each
+trace.  An :class:`EvalUnit` names one such evaluation for every trace
+of a dataset: the predictor (a registered family's spec, see
+:func:`derive_spec`), the series shape (the main transfers, the W =
+20 KB companions, or the main series down-sampled) and the outlier
+exclusion (an :class:`~repro.hb.lso.LsoConfig`, or ``None``).  A unit
+with an exclusion also carries the series' LSO segmentation under the
+exclusion's thresholds — what Fig. 20's CoV reads.
 
-* the SHA-256 of the trace's sample bytes (plus its name and length —
-  the name is baked into the cached result),
-* the predictor *spec* — family tag and constructor parameters derived
-  from a predictor instance by :func:`derive_spec` (exact type matches
-  only: a subclass may override anything, so it never shares a spec
-  with the family it inherits from), and
-* the :class:`~repro.hb.lso.LsoConfig` used for outlier exclusion (or
-  ``None``).
+:func:`walk_trace` walks units over one trace, each series shape in one
+pass of :func:`~repro.hb.evaluate.evaluate_predictors` (units of one
+predictor share its walk, LSO wrappers with equal thresholds and every
+exclusion with them share one LSO kernel).  :func:`evaluate_units` does
+that for every trace in memory and returns :class:`UnitResults`, the
+``{unit: per-trace results}`` mapping the figures read; the warm phase
+of ``repro-analyze`` (:func:`repro.analysis.parallel.warm_eval_cache`)
+returns the same mapping, with the walks it could take from the pack
+taken from there.
 
 On disk a dataset's evaluations live together in one **pack**,
 ``<root>/<pack key>.npz`` (default root ``~/.cache/repro/evals``,
 overridden by ``REPRO_EVAL_CACHE_DIR``).  The pack key
 (:func:`pack_key`) covers the throughput samples of every trace of the
 dataset — not its path — and :func:`code_fingerprint`, the source of
-every module in :mod:`repro.hb`, so an edit to a predictor, the LSO
-kernel or the walk loop keys a new pack instead of serving walks the
-old code computed.  Inside a pack the predictions, errors and outlier
-indices of all entries are concatenated into three flat arrays; an
-index holds each entry's evaluation key, names and lengths, so an
-entry is served only when its key matches.
+every module that computes a walk, derives a unit's series or lays out
+the pack, so an edit to any of them keys a new pack instead of serving
+walks the old code computed.  Inside the pack, an entry is keyed by its
+trace (position in the dataset, path id and trace index) and its unit:
+the pack key already covers every trace's samples, so no series is
+hashed again.  The predictions, errors, outlier and shift indices of
+all entries are concatenated into four flat arrays; an index holds each
+entry's key, names and lengths.
 
 :meth:`EvaluationCache.open_pack` reads a pack once;
 :meth:`EvaluationCache.save_pack` writes it back once, with the
@@ -36,14 +42,7 @@ writers the last complete write wins.  A pack that fails to load, or
 whose index and arrays disagree, is quarantined as ``*.corrupt``,
 counted under ``evalcache.corrupt``, and reads as empty, so its walks
 are recomputed.  In process, :meth:`EvaluationCache.get` and
-:meth:`EvaluationCache.put` are lookups and inserts of a memo dict, and
-lookups emit no per-entry events (a figure suite makes thousands —
-counters ``evalcache.hits``/``misses``/``stores`` carry the accounting
-instead).
-
-:func:`evaluate_predictor` consults the cache through the hook
-installed by :func:`repro.hb.evaluate.set_active_eval_cache`; use
-:func:`EvaluationCache.activated` to scope the installation.
+:meth:`EvaluationCache.put` are lookups and inserts of a memo dict.
 """
 
 from __future__ import annotations
@@ -54,24 +53,26 @@ import json
 import os
 import tempfile
 import zipfile
-from contextlib import contextmanager
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
 from repro.core.cachekey import source_fingerprint, stable_fingerprint
+from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
 from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.evaluate import HbEvaluation, set_active_eval_cache
+from repro.hb.evaluate import HbEvaluation, evaluate_predictors
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
 from repro.obs import get_telemetry
-from repro.paths.records import Dataset
+from repro.paths.records import Dataset, Trace
 
 #: Environment variable overriding the evaluation-cache location.
 ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
@@ -124,7 +125,7 @@ def spec_factory(spec: PredictorSpec) -> PredictorFactory:
     """A factory building fresh predictors matching ``spec``.
 
     The inverse of :func:`derive_spec` — what lets a worker process
-    reconstruct an evaluation unit from its plain-tuple description.
+    rebuild a unit's predictor from its plain-tuple description.
     """
     kind = spec[0]
     if kind == "ma":
@@ -143,31 +144,166 @@ def spec_factory(spec: PredictorSpec) -> PredictorFactory:
     raise ValueError(f"unknown predictor spec {spec!r}")
 
 
-def series_sha256(series: TimeSeries) -> str:
-    """SHA-256 over the trace's raw sample bytes."""
-    return hashlib.sha256(np.ascontiguousarray(series.values).tobytes()).hexdigest()
+# ----------------------------------------------------------------------
+# Units
+# ----------------------------------------------------------------------
 
 
-def evaluation_key(
-    series: TimeSeries, spec: PredictorSpec, lso_config: LsoConfig | None
-) -> str:
-    """The content key of one (trace, predictor, LsoConfig) evaluation."""
-    return stable_fingerprint(
-        {
-            "series_sha256": series_sha256(series),
-            "series_name": series.name,
-            "n": len(series),
-            "spec": spec,
-            "lso": lso_config,
-        }
+@dataclass(frozen=True)
+class EvalUnit:
+    """One HB evaluation of every trace of a dataset.
+
+    Attributes:
+        predictor: a registered family's spec (see :func:`derive_spec`),
+            which the pack can keep; or, for a predictor outside the
+            registered families, its factory, walked in memory only.
+        small_window: walk the W = 20 KB series instead of the main one.
+        downsample: keep every n-th sample of the series first (1 = all).
+        exclusion: the outlier exclusion's LSO thresholds, or ``None``;
+            with one, each result also carries the series' segmentation
+            (:meth:`~repro.hb.evaluate.HbEvaluation.segmentation`).
+    """
+
+    predictor: PredictorSpec | PredictorFactory
+    small_window: bool = False
+    downsample: int = 1
+    exclusion: LsoConfig | None = None
+
+    @property
+    def shape(self) -> tuple[bool, int]:
+        """Which series of a trace the unit walks."""
+        return (self.small_window, self.downsample)
+
+    @property
+    def spec_named(self) -> bool:
+        """Whether the predictor is named by a spec, so a pack can keep it."""
+        return isinstance(self.predictor, tuple)
+
+    def factory(self) -> PredictorFactory:
+        """A factory building the unit's predictor."""
+        return spec_factory(self.predictor) if self.spec_named else self.predictor
+
+
+#: One trace's result of a unit: the walk, or the error that voided it
+#: (the one :func:`~repro.hb.evaluate.evaluate_predictor` raises for the
+#: walk, or the one building the unit's series raised).
+UnitResult = HbEvaluation | DataError
+
+
+def unit_series(trace: Trace, unit: EvalUnit) -> TimeSeries:
+    """The series of ``trace`` that ``unit`` walks.
+
+    Raises:
+        DataError: when the trace lacks it (no W = 20 KB samples).
+    """
+    series = trace.throughput_series(small_window=unit.small_window)
+    return series.downsample(unit.downsample) if unit.downsample > 1 else series
+
+
+def series_groups(
+    trace: Trace, units: Sequence[EvalUnit]
+) -> list[tuple[TimeSeries | DataError, list[int]]]:
+    """The positions of ``units`` grouped by series shape, in order of
+    first appearance, each with the series built once (or the
+    :class:`~repro.core.errors.DataError` building it raised)."""
+    groups: dict[tuple[bool, int], tuple[TimeSeries | DataError, list[int]]] = {}
+    for position, unit in enumerate(units):
+        group = groups.get(unit.shape)
+        if group is None:
+            try:
+                series = unit_series(trace, unit)
+            except DataError as exc:
+                series = exc
+            group = groups[unit.shape] = (series, [])
+        group[1].append(position)
+    return list(groups.values())
+
+
+def walk_series(series: TimeSeries, units: Sequence[EvalUnit]) -> list[UnitResult]:
+    """Walk ``units`` over ``series``, the series they all read, in one pass.
+
+    Units of one predictor share its walk.  An invalid series voids
+    every unit with the error naming its first bad sample.
+    """
+    factories: dict = {}
+    for unit in units:
+        if unit.predictor not in factories:
+            factories[unit.predictor] = unit.factory()
+    try:
+        return evaluate_predictors(
+            series, [(factories[unit.predictor], unit.exclusion) for unit in units]
+        )
+    except DataError as exc:
+        return [exc] * len(units)
+
+
+def walk_trace(trace: Trace, units: Sequence[EvalUnit]) -> list[UnitResult]:
+    """Each of ``units`` walked over ``trace``, one pass per series shape."""
+    results: list[UnitResult] = [None] * len(units)  # type: ignore[list-item]
+    for series, positions in series_groups(trace, units):
+        if isinstance(series, DataError):
+            walked = [series] * len(positions)
+        else:
+            walked = walk_series(series, [units[k] for k in positions])
+        for position, result in zip(positions, walked):
+            results[position] = result
+    return results
+
+
+class UnplannedUnitError(LookupError):
+    """A figure read a unit outside the results it was rendered from."""
+
+
+class UnitResults(dict):
+    """Walk results by unit: ``results[unit]`` is a tuple holding one
+    :data:`UnitResult` per trace, in dataset order.
+
+    Reading a unit the mapping does not hold raises
+    :class:`UnplannedUnitError` instead of a bare ``KeyError``.  The
+    warm phase also records what it did: ``planned`` (unit-trace
+    pairs), ``cached`` (taken from the pack), ``computed`` (walked) and
+    ``workers`` (the resolved worker count).
+    """
+
+    planned = cached = computed = 0
+    workers = 1
+
+    def __missing__(self, unit: EvalUnit):
+        raise UnplannedUnitError(f"{unit!r} is not among the planned units")
+
+
+def evaluate_units(dataset: Dataset, units: Iterable[EvalUnit]) -> UnitResults:
+    """Every unit walked over every trace of ``dataset``, in memory.
+
+    The passes the warm phase runs, without a pack: what a figure
+    rendered from the dataset alone reads.
+    """
+    units = tuple(dict.fromkeys(units))
+    rows = [walk_trace(trace, units) for trace in dataset.traces]
+    return UnitResults(
+        (unit, tuple(row[position] for row in rows))
+        for position, unit in enumerate(units)
     )
+
+
+# ----------------------------------------------------------------------
+# Keys
+# ----------------------------------------------------------------------
 
 
 @functools.cache
 def code_fingerprint() -> str:
-    """Fingerprint of the source of every module in :mod:`repro.hb`,
-    read once per process."""
-    return source_fingerprint("repro.hb")
+    """Fingerprint of the source of every module a pack entry depends
+    on, read once per process: :mod:`repro.hb` (the predictors, the LSO
+    kernel, the walk), :mod:`repro.core.timeseries` and
+    :mod:`repro.paths.records` (a unit's series) and this module (the
+    units, the predictor specs and the pack layout)."""
+    return source_fingerprint(
+        "repro.hb",
+        "repro.core.timeseries",
+        "repro.paths.records",
+        "repro.analysis.evalcache",
+    )
 
 
 def pack_key(dataset: Dataset) -> str:
@@ -191,12 +327,31 @@ def pack_key(dataset: Dataset) -> str:
     return stable_fingerprint({"traces": digest.hexdigest(), "code": code_fingerprint()})
 
 
+#: A pack entry's key: the trace's position in the dataset, its path id
+#: and trace index, and the unit.  The position keeps two traces that
+#: share their ids apart.
+EntryKey = tuple[int, str, int, EvalUnit]
+
+
+def entry_key(ordinal: int, trace: Trace, unit: EvalUnit) -> EntryKey:
+    """The key of ``unit``'s walk over ``trace``, the dataset's ``ordinal``-th."""
+    return (ordinal, trace.path_id, trace.trace_index, unit)
+
+
+# ----------------------------------------------------------------------
+# The pack
+# ----------------------------------------------------------------------
+
+
 class _FlatArray:
     """The flat ``.npy`` array in an open pack member, read in runs.
 
-    Each run is read into an array of its own, so reading a pack holds
-    no whole-pack copy of its arrays.
+    Each run is copied into an array of its own, so reading a pack holds
+    no whole-pack copy of its arrays; the member itself is read in
+    chunks of at least :attr:`CHUNK` bytes, not once per run.
     """
+
+    CHUNK = 1 << 16
 
     def __init__(self, member: BinaryIO) -> None:
         self._member = member
@@ -207,60 +362,112 @@ class _FlatArray:
             raise ValueError("pack member is not a flat array")
         #: items not yet read.
         self.remaining = shape[0]
+        self._chunk, self._offset = b"", 0
 
     def take(self, n: int) -> np.ndarray:
         """The next ``n`` items."""
         if not 0 <= n <= self.remaining:
             raise ValueError("pack index and arrays disagree in length")
         self.remaining -= n
-        data = self._member.read(n * self._dtype.itemsize)
-        if len(data) != n * self._dtype.itemsize:
-            raise ValueError("pack member is truncated")
-        return np.frombuffer(data, dtype=self._dtype).copy()
+        size = n * self._dtype.itemsize
+        if len(self._chunk) - self._offset < size:
+            rest = self._chunk[self._offset :]
+            self._chunk = rest + self._member.read(max(size - len(rest), self.CHUNK))
+            self._offset = 0
+            if len(self._chunk) < size:
+                raise ValueError("pack member is truncated")
+        start, self._offset = self._offset, self._offset + size
+        return np.frombuffer(self._chunk, self._dtype, n, start).copy()
 
 
-def _read_pack(pack: zipfile.ZipFile) -> dict[str, HbEvaluation]:
+def _spec_from_json(value) -> PredictorSpec:
+    """A spec read back from the index, where JSON made its tuples lists."""
+    if not isinstance(value, list):
+        raise ValueError(f"pack index holds a malformed spec {value!r}")
+    return tuple(_spec_from_json(item) if isinstance(item, list) else item for item in value)
+
+
+def _unit_from_json(row) -> EvalUnit:
+    small_window, downsample, spec, exclusion = row
+    return EvalUnit(
+        _spec_from_json(spec),
+        bool(small_window),
+        int(downsample),
+        None if exclusion is None else LsoConfig(*exclusion),
+    )
+
+
+def _unit_to_json(unit: EvalUnit) -> list:
+    exclusion = unit.exclusion
+    return [
+        unit.small_window,
+        unit.downsample,
+        unit.predictor,
+        None
+        if exclusion is None
+        else [exclusion.level_shift_threshold, exclusion.outlier_threshold],
+    ]
+
+
+def _read_pack(pack: zipfile.ZipFile) -> dict[EntryKey, HbEvaluation]:
     """The entries of an open pack.
 
     Raises:
-        ValueError, TypeError, KeyError: when the index and the arrays
-            disagree or either is malformed.
+        ValueError, TypeError, LookupError: when the index and the
+            arrays disagree or either is malformed.
     """
     with pack.open("index.npy") as member:
         index_array = _FlatArray(member)
         index = json.loads(index_array.take(index_array.remaining).tobytes())
-    entries: dict[str, HbEvaluation] = {}
+    units = [_unit_from_json(row) for row in index["units"]]
+    entries: dict[EntryKey, HbEvaluation] = {}
     with (
         pack.open("predictions.npy") as predictions_member,
         pack.open("errors.npy") as errors_member,
         pack.open("outliers.npy") as outliers_member,
+        pack.open("shifts.npy") as shifts_member,
     ):
         predictions = _FlatArray(predictions_member)
         errors = _FlatArray(errors_member)
         outliers = _FlatArray(outliers_member)
-        for key, predictor_name, series_name, n_points, n_outliers in index:
-            entries[key] = HbEvaluation(
+        shifts = _FlatArray(shifts_member)
+        for row in index["entries"]:
+            (
+                ordinal, path_id, trace_index, unit,
+                predictor_name, series_name, n_points, n_outliers, n_shifts,
+            ) = row
+            entries[(ordinal, path_id, trace_index, units[unit])] = HbEvaluation(
                 predictor_name=predictor_name,
                 series_name=series_name,
                 predictions=predictions.take(n_points),
                 errors=errors.take(n_points),
                 outlier_indices=frozenset(outliers.take(n_outliers).tolist()),
+                shift_indices=tuple(shifts.take(n_shifts).tolist()),
             )
-    if predictions.remaining or errors.remaining or outliers.remaining:
+    if any(array.remaining for array in (predictions, errors, outliers, shifts)):
         raise ValueError("pack index and arrays disagree in length")
     return entries
 
 
-def _write_pack(handle: BinaryIO, entries: dict[str, HbEvaluation]) -> None:
+def _write_pack(handle: BinaryIO, entries: dict[EntryKey, HbEvaluation]) -> None:
     """Write ``entries`` to ``handle`` in the layout :func:`_read_pack` reads.
 
     An ``.npz`` archive whose flat arrays are streamed entry by entry
     into their members, so the write holds no concatenated copy of them.
+    The index lists each distinct unit once and each entry by its
+    trace, its unit's position in that list, its names and lengths.
     """
-    index = [
-        [key, e.predictor_name, e.series_name, len(e.predictions), len(e.outlier_indices)]
-        for key, e in entries.items()
-    ]
+    units: dict[EvalUnit, int] = {}
+    rows = []
+    for (ordinal, path_id, trace_index, unit), e in entries.items():
+        rows.append(
+            [
+                ordinal, path_id, trace_index, units.setdefault(unit, len(units)),
+                e.predictor_name, e.series_name,
+                len(e.predictions), len(e.outlier_indices), len(e.shift_indices),
+            ]
+        )
+    index = {"units": [_unit_to_json(unit) for unit in units], "entries": rows}
     members = {
         "index": [np.frombuffer(json.dumps(index).encode(), dtype=np.uint8)],
         "predictions": [e.predictions for e in entries.values()],
@@ -269,6 +476,7 @@ def _write_pack(handle: BinaryIO, entries: dict[str, HbEvaluation]) -> None:
             np.array(sorted(e.outlier_indices), dtype=np.int64)
             for e in entries.values()
         ],
+        "shifts": [np.array(e.shift_indices, dtype=np.int64) for e in entries.values()],
     }
     with zipfile.ZipFile(handle, "w", allowZip64=True) as pack:
         for name, parts in members.items():
@@ -285,7 +493,7 @@ def _write_pack(handle: BinaryIO, entries: dict[str, HbEvaluation]) -> None:
 
 
 class EvaluationCache:
-    """HB evaluations addressed by content key, persisted as packs.
+    """HB evaluations addressed by entry key, persisted as packs.
 
     Args:
         root: cache directory; ``None`` uses
@@ -293,8 +501,7 @@ class EvaluationCache:
             ``REPRO_EVAL_CACHE_DIR``).
         memory_only: keep entries in the in-process memo only — nothing
             is read from or written to disk.  What ``repro-analyze
-            --no-eval-cache`` uses, so one run still shares walks across
-            its figures without persisting anything.
+            --no-eval-cache`` uses.
     """
 
     def __init__(
@@ -304,21 +511,21 @@ class EvaluationCache:
             Path(root).expanduser() if root is not None else default_eval_cache_dir()
         )
         self.memory_only = memory_only
-        self._memo: dict[str, HbEvaluation] = {}
+        self._memo: dict[EntryKey, HbEvaluation] = {}
         #: key and entries of the open pack; None when no pack is open.
         self._pack_key: str | None = None
-        self._pack: dict[str, HbEvaluation] = {}
+        self._pack: dict[EntryKey, HbEvaluation] = {}
         self._pack_changed = False
 
     def path_for(self, key: str) -> Path:
         """The file the pack with ``key`` is (or would be) stored at."""
         return self.root / f"{key}.npz"
 
-    def get(self, key: str) -> HbEvaluation | None:
+    def get(self, key: EntryKey) -> HbEvaluation | None:
         """The evaluation held for ``key``, or ``None`` on a miss."""
         return self._memo.get(key)
 
-    def put(self, key: str, evaluation: HbEvaluation) -> None:
+    def put(self, key: EntryKey, evaluation: HbEvaluation) -> None:
         """Hold ``evaluation`` under ``key`` (and in the open pack).
 
         Counts one ``evalcache.stores`` per fresh entry.  Nothing is
@@ -350,7 +557,7 @@ class EvaluationCache:
         except FileNotFoundError:
             return
         except (
-            OSError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile
+            OSError, LookupError, TypeError, ValueError, EOFError, zipfile.BadZipFile
         ):
             telemetry = get_telemetry()
             telemetry.counter("evalcache.corrupt").inc()
@@ -383,49 +590,3 @@ class EvaluationCache:
             if os.path.exists(tmp_name):  # pragma: no cover - error path
                 os.unlink(tmp_name)
         self._pack_changed = False
-
-    # -- the hook protocol evaluate_predictor talks to -------------------
-
-    def lookup(
-        self,
-        series: TimeSeries,
-        predictor: HistoryPredictor,
-        lso_config: LsoConfig | None,
-    ) -> HbEvaluation | None:
-        """Cache probe for one evaluation; counts a hit or a miss.
-
-        Predictors with no derivable spec are not cacheable and probe
-        nothing (no counter moves — the cache simply does not apply).
-        """
-        spec = derive_spec(predictor)
-        if spec is None:
-            return None
-        key = evaluation_key(series, spec, lso_config)
-        evaluation = self.get(key)
-        if evaluation is not None:
-            get_telemetry().counter("evalcache.hits").inc()
-            return evaluation
-        get_telemetry().counter("evalcache.misses").inc()
-        return None
-
-    def record(
-        self,
-        series: TimeSeries,
-        predictor: HistoryPredictor,
-        lso_config: LsoConfig | None,
-        evaluation: HbEvaluation,
-    ) -> None:
-        """Hold a freshly computed evaluation (when cacheable)."""
-        spec = derive_spec(predictor)
-        if spec is None:
-            return
-        self.put(evaluation_key(series, spec, lso_config), evaluation)
-
-    @contextmanager
-    def activated(self) -> Iterator["EvaluationCache"]:
-        """Install this cache for :func:`evaluate_predictor` in a scope."""
-        previous = set_active_eval_cache(self)
-        try:
-            yield self
-        finally:
-            set_active_eval_cache(previous)

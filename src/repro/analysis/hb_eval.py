@@ -3,18 +3,36 @@
 The unit of evaluation is the *trace*: a walk-forward one-step
 evaluation of a predictor over the trace's throughput series yields a
 per-trace RMSRE; the figures aggregate those RMSREs across traces.
+
+The functions behind ``repro-analyze``'s HB figures (16, 17, 19-23)
+read their walks by unit (:func:`unit`,
+:class:`~repro.analysis.evalcache.EvalUnit`) from ``results``, the
+mapping the warm phase returns; called with the dataset alone, they
+walk their units in memory first
+(:func:`~repro.analysis.evalcache.evaluate_units`).  Either way one
+body computes the figure, and a walk that failed raises, when the
+figure reads it, the error :func:`~repro.hb.evaluate.evaluate_predictor`
+raises for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.evalcache import (
+    EvalUnit,
+    UnitResult,
+    UnitResults,
+    derive_spec,
+    evaluate_units,
+)
 from repro.core.errors import DataError
 from repro.core.metrics import Cdf, pearson_correlation, rmsre
 from repro.hb.base import PredictorFactory
-from repro.hb.evaluate import evaluate_predictor, lso_segmentation
+from repro.hb.evaluate import HbEvaluation, evaluate_predictor, lso_segmentation
 from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
@@ -57,6 +75,60 @@ FIG21_PREDICTORS: dict[str, PredictorFactory] = {
     "HW": hw(),
     "HW-LSO": with_lso(hw()),
 }
+
+#: Fig. 23's transfer intervals: label -> down-sampling factor of the
+#: ~3-minute traces (6, 24 and 45-minute periods, as in the paper).
+INTERVALS: dict[str, int] = {"3min": 1, "6min": 2, "24min": 8, "45min": 15}
+
+#: The outlier exclusion of Fig. 20's RMSRE, whose segmentation gives
+#: the CoV: the paper's default LSO thresholds.
+FIG20_EXCLUSION = LsoConfig()
+
+
+# ----------------------------------------------------------------------
+# Units
+# ----------------------------------------------------------------------
+
+
+def unit(
+    factory: PredictorFactory,
+    *,
+    small_window: bool = False,
+    downsample: int = 1,
+    exclusion: LsoConfig | None = None,
+) -> EvalUnit:
+    """The unit walking ``factory``'s predictor over each trace's series
+    of that shape, with that outlier exclusion.
+
+    A registered family is named by its spec, so the warm phase can keep
+    its walks in the pack; any other predictor by its factory.
+    """
+    spec = derive_spec(factory())
+    return EvalUnit(
+        factory if spec is None else spec, small_window, downsample, exclusion
+    )
+
+
+def _read(
+    dataset: Dataset, units: Iterable[EvalUnit], results: UnitResults | None
+) -> UnitResults:
+    """``results``, or the units walked over ``dataset`` in memory."""
+    return evaluate_units(dataset, units) if results is None else results
+
+
+def _walked(result: UnitResult) -> HbEvaluation:
+    """The walk, or the error that voided it raised."""
+    if isinstance(result, DataError):
+        raise result
+    return result
+
+
+def _ordinals_by_path(dataset: Dataset) -> dict[str, list[int]]:
+    """Each path's trace positions in ``dataset``, paths in first-appearance order."""
+    ordinals: dict[str, list[int]] = {}
+    for ordinal, trace in enumerate(dataset.traces):
+        ordinals.setdefault(trace.path_id, []).append(ordinal)
+    return ordinals
 
 
 # ----------------------------------------------------------------------
@@ -160,16 +232,23 @@ def exemplar_traces(
 
 
 def predictor_cdfs(
-    dataset: Dataset, predictors: dict[str, PredictorFactory]
+    dataset: Dataset,
+    predictors: dict[str, PredictorFactory],
+    results: UnitResults | None = None,
 ) -> dict[str, Cdf]:
     """CDF of per-trace RMSRE for each candidate predictor.
 
     Figs. 16 and 17 are exactly this, for MA and HW families.
     """
-    return {
-        name: Cdf.from_values(rmsre_per_trace(dataset, factory), label=name)
-        for name, factory in predictors.items()
-    }
+    units = {name: unit(factory) for name, factory in predictors.items()}
+    results = _read(dataset, units.values(), results)
+    cdfs = {}
+    for name, predictor_unit in units.items():
+        values = [_walked(result).rmsre() for result in results[predictor_unit]]
+        if not values:
+            raise DataError("dataset has no traces")
+        cdfs[name] = Cdf.from_values(values, label=name)
+    return cdfs
 
 
 def ma_family(orders: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, PredictorFactory]:
@@ -244,12 +323,15 @@ class FbHbComparison:
 
 
 def fb_vs_hb(
-    dataset: Dataset, hb_factory: PredictorFactory | None = None
+    dataset: Dataset,
+    hb_factory: PredictorFactory | None = None,
+    results: UnitResults | None = None,
 ) -> FbHbComparison:
     """Fig. 19: FB against HB (HW-LSO by default), per-trace RMSRE."""
-    hb_factory = hb_factory or with_lso(hw())
+    hb_unit = unit(hb_factory or with_lso(hw()))
     fb_rmsres = fb_eval.rmsre_per_trace(dataset)
-    hb_rmsres = [trace_rmsre(trace, hb_factory) for trace in dataset]
+    results = _read(dataset, [hb_unit], results)
+    hb_rmsres = [_walked(result).rmsre() for result in results[hb_unit]]
     return FbHbComparison(
         fb=Cdf.from_values(fb_rmsres, label="FB per-trace RMSRE"),
         hb=Cdf.from_values(hb_rmsres, label="HB (HW-LSO) per-trace RMSRE"),
@@ -273,26 +355,35 @@ class CovRelation:
 
 
 def cov_correlation(
-    dataset: Dataset, hb_factory: PredictorFactory | None = None
+    dataset: Dataset,
+    hb_factory: PredictorFactory | None = None,
+    results: UnitResults | None = None,
 ) -> CovRelation:
     """Fig. 20: HW-LSO RMSRE against the trace CoV.
 
     The CoV is computed per Section 6.1.3: stationary segments between
     detected level shifts, outliers excluded, weighted by segment
-    length; the RMSRE likewise excludes outlier epochs.
+    length; the RMSRE likewise excludes outlier epochs.  Both come from
+    one walk per trace, whose outlier exclusion's detections give the
+    segments (:meth:`~repro.hb.evaluate.HbEvaluation.segmentation`).
     """
-    hb_factory = hb_factory or with_lso(hw())
+    hb_unit = unit(hb_factory or with_lso(hw()), exclusion=FIG20_EXCLUSION)
+    results = _read(dataset, [hb_unit], results)
     covs, rmsres_ = [], []
-    for trace in dataset:
-        series = trace.throughput_series()
-        seg = lso_segmentation(series.values)
+    for trace, result in zip(dataset, results[hb_unit]):
+        values = trace.throughput_series().values
+        if isinstance(result, DataError):
+            # The walk failed: segment the series on its own, which
+            # raises for an invalid series what it always has; a
+            # predictor's failure surfaces below, as the RMSRE's.
+            seg = lso_segmentation(values, FIG20_EXCLUSION)
+        else:
+            seg = result.segmentation(values)
         try:
             covs.append(seg.weighted_cov())
         except DataError:
             continue
-        rmsres_.append(
-            trace_rmsre(trace, hb_factory, exclude_outliers=True)
-        )
+        rmsres_.append(_walked(result).rmsre(exclude_outliers=True))
     if len(covs) < 2:
         raise DataError("not enough traces for the CoV relation")
     return CovRelation(covs=np.asarray(covs), rmsres=np.asarray(rmsres_))
@@ -334,17 +425,20 @@ def classify_path(mean_rmsre: float, rmsre_std: float) -> str:
 
 
 def path_classes(
-    dataset: Dataset, predictors: dict[str, PredictorFactory] | None = None
+    dataset: Dataset,
+    predictors: dict[str, PredictorFactory] | None = None,
+    results: UnitResults | None = None,
 ) -> list[PathClass]:
     """Fig. 21: per-path, per-trace RMSRE for the standard predictor set,
     plus the four-way predictability class (based on HW-LSO)."""
     predictors = predictors or FIG21_PREDICTORS
+    units = {name: unit(factory) for name, factory in predictors.items()}
+    results = _read(dataset, units.values(), results)
     classes = []
-    for path_id in dataset.path_ids:
-        traces = dataset.traces_for(path_id)
+    for path_id, ordinals in _ordinals_by_path(dataset).items():
         by_predictor = {
-            name: [trace_rmsre(t, factory) for t in traces]
-            for name, factory in predictors.items()
+            name: [_walked(results[predictor_unit][k]).rmsre() for k in ordinals]
+            for name, predictor_unit in units.items()
         }
         reference = by_predictor.get("HW-LSO") or next(iter(by_predictor.values()))
         mean_rmsre = float(np.mean(reference))
@@ -432,18 +526,20 @@ class HbWindowComparison:
 
 
 def window_limited_hb(
-    dataset: Dataset, hb_factory: PredictorFactory | None = None
+    dataset: Dataset,
+    hb_factory: PredictorFactory | None = None,
+    results: UnitResults | None = None,
 ) -> list[HbWindowComparison]:
     """Fig. 22: HB RMSRE on W = 1 MB vs W = 20 KB series, per path."""
     hb_factory = hb_factory or with_lso(hw())
+    large_unit = unit(hb_factory)
+    small_unit = unit(hb_factory, small_window=True)
+    results = _read(dataset, [large_unit, small_unit], results)
     comparisons = []
-    for path_id in dataset.path_ids:
-        traces = dataset.traces_for(path_id)
+    for path_id, ordinals in _ordinals_by_path(dataset).items():
         try:
-            large = [trace_rmsre(t, hb_factory) for t in traces]
-            small = [
-                trace_rmsre(t, hb_factory, small_window=True) for t in traces
-            ]
+            large = [_walked(results[large_unit][k]).rmsre() for k in ordinals]
+            small = [_walked(results[small_unit][k]).rmsre() for k in ordinals]
         except DataError:
             continue
         comparisons.append(
@@ -467,27 +563,29 @@ def interval_effect(
     dataset: Dataset,
     downsample_factors: dict[str, int] | None = None,
     hb_factory: PredictorFactory | None = None,
+    results: UnitResults | None = None,
 ) -> dict[str, Cdf]:
     """Fig. 23: per-trace RMSRE CDFs at longer transfer intervals.
 
     The paper down-samples its ~3-minute traces to 6, 24, and 45-minute
-    periods; with the default factors the same intervals result here.
+    periods; with the default factors (:data:`INTERVALS`) the same
+    intervals result here.
     """
     hb_factory = hb_factory or with_lso(hw())
-    downsample_factors = downsample_factors or {
-        "3min": 1,
-        "6min": 2,
-        "24min": 8,
-        "45min": 15,
+    downsample_factors = downsample_factors or INTERVALS
+    units = {
+        label: unit(hb_factory, downsample=factor)
+        for label, factor in downsample_factors.items()
     }
+    results = _read(dataset, units.values(), results)
     cdfs: dict[str, Cdf] = {}
     for label, factor in downsample_factors.items():
         rmsres_ = []
-        for trace in dataset:
-            series = trace.throughput_series().downsample(factor)
-            if len(series) < 5:
+        for trace, result in zip(dataset, results[units[label]]):
+            # The length of the down-sampled series the unit walked.
+            if len(trace.throughput_mbps[::factor]) < 5:
                 continue
-            evaluation = evaluate_predictor(series, hb_factory)
+            evaluation = _walked(result)
             if evaluation.valid_errors.size == 0:
                 continue
             rmsres_.append(rmsre(evaluation.valid_errors))

@@ -7,17 +7,19 @@ wall times) is recorded and written as ``X.analysis.manifest.json`` +
 ``repro-obs summary`` and gated by ``repro-obs bench check``.  Set
 ``REPRO_OBS=0`` to disable telemetry (no sidecars are written).
 
-The HB figures run in two phases: a **warm phase** pre-computes every
-predictor walk the requested figures will need — one job per trace on
+The HB figures run in two phases.  Each HB renderer declares next to
+itself the units it reads (:func:`repro.analysis.hb_eval.unit`: a
+predictor, a series shape and an outlier exclusion); a **warm phase**
+walks the union of the requested figures' units — one job per trace on
 the campaign's fault-tolerant engine, optionally over ``--workers N``
-processes — then the figure renderers run with the cache activated and
-only take hits.  The walks persist in a content-addressed
-evaluation cache (``~/.cache/repro/evals``, see
-:mod:`repro.analysis.evalcache`) as one pack file per dataset, keyed on
-the dataset's trace contents and the source of :mod:`repro.hb`: the
-warm phase reads the pack once, and writes it once only when it
-computed something.  Rendered output is byte-identical whatever the
-worker count or cache state (``make analyze-parity`` checks this).
+processes — and the renderers then read the walks by unit, walking
+nothing themselves.  The walks persist in an evaluation cache
+(``~/.cache/repro/evals``, see :mod:`repro.analysis.evalcache`) as one
+pack file per dataset, keyed on the dataset's trace contents and the
+source of the code that computes them: the warm phase reads the pack
+once, and writes it once only when it computed something.  Rendered
+output is byte-identical whatever the worker count or cache state
+(``make analyze-parity`` checks this).
 
 A dataset that is missing or malformed exits with status 2 and one
 line naming the file; no sidecars are written.  A warm-phase job that
@@ -44,7 +46,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from repro.analysis import fb_eval, hb_eval
-from repro.analysis.evalcache import EvaluationCache
+from repro.analysis.evalcache import EvalUnit, EvaluationCache, UnitResults
 from repro.analysis.parallel import warm_eval_cache
 from repro.analysis.report import (
     render_bar_table,
@@ -58,7 +60,41 @@ from repro.obs.recorder import analysis_sidecar_paths, write_manifest
 from repro.paths.records import Dataset
 from repro.testbed.io import load_dataset
 
+#: figure number -> its renderer.  An FB renderer takes the dataset; an
+#: HB renderer also takes the walks it reads, by unit, and walks its
+#: units in memory when called with the dataset alone.
+FIGURES: dict[int, Callable[..., str]] = {}
 
+#: figure number -> the units its HB renderer reads, declared with it.
+#: The warm phase walks the union of the requested figures' units.
+UNITS: dict[int, tuple[EvalUnit, ...]] = {}
+
+
+def _figure(number: int, *units: EvalUnit):
+    """Register the decorated renderer as figure ``number``'s, reading ``units``."""
+
+    def register(renderer: Callable[..., str]) -> Callable[..., str]:
+        FIGURES[number] = renderer
+        if units:
+            UNITS[number] = units
+        return renderer
+
+    return register
+
+
+def plan(figures: list[int]) -> tuple[EvalUnit, ...]:
+    """The units the warm phase walks for ``figures``: the union of their
+    renderers' units, each once, in figure then declaration order."""
+    return tuple(
+        dict.fromkeys(unit for number in figures for unit in UNITS.get(number, ()))
+    )
+
+
+#: The HB predictor of every HB figure but 16, 17 and 21.
+_HW_LSO = hb_eval.with_lso(hb_eval.hw())
+
+
+@_figure(2)
 def _fig2(ds: Dataset) -> str:
     cdfs = fb_eval.error_cdfs(ds)
     return render_cdf_table(
@@ -68,6 +104,7 @@ def _fig2(ds: Dataset) -> str:
     ) + "\n" + cdfs.summary()
 
 
+@_figure(3)
 def _fig3(ds: Dataset) -> str:
     inc = fb_eval.increase_cdfs(ds)
     return (
@@ -81,6 +118,7 @@ def _fig3(ds: Dataset) -> str:
     )
 
 
+@_figure(6)
 def _fig6(ds: Dataset) -> str:
     comp = fb_eval.during_flow_prediction(ds)
     return render_cdf_table(
@@ -90,6 +128,7 @@ def _fig6(ds: Dataset) -> str:
     )
 
 
+@_figure(7)
 def _fig7(ds: Dataset) -> str:
     rows = [
         (s.path_id, {"p10": s.p10, "median": s.median, "p90": s.p90})
@@ -98,11 +137,13 @@ def _fig7(ds: Dataset) -> str:
     return render_bar_table(rows, title="Fig. 7: per-path FB error", value_format="{:+.2f}")
 
 
+@_figure(8)
 def _fig8(ds: Dataset) -> str:
     sc = fb_eval.throughput_vs_error(ds)
     return "Fig. 8: R vs E\n" + render_scatter_summary(sc.x, sc.errors, "R", "E")
 
 
+@_figure(11)
 def _fig11(ds: Dataset) -> str:
     effect = fb_eval.duration_effect(ds)
     return render_cdf_table(
@@ -110,6 +151,7 @@ def _fig11(ds: Dataset) -> str:
     )
 
 
+@_figure(12)
 def _fig12(ds: Dataset) -> str:
     rows = [
         (c.path_id, {"W=1MB": c.rmsre_large_window, "W=20KB": c.rmsre_small_window})
@@ -119,18 +161,21 @@ def _fig12(ds: Dataset) -> str:
     return render_bar_table(rows, title="Fig. 12: FB RMSRE by window")
 
 
-def _fig16(ds: Dataset) -> str:
-    cdfs = hb_eval.predictor_cdfs(ds, hb_eval.ma_family())
+@_figure(16, *map(hb_eval.unit, hb_eval.ma_family().values()))
+def _fig16(ds: Dataset, results: UnitResults | None = None) -> str:
+    cdfs = hb_eval.predictor_cdfs(ds, hb_eval.ma_family(), results)
     return render_quantile_table(cdfs, title="Fig. 16: MA family RMSRE")
 
 
-def _fig17(ds: Dataset) -> str:
-    cdfs = hb_eval.predictor_cdfs(ds, hb_eval.hw_family())
+@_figure(17, *map(hb_eval.unit, hb_eval.hw_family().values()))
+def _fig17(ds: Dataset, results: UnitResults | None = None) -> str:
+    cdfs = hb_eval.predictor_cdfs(ds, hb_eval.hw_family(), results)
     return render_quantile_table(cdfs, title="Fig. 17: HW family RMSRE")
 
 
-def _fig19(ds: Dataset) -> str:
-    comp = hb_eval.fb_vs_hb(ds)
+@_figure(19, hb_eval.unit(_HW_LSO))
+def _fig19(ds: Dataset, results: UnitResults | None = None) -> str:
+    comp = hb_eval.fb_vs_hb(ds, _HW_LSO, results)
     return (
         render_quantile_table(
             {"FB": comp.fb, "HB": comp.hb}, title="Fig. 19: FB vs HB RMSRE"
@@ -140,8 +185,9 @@ def _fig19(ds: Dataset) -> str:
     )
 
 
-def _fig20(ds: Dataset) -> str:
-    rel = hb_eval.cov_correlation(ds)
+@_figure(20, hb_eval.unit(_HW_LSO, exclusion=hb_eval.FIG20_EXCLUSION))
+def _fig20(ds: Dataset, results: UnitResults | None = None) -> str:
+    rel = hb_eval.cov_correlation(ds, _HW_LSO, results)
     return (
         "Fig. 20: CoV vs RMSRE\n"
         + render_scatter_summary(rel.covs, rel.rmsres, "CoV", "RMSRE")
@@ -149,46 +195,34 @@ def _fig20(ds: Dataset) -> str:
     )
 
 
-def _fig21(ds: Dataset) -> str:
+@_figure(21, *map(hb_eval.unit, hb_eval.FIG21_PREDICTORS.values()))
+def _fig21(ds: Dataset, results: UnitResults | None = None) -> str:
     rows = [
         (
             f"{c.path_id} [{c.label}]",
             {n: sum(v) / len(v) for n, v in c.rmsres_by_predictor.items()},
         )
-        for c in hb_eval.path_classes(ds)
+        for c in hb_eval.path_classes(ds, hb_eval.FIG21_PREDICTORS, results)
     ]
     return render_bar_table(rows, title="Fig. 21: path classes")
 
 
-def _fig22(ds: Dataset) -> str:
+@_figure(22, hb_eval.unit(_HW_LSO), hb_eval.unit(_HW_LSO, small_window=True))
+def _fig22(ds: Dataset, results: UnitResults | None = None) -> str:
     rows = [
         (c.path_id, {"W=1MB": c.rmsre_large_window, "W=20KB": c.rmsre_small_window})
-        for c in hb_eval.window_limited_hb(ds)
+        for c in hb_eval.window_limited_hb(ds, _HW_LSO, results)
     ]
     return render_bar_table(rows, title="Fig. 22: HB RMSRE by window")
 
 
-def _fig23(ds: Dataset) -> str:
-    cdfs = hb_eval.interval_effect(ds)
+@_figure(
+    23,
+    *(hb_eval.unit(_HW_LSO, downsample=f) for f in hb_eval.INTERVALS.values()),
+)
+def _fig23(ds: Dataset, results: UnitResults | None = None) -> str:
+    cdfs = hb_eval.interval_effect(ds, hb_eval.INTERVALS, _HW_LSO, results)
     return render_quantile_table(cdfs, title="Fig. 23: transfer intervals")
-
-
-FIGURES: dict[int, Callable[[Dataset], str]] = {
-    2: _fig2,
-    3: _fig3,
-    6: _fig6,
-    7: _fig7,
-    8: _fig8,
-    11: _fig11,
-    12: _fig12,
-    16: _fig16,
-    17: _fig17,
-    19: _fig19,
-    20: _fig20,
-    21: _fig21,
-    22: _fig22,
-    23: _fig23,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = EvaluationCache(args.eval_cache_dir, memory_only=args.no_eval_cache)
     try:
-        warm = warm_eval_cache(dataset, wanted, cache, n_workers=args.workers)
+        warm = warm_eval_cache(dataset, plan(wanted), cache, n_workers=args.workers)
     except ExecutionError as exc:
         # As in repro-campaign: the run is dead, but its telemetry (the
         # failures, retries, the analysis.aborted event) is still worth
@@ -347,41 +381,38 @@ def main(argv: list[str] | None = None) -> int:
     rendered: list[int] = []
     skipped: list[int] = []
     try:
-        with cache.activated():
-            print(dataset.summary())
-            for number in wanted:
-                renderer = FIGURES.get(number)
-                if renderer is None:
-                    print(
-                        f"\n[fig {number}] no renderer (available: {sorted(FIGURES)})"
-                    )
-                    status = 2
-                    clock.lap(f"fig{number}")
-                    telemetry.emit("figure", figure=number, status="unknown")
-                    continue
-                print()
-                try:
-                    print(renderer(dataset))
-                except ReproError as exc:
-                    print(f"[fig {number}] not derivable from this dataset: {exc}")
-                    clock.lap(f"fig{number}")
-                    skipped.append(number)
-                    telemetry.emit(
-                        "figure",
-                        figure=number,
-                        status="skipped",
-                        wall_s=clock.phases.get(f"fig{number}", 0.0),
-                        reason=str(exc),
-                    )
-                else:
-                    clock.lap(f"fig{number}")
-                    rendered.append(number)
-                    telemetry.emit(
-                        "figure",
-                        figure=number,
-                        status="ok",
-                        wall_s=clock.phases.get(f"fig{number}", 0.0),
-                    )
+        print(dataset.summary())
+        for number in wanted:
+            renderer = FIGURES.get(number)
+            if renderer is None:
+                print(f"\n[fig {number}] no renderer (available: {sorted(FIGURES)})")
+                status = 2
+                clock.lap(f"fig{number}")
+                telemetry.emit("figure", figure=number, status="unknown")
+                continue
+            print()
+            try:
+                print(renderer(dataset, warm) if number in UNITS else renderer(dataset))
+            except ReproError as exc:
+                print(f"[fig {number}] not derivable from this dataset: {exc}")
+                clock.lap(f"fig{number}")
+                skipped.append(number)
+                telemetry.emit(
+                    "figure",
+                    figure=number,
+                    status="skipped",
+                    wall_s=clock.phases.get(f"fig{number}", 0.0),
+                    reason=str(exc),
+                )
+            else:
+                clock.lap(f"fig{number}")
+                rendered.append(number)
+                telemetry.emit(
+                    "figure",
+                    figure=number,
+                    status="ok",
+                    wall_s=clock.phases.get(f"fig{number}", 0.0),
+                )
     except BrokenPipeError:
         # Downstream pipe closed (e.g. `repro-analyze ds.csv | head`).
         status = 0

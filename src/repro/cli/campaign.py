@@ -34,9 +34,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from repro.core.cachekey import stable_fingerprint
-from repro.core.errors import ExecutionError
+from repro.core.errors import ConfigurationError, ExecutionError
 from repro.obs import RunRecorder, get_telemetry
 from repro.obs.render import progress_line
 from repro.paths.config import expanded_catalog, march_2006_catalog, may_2004_catalog
@@ -168,6 +169,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The option behind each setting a bad value is rejected for, by the
+#: name the setting's ConfigurationError opens with.
+_OPTIONS = {
+    "n_paths": "--paths",
+    "n_traces": "--traces",
+    "epochs_per_trace": "--epochs",
+    "transfer_duration_s": "--duration",
+    "max_retries": "--max-retries",
+    "backoff": "--retry-backoff",
+    "job_timeout_s": "--job-timeout",
+}
+
+
+def _configure(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> tuple[list, CampaignSettings, RetryPolicy]:
+    """The catalog, settings and retry policy the options ask for.
+
+    A bad value is a ``parser.error`` naming its option (exit status 2),
+    raised before anything is looked up, simulated or written.
+    """
+    try:
+        catalog = CATALOGS[args.catalog]()
+        if args.paths is not None:
+            catalog = expanded_catalog(catalog, args.paths)
+        is_2006 = args.catalog == "march2006"
+        duration = (
+            args.duration if args.duration is not None else (120.0 if is_2006 else 50.0)
+        )
+        settings = CampaignSettings(
+            n_traces=args.traces,
+            epochs_per_trace=args.epochs,
+            transfer_duration_s=duration,
+            run_small_window=not args.no_small_window and not is_2006,
+            checkpoint_fractions=(0.25, 0.5, 1.0) if is_2006 else (),
+        )
+        retry = RetryPolicy(
+            max_retries=args.max_retries,
+            backoff_s=args.retry_backoff,
+            job_timeout_s=args.job_timeout,
+        )
+    except ConfigurationError as exc:
+        message = str(exc)
+        option = next(
+            (flag for name, flag in _OPTIONS.items() if message.startswith(name)), None
+        )
+        parser.error(f"argument {option}: {message}" if option else message)
+    return catalog, settings, retry
+
+
 def _print_progress(snapshot: CampaignProgress) -> None:
     """Render one live progress line (carriage-return overwritten)."""
     sys.stderr.write("\r" + progress_line(snapshot))
@@ -177,30 +228,19 @@ def _print_progress(snapshot: CampaignProgress) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    catalog = CATALOGS[args.catalog]()
-    if args.paths is not None:
-        catalog = expanded_catalog(catalog, args.paths)
-
-    is_2006 = args.catalog == "march2006"
-    duration = args.duration if args.duration is not None else (120.0 if is_2006 else 50.0)
-    settings = CampaignSettings(
-        n_traces=args.traces,
-        epochs_per_trace=args.epochs,
-        transfer_duration_s=duration,
-        run_small_window=not args.no_small_window and not is_2006,
-        checkpoint_fractions=(0.25, 0.5, 1.0) if is_2006 else (),
-    )
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        catalog, settings, retry = _configure(parser, args)
+    except SystemExit as exc:
+        # parse_args/parser.error exit; keep main() returning an int so it
+        # stays callable programmatically (and from tests).
+        return int(exc.code or 0)
 
     campaign = Campaign(catalog, seed=args.seed, label=args.catalog)
     cache = None if args.no_cache else DatasetCache(args.cache_dir)
     run_key = campaign_cache_key(campaign, settings)
     cache_key = "" if cache is None else run_key
-    retry = RetryPolicy(
-        max_retries=args.max_retries,
-        backoff_s=args.retry_backoff,
-        job_timeout_s=args.job_timeout,
-    )
     recorder = RunRecorder(
         label=args.catalog,
         seed=args.seed,
@@ -217,16 +257,32 @@ def main(argv: list[str] | None = None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
+    entry = None if cache is None else cache.lookup(run_key)
     checkpoint = None
-    try:
-        entry = None if cache is None else cache.lookup(run_key)
-        if entry is None:
-            # Only a miss simulates, so only it loads the checkpoint
-            # store (and the engine, which Campaign.run imports).
-            if not args.no_checkpoint:
-                from repro.testbed.checkpoint import CheckpointStore
+    if entry is None and not args.no_checkpoint:
+        # Only a miss simulates, so only it loads the checkpoint store
+        # (and the engine, which Campaign.run imports).
+        from repro.testbed.checkpoint import CheckpointStore
 
-                checkpoint = CheckpointStore(args.checkpoint_dir)
+        checkpoint = CheckpointStore(args.checkpoint_dir)
+    # A store's directory may be the output's (--cache-dir out/cache -o
+    # out/ds.csv), so the stores' directories are made first; then a
+    # missing output directory is found before anything is simulated.
+    for store in (cache, checkpoint):
+        if store is not None:
+            store.root.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.output).parent
+    if not out_dir.is_dir():
+        if profiler is not None:
+            profiler.disable()
+        print(
+            f"repro-campaign: error: argument -o/--output: directory {out_dir} "
+            "does not exist",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        if entry is None:
             dataset = campaign.run(
                 settings,
                 n_workers=args.workers,
@@ -265,11 +321,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         from repro.testbed.io import save_dataset
 
-        if cache is not None:
-            # The cache directory exists before the output is written,
-            # so an output beside it (--cache-dir out/cache -o
-            # out/ds.csv) finds its directory.
-            cache.root.mkdir(parents=True, exist_ok=True)
         csv = save_dataset(dataset, args.output)
         if cache is not None:
             with get_telemetry().timer("cache.store_s"):

@@ -51,12 +51,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "PredictorFactory": ".base",
         "PredictorSpec": ".streaming",
         "StreamingPredictorState": ".streaming",
-        "active_eval_cache": ".evaluate",
         "detect_level_shift": ".lso",
         "detect_outliers": ".lso",
         "evaluate_predictor": ".evaluate",
         "evaluate_predictors": ".evaluate",
-        "set_active_eval_cache": ".evaluate",
         "vector_walk": ".vector_eval",
     },
 )

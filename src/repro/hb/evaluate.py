@@ -20,21 +20,15 @@ RMSRE of Fig. 20.  It drives the same LSO kernel
 original epoch indices alongside (:class:`EpochTrack`).  An evaluation's
 outlier exclusion tracks the kernel of its own pass the same way, so a
 pass that walks an LSO wrapper with the exclusion's thresholds detects
-the trace's LSO structure once.
-
-An evaluation cache (:mod:`repro.analysis.evalcache`) can be installed
-with :func:`set_active_eval_cache`; :func:`evaluate_predictor` then
-consults it before walking and records fresh results after.  The hook
-lives here (rather than in the analysis layer) so cache activation does
-not create an hb -> analysis import cycle.
+the trace's LSO structure once, and the evaluation keeps that
+structure (:meth:`HbEvaluation.segmentation`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Protocol
 
 import numpy as np
 
@@ -60,6 +54,8 @@ class HbEvaluation:
             was made.
         outlier_indices: epochs flagged as outliers by the final LSO
             segmentation of the trace (empty when LSO is not used).
+        shift_indices: the first epoch after each level shift of that
+            segmentation, in detection order (empty when LSO is not used).
     """
 
     predictor_name: str
@@ -67,6 +63,7 @@ class HbEvaluation:
     predictions: np.ndarray
     errors: np.ndarray
     outlier_indices: frozenset[int] = field(default_factory=frozenset)
+    shift_indices: tuple[int, ...] = ()
 
     @property
     def valid_errors(self) -> np.ndarray:
@@ -97,49 +94,17 @@ class HbEvaluation:
             raise DataError("no forecast epochs")
         return float(np.mean(np.abs(errors)))
 
+    def segmentation(self, values: np.ndarray) -> "LsoSegmentation":
+        """The LSO structure of the walked series ``values``, as
+        :func:`lso_segmentation` with the outlier exclusion's thresholds
+        reports it, assembled from the exclusion's own detections.
 
-class EvaluationCacheHook(Protocol):
-    """What :func:`evaluate_predictor` asks of an installed cache."""
-
-    def lookup(
-        self,
-        series: TimeSeries,
-        predictor: object,
-        lso_config: LsoConfig | None,
-    ) -> "HbEvaluation | None":
-        """A previously recorded evaluation, or None on a miss."""
-        ...
-
-    def record(
-        self,
-        series: TimeSeries,
-        predictor: object,
-        lso_config: LsoConfig | None,
-        evaluation: "HbEvaluation",
-    ) -> None:
-        """Record a freshly computed evaluation."""
-        ...
-
-
-_ACTIVE_EVAL_CACHE: EvaluationCacheHook | None = None
-
-
-def set_active_eval_cache(
-    cache: EvaluationCacheHook | None,
-) -> EvaluationCacheHook | None:
-    """Install (or clear, with ``None``) the process-wide evaluation cache.
-
-    Returns the previously installed cache so callers can restore it.
-    """
-    global _ACTIVE_EVAL_CACHE
-    previous = _ACTIVE_EVAL_CACHE
-    _ACTIVE_EVAL_CACHE = cache
-    return previous
-
-
-def active_eval_cache() -> EvaluationCacheHook | None:
-    """The currently installed evaluation cache, if any."""
-    return _ACTIVE_EVAL_CACHE
+        Meaningful only for an evaluation walked with an outlier
+        exclusion; without one there are no detections to assemble.
+        """
+        return _assemble_segmentation(
+            np.asarray(values, dtype=float), self.outlier_indices, self.shift_indices
+        )
 
 
 def _checked_values(series: TimeSeries) -> np.ndarray:
@@ -183,26 +148,16 @@ def evaluate_predictor(
             non-positive value.
     """
     values = _checked_values(series)
-    predictor = factory()
-
-    cache = _ACTIVE_EVAL_CACHE
-    if cache is not None:
-        cached = cache.lookup(series, predictor, lso_config)
-        if cached is not None:
-            return cached
-
-    (evaluation,) = _evaluate_pass(series, values, [predictor], [(0, lso_config)])
+    (evaluation,) = _evaluate_pass(series, values, [factory()], [(0, lso_config)])
     if isinstance(evaluation, DataError):
         raise evaluation
-    if cache is not None:
-        cache.record(series, predictor, lso_config, evaluation)
     return evaluation
 
 
 def evaluate_predictors(
     series: TimeSeries,
     walks: Sequence[tuple[PredictorFactory, LsoConfig | None]],
-) -> list[HbEvaluation | None]:
+) -> list[HbEvaluation | DataError]:
     """:func:`evaluate_predictor` for several predictors, in one pass.
 
     Each walk is a ``(factory, lso_config)`` pair, as the two arguments
@@ -211,18 +166,27 @@ def evaluate_predictors(
     outlier exclusion), LSO wrappers with equal thresholds and every
     exclusion with those thresholds share one LSO kernel, and each
     result equals :func:`evaluate_predictor`'s for its walk, bit for bit.
-    The active evaluation cache is not consulted.
 
     Returns:
-        One evaluation per walk, in order; ``None`` for a walk whose
-        predictor raised :class:`~repro.core.errors.DataError` (e.g. a
-        non-positive forecast), which voids that predictor's walks only.
+        One evaluation per walk, in order.  A walk whose predictor raised
+        :class:`~repro.core.errors.DataError` (e.g. a non-positive
+        forecast) holds that error instead — the one
+        :func:`evaluate_predictor` raises for the walk — and the failure
+        voids that predictor's walks only.
 
     Raises:
         DataError: when the trace carries a non-positive or non-finite
             sample, named by epoch and series; it voids every walk.
     """
-    values = _checked_values(series)
+    return _evaluate_walks(series, _checked_values(series), walks)
+
+
+def _evaluate_walks(
+    series: TimeSeries,
+    values: np.ndarray,
+    walks: Sequence[tuple[PredictorFactory, LsoConfig | None]],
+) -> list[HbEvaluation | DataError]:
+    """:func:`evaluate_predictors` over already checked ``values``."""
     slots: dict[int, int] = {}  # id(factory) -> its predictor's position
     predictors: list[HistoryPredictor] = []
     for factory, _ in walks:
@@ -230,20 +194,19 @@ def evaluate_predictors(
             slots[id(factory)] = len(predictors)
             predictors.append(factory())
     try:
-        results = _evaluate_pass(
+        return _evaluate_pass(
             series, values, predictors, [(slots[id(f)], lso) for f, lso in walks]
         )
-    except DataError:
+    except DataError as exc:
         if len(predictors) == 1:
-            return [None] * len(walks)
+            return [exc] * len(walks)
         # A predictor failed mid-walk: walk each alone, so the failure
         # voids its own walks and no others.
         return [
             evaluation
             for walk in walks
-            for evaluation in evaluate_predictors(series, [walk])
+            for evaluation in _evaluate_walks(series, values, [walk])
         ]
-    return [None if isinstance(r, DataError) else r for r in results]
 
 
 def _evaluate_pass(
@@ -294,6 +257,7 @@ def _evaluate_pass(
                     tele.metrics.counter("predictions.made", predictor=name).inc(count)
 
     outliers = {lso: frozenset(track.outlier_indices) for lso, track in tracks.items()}
+    shifts = {lso: tuple(track.shift_indices) for lso, track in tracks.items()}
     results: list[HbEvaluation | DataError] = []
     for position, lso in walks:
         errors = outcomes[position]
@@ -307,6 +271,7 @@ def _evaluate_pass(
                 predictions=rows[position],
                 errors=errors,
                 outlier_indices=frozenset() if lso is None else outliers[lso],
+                shift_indices=() if lso is None else shifts[lso],
             )
         )
     return results
@@ -399,7 +364,7 @@ class EpochTrack:
 
 
 def _assemble_segmentation(
-    vals: np.ndarray, outlier_indices: list[int], shift_indices: list[int]
+    vals: np.ndarray, outlier_indices: Iterable[int], shift_indices: Iterable[int]
 ) -> LsoSegmentation:
     """Build segments: non-outlier indices partitioned at shift boundaries."""
     outlier_set = set(outlier_indices)

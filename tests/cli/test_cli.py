@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+from repro.analysis.evalcache import EvaluationCache
+from repro.analysis.parallel import warm_eval_cache
 from repro.cli import analyze, campaign, predict, serve
 from repro.core.errors import ReproError
 from repro.paths.records import Dataset, Trace
@@ -247,6 +249,38 @@ class TestAnalyzeCommand:
         for number in (16, 21):
             with pytest.raises(ReproError, match="positive and finite, got nan at epoch 3"):
                 analyze.FIGURES[number](dataset)
+
+    def test_voided_walks_raise_each_figures_own_error(self, saved_dataset):
+        """A walk voided in the warm phase makes its figure raise, from
+        the warm results as from the dataset alone, the error the figure
+        raised when it walked for itself; Fig. 20 reports the invalid
+        sample as its segmentation always did, and Fig. 22 skips the
+        path."""
+        dataset = _nan_at_epoch_3(load_dataset(saved_dataset), "throughput_mbps")
+        first = dataset.traces[0]
+        walk = (
+            "throughput must be positive and finite, got nan at epoch 3 "
+            f"of series '{first.path_id}/t0'"
+        )
+        expected = {
+            16: walk,
+            17: walk,
+            19: f"throughput_mbps must be finite, got nan at epoch 3 of trace "
+            f"('{first.path_id}', 0)",
+            20: "throughput must be positive and finite, got nan at epoch 3",
+            21: walk,
+            23: walk,
+        }
+        warm = warm_eval_cache(
+            dataset, analyze.plan(sorted(analyze.UNITS)), EvaluationCache(memory_only=True)
+        )
+        for number, message in expected.items():
+            for args in ((dataset,), (dataset, warm)):
+                with pytest.raises(ReproError) as raised:
+                    analyze.FIGURES[number](*args)
+                assert str(raised.value) == message, number
+        assert analyze.FIGURES[22](dataset, warm) == analyze.FIGURES[22](dataset)
+        assert first.path_id not in analyze.FIGURES[22](dataset, warm)
 
     @pytest.mark.parametrize(
         "column, broken",
@@ -595,6 +629,83 @@ class TestPredictValidation:
         )
         assert code == 0
         assert "predicted throughput" in capsys.readouterr().out
+
+
+class TestCampaignValidation:
+    """A bad option value or a missing output directory is a
+    parser.error naming it (exit code 2), found before the cache is
+    consulted or anything is simulated or written."""
+
+    ARGS = ["--paths", "2", "--traces", "1", "--epochs", "5", "--quiet"]
+
+    @pytest.fixture
+    def untouched(self, monkeypatch):
+        """Fail the test if the run looks the campaign up or simulates it."""
+        from repro.fastpath import vector
+        from repro.testbed.cache import DatasetCache
+
+        calls = []
+
+        def refuse(name):
+            def stand_in(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+
+            return stand_in
+
+        monkeypatch.setattr(DatasetCache, "lookup", refuse("lookup"))
+        monkeypatch.setattr(vector, "run_fluid_trace", refuse("engine"))
+        return calls
+
+    @pytest.mark.parametrize(
+        ("option", "value"),
+        [
+            ("--paths", "0"),
+            ("--traces", "0"),
+            ("--epochs", "0"),
+            ("--duration", "0"),
+            ("--max-retries", "-1"),
+            ("--retry-backoff", "-1"),
+            ("--job-timeout", "0"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_option(
+        self, tmp_path, capsys, untouched, option, value
+    ):
+        out = tmp_path / "ds.csv"
+        code = campaign.main([*self.ARGS, option, value, "-o", str(out)])
+        assert code == 2
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines() if "error" in line
+        ]
+        assert f"argument {option}:" in line
+        assert untouched == []
+        assert not out.exists()
+        assert not (tmp_path / "dataset-cache").exists()
+
+    def test_missing_output_directory_exits_2_before_simulating(
+        self, tmp_path, capsys, untouched
+    ):
+        missing = tmp_path / "missing"
+        code = campaign.main(
+            [*self.ARGS, "--no-cache", "-o", str(missing / "ds.csv")]
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"argument -o/--output: directory {missing} does not exist" in line
+        assert untouched == []
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("store", ["--cache-dir", "--checkpoint-dir"])
+    def test_output_in_a_new_store_directory_still_runs(self, tmp_path, store):
+        """The stores' directories are made first, so either may be the
+        output's."""
+        out_dir = tmp_path / "out" / "store"
+        code = campaign.main(
+            [*self.ARGS, store, str(out_dir), "-o", str(out_dir / "ds.csv")]
+        )
+        assert code == 0
+        assert (out_dir / "ds.csv").is_file()
 
 
 class TestServeCli:

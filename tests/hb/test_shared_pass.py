@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.evalcache import derive_spec
+from repro.analysis.evalcache import EvalUnit, derive_spec
 from repro.analysis.parallel import _walk_trace
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
@@ -186,20 +186,21 @@ def unfloored_hw(monkeypatch):
 
 def test_nonpositive_forecast_voids_only_its_own_units(unfloored_hw):
     series = TimeSeries.from_values(FALLING, name="falling")
-    with pytest.raises(DataError, match="non-positive"):
+    with pytest.raises(DataError, match="non-positive") as raised:
         evaluate_predictor(series, BASES["HW"])
     factories = [BASES["HW"], FACTORIES["HW-LSO"], BASES["10-MA"]]
     specs = [derive_spec(factory()) for factory in factories]
-    walks = (
-        (0, specs[0], None),
-        (1, specs[1], PAPER),
-        (2, specs[2], None),
-        (3, specs[0], PAPER),
+    main = (series, (EvalUnit(specs[0]), EvalUnit(specs[1], exclusion=PAPER)))
+    small = (
+        TimeSeries.from_values(FALLING[::2], name="falling/2"),
+        (EvalUnit(specs[2], downsample=2),),
     )
-    main = (series, walks[:2] + walks[3:])
-    small = (TimeSeries.from_values(FALLING[::2], name="falling/2"), walks[2:3])
-    results = _walk_trace(None, Unit("p01", 0, (main, small)))
-    assert results[0] is None and results[3] is None
+    last = (series, (EvalUnit(specs[0], exclusion=PAPER),))
+    results = _walk_trace(None, Unit("p01", 0, (main, small, last)))
+    # The voided units hold the error a walk of the predictor alone raises.
+    for voided in (results[0], results[3]):
+        assert isinstance(voided, DataError)
+        assert str(voided) == str(raised.value)
     expected = [
         evaluate_predictor(series, factories[1], lso_config=PAPER),
         evaluate_predictor(small[0], factories[2]),
@@ -214,13 +215,17 @@ def test_invalid_series_voids_its_whole_group():
     bad = TimeSeries.from_values([4.0, 5.0, 0.0, 6.0], name="bad")
     good = TimeSeries.from_values([4.0, 5.0, 6.0, 7.0], name="good")
     spec = derive_spec(BASES["1-MA"]())
-    payload = ((bad, ((0, spec, None), (2, spec, PAPER))), (good, ((1, spec, None),)))
-    unit = Unit("p01", 0, payload)
-    results = _walk_trace(None, unit)
-    assert results[0] is None and results[2] is None
-    assert results[1].predictions.tolist()[1:] == [4.0, 5.0, 6.0]
-    with pytest.raises(DataError, match="epoch 2 of series 'bad'"):
+    payload = (
+        (bad, (EvalUnit(spec), EvalUnit(spec, exclusion=PAPER))),
+        (good, (EvalUnit(spec, small_window=True),)),
+    )
+    results = _walk_trace(None, Unit("p01", 0, payload))
+    with pytest.raises(DataError, match="epoch 2 of series 'bad'") as raised:
         evaluate_predictors(bad, [(BASES["1-MA"], None)])
+    for voided in results[:2]:
+        assert isinstance(voided, DataError)
+        assert str(voided) == str(raised.value)
+    assert results[2].predictions.tolist()[1:] == [4.0, 5.0, 6.0]
 
 
 class Failing(MovingAverage):
@@ -237,7 +242,8 @@ def test_midwalk_failure_voids_only_that_predictor():
     failing = lambda: Failing(3)  # noqa: E731
     walks = [(FACTORIES["HW-LSO"], PAPER), (failing, None), (BASES["10-MA"], None)]
     results = evaluate_predictors(series, walks)
-    assert results[1] is None
+    assert isinstance(results[1], DataError)
+    assert str(results[1]) == "gave up"
     for (factory, config), got in zip([walks[0], walks[2]], [results[0], results[2]]):
         want = evaluate_predictor(series, factory, lso_config=config)
         assert got.predictions.tobytes() == want.predictions.tobytes()

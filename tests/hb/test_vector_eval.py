@@ -15,8 +15,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.evalcache import EvaluationCache, derive_spec, spec_factory
-from repro.core.errors import DataError
+from repro.analysis.evalcache import (
+    EvaluationCache,
+    derive_spec,
+    entry_key,
+    evaluate_units,
+    spec_factory,
+)
+from repro.analysis.hb_eval import unit
+from repro.analysis.parallel import warm_eval_cache
+from repro.core.errors import ConfigurationError, DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.autoregressive import AutoRegressive
 from repro.hb.evaluate import HbEvaluation, evaluate_predictor, lso_segmentation
@@ -26,6 +34,7 @@ from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
 from repro.obs.telemetry import ENV_OBS, get_telemetry
+from repro.paths.records import Dataset, Trace
 from tests.hb import oracle
 
 # ---------------------------------------------------------------------
@@ -233,51 +242,79 @@ def test_segmentation_rejects_nonfinite(bad):
 # ---------------------------------------------------------------------
 
 
+def _dataset(*names):
+    """A dataset with one trace per named ``TRACES`` entry, path p01, p02, ..."""
+    traces = []
+    for k, name in enumerate(names, start=1):
+        values = TRACES[name]
+        n = len(values)
+        traces.append(
+            Trace(
+                f"p{k:02d}",
+                0,
+                start_time_s=np.arange(n) * 180.0,
+                ahat_mbps=np.full(n, 10.0),
+                phat=np.zeros(n),
+                that_s=np.full(n, 0.05),
+                throughput_mbps=values,
+                ptilde=np.zeros(n),
+                ttilde_s=np.full(n, 0.05),
+            )
+        )
+    return Dataset("parity", traces)
+
+
 def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path, telemetry):
-    values = TRACES["adversarial"]
+    dataset = _dataset("adversarial", "spiky")
+    trace = dataset.traces[0]
     factory = lso_factory("lso", "HW")
-    cold = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
-    cache = EvaluationCache(tmp_path)
-    cache.open_pack("pack")
-    with cache.activated():
-        recorded = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
-        # A second trace in the pack: entries are sliced out of flat arrays.
-        evaluate_predictor(series(TRACES["spiky"]), factory, lso_config=LsoConfig())
-    cache.save_pack()
+    cold = evaluate_predictor(trace.throughput_series(), factory, lso_config=LsoConfig())
+    hw_lso = unit(factory, exclusion=LsoConfig())
+    # A second trace in the pack: entries are sliced out of flat arrays.
+    recorded = warm_eval_cache(dataset, [hw_lso], EvaluationCache(tmp_path))
+    assert recorded.computed == 2
     # A fresh cache object forces the disk round trip rather than the memo.
-    fresh = EvaluationCache(tmp_path)
-    fresh.open_pack("pack")
     hits = telemetry.counter("evalcache.hits").value
-    with fresh.activated():
-        hit = evaluate_predictor(series(values), factory, lso_config=LsoConfig())
-    assert telemetry.counter("evalcache.hits").value == hits + 1
-    for result in (recorded, hit):
+    served = warm_eval_cache(dataset, [hw_lso], EvaluationCache(tmp_path))
+    assert served.computed == 0
+    assert telemetry.counter("evalcache.hits").value == hits + 2
+    for result in (recorded[hw_lso][0], served[hw_lso][0]):
         assert result.predictions.tobytes() == cold.predictions.tobytes()
         assert result.errors.tobytes() == cold.errors.tobytes()
         assert result.outlier_indices == cold.outlier_indices
+        assert result.shift_indices == cold.shift_indices
         assert result.predictor_name == cold.predictor_name
         assert result.series_name == cold.series_name
 
 
 def test_cache_key_separates_series_spec_and_config(tmp_path):
+    dataset = _dataset("noisy", "spiky")
+    units = [
+        unit(FACTORIES["10-MA"]),
+        unit(FACTORIES["1-MA"]),
+        unit(FACTORIES["10-MA"], exclusion=LsoConfig()),
+    ]
     cache = EvaluationCache(tmp_path)
-    with cache.activated():
-        a = evaluate_predictor(series(TRACES["noisy"]), FACTORIES["10-MA"])
-        b = evaluate_predictor(series(TRACES["spiky"]), FACTORIES["10-MA"])
-        c = evaluate_predictor(series(TRACES["noisy"]), FACTORIES["1-MA"])
+    results = warm_eval_cache(dataset, units, cache)
+    assert results.computed == 6
+    a, b = results[units[0]]
+    c, _ = results[units[1]]
+    _, excluded = results[units[2]]
     assert a.predictions.tobytes() != b.predictions.tobytes()
     assert a.predictions.tobytes() != c.predictions.tobytes()
+    # The exclusion walks the same predictions, and keeps the spikes' epochs.
+    assert b.predictions.tobytes() == excluded.predictions.tobytes()
+    assert not b.outlier_indices and excluded.outlier_indices
+    keys = {entry_key(k, t, u) for u in units for k, t in enumerate(dataset.traces)}
+    assert all(cache.get(key) is not None for key in keys) and len(keys) == 6
 
 
 def _write_pack(root):
+    dataset = _dataset("noisy", "spiky")
     cache = EvaluationCache(root)
-    cache.open_pack("pack")
-    with cache.activated():
-        evaluate_predictor(series(TRACES["noisy"]), FACTORIES["10-MA"])
-        evaluate_predictor(series(TRACES["spiky"]), FACTORIES["10-MA"])
-    cache.save_pack()
-    assert [p.name for p in root.iterdir()] == ["pack.npz"]
-    return cache.path_for("pack")
+    warm_eval_cache(dataset, [unit(FACTORIES["10-MA"])], cache)
+    assert [p.name for p in root.iterdir()] == [f"{cache._pack_key}.npz"]
+    return dataset, cache.path_for(cache._pack_key)
 
 
 def _garbage(path):
@@ -297,15 +334,15 @@ def _short_arrays(path):
 def test_corrupt_cache_entry_reads_as_miss(tmp_path, telemetry):
     for damage in (_garbage, _short_arrays):
         root = tmp_path / damage.__name__
-        path = _write_pack(root)
+        dataset, path = _write_pack(root)
         damage(path)
         corrupt = telemetry.counter("evalcache.corrupt").value
         fresh = EvaluationCache(root)
-        fresh.open_pack("pack")
+        fresh.open_pack(path.stem)
         assert telemetry.counter("evalcache.corrupt").value == corrupt + 1
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
-        probe = fresh.lookup(series(TRACES["noisy"]), FACTORIES["10-MA"](), None)
+        probe = fresh.get(entry_key(0, dataset.traces[0], unit(FACTORIES["10-MA"])))
         assert probe is None
 
 
@@ -326,9 +363,14 @@ def test_unknown_predictor_type_is_not_cached(tmp_path):
         pass
 
     assert derive_spec(Custom(5)) is None
-    cache = EvaluationCache(tmp_path)
-    cache.open_pack("pack")
-    with cache.activated():
-        evaluate_predictor(series(TRACES["noisy"]), lambda: Custom(5))
-    cache.save_pack()
+    custom = unit(lambda: Custom(5))
+    assert not custom.spec_named
+    dataset = _dataset("noisy")
+    # Walked in memory, as evaluate_predictor walks it ...
+    (walked,) = evaluate_units(dataset, [custom])[custom]
+    alone = evaluate_predictor(dataset.traces[0].throughput_series(), lambda: Custom(5))
+    assert walked.predictions.tobytes() == alone.predictions.tobytes()
+    # ... but never planned into a pack.
+    with pytest.raises(ConfigurationError, match="registered predictor families"):
+        warm_eval_cache(dataset, [custom], EvaluationCache(tmp_path))
     assert not list(tmp_path.iterdir())

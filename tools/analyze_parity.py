@@ -10,9 +10,11 @@ cache's pack was overwritten with garbage.  Every run's rendered stdout
 must be *byte-identical* to the reference.  Each cold run must leave
 exactly one pack file; the crashed run's analysis manifest must report
 at least one ``analysis.pool_rebuilds``; the warm rerun must have
-computed nothing (every HB walk comes out of the pack); the damaged-pack
-rerun must have recomputed every walk and left the damaged pack as
-``*.corrupt``.
+computed nothing (every HB walk comes out of the pack) and its analysis
+manifest must count no LSO detection (``hb.level_shifts`` and
+``hb.outliers_discarded`` absent or 0: no figure re-segments a trace);
+the damaged-pack rerun must have recomputed every walk and left the
+damaged pack as ``*.corrupt``.
 
 Runs that agree with each other can still agree on a changed output, so
 the reference itself is checked against :data:`PINNED`, the stdout
@@ -188,13 +190,19 @@ def main(argv: list[str] | None = None) -> int:
         digest, _, stderr = run_analyze(dataset, warm_cache, 1)
         counts = warm_counts(stderr)
         cached_ok = counts is not None and counts[0] == 0
+        detections = {
+            name: counter(manifest_path, name)
+            for name in ("hb.level_shifts", "hb.outliers_discarded")
+        }
+        rescanned = any(detections.values())
         match = digest == reference
         print(
             f"  workers=1 (warm) {digest}  "
             f"{'ok' if match else 'MISMATCH'}"
             f"{'' if cached_ok else f'  RECOMPUTED {counts} (computed, cached)'}"
+            f"{f'  LSO RE-RUN {detections}' if rescanned else ''}"
         )
-        failed = failed or not match or not cached_ok
+        failed = failed or not match or not cached_ok or rescanned
 
         packs = list(warm_cache.glob("*.npz"))
         for pack in packs:
@@ -214,14 +222,15 @@ def main(argv: list[str] | None = None) -> int:
     if failed:
         print(
             "analyze-parity FAILED: runs disagree, drift from the pin, a "
-            "crashed worker's pool was not rebuilt, or the cache misbehaved",
+            "crashed worker's pool was not rebuilt, the warm run re-ran LSO "
+            "detection, or the cache misbehaved",
             file=sys.stderr,
         )
         return 1
     print(
         "analyze-parity OK: all runs byte-identical, one pack per cold run, "
-        "crashed worker's pool rebuilt, warm run fully cached, damaged pack "
-        "recomputed"
+        "crashed worker's pool rebuilt, warm run fully cached with no LSO "
+        "detection, damaged pack recomputed"
     )
     return 0
 
