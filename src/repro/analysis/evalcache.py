@@ -43,6 +43,18 @@ whose index and arrays disagree, is quarantined as ``*.corrupt``,
 counted under ``evalcache.corrupt``, and reads as empty, so its walks
 are recomputed.  In process, :meth:`EvaluationCache.get` and
 :meth:`EvaluationCache.put` are lookups and inserts of a memo dict.
+
+Beside the packs, the root keeps one **columns entry** per distinct
+dataset file, ``<root>/<columns key>.columns.npz``: the dataset the
+CSV parses to, in the ``.npz`` column layout of
+:func:`repro.testbed.io.write_entry`.  :meth:`EvaluationCache.read_dataset`
+reads the file once; the sha256 of those bytes, with
+:func:`columns_fingerprint`, is the key (:func:`columns_key`), so the
+columns served are always those of the bytes just read, and an edit to
+the parser or the records keys a new entry.  A hit reads the entry and
+parses nothing; a miss parses the bytes already read and writes the
+entry.  A damaged entry is quarantined and counted like a pack, and the
+CSV is parsed again.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ import zipfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -73,6 +85,7 @@ from repro.hb.moving_average import MovingAverage
 from repro.hb.wrappers import LsoPredictor
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset, Trace
+from repro.testbed import io as dataset_io
 
 #: Environment variable overriding the evaluation-cache location.
 ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
@@ -327,6 +340,35 @@ def pack_key(dataset: Dataset) -> str:
     return stable_fingerprint({"traces": digest.hexdigest(), "code": code_fingerprint()})
 
 
+@functools.cache
+def columns_fingerprint() -> str:
+    """Fingerprint of the source of the modules a columns entry depends
+    on, read once per process: :mod:`repro.testbed.io` (the CSV parser
+    and the entry layout) and :mod:`repro.paths.records` (the columns)."""
+    return source_fingerprint("repro.testbed.io", "repro.paths.records")
+
+
+def columns_key(digest: str) -> str:
+    """The key of the columns entry of the CSV whose bytes hash to
+    ``digest`` (sha256, hex), parsed by the current code."""
+    return stable_fingerprint({"csv": digest, "code": columns_fingerprint()})
+
+
+class LoadedDataset(NamedTuple):
+    """What :meth:`EvaluationCache.read_dataset` read.
+
+    Attributes:
+        dataset: the dataset.
+        digest: sha256 (hex) of the file's bytes, as read once.
+        loaded_from: ``"columns"`` when a columns entry served it,
+            ``"csv"`` when the bytes were parsed.
+    """
+
+    dataset: Dataset
+    digest: str
+    loaded_from: str
+
+
 #: A pack entry's key: the trace's position in the dataset, its path id
 #: and trace index, and the unit.  The position keeps two traces that
 #: share their ids apart.
@@ -493,15 +535,16 @@ def _write_pack(handle: BinaryIO, entries: dict[EntryKey, HbEvaluation]) -> None
 
 
 class EvaluationCache:
-    """HB evaluations addressed by entry key, persisted as packs.
+    """HB evaluations addressed by entry key, persisted as packs, and
+    the columns of the datasets they were walked over.
 
     Args:
         root: cache directory; ``None`` uses
             :func:`default_eval_cache_dir` (which honours
             ``REPRO_EVAL_CACHE_DIR``).
         memory_only: keep entries in the in-process memo only — nothing
-            is read from or written to disk.  What ``repro-analyze
-            --no-eval-cache`` uses.
+            is read from or written to disk, no pack and no columns
+            entry.  What ``repro-analyze --no-eval-cache`` uses.
     """
 
     def __init__(
@@ -520,6 +563,56 @@ class EvaluationCache:
     def path_for(self, key: str) -> Path:
         """The file the pack with ``key`` is (or would be) stored at."""
         return self.root / f"{key}.npz"
+
+    def read_dataset(self, path: str | Path) -> LoadedDataset:
+        """The dataset in the CSV file ``path``, read once, with the
+        sha256 of its bytes.
+
+        The bytes key the columns entry (:func:`columns_key`).  A hit
+        reads the entry (:func:`~repro.testbed.io.read_entry`) and parses
+        nothing.  A miss parses the bytes
+        (:func:`~repro.testbed.io.load_dataset`) and writes the entry; a
+        file that fails to parse writes none, and an entry that cannot
+        be written (a read-only cache) is an ``evalcache`` event, not an
+        error.  A damaged entry is quarantined like a damaged pack and
+        the bytes are parsed again.  A memory-only cache reads and
+        writes no entry.
+
+        Raises:
+            OSError, UnicodeDecodeError, DataError: as
+                :func:`~repro.testbed.io.load_dataset` raises them.
+        """
+        data = Path(path).read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        if self.memory_only:
+            return LoadedDataset(dataset_io.load_dataset(path, data), digest, "csv")
+        key = columns_key(digest)
+        entry = self.root / f"{key}.columns.npz"
+        try:
+            return LoadedDataset(dataset_io.read_entry(entry), digest, "columns")
+        except FileNotFoundError:
+            pass
+        except (OSError, DataError):
+            self._quarantine(entry, key)
+        dataset = dataset_io.load_dataset(path, data)
+        try:
+            dataset_io.write_entry(dataset, entry)
+        except OSError as exc:
+            get_telemetry().emit(
+                "evalcache", outcome="unwritable", key=key, reason=str(exc)
+            )
+        return LoadedDataset(dataset, digest, "csv")
+
+    def _quarantine(self, path: Path, key: str) -> None:
+        """Set a damaged file aside as ``*.corrupt``, counted under
+        ``evalcache.corrupt``."""
+        telemetry = get_telemetry()
+        telemetry.counter("evalcache.corrupt").inc()
+        telemetry.emit("evalcache", outcome="corrupt", key=key)
+        try:
+            os.replace(path, path.with_name(path.name + ".corrupt"))
+        except OSError:  # pragma: no cover - vanished or unwritable
+            pass
 
     def get(self, key: EntryKey) -> HbEvaluation | None:
         """The evaluation held for ``key``, or ``None`` on a miss."""
@@ -559,13 +652,7 @@ class EvaluationCache:
         except (
             OSError, LookupError, TypeError, ValueError, EOFError, zipfile.BadZipFile
         ):
-            telemetry = get_telemetry()
-            telemetry.counter("evalcache.corrupt").inc()
-            telemetry.emit("evalcache", outcome="corrupt", key=key)
-            try:
-                os.replace(path, path.with_name(path.name + ".corrupt"))
-            except OSError:  # pragma: no cover - vanished or unwritable
-                pass
+            self._quarantine(path, key)
             return
         self._memo.update(self._pack)
 

@@ -27,7 +27,7 @@ Each job carries the series the parent built for its units, so no
 worker reads the dataset file: what is computed is always what the
 pack key covers.  The engine runs the jobs serially or over
 ``--workers N`` processes with the campaign's guarantees — retry with
-backoff (:class:`~repro.testbed.executor.RetryPolicy` defaults), pool
+backoff (:class:`~repro.testbed.campaign.RetryPolicy` defaults), pool
 rebuilds, degradation to serial, ``REPRO_FAULT_SPEC`` injection keyed
 by ``<path_id>/<trace>`` — and merges each trace's telemetry in planned
 order under an ``analysis`` span, so counters like ``hb.level_shifts``,

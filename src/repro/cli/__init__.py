@@ -14,3 +14,24 @@ Five commands, installed as console scripts:
 
 Each is also reachable as ``python -m repro.cli.<name>``.
 """
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+
+def store_dir_error(root: Path, option: str, given: str | None, env: str) -> str | None:
+    """Make ``root``, a store's directory; the error line if it cannot be made.
+
+    The line names where the directory came from: ``option`` when it was
+    given (``given`` is its value), else ``env`` when that is set, else
+    ``option`` again, the way to choose another.
+    """
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        from_env = given is None and os.environ.get(env, "").strip()
+        source = env if from_env else f"argument {option}"
+        return f"{source}: cannot make directory {root}: {exc.strerror or exc}"
+    return None

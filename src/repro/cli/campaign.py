@@ -35,15 +35,18 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from repro.cli import store_dir_error
 from repro.core.cachekey import stable_fingerprint
 from repro.core.errors import ConfigurationError, ExecutionError
 from repro.obs import RunRecorder, get_telemetry
-from repro.obs.render import progress_line
 from repro.paths.config import expanded_catalog, march_2006_catalog, may_2004_catalog
-from repro.testbed.cache import DatasetCache, campaign_cache_key
-from repro.testbed.campaign import Campaign, CampaignSettings
-from repro.testbed.executor import CampaignProgress, RetryPolicy
+from repro.testbed.cache import ENV_CACHE_DIR, DatasetCache, campaign_cache_key
+from repro.testbed.campaign import Campaign, CampaignSettings, RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - types only: a cache hit loads no engine
+    from repro.testbed.executor import CampaignProgress
 
 CATALOGS = {
     "may2004": may_2004_catalog,
@@ -221,6 +224,8 @@ def _configure(
 
 def _print_progress(snapshot: CampaignProgress) -> None:
     """Render one live progress line (carriage-return overwritten)."""
+    from repro.obs.render import progress_line
+
     sys.stderr.write("\r" + progress_line(snapshot))
     if snapshot.done:
         sys.stderr.write("\n")
@@ -232,13 +237,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         catalog, settings, retry = _configure(parser, args)
+        cache = None if args.no_cache else DatasetCache(args.cache_dir)
+        if cache is not None:
+            # Made before the lookup; it may also be the output's directory
+            # (--cache-dir out/cache -o out/ds.csv).
+            error = store_dir_error(
+                cache.root, "--cache-dir", args.cache_dir, ENV_CACHE_DIR
+            )
+            if error:
+                parser.error(error)
     except SystemExit as exc:
         # parse_args/parser.error exit; keep main() returning an int so it
         # stays callable programmatically (and from tests).
         return int(exc.code or 0)
 
     campaign = Campaign(catalog, seed=args.seed, label=args.catalog)
-    cache = None if args.no_cache else DatasetCache(args.cache_dir)
     run_key = campaign_cache_key(campaign, settings)
     cache_key = "" if cache is None else run_key
     recorder = RunRecorder(
@@ -258,28 +271,26 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     entry = None if cache is None else cache.lookup(run_key)
-    checkpoint = None
+    checkpoint = error = None
     if entry is None and not args.no_checkpoint:
         # Only a miss simulates, so only it loads the checkpoint store
         # (and the engine, which Campaign.run imports).
-        from repro.testbed.checkpoint import CheckpointStore
+        from repro.testbed.checkpoint import ENV_CHECKPOINT_DIR, CheckpointStore
 
         checkpoint = CheckpointStore(args.checkpoint_dir)
-    # A store's directory may be the output's (--cache-dir out/cache -o
-    # out/ds.csv), so the stores' directories are made first; then a
-    # missing output directory is found before anything is simulated.
-    for store in (cache, checkpoint):
-        if store is not None:
-            store.root.mkdir(parents=True, exist_ok=True)
+        error = store_dir_error(
+            checkpoint.root, "--checkpoint-dir", args.checkpoint_dir, ENV_CHECKPOINT_DIR
+        )
+    # The stores' directories are made first, as either may be the
+    # output's; then a missing output directory is found before anything
+    # is simulated.
     out_dir = Path(args.output).parent
-    if not out_dir.is_dir():
+    if error is None and not out_dir.is_dir():
+        error = f"argument -o/--output: directory {out_dir} does not exist"
+    if error is not None:
         if profiler is not None:
             profiler.disable()
-        print(
-            f"repro-campaign: error: argument -o/--output: directory {out_dir} "
-            "does not exist",
-            file=sys.stderr,
-        )
+        print(f"repro-campaign: error: {error}", file=sys.stderr)
         return 2
     try:
         if entry is None:

@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "DatasetCache": ".cache",
         "EpochMeasurement": "repro.paths.records",
         "PathConfig": "repro.paths.config",
-        "RetryPolicy": ".executor",
+        "RetryPolicy": ".campaign",
         "Trace": "repro.paths.records",
         "campaign_cache_key": ".cache",
         "march_2006_catalog": "repro.paths.config",

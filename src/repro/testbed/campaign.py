@@ -63,6 +63,60 @@ class CampaignSettings:
             raise ConfigurationError("transfer_duration_s must be positive")
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How the engine responds to failing, crashing, or hung jobs.
+
+    Attributes:
+        max_retries: extra attempts granted to one unit after its first
+            failure; ``0`` aborts on the first failure.
+        backoff_s: sleep before the first retry; each further retry of
+            the same unit doubles it.
+        backoff_cap_s: upper bound on any single backoff sleep.
+        job_timeout_s: wall-clock budget for one parallel job measured
+            from dispatch to the pool.  The engine caps in-flight
+            submissions at the worker count, so a dispatched job starts
+            (nearly) immediately and the budget covers running time,
+            not queue wait — a queued job's clock has not started.  A
+            job over budget is treated as hung: its workers are
+            terminated, the pool is rebuilt, and the job is retried.
+            ``None`` disables the watchdog.  Serial execution ignores
+            it (there is no second process to enforce it from).
+        max_pool_rebuilds: pool rebuilds tolerated (after worker
+            crashes or timeouts) before the engine gives up on
+            process parallelism and degrades to serial in-process
+            execution of the remaining jobs.
+    """
+
+    max_retries: int = 2
+    backoff_s: float = 0.5
+    backoff_cap_s: float = 8.0
+    job_timeout_s: float | None = None
+    max_pool_rebuilds: int = 3
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.backoff_s < 0 or self.backoff_cap_s < 0:
+            raise ConfigurationError("backoff durations must be >= 0")
+        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
+            raise ConfigurationError(
+                f"job_timeout_s must be positive, got {self.job_timeout_s}"
+            )
+        if self.max_pool_rebuilds < 0:
+            raise ConfigurationError(
+                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
+            )
+
+    def backoff_for(self, attempt: int) -> float:
+        """Backoff before retry number ``attempt`` (1-based), capped."""
+        if attempt < 1:
+            return 0.0
+        return min(self.backoff_cap_s, self.backoff_s * (2.0 ** (attempt - 1)))
+
+
 class Campaign:
     """Runs the measurement campaign over a path catalog.
 
@@ -121,9 +175,9 @@ class Campaign:
             progress: optional callback receiving a
                 :class:`repro.testbed.executor.CampaignProgress`
                 snapshot after each finished trace.
-            retry: a :class:`repro.testbed.executor.RetryPolicy`
-                governing retry/backoff/timeout behaviour for failing
-                jobs (default: two retries, no job timeout).
+            retry: a :class:`RetryPolicy` governing retry/backoff/timeout
+                behaviour for failing jobs (default: two retries, no job
+                timeout).
             checkpoint: a
                 :class:`repro.testbed.checkpoint.CheckpointStore`; when
                 given, every finished trace is persisted so a crashed

@@ -57,12 +57,12 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from repro.core.errors import ConfigurationError, ExecutionError
 from repro.core.workers import resolve_workers
 from repro.obs import get_telemetry
+from repro.testbed.campaign import Campaign, CampaignSettings, RetryPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - types only: import cycles, pool path
+if TYPE_CHECKING:  # pragma: no cover - types only: the pool path, numpy
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.paths.records import Dataset, Trace
-    from repro.testbed.campaign import Campaign, CampaignSettings
     from repro.testbed.checkpoint import CheckpointStore
 
 
@@ -107,60 +107,6 @@ class CampaignProgress:
 
 
 ProgressCallback = Callable[[CampaignProgress], None]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the engine responds to failing, crashing, or hung jobs.
-
-    Attributes:
-        max_retries: extra attempts granted to one unit after its first
-            failure; ``0`` aborts on the first failure.
-        backoff_s: sleep before the first retry; each further retry of
-            the same unit doubles it.
-        backoff_cap_s: upper bound on any single backoff sleep.
-        job_timeout_s: wall-clock budget for one parallel job measured
-            from dispatch to the pool.  The engine caps in-flight
-            submissions at the worker count, so a dispatched job starts
-            (nearly) immediately and the budget covers running time,
-            not queue wait — a queued job's clock has not started.  A
-            job over budget is treated as hung: its workers are
-            terminated, the pool is rebuilt, and the job is retried.
-            ``None`` disables the watchdog.  Serial execution ignores
-            it (there is no second process to enforce it from).
-        max_pool_rebuilds: pool rebuilds tolerated (after worker
-            crashes or timeouts) before the engine gives up on
-            process parallelism and degrades to serial in-process
-            execution of the remaining jobs.
-    """
-
-    max_retries: int = 2
-    backoff_s: float = 0.5
-    backoff_cap_s: float = 8.0
-    job_timeout_s: float | None = None
-    max_pool_rebuilds: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_s < 0 or self.backoff_cap_s < 0:
-            raise ConfigurationError("backoff durations must be >= 0")
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise ConfigurationError(
-                f"job_timeout_s must be positive, got {self.job_timeout_s}"
-            )
-        if self.max_pool_rebuilds < 0:
-            raise ConfigurationError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
-
-    def backoff_for(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based), capped."""
-        if attempt < 1:
-            return 0.0
-        return min(self.backoff_cap_s, self.backoff_s * (2.0 ** (attempt - 1)))
 
 
 #: Crash-injection spec: ``"<path_id>/<trace>:<mode>[:<count>]"`` entries
@@ -720,8 +666,6 @@ def _simulate_trace(shared: tuple, unit: Unit) -> Trace:
     re-derives the ``path/traceN`` streams from the seed, so the trace
     is bit-identical wherever, and however often, it ran.
     """
-    from repro.testbed.campaign import Campaign
-
     catalog, seed, label, tcp, small_tcp, settings = shared
     config = catalog[unit.payload]
     campaign = Campaign([config], seed=seed, label=label, tcp=tcp, small_tcp=small_tcp)
@@ -767,8 +711,8 @@ class _Progress:
 
 
 def run_campaign(
-    campaign: "Campaign",
-    settings: "CampaignSettings",
+    campaign: Campaign,
+    settings: CampaignSettings,
     n_workers: int = 1,
     progress: ProgressCallback | None = None,
     *,

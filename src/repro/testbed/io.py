@@ -27,7 +27,6 @@ dataset cache stores the CSV bytes and their counts; see
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -35,7 +34,7 @@ import tempfile
 import zipfile
 import zlib
 from collections.abc import Mapping
-from io import BytesIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import NoReturn
 
@@ -133,7 +132,7 @@ def _trace_text(trace: Trace) -> str:
     )
 
 
-def load_dataset(path: str | Path) -> Dataset:
+def load_dataset(path: str | Path, data: bytes | None = None) -> Dataset:
     """Read a dataset previously written by :func:`save_dataset`.
 
     Accepts both the current format and the legacy (v1) one without a
@@ -142,59 +141,84 @@ def load_dataset(path: str | Path) -> Dataset:
     finite: ``nan``, ``inf`` and ``-inf`` are rejected in measurement,
     small-window, duration-cut and truth cells alike.
 
+    Args:
+        path: the CSV file.
+        data: the file's bytes, when the caller has read them already:
+            they are parsed instead of reading ``path`` again, which
+            then only names the file in errors.
+
     Raises:
         DataError: on malformed files, naming the line and column.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise DataError(f"{path} is empty") from exc
-        if len(header) != 2 or header[0] != "# dataset":
-            raise DataError(f"{path} missing dataset header row")
-        label = header[1]
-        columns = next(reader, None)
-        if columns == _COLUMNS:
-            legacy = False
-        elif columns == _LEGACY_COLUMNS:
-            legacy = True
-        else:
-            raise DataError(f"{path} has unexpected columns: {columns}")
+    # Imported here: reading a stored entry (read_entry) parses no CSV.
+    import csv
 
-        width = len(columns)
-        # (path_id, trace_index) -> the trace's runs of consecutive rows,
-        # each converted to columns as soon as it ends, so the text of
-        # one run at most is held at a time.
-        runs: dict[tuple[str, int], list[tuple[int, dict]]] = {}
-        counts: dict[tuple[str, int], int] = {}
-        key, rows, lines = None, [], []
-        for row in reader:
-            if len(row) != width:
-                raise DataError(f"{path}: row has {len(row)} fields, expected {width}")
-            try:
-                row_key = (row[0], int(row[1]))
-                epoch_index = int(row[2])
-            except ValueError:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: {_unparsable_field(row, legacy)}"
-                ) from None
-            if row_key != key:
-                if rows:
-                    runs.setdefault(key, []).append(
-                        _parse_run(key, rows, lines, path, columns, legacy)
+    path = Path(path)
+    handle = (
+        path.open(newline="", encoding="utf-8")
+        if data is None
+        else TextIOWrapper(BytesIO(data), encoding="utf-8", newline="")
+    )
+    with handle:
+        reader = csv.reader(handle)
+        # The line the next row starts on: a quoted field may span lines.
+        line = 1
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty")
+            if len(header) != 2 or header[0] != "# dataset":
+                raise DataError(f"{path} missing dataset header row")
+            label = header[1]
+            line = reader.line_num + 1
+            columns = next(reader, None)
+            if columns == _COLUMNS:
+                legacy = False
+            elif columns == _LEGACY_COLUMNS:
+                legacy = True
+            else:
+                raise DataError(f"{path} has unexpected columns: {columns}")
+            line = reader.line_num + 1
+
+            width = len(columns)
+            # (path_id, trace_index) -> the trace's runs of consecutive
+            # rows, each converted to columns as soon as it ends, so the
+            # text of one run at most is held at a time.
+            runs: dict[tuple[str, int], list[tuple[int, dict]]] = {}
+            counts: dict[tuple[str, int], int] = {}
+            key, rows, lines = None, [], []
+            for row in reader:
+                if len(row) != width:
+                    raise DataError(
+                        f"{path}, line {line}: row has {len(row)} fields, "
+                        f"expected {width}"
                     )
-                key, rows, lines = row_key, [], []
-            expected = counts.get(key, 0)
-            if epoch_index != expected:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: epoch_index {epoch_index} "
-                    f"of trace {key!r}, expected {expected}"
-                )
-            counts[key] = expected + 1
-            rows.append(row)
-            lines.append(reader.line_num)
+                try:
+                    row_key = (row[0], int(row[1]))
+                    epoch_index = int(row[2])
+                except ValueError:
+                    raise DataError(
+                        f"{path}, line {reader.line_num}: "
+                        f"{_unparsable_field(row, legacy)}"
+                    ) from None
+                if row_key != key:
+                    if rows:
+                        runs.setdefault(key, []).append(
+                            _parse_run(key, rows, lines, path, columns, legacy)
+                        )
+                    key, rows, lines = row_key, [], []
+                expected = counts.get(key, 0)
+                if epoch_index != expected:
+                    raise DataError(
+                        f"{path}, line {reader.line_num}: epoch_index {epoch_index} "
+                        f"of trace {key!r}, expected {expected}"
+                    )
+                counts[key] = expected + 1
+                rows.append(row)
+                lines.append(reader.line_num)
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {line}: {exc}") from None
         if rows:
             runs.setdefault(key, []).append(
                 _parse_run(key, rows, lines, path, columns, legacy)

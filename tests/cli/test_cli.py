@@ -361,6 +361,35 @@ class TestAnalyzeCommand:
         assert sorted(p.name for p in data_dir.iterdir()) == (
             [] if content is None else ["nonexistent.csv"]
         )
+        # No columns entry (nor pack) was written for it.
+        assert not list((tmp_path / "eval-cache").glob("*"))
+
+    @pytest.mark.parametrize("source", ["--eval-cache-dir", "REPRO_EVAL_CACHE_DIR"])
+    def test_eval_cache_dir_that_cannot_be_made_exits_2(
+        self, saved_dataset, tmp_path, capsys, monkeypatch, source
+    ):
+        """Regression: the directory's failure surfaced at the pack write,
+        after every walk: a traceback, no stdout, the walks lost.  It is
+        now made first: one line naming where it came from, exit 2,
+        nothing read, computed or written."""
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        dataset = tmp_path / "ds.csv"
+        dataset.write_bytes(saved_dataset.read_bytes())
+        store = dataset / "evals"  # under a file
+        args = [str(dataset), "--figures", "2", "19"]
+        if source == "--eval-cache-dir":
+            args += ["--eval-cache-dir", str(store)]
+        else:
+            monkeypatch.setenv(source, str(store))
+        assert analyze.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "error" in line]
+        prefix = "argument --eval-cache-dir" if source.startswith("-") else source
+        assert line.startswith(
+            f"repro-analyze: error: {prefix}: cannot make directory {store}: "
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv"]
 
     def test_failing_warm_phase_aborts_with_sidecars(
         self, saved_dataset, tmp_path, capsys, monkeypatch
@@ -695,6 +724,42 @@ class TestCampaignValidation:
         assert f"argument -o/--output: directory {missing} does not exist" in line
         assert untouched == []
         assert not missing.exists()
+
+    @pytest.mark.parametrize("given", ["option", "environment"])
+    @pytest.mark.parametrize(
+        "option, env",
+        [
+            ("--cache-dir", "REPRO_CACHE_DIR"),
+            ("--checkpoint-dir", "REPRO_CHECKPOINT_DIR"),
+        ],
+    )
+    def test_store_directory_that_cannot_be_made_exits_2(
+        self, tmp_path, capsys, monkeypatch, untouched, option, env, given
+    ):
+        """Regression: a store directory under a file ended in a
+        traceback.  It is one line naming the option, or the variable it
+        came from, exit 2, before anything is looked up or simulated."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        store = blocker / "store"
+        out = tmp_path / "ds.csv"
+        args = [*self.ARGS, "-o", str(out)]
+        if option == "--checkpoint-dir":
+            args.append("--no-cache")
+        if given == "option":
+            args += [option, str(store)]
+        else:
+            monkeypatch.setenv(env, str(store))
+        assert campaign.main(args) == 2
+        (line,) = [
+            line for line in capsys.readouterr().err.splitlines() if "error" in line
+        ]
+        prefix = f"argument {option}" if given == "option" else env
+        assert line.startswith(
+            f"repro-campaign: error: {prefix}: cannot make directory {store}: "
+        )
+        assert untouched == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
     @pytest.mark.parametrize("store", ["--cache-dir", "--checkpoint-dir"])
     def test_output_in_a_new_store_directory_still_runs(self, tmp_path, store):

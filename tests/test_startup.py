@@ -4,8 +4,9 @@ Package exports load on first use (:func:`repro.lazy_exports`), the
 process-pool machinery loads on the pool path only, and the fluid engine
 loads on a dataset-cache miss, before any fork.  A dataset-cache hit
 writes the stored CSV bytes, so it loads neither numpy nor the records,
-the writer or the checkpoint store; a fully cached warm phase loads no
-engine.  The footprint checks run in a fresh interpreter: this process
+the writer, the checkpoint store or the engine; a fully cached warm
+phase loads no engine, and a dataset read from its columns entry no
+CSV parser.  The footprint checks run in a fresh interpreter: this process
 has imported everything already.
 """
 
@@ -116,6 +117,8 @@ class TestWarmFootprint:
             "repro.paths.records",
             "repro.testbed.io",
             "repro.testbed.checkpoint",
+            "repro.testbed.executor",
+            "repro.obs.render",
         }
         assert not loaded
 
@@ -133,6 +136,7 @@ class TestWarmFootprint:
             "repro.obs.traceview",
             "repro.testbed.executor",
             "repro.obs.spans",
+            "csv",
         }
         assert not loaded
 

@@ -116,6 +116,25 @@ class TestErrorHandling:
             f"{value.split(';')[-1]!r} is not a number"
         )
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            # The quote is never closed: the row runs to the end of the file.
+            (lambda row: '"' + row, f"row has 1 fields, expected {len(_COLUMNS)}"),
+            (lambda row: "p" * 131_073 + row, "field larger than field limit (131072)"),
+        ],
+        ids=["unterminated-quote", "oversize-field"],
+    )
+    def test_malformed_row_named_by_line(self, dataset, tmp_path, edit, reason):
+        path = tmp_path / "ds.csv"
+        save_dataset(dataset, path)
+        rows = path.read_text().splitlines(keepends=True)
+        rows[4] = edit(rows[4])  # the third epoch, line 5
+        path.write_text("".join(rows))
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"{path}, line 5: {reason}"
+
 
 @pytest.fixture(scope="module")
 def cut_dataset():

@@ -5,16 +5,24 @@ run at one worker (the reference), a cold run at each further requested
 worker count (each against a fresh evaluation-cache directory), a cold
 run at two workers whose first job kills its worker process
 (``REPRO_FAULT_SPEC="<first trace's path>/0:exit:1"``), a warm rerun
-against the reference's now-populated cache, and a rerun after that
-cache's pack was overwritten with garbage.  Every run's rendered stdout
-must be *byte-identical* to the reference.  Each cold run must leave
-exactly one pack file; the crashed run's analysis manifest must report
-at least one ``analysis.pool_rebuilds``; the warm rerun must have
-computed nothing (every HB walk comes out of the pack) and its analysis
-manifest must count no LSO detection (``hb.level_shifts`` and
-``hb.outliers_discarded`` absent or 0: no figure re-segments a trace);
-the damaged-pack rerun must have recomputed every walk and left the
-damaged pack as ``*.corrupt``.
+against the reference's now-populated cache, a rerun after that cache's
+pack and columns entry were overwritten with garbage, and a rerun by a
+copy of the source whose CSV parser (``repro/testbed/io.py``) carries
+one more comment.  Every run's rendered stdout must be *byte-identical*
+to the reference.  Each cold run must leave exactly one pack file and
+one columns entry, and its analysis manifest must say the dataset was
+parsed (``analysis.loaded_from: "csv"``); the crashed run's manifest
+must report at least one ``analysis.pool_rebuilds``; the warm rerun
+must have read the columns entry (``"columns"``), computed nothing
+(every HB walk comes out of the pack) and counted no LSO detection
+(``hb.level_shifts`` and ``hb.outliers_discarded`` absent or 0: no
+figure re-segments a trace); the damaged rerun must have parsed the CSV
+again, recomputed every walk and left both damaged files as
+``*.corrupt``; the edited-parser rerun must have parsed the CSV again
+(the entry's key covers the parser's source) and computed nothing (the
+pack's does not).  Finally a copy of the dataset with one cell made
+``nan`` in its last row must be refused (exit 2) twice, leaving no file
+in the cache: a failed load stores nothing to be served later.
 
 Runs that agree with each other can still agree on a changed output, so
 the reference itself is checked against :data:`PINNED`, the stdout
@@ -34,6 +42,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -59,13 +68,10 @@ PINNED = {
 
 
 def run_analyze(
-    dataset: Path, cache_dir: Path, workers: int, **extra_env: str
+    dataset: Path, cache_dir: Path, workers: int, src: Path = _SRC, **extra_env: str
 ) -> tuple[str, str, str]:
-    """One ``repro-analyze`` subprocess; returns (stdout sha256, stdout, stderr)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(_SRC)
-    env["REPRO_EVAL_CACHE_DIR"] = str(cache_dir)
-    env.update(extra_env)
+    """One ``repro-analyze`` subprocess, run from the source tree ``src``;
+    returns (stdout sha256, stdout, stderr)."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -75,13 +81,23 @@ def run_analyze(
             "--workers",
             str(workers),
         ],
-        env=env,
+        env=analyze_env(cache_dir, src, **extra_env),
         capture_output=True,
         text=True,
         check=True,
     )
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     return digest, proc.stdout, proc.stderr
+
+
+def analyze_env(cache_dir: Path, src: Path = _SRC, **extra_env: str) -> dict[str, str]:
+    """The environment of a ``repro-analyze`` run from ``src`` over ``cache_dir``."""
+    return {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "REPRO_EVAL_CACHE_DIR": str(cache_dir),
+        **extra_env,
+    }
 
 
 def warm_counts(stderr: str) -> tuple[int, int] | None:
@@ -96,11 +112,45 @@ def counter(manifest_path: Path, name: str) -> int:
     return sum(e["value"] for e in manifest.get("counters", ()) if e["name"] == name)
 
 
-def one_pack(cache_dir: Path) -> tuple[bool, str]:
-    """Whether a cold run left exactly one pack (and nothing else)."""
+def loaded_from(manifest_path: Path) -> str | None:
+    """What an analysis manifest says the dataset was read from."""
+    manifest = json.loads(manifest_path.read_text())
+    return manifest.get("analysis", {}).get("loaded_from")
+
+
+def one_pack(cache_dir: Path, manifest_path: Path) -> tuple[bool, str]:
+    """Whether a cold run left exactly one pack and one columns entry
+    (and nothing else), having parsed the CSV."""
     names = sorted(p.name for p in cache_dir.iterdir())
-    ok = len(names) == 1 and names[0].endswith(".npz")
-    return ok, "" if ok else f"  CACHE DIR HOLDS {names}"
+    entries = [name for name in names if name.endswith(".columns.npz")]
+    packs = [name for name in names if name.endswith(".npz") and name not in entries]
+    source = loaded_from(manifest_path)
+    ok = len(names) == 2 and len(entries) == len(packs) == 1 and source == "csv"
+    return ok, "" if ok else f"  CACHE DIR HOLDS {names}, LOADED FROM {source}"
+
+
+def with_edited_parser(workdir: Path) -> Path:
+    """A copy of the source tree whose CSV parser carries one more comment."""
+    src = workdir / "src-edited"
+    shutil.copytree(
+        _SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+    )
+    parser = src / "repro" / "testbed" / "io.py"
+    parser.write_text(parser.read_text() + "\n# edited\n")
+    return src
+
+
+def with_nan_in_last_row(dataset: Path, workdir: Path) -> Path:
+    """A copy of ``dataset`` whose last row's ``ahat_mbps`` is ``nan``: it
+    parses up to that row, then fails."""
+    lines = dataset.read_text().splitlines(keepends=True)
+    at = lines[1].split(",").index("ahat_mbps")
+    fields = lines[-1].split(",")
+    fields[at] = "nan"
+    lines[-1] = ",".join(fields)
+    bad = workdir / "bad.csv"
+    bad.write_text("".join(lines))
+    return bad
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -143,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         campaign_dataset = Campaign(catalog, seed=args.seed).run(settings)
         save_dataset(campaign_dataset, dataset)
 
+        manifest_path, _ = analysis_sidecar_paths(dataset)
         warm_cache = workdir / "cache-w1"
         reference, _, stderr = run_analyze(dataset, warm_cache, 1)
         pinned = PINNED.get((args.paths, args.traces, args.epochs, args.seed))
@@ -151,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             note = "ok" if reference == pinned else f"MISMATCH pinned {pinned}"
             failed = reference != pinned
-        packed, pack_note = one_pack(warm_cache)
+        packed, pack_note = one_pack(warm_cache, manifest_path)
         print(f"  workers=1        {reference}  {note}{pack_note}")
         failed = failed or not packed
         counts = warm_counts(stderr)
@@ -161,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir = workdir / f"cache-w{n_workers}"
             digest, _, _ = run_analyze(dataset, cache_dir, n_workers)
             match = digest == reference
-            packed, pack_note = one_pack(cache_dir)
+            packed, pack_note = one_pack(cache_dir, manifest_path)
             print(
                 f"  workers={n_workers}        {digest}  "
                 f"{'ok' if match else 'MISMATCH'}{pack_note}"
@@ -178,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
             REPRO_FAULT_SPEC=f"{target}:exit:1",
             REPRO_FAULT_DIR=str(workdir / "faults"),
         )
-        manifest_path, _ = analysis_sidecar_paths(dataset)
         rebuilds = counter(manifest_path, "analysis.pool_rebuilds")
         match = digest == reference
         print(
@@ -195,42 +245,80 @@ def main(argv: list[str] | None = None) -> int:
             for name in ("hb.level_shifts", "hb.outliers_discarded")
         }
         rescanned = any(detections.values())
+        columns = loaded_from(manifest_path) == "columns"
         match = digest == reference
         print(
             f"  workers=1 (warm) {digest}  "
             f"{'ok' if match else 'MISMATCH'}"
             f"{'' if cached_ok else f'  RECOMPUTED {counts} (computed, cached)'}"
             f"{f'  LSO RE-RUN {detections}' if rescanned else ''}"
+            f"{'' if columns else '  CSV PARSED AGAIN'}"
         )
-        failed = failed or not match or not cached_ok or rescanned
+        failed = failed or not match or not cached_ok or rescanned or not columns
 
-        packs = list(warm_cache.glob("*.npz"))
-        for pack in packs:
-            pack.write_bytes(b"garbage, not a pack")
+        # The pack and the columns entry, both overwritten with garbage.
+        damaged = list(warm_cache.glob("*.npz"))
+        for path in damaged:
+            path.write_bytes(b"garbage, not an entry")
         digest, _, stderr = run_analyze(dataset, warm_cache, 1)
         counts = warm_counts(stderr)
         recomputed = counts == (planned, 0)
-        quarantined = bool(packs) and all(
-            pack.with_name(pack.name + ".corrupt").is_file() for pack in packs
+        parsed = loaded_from(manifest_path) == "csv"
+        quarantined = len(damaged) == 2 and all(
+            path.with_name(path.name + ".corrupt").is_file() for path in damaged
         )
         match = digest == reference
         notes = "" if recomputed else f"  {counts} (computed, cached), not all {planned} computed"
-        notes += "" if quarantined else "  DAMAGED PACK NOT QUARANTINED"
+        notes += "" if parsed else "  DAMAGED COLUMNS READ"
+        notes += "" if quarantined else f"  {len(damaged)} FILES, NOT ALL QUARANTINED"
         print(f"  workers=1 (bad)  {digest}  {'ok' if match else 'MISMATCH'}{notes}")
-        failed = failed or not match or not recomputed or not quarantined
+        failed = failed or not match or not recomputed or not parsed or not quarantined
+
+        # An edited parser must not read the entry the old one wrote; the
+        # pack's key does not cover the parser, so no walk is computed.
+        edited_src = with_edited_parser(workdir)
+        digest, _, stderr = run_analyze(dataset, warm_cache, 1, src=edited_src)
+        counts = warm_counts(stderr)
+        cached_ok = counts is not None and counts[0] == 0
+        parsed = loaded_from(manifest_path) == "csv"
+        match = digest == reference
+        notes = "" if cached_ok else f"  RECOMPUTED {counts} (computed, cached)"
+        notes += "" if parsed else "  STALE COLUMNS READ BY AN EDITED PARSER"
+        print(f"  workers=1 (edit) {digest}  {'ok' if match else 'MISMATCH'}{notes}")
+        failed = failed or not match or not cached_ok or not parsed
+
+        # A CSV that fails to load is refused, every time: no entry of it.
+        bad = with_nan_in_last_row(dataset, workdir)
+        before = {p.name for p in warm_cache.iterdir()}
+        codes = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli.analyze", str(bad)],
+                env=analyze_env(warm_cache),
+                capture_output=True,
+            )
+            codes.append(proc.returncode)
+        stored = sorted({p.name for p in warm_cache.iterdir()} - before)
+        refused = codes == [2, 2] and not stored
+        print(
+            f"  unloadable CSV   exit {codes}"
+            f"{'  ok' if refused else f'  NOT REFUSED, CACHE GAINED {stored}'}"
+        )
+        failed = failed or not refused
 
     if failed:
         print(
             "analyze-parity FAILED: runs disagree, drift from the pin, a "
             "crashed worker's pool was not rebuilt, the warm run re-ran LSO "
-            "detection, or the cache misbehaved",
+            "detection or parsed the CSV, or the cache misbehaved",
             file=sys.stderr,
         )
         return 1
     print(
-        "analyze-parity OK: all runs byte-identical, one pack per cold run, "
-        "crashed worker's pool rebuilt, warm run fully cached with no LSO "
-        "detection, damaged pack recomputed"
+        "analyze-parity OK: all runs byte-identical, one pack and one columns "
+        "entry per cold run, crashed worker's pool rebuilt, warm run fully "
+        "cached with no LSO detection and no CSV parse, damaged files "
+        "recomputed, edited parser parsed again, unloadable CSV stored nothing"
     )
     return 0
 
