@@ -103,7 +103,8 @@ analyze-obs-smoke:
 	PYTHONPATH=src REPRO_CACHE_DIR=$(ANALYZE_SMOKE_DIR)/cache \
 		REPRO_CHECKPOINT_DIR=$(ANALYZE_SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 3 --traces 1 --epochs 12 --quiet --no-cache -o $(ANALYZE_SMOKE_DIR)/smoke.csv
-	PYTHONPATH=src $(PYTHON) -m repro.cli.analyze $(ANALYZE_SMOKE_DIR)/smoke.csv \
+	PYTHONPATH=src REPRO_EVAL_CACHE_DIR=$(ANALYZE_SMOKE_DIR)/evals \
+		$(PYTHON) -m repro.cli.analyze $(ANALYZE_SMOKE_DIR)/smoke.csv \
 		--figures 2 16 > /dev/null
 	test -f $(ANALYZE_SMOKE_DIR)/smoke.analysis.manifest.json
 	test -f $(ANALYZE_SMOKE_DIR)/smoke.analysis.events.jsonl

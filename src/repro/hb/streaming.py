@@ -4,9 +4,10 @@ The predictors are incremental already — the base families are O(1)
 state machines and the LSO wrapper (:class:`~repro.hb.wrappers.
 LsoPredictor`) runs the incremental LSO kernel at O(1) amortised cost
 per sample — so the service feeds them exactly as the offline
-walk-forward evaluation does, and its forecasts are the offline ones
-bit for bit.  This module adds what a long-running service needs on
-top:
+walk-forward evaluation does, through the same per-sample kernel step
+(:meth:`~repro.hb.wrappers.KernelGroup.add`), and its forecasts are the
+offline ones bit for bit.  This module adds what a long-running service
+needs on top:
 
 * :class:`PredictorSpec` — a JSON-able description of one predictor
   configuration (base predictor by registry name, LSO on/off,
@@ -17,12 +18,20 @@ top:
 * :class:`StreamingPredictorState` — one path × one spec worth of live
   state: ``ingest(sample) -> prediction``, non-positive and non-finite
   (outage) samples flagged instead of raised, and exact JSON
-  snapshot/restore for restart durability.
+  snapshot/restore for restart durability.  Its standing forecast is
+  computed once per accepted sample (and at restore), so reading
+  :meth:`~StreamingPredictorState.prediction` costs a field read.  A
+  state on its own drives its wrapper's kernel as a group of one.
+* :class:`PathBundle` — the states of one path, fed each sample
+  together: LSO predictors with equal thresholds and equal kernel state
+  follow one kernel group, so a sample enters each distinct kernel
+  once, not once per predictor.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -37,12 +46,13 @@ from repro.hb.lso import (
     LsoConfig,
 )
 from repro.hb.moving_average import MovingAverage
-from repro.hb.wrappers import LsoPredictor
+from repro.hb.wrappers import KernelGroup, LsoPredictor
 from repro.obs import get_telemetry
 
 __all__ = [
     "BASE_PREDICTORS",
     "DEFAULT_SERVE_PREDICTORS",
+    "PathBundle",
     "PredictorSpec",
     "StreamingPredictorState",
 ]
@@ -146,12 +156,18 @@ class StreamingPredictorState:
     rather than raised, because one bad sample must not take down an
     ingest stream or poison the path's history.
 
+    An LSO state on its own drives its wrapper's kernel as a group of
+    one (:class:`~repro.hb.wrappers.KernelGroup`).  Once a
+    :class:`PathBundle` holds it, the bundle drives the kernel, and
+    feeding the state directly raises rather than adding the sample to
+    the shared kernel twice.
+
     Attributes:
         spec: the predictor configuration.
         n_invalid: invalid samples flagged (and skipped) so far.
     """
 
-    __slots__ = ("spec", "n_invalid", "_predictor")
+    __slots__ = ("spec", "n_invalid", "_predictor", "_feed", "_forecast")
 
     def __init__(
         self, spec: PredictorSpec, _predictor: HistoryPredictor | None = None
@@ -159,6 +175,24 @@ class StreamingPredictorState:
         self.spec = spec
         self.n_invalid = 0
         self._predictor = _predictor if _predictor is not None else spec.build()
+        #: feeds a valid sample to the predictor; made on the first ingest
+        #: (a bundle never needs the state's own).
+        self._feed: Callable[[float], None] | None = None
+        self._forecast = self._standing()
+
+    def _own_feed(self) -> Callable[[float], None]:
+        """The state's own feeding step: a group of one for an LSO wrapper."""
+        predictor = self._predictor
+        if isinstance(predictor, LsoPredictor):
+            group = KernelGroup(predictor.kernel)
+            group.join(predictor)
+            return group.add
+        return predictor.update
+
+    def _standing(self) -> float | None:
+        """The predictor's one-step forecast, or ``None`` if not ready."""
+        predictor = self._predictor
+        return predictor.forecast() if predictor.ready else None
 
     @property
     def n_observed(self) -> int:
@@ -187,20 +221,26 @@ class StreamingPredictorState:
         Returns ``None`` while the predictor lacks the history to
         forecast.  Invalid (non-positive / non-finite) samples are
         flagged, skipped, and leave the prediction unchanged.
+
+        Raises:
+            ValueError: for a valid sample when a :class:`PathBundle`
+                holds this state.
         """
         value = float(value)
         if not math.isfinite(value) or value <= 0:
             self.n_invalid += 1
             get_telemetry().counter("hb.invalid_samples").inc()
-            return self.prediction()
-        self._predictor.update(value)
-        return self.prediction()
+            return self._forecast
+        feed = self._feed
+        if feed is None:
+            feed = self._feed = self._own_feed()
+        feed(value)
+        forecast = self._forecast = self._standing()
+        return forecast
 
     def prediction(self) -> float | None:
         """The current one-step forecast, or ``None`` if not ready."""
-        if not self._predictor.ready:
-            return None
-        return self._predictor.forecast()
+        return self._forecast
 
     def diagnostics(self) -> dict[str, Any]:
         """Counters useful in service responses and state listings."""
@@ -235,7 +275,81 @@ class StreamingPredictorState:
             n_invalid = int(doc.get("n_invalid", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed predictor snapshot: {exc}") from exc
-        restored = cls(spec)
-        restored._predictor.load_state(state)
+        predictor = spec.build()
+        predictor.load_state(state)
+        restored = cls(spec, predictor)
         restored.n_invalid = n_invalid
         return restored
+
+
+class PathBundle:
+    """The :class:`StreamingPredictorState` s of one path, fed together.
+
+    Each sample is checked once and taken once per distinct kernel: the
+    states' LSO wrappers with equal thresholds and equal kernel state
+    follow one :class:`~repro.hb.wrappers.KernelGroup` (at the default
+    ``last,ma10,ewma,hw``, one kernel for four predictors), bare
+    predictors update themselves, and then every state computes its
+    standing forecast.  A state keeps exactly what it would hold fed
+    alone — forecasts, diagnostics and snapshot, bit for bit — and
+    invalid samples are flagged in every state, as each would flag them.
+
+    A wrapper added at restore starts fresh, so its kernel state differs
+    from the restored ones and it keeps a kernel of its own.
+
+    Attributes:
+        states: predictor name -> state; feed them through :meth:`ingest`
+            only.
+        members: the states, in the order of ``states``.
+    """
+
+    __slots__ = ("states", "members", "_groups", "_updates")
+
+    def __init__(self, states: dict[str, StreamingPredictorState]) -> None:
+        self.states = states
+        self.members = list(states.values())
+        self._groups: list[KernelGroup] = []
+        #: the bound update of each bare predictor.
+        self._updates = []
+        for state in self.members:
+            state._feed = _fed_by_bundle
+            predictor = state._predictor
+            if not isinstance(predictor, LsoPredictor):
+                self._updates.append(predictor.update)
+                continue
+            for group in self._groups:
+                if predictor.can_follow(group.kernel):
+                    break
+            else:
+                group = KernelGroup(predictor.kernel)
+                self._groups.append(group)
+            group.join(predictor)
+
+    def ingest(self, value: float) -> bool:
+        """Feed one sample to every state; ``False`` if it was invalid.
+
+        An invalid (non-positive / non-finite) sample is flagged in every
+        state and reaches no predictor.
+        """
+        value = float(value)
+        members = self.members
+        if not math.isfinite(value) or value <= 0:
+            for state in members:
+                state.n_invalid += 1
+            get_telemetry().counter("hb.invalid_samples").inc(len(members))
+            return False
+        for group in self._groups:
+            group.add(value)
+        for update in self._updates:
+            update(value)
+        for state in members:
+            state._forecast = state._standing()
+        return True
+
+
+def _fed_by_bundle(value: float) -> None:
+    """The feeding step of a state a :class:`PathBundle` holds: refused."""
+    raise ValueError(
+        "a PathBundle holds this state and feeds its kernel group; "
+        "ingest through the bundle"
+    )

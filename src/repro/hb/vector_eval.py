@@ -11,16 +11,17 @@ lands in the predictor and nowhere else; there is no second
 implementation to keep in step.
 
 The LSO heuristics depend only on the trace, not on the predictor they
-guard, so fresh LSO wrappers with equal thresholds share one
-:class:`~repro.hb.lso.LsoKernel`: the kernel takes each sample once, and
-every wrapper catches up from its answer
-(:meth:`~repro.hb.wrappers.LsoPredictor.catch_up`), with the quarantine
-decision made once per ``harden`` setting.  A wrapper's forecast reads
-only the kernel's clean history and sorted mirror, the kernel's answers,
-and the wrapper's own ``harden`` setting and base predictor, and every
-forecast of epoch *i* is taken before the kernel adds sample *i*; so
-each wrapper forecasts exactly what it would with a kernel of its own,
-bit for bit.  The kernel's detections, and the ``hb.level_shifts`` /
+guard, so fresh LSO wrappers with equal thresholds follow one
+:class:`~repro.hb.wrappers.KernelGroup`: every wrapper forecasts epoch
+*i*, then the group's step (:meth:`~repro.hb.wrappers.KernelGroup.add`,
+the step online serving takes too) feeds sample *i* to the kernel once
+and lets every wrapper catch up, with the quarantine decision made once
+per ``harden`` setting.  A wrapper's forecast reads only the kernel's
+clean history and sorted mirror, the kernel's answers, and the
+wrapper's own ``harden`` setting and base predictor, and every forecast
+of epoch *i* is taken before the kernel adds sample *i*; so each
+wrapper forecasts exactly what it would with a kernel of its own, bit
+for bit.  The kernel's detections, and the ``hb.level_shifts`` /
 ``hb.outliers_discarded`` counters, are those of one kernel pass.  A
 predictor that updates itself shares no state with the others, so it
 walks the trace on its own, in the loop a single walk takes.
@@ -35,31 +36,14 @@ replaced; the end-to-end benchmark reports the loop's time as
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.errors import DataError
 from repro.hb.base import HistoryPredictor
 from repro.hb.lso import LsoConfig, LsoKernel
-from repro.hb.wrappers import LsoPredictor, feed_target
-
-#: Called with a kernel's answer to each sample, ``(outliers, shift)``.
-KernelWatcher = Callable[[list[int], "int | None"], None]
-
-
-class _SharedKernel:
-    """One kernel of a pass and everything that reads it."""
-
-    __slots__ = ("kernel", "readers", "catch_ups", "watchers")
-
-    def __init__(self, config: LsoConfig) -> None:
-        self.kernel = LsoKernel(config)
-        #: (wrapper, its bound forecast, its forecast row) of each follower.
-        self.readers: list[tuple[LsoPredictor, Callable[[], float], list]] = []
-        #: harden setting -> the bound catch_up of each follower with it.
-        self.catch_ups: dict[bool, list[Callable]] = {}
-        self.watchers: list[KernelWatcher] = []
+from repro.hb.wrappers import KernelGroup, KernelWatcher, LsoPredictor
 
 
 def vector_walk(
@@ -86,25 +70,26 @@ def vector_walk(
     """
     n = len(values)
     rows = [[np.nan] * n for _ in predictors]
-    shared: dict[LsoConfig, _SharedKernel] = {}
+    #: config -> its kernel group and (wrapper, bound forecast, row) of
+    #: each follower.
+    shared: dict[LsoConfig, tuple[KernelGroup, list]] = {}
 
-    def kernel_for(config: LsoConfig) -> _SharedKernel:
-        group = shared.get(config)
-        if group is None:
-            group = shared[config] = _SharedKernel(config)
-        return group
+    def group_for(config: LsoConfig) -> tuple[KernelGroup, list]:
+        entry = shared.get(config)
+        if entry is None:
+            entry = shared[config] = (KernelGroup(LsoKernel(config)), [])
+        return entry
 
     own = []  # (predictor, row) of the predictors that update themselves
     for predictor, row in zip(predictors, rows):
         if type(predictor) is LsoPredictor and predictor.n_observed == 0:
-            group = kernel_for(predictor.config)
-            predictor.follow(group.kernel)
-            group.readers.append((predictor, predictor.forecast, row))
-            group.catch_ups.setdefault(predictor.harden, []).append(predictor.catch_up)
+            group, readers = group_for(predictor.config)
+            group.join(predictor)
+            readers.append((predictor, predictor.forecast, row))
         else:
             own.append((predictor, row))
     for config, watcher in (watchers or {}).items():
-        kernel_for(config).watchers.append(watcher)
+        group_for(config)[0].watchers.append(watcher)
 
     samples = values.tolist()
     for predictor, row in own:
@@ -114,25 +99,15 @@ def vector_walk(
             if predictor.ready:
                 row[i] = forecast()
             update(value)
-    for group in shared.values():
-        kernel = group.kernel
-        add = kernel.add
-        readers = group.readers
-        catch_ups = list(group.catch_ups.items())
-        kernel_watchers = group.watchers
+    for group, readers in shared.values():
+        add = group.add
         for i, value in enumerate(samples):
             # Every forecast of epoch i comes before the kernel takes
             # sample i.
             for predictor, forecast, row in readers:
                 if predictor.ready:
                     row[i] = forecast()
-            outliers, shift = add(value)
-            for harden, wrappers in catch_ups:
-                target = feed_target(kernel, harden)
-                for catch_up in wrappers:
-                    catch_up(outliers, shift, target)
-            for watcher in kernel_watchers:
-                watcher(outliers, shift)
+            add(value)
     return [np.array(row, dtype=float) for row in rows]
 
 

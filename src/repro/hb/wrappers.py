@@ -15,17 +15,25 @@ An update is two steps: the kernel takes the sample, then the wrapper
 catches up from the kernel's answer (:meth:`LsoPredictor.catch_up`).
 The wrapper's forecast depends only on the kernel's clean history, its
 answers, and the wrapper's own ``harden`` setting and base predictor,
-so one kernel can drive many wrappers with equal thresholds:
-:func:`~repro.hb.vector_eval.vector_walk` feeds each sample to one
-shared kernel and lets every wrapper following it catch up.
+so one kernel can drive many wrappers with equal thresholds and equal
+kernel state.  A :class:`KernelGroup` is such a kernel and the wrappers
+that follow it; :meth:`KernelGroup.add` is the per-sample step: the
+kernel takes the sample once, the quarantine decision
+(:func:`feed_target`) is made once per ``harden`` setting, and every
+follower catches up.  A follower cannot update itself, since that would
+add the sample to the shared kernel twice.
 
-The same wrapper serves the offline walk-forward evaluation
-(:func:`~repro.hb.evaluate.evaluate_predictor`) and online serving
-(:class:`~repro.hb.streaming.PredictorSpec` builds it, one kernel per
-wrapper), at O(1) amortised cost per observation.
+The same wrapper and step serve the offline walk-forward evaluation
+(:func:`~repro.hb.vector_eval.vector_walk` feeds one group per LSO
+config of a trace) and online serving (a
+:class:`~repro.hb.streaming.StreamingPredictorState` drives a group of
+one, and a :class:`~repro.hb.streaming.PathBundle` one group per
+distinct kernel of a path), at O(1) amortised cost per observation.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from repro.core.errors import PredictionError
 from repro.hb.base import HistoryPredictor, PredictorFactory
@@ -64,6 +72,7 @@ class LsoPredictor(HistoryPredictor):
         self._base = factory()
         self.name = f"{self._base.name}-LSO"
         self._lso = LsoKernel(self._config)
+        self._following = False  # _lso belongs to a KernelGroup
         self._fed = 0  # length of the clean-history prefix fed to _base
         self._ready = self._base.ready
 
@@ -99,28 +108,62 @@ class LsoPredictor(HistoryPredictor):
         """The LSO thresholds."""
         return self._config
 
+    @property
+    def kernel(self) -> LsoKernel:
+        """The LSO kernel this wrapper reads: its own, or the one it follows."""
+        return self._lso
+
     def update(self, value: float) -> None:
+        """Absorb one sample into this wrapper's own kernel.
+
+        Raises:
+            ValueError: when the wrapper follows a kernel group's kernel;
+                the group feeds it (:meth:`KernelGroup.add`).
+        """
+        if self._following:
+            raise ValueError(
+                f"{self.name} follows a shared LSO kernel; feed the sample "
+                "to its kernel group, not to the predictor"
+            )
         lso = self._lso
         outliers, shift = lso.add(float(value))
         self.catch_up(outliers, shift, feed_target(lso, self.harden))
+
+    def can_follow(self, kernel: LsoKernel) -> bool:
+        """Whether ``kernel`` has this wrapper's thresholds and kernel state.
+
+        Equal state means an equal clean history and equal counters, so
+        the base predictor already holds what following ``kernel``
+        implies, and every later forecast is the one a kernel of its own
+        would give, bit for bit.
+        """
+        own = self._lso
+        return kernel is own or (
+            kernel.config == self._config
+            and kernel.count == own.count
+            and kernel.n_outliers == own.n_outliers
+            and kernel.n_level_shifts == own.n_level_shifts
+            and kernel.history == own.history
+        )
 
     def follow(self, kernel: LsoKernel) -> None:
         """Read the clean history of ``kernel``, which the caller drives.
 
         After this the caller adds each sample to ``kernel`` and passes
-        its answer to :meth:`catch_up`; :meth:`update` must not be called,
-        since it would add the sample to the shared kernel again.
+        its answer to :meth:`catch_up` (:meth:`KernelGroup.add` does
+        both); :meth:`update` and :meth:`load_state` raise, since they
+        would change the shared kernel under its other followers.
 
         Raises:
-            ValueError: unless this wrapper and ``kernel`` are both fresh
-                and the kernel's thresholds equal this wrapper's.
+            ValueError: unless :meth:`can_follow` ``kernel``.
         """
-        if self._lso.count or kernel.count or kernel.config != self._config:
+        if not self.can_follow(kernel):
             raise ValueError(
-                "only a fresh LSO predictor can follow a fresh kernel with "
-                "its own thresholds"
+                f"{self.name} can only follow a kernel with its own "
+                "thresholds and kernel state"
             )
         self._lso = kernel
+        self._following = True
 
     def catch_up(self, outliers: list[int], shift: int | None, target: int) -> None:
         """Bring the base predictor up to date after the kernel took a sample.
@@ -165,6 +208,7 @@ class LsoPredictor(HistoryPredictor):
     def reset(self) -> None:
         # A kernel of its own: a shared one has other wrappers following it.
         self._lso = LsoKernel(self._config)
+        self._following = False
         self._base = self._factory()
         self._fed = 0
         self._ready = self._base.ready
@@ -181,7 +225,10 @@ class LsoPredictor(HistoryPredictor):
         Raises:
             DataError: for a state the kernel rejects; the predictor is
                 left unchanged.
+            ValueError: when the wrapper follows a kernel group's kernel.
         """
+        if self._following:
+            raise ValueError(f"{self.name} follows a shared LSO kernel")
         self._lso.load_state(state)
         self._base = self._factory()
         self._fed = 0
@@ -210,3 +257,62 @@ def feed_target(kernel: LsoKernel, harden: bool) -> int:
         if deviation > kernel.config.outlier_threshold:
             target -= 1
     return target
+
+
+#: Called with a kernel's answer to each sample, ``(outliers, shift)``.
+KernelWatcher = Callable[[list[int], "int | None"], None]
+
+
+class KernelGroup:
+    """One LSO kernel and the wrappers that follow it.
+
+    :meth:`add` is the one per-sample LSO step, shared by the offline
+    walk and online serving: the kernel takes the sample once, the
+    quarantine decision is made once per ``harden`` setting, every
+    follower catches up, and every watcher sees the kernel's answer.
+    Each follower then forecasts exactly what it would with a kernel of
+    its own, and the kernel's detections — and the ``hb.level_shifts`` /
+    ``hb.outliers_discarded`` counters — are those of one kernel.
+
+    Attributes:
+        kernel: the shared kernel.
+        watchers: callables handed the kernel's answer to every sample.
+    """
+
+    __slots__ = ("kernel", "watchers", "_catch_ups")
+
+    def __init__(self, kernel: LsoKernel) -> None:
+        self.kernel = kernel
+        self.watchers: list[KernelWatcher] = []
+        #: (harden setting, the bound catch_up of each follower with it).
+        self._catch_ups: list[tuple[bool, list[Callable[..., None]]]] = []
+
+    def join(self, wrapper: LsoPredictor) -> None:
+        """Make ``wrapper`` follow this group's kernel.
+
+        Raises:
+            ValueError: unless the wrapper can follow the kernel
+                (:meth:`LsoPredictor.can_follow`).
+        """
+        wrapper.follow(self.kernel)
+        for harden, catch_ups in self._catch_ups:
+            if harden == wrapper.harden:
+                catch_ups.append(wrapper.catch_up)
+                return
+        self._catch_ups.append((wrapper.harden, [wrapper.catch_up]))
+
+    def add(self, value: float) -> None:
+        """Feed one sample to the kernel and bring every follower up to date.
+
+        Raises:
+            DataError: for a non-positive or non-finite sample; the
+                kernel and its followers are left unchanged.
+        """
+        kernel = self.kernel
+        outliers, shift = kernel.add(value)
+        for harden, catch_ups in self._catch_ups:
+            target = feed_target(kernel, harden)
+            for catch_up in catch_ups:
+                catch_up(outliers, shift, target)
+        for watcher in self.watchers:
+            watcher(outliers, shift)

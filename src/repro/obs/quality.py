@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -292,7 +293,16 @@ class QualityTracker:
     def paths(self) -> list[str]:
         return list(self._paths)
 
-    def _series(self, key: str, predictor: str) -> PredictorQuality:
+    def path_series(
+        self, key: str, predictors: Iterable[str]
+    ) -> list[PredictorQuality]:
+        """The path's series of each of ``predictors``, created if missing.
+
+        The path becomes the most recently used one (a new path may
+        evict the least recently used).  A caller scoring a batch
+        resolves the path once and passes each series to :meth:`score`
+        or :meth:`observe_invalid` as ``series``.
+        """
         paths = self._paths
         by_predictor = paths.get(key)
         if by_predictor is None:
@@ -302,10 +312,13 @@ class QualityTracker:
             by_predictor = paths[key] = {}
         else:
             paths.move_to_end(key)
-        series = by_predictor.get(predictor)
-        if series is None:
-            series = by_predictor[predictor] = PredictorQuality(self.config)
-        return series
+        found = []
+        for predictor in predictors:
+            series = by_predictor.get(predictor)
+            if series is None:
+                series = by_predictor[predictor] = PredictorQuality(self.config)
+            found.append(series)
+        return found
 
     def score(
         self,
@@ -314,6 +327,8 @@ class QualityTracker:
         forecast: float | None,
         actual: float,
         level_shifts: int = 0,
+        *,
+        series: PredictorQuality | None = None,
     ) -> float | None:
         """Score one forecast against the sample that followed it.
 
@@ -327,11 +342,14 @@ class QualityTracker:
                 invalid samples go to :meth:`observe_invalid` instead).
             level_shifts: the predictor's cumulative ``n_level_shifts``
                 after ingesting ``actual``.
+            series: the series of ``key`` and ``predictor`` as
+                :meth:`path_series` resolved it; looked up when omitted.
 
         Returns:
             The signed relative error, or ``None`` when not scored.
         """
-        series = self._series(key, predictor)
+        if series is None:
+            series = self.path_series(key, (predictor,))[0]
         if forecast is None:
             series.n_not_ready += 1
             return None
@@ -360,14 +378,18 @@ class QualityTracker:
                 )
         return error
 
-    def observe_invalid(self, key: str, predictor: str) -> None:
+    def observe_invalid(
+        self, key: str, predictor: str, *, series: PredictorQuality | None = None
+    ) -> None:
         """Count a sample the streaming layer flagged as invalid.
 
         Invalid (non-finite / non-positive) samples never reach the
         predictors, so there is no residual to score — Eq. (4) is
-        undefined for them.
+        undefined for them.  ``series`` as in :meth:`score`.
         """
-        self._series(key, predictor).n_invalid += 1
+        if series is None:
+            series = self.path_series(key, (predictor,))[0]
+        series.n_invalid += 1
 
     def drop(self, key: str) -> None:
         """Forget a path (the store evicted it)."""

@@ -249,8 +249,12 @@ class Telemetry:
         self.span_events += snapshot.get("span_events", 0)
 
     def reset(self) -> None:
-        """Drop all collected data and context."""
-        self.metrics.reset()
+        """Drop all collected data and context.
+
+        As :meth:`drain` does, installs a fresh registry, so a caller
+        that caches instruments per registry identity reads new ones.
+        """
+        self.metrics = MetricsRegistry()
         self.events = []
         self.context = {}
         self.span_events = 0

@@ -3,7 +3,8 @@
 :class:`ServeApp` owns a :class:`~repro.serve.state.ShardedStateStore`
 and exposes it over the routes below.  Every route is counted
 (``serve.requests`` tagged by route, ``serve.bad_requests`` for 4xx)
-and timed (``serve.request_s`` tagged by route); the live registry is
+and timed (``serve.request_s`` tagged by route; both instruments are
+looked up once per route and registry); the live registry is
 exported at ``/metrics`` in OpenMetrics text form, and the same
 counters land in the ``kind: "serve"`` shutdown manifest the CLI
 writes.
@@ -40,7 +41,7 @@ from repro.core.errors import DataError, ReproError
 from repro.formulas.fb_predictor import MODEL_VARIANTS, FormulaBasedPredictor
 from repro.formulas.params import PathEstimates, TcpParameters, fb_input_errors
 from repro.obs import get_telemetry, to_openmetrics
-from repro.obs.metrics import Timer
+from repro.obs.metrics import NULL_COUNTER, NULL_TIMER, Counter, MetricsRegistry, Timer
 from repro.obs.spans import span_ring_enabled, span_ring_snapshot
 from repro.obs.telemetry import obs_enabled
 from repro.serve.http import HttpError, HttpRequest, RawResponse
@@ -85,6 +86,9 @@ class ServeApp:
         self.label = label
         self.run_id = uuid.uuid4().hex[:12]
         self._started_monotonic = monotonic()
+        #: the registry the cached per-route instruments belong to.
+        self._registry: MetricsRegistry | None = None
+        self._by_route: dict[str, tuple[Counter, Timer]] = {}
 
     # -- dispatch ----------------------------------------------------------
 
@@ -107,11 +111,31 @@ class ServeApp:
                 tele.counter("serve.bad_requests").inc()
             raise
         finally:
-            tele.counter("serve.requests", route=route).inc()
-            tele.timer("serve.request_s", route=route).observe(
-                perf_counter() - started
-            )
+            requests, timer = self._instruments(route)
+            requests.inc()
+            timer.observe(perf_counter() - started)
         return status, payload
+
+    def _instruments(self, route: str) -> tuple[Counter, Timer]:
+        """The route's ``serve.requests`` counter and ``serve.request_s`` timer.
+
+        Looked up once per route and registry: draining or resetting the
+        telemetry installs a new registry, which the next request reads.
+        """
+        tele = get_telemetry()
+        if not tele.enabled:
+            return NULL_COUNTER, NULL_TIMER
+        metrics = tele.metrics
+        if metrics is not self._registry:
+            self._registry = metrics
+            self._by_route = {}
+        found = self._by_route.get(route)
+        if found is None:
+            found = self._by_route[route] = (
+                metrics.counter("serve.requests", route=route),
+                metrics.timer("serve.request_s", route=route),
+            )
+        return found
 
     def _route(self, request: HttpRequest):
         path, method = request.path, request.method

@@ -123,6 +123,10 @@ class RawResponse:
 
 Handler = Callable[[HttpRequest], Awaitable[tuple[int, Any]]]
 
+#: Renders every JSON body: the encoder ``json.dumps(payload,
+#: sort_keys=True)`` builds on each call, built once.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 async def read_request(
     reader: asyncio.StreamReader,
@@ -222,7 +226,7 @@ def render_response(
         content_type = payload.content_type
         extra = payload.headers
     else:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        body = (_JSON.encode(payload) + "\n").encode("utf-8")
         content_type = "application/json"
         extra = {}
     reason = REASONS.get(status, "Unknown")

@@ -1,11 +1,13 @@
 """Sharded, LRU-bounded per-path predictor state for ``repro-serve``.
 
 The store maps a *path key* (an opaque client-chosen identifier, e.g.
-``"lulea-to-anl"``) to a bundle of
+``"lulea-to-anl"``) to a :class:`~repro.hb.streaming.PathBundle` of
 :class:`~repro.hb.streaming.StreamingPredictorState` instances — one per
 configured :class:`~repro.hb.streaming.PredictorSpec` — all fed every
 ingested sample, so a client can compare predictors on the same path
-exactly as the paper does offline.
+exactly as the paper does offline.  The bundle takes each sample once
+per distinct LSO kernel: predictors with equal thresholds and equal
+kernel state share one.
 
 Keys are hashed (CRC-32, stable across processes and restarts) into a
 fixed number of **shards**; each shard is an LRU-ordered dict with a
@@ -23,7 +25,6 @@ snapshot behind.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import zlib
@@ -34,6 +35,7 @@ from typing import Any, Iterable, Mapping
 from repro.core.errors import ConfigurationError, DataError
 from repro.hb.streaming import (
     DEFAULT_SERVE_PREDICTORS,
+    PathBundle,
     PredictorSpec,
     StreamingPredictorState,
 )
@@ -122,7 +124,7 @@ class ShardedStateStore:
         if quality is _DEFAULT_QUALITY:
             quality = QualityTracker()
         self.quality: QualityTracker | None = quality  # type: ignore[assignment]
-        self._shards: list[OrderedDict[str, PathStates]] = [
+        self._shards: list[OrderedDict[str, PathBundle]] = [
             OrderedDict() for _ in range(n_shards)
         ]
         self.n_evicted = 0
@@ -146,23 +148,26 @@ class ShardedStateStore:
     def get(self, key: str) -> PathStates | None:
         """The path's predictor states, refreshing its LRU position."""
         shard = self._shards[self.shard_index(key)]
-        states = shard.get(key)
-        if states is not None:
-            shard.move_to_end(key)
-        return states
+        bundle = shard.get(key)
+        if bundle is None:
+            return None
+        shard.move_to_end(key)
+        return bundle.states
 
     def get_or_create(self, key: str) -> PathStates:
         """The path's predictor states, creating (and possibly evicting)."""
-        validate_key(key)
+        return self._bundle(key).states
+
+    def _bundle(self, key: str) -> PathBundle:
+        """The path's bundle, created (key validated) on first use."""
         index = self.shard_index(key)
         shard = self._shards[index]
-        states = shard.get(key)
-        if states is None:
-            states = {
-                name: StreamingPredictorState(spec)
-                for name, spec in self.specs.items()
-            }
-            shard[key] = states
+        bundle = shard.get(key)
+        if bundle is None:
+            validate_key(key)
+            bundle = shard[key] = PathBundle(
+                {name: StreamingPredictorState(s) for name, s in self.specs.items()}
+            )
             if len(shard) > self.max_paths_per_shard:
                 evicted_key, _ = shard.popitem(last=False)
                 self.n_evicted += 1
@@ -172,7 +177,7 @@ class ShardedStateStore:
                 tele.counter("serve.evictions").inc()
                 tele.emit("serve.evicted", key=evicted_key, shard=index)
         shard.move_to_end(key)
-        return states
+        return bundle
 
     def ingest(
         self,
@@ -185,7 +190,9 @@ class ShardedStateStore:
         Each sample is scored by the quality tracker against the
         forecast that stood *before* it was ingested — the same
         walk-forward order as the offline evaluator, so the online
-        error stream matches ``evaluate_predictor`` bit-for-bit.
+        error stream matches ``evaluate_predictor`` bit-for-bit.  A
+        batch is scored sample by sample, each sample for every
+        predictor in turn.
 
         Args:
             key: the path key (created on first ingest).
@@ -197,43 +204,42 @@ class ShardedStateStore:
         accepted/invalid sample counts (invalid = non-positive or
         non-finite, flagged by the streaming layer, never raised).
         """
-        states = self.get_or_create(key)
+        bundle = self._bundle(key)
         if clock is not None:
             clock.lap("store")
         samples = list(samples)
         quality = self.quality if obs_enabled() else None
-        invalid_before = sum(s.n_invalid for s in states.values())
-        predictions: dict[str, float | None] = {}
-        for name, state in states.items():
-            last = state.prediction()
-            if quality is None:
-                for value in samples:
-                    last = state.ingest(value)
-            else:
-                for value in samples:
-                    previous = last
-                    last = state.ingest(value)
-                    if math.isfinite(value) and value > 0:
+        states = bundle.states
+        n_invalid = 0
+        if quality is None or not samples:
+            for value in samples:
+                if not bundle.ingest(value):
+                    n_invalid += 1
+        else:
+            scored = list(zip(states, bundle.members, quality.path_series(key, states)))
+            for value in samples:
+                before = [state.prediction() for state in bundle.members]
+                if bundle.ingest(value):
+                    for (name, state, series), forecast in zip(scored, before):
                         quality.score(
                             key,
                             name,
-                            previous,
+                            forecast,
                             value,
                             level_shifts=state.n_level_shifts,
+                            series=series,
                         )
-                    else:
-                        quality.observe_invalid(key, name)
-            predictions[name] = last
+                else:
+                    n_invalid += 1
+                    for name, _, series in scored:
+                        quality.observe_invalid(key, name, series=series)
         if clock is not None:
             clock.lap("ingest")
-        invalid_after = sum(s.n_invalid for s in states.values())
-        n_specs = max(len(states), 1)
-        n_invalid = (invalid_after - invalid_before) // n_specs
         return {
             "key": key,
             "accepted": len(samples) - n_invalid,
             "invalid": n_invalid,
-            "predictions": predictions,
+            "predictions": {name: state.prediction() for name, state in states.items()},
         }
 
     def shard_sizes(self) -> list[int]:
@@ -257,9 +263,9 @@ class ShardedStateStore:
             "n_shards": self.n_shards,
             "max_paths_per_shard": self.max_paths_per_shard,
             "paths": {
-                key: {name: state.snapshot() for name, state in states.items()}
+                key: {name: state.snapshot() for name, state in bundle.states.items()}
                 for shard in self._shards
-                for key, states in shard.items()
+                for key, bundle in shard.items()
             },
         }
 
@@ -268,7 +274,9 @@ class ShardedStateStore:
 
         The store's own shard geometry is kept (snapshots are portable
         across ``--shards`` settings); per-path predictor state is
-        restored bit-for-bit.  Returns the number of paths restored.
+        restored bit-for-bit, and a path's restored LSO predictors with
+        equal thresholds and kernel state share one kernel again.
+        Returns the number of paths restored.
 
         Restore is **best effort per path**: a snapshot written under a
         different configuration (renamed predictors, smaller capacity)
@@ -279,7 +287,7 @@ class ShardedStateStore:
         ``serve.snapshot_skip`` event each); snapshot predictors no
         longer registered on this store are dropped the same way while
         the rest of the path still restores, and registered predictors
-        missing from the snapshot start fresh.
+        missing from the snapshot start fresh (on a kernel of their own).
 
         Raises:
             DataError: structurally unusable snapshot (non-object
@@ -335,7 +343,7 @@ class ShardedStateStore:
             except (DataError, KeyError, TypeError, ValueError):
                 skip(key, "corrupt-state")
                 continue
-            shard[key] = states
+            shard[key] = PathBundle(states)
             restored += 1
         return restored
 

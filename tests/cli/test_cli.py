@@ -215,7 +215,7 @@ def saved_dataset(tmp_path_factory):
     campaign.main(
         [
             "--paths", "5", "--traces", "2", "--epochs", "30",
-            "--no-cache", "--quiet", "-o", str(out),
+            "--no-cache", "--no-checkpoint", "--quiet", "-o", str(out),
         ]
     )
     return out

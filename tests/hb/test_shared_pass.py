@@ -263,10 +263,17 @@ def test_only_fresh_wrappers_share_a_kernel():
         reference.update(value)
     alone, _ = oracle.walk(ADVERSARIAL[10:], reference)
     assert walked[0].tobytes() == alone.tobytes()
-    with pytest.raises(ValueError, match="fresh"):
+    # follow() asks for equal thresholds and kernel state, not freshness:
+    # a primed wrapper follows a kernel fed the same samples.
+    with pytest.raises(ValueError, match="kernel state"):
         primed.follow(lso_module.LsoKernel())
     with pytest.raises(ValueError, match="thresholds"):
         LsoPredictor(BASES["HW"]).follow(lso_module.LsoKernel(TIGHT))
+    twin = lso_module.LsoKernel()
+    for value in ADVERSARIAL:
+        twin.add(value)
+    primed.follow(twin)
+    assert primed.kernel is twin
 
 
 class HistoryOnly(HistoryPredictor):

@@ -276,3 +276,45 @@ class TestPredictorSpec:
             PredictorSpec.from_dict({"lso": True})
         with pytest.raises(DataError):
             PredictorSpec.from_dict({"predictor": "ma10", "outlier_threshold": "x"})
+
+
+class TestStandingForecast:
+    """A state forecasts once per accepted sample and at restore."""
+
+    @pytest.fixture
+    def forecasts(self, monkeypatch):
+        calls = []
+        forecast = LsoPredictor.forecast
+
+        def counting_forecast(wrapper):
+            calls.append(wrapper.name)
+            return forecast(wrapper)
+
+        monkeypatch.setattr(LsoPredictor, "forecast", counting_forecast)
+        return calls
+
+    def test_prediction_reads_the_standing_forecast(self, forecasts):
+        state = StreamingPredictorState(PredictorSpec(predictor="hw"))
+        ready_after = 0
+        for value in synthetic_trace(n=40) + [0.0, math.nan]:
+            state.ingest(value)
+            ready_after += state.ready and math.isfinite(value) and value > 0
+            state.prediction()
+            state.prediction()
+        assert len(forecasts) == ready_after
+        forecasts.clear()
+        restored = StreamingPredictorState.restore(
+            json.loads(json.dumps(state.snapshot()))
+        )
+        assert len(forecasts) == 1
+        assert restored.prediction() == state.prediction()
+        assert len(forecasts) == 1
+
+    def test_a_standalone_state_is_a_group_of_one(self):
+        """Its wrapper follows the state's own kernel group, so only the
+        state feeds it: the wrapper cannot update itself."""
+        state = StreamingPredictorState(PredictorSpec(predictor="ma10"))
+        state.ingest(40.0)
+        with pytest.raises(ValueError, match="kernel group"):
+            state._predictor.update(41.0)
+        assert state.n_observed == 1

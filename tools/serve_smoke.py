@@ -14,7 +14,13 @@ inside one process:
    in the JSONL access log with phase timings;
 4. SIGTERM → clean exit (code 0), snapshot and manifest written, the
    manifest carrying the quality section;
-5. restart from the snapshot → the restored forecast is bit-identical.
+5. restart from the snapshot → the restored forecast is bit-identical;
+6. restart once more with ``hw`` added, so it starts fresh beside the
+   restored predictors, and POST a batch holding a level shift and an
+   outlier → every predictor's forecast equals a standalone twin's, and
+   the manifest counts each detection once per path kernel
+   (``hb.level_shifts``, ``hb.outliers_discarded``): the restored
+   ``ma10`` and ``ewma`` share one kernel, the fresh ``hw`` has its own.
 
 Exits non-zero with a one-line reason on any failure.  Artifacts land
 in --workdir (default .serve-smoke/).
@@ -44,6 +50,8 @@ from repro.serve.state import default_specs  # noqa: E402
 
 SAMPLES = [42.0, 44.5, 41.8, 43.2, 150.0, 42.6, 43.9, 42.1, 44.0, 43.3]
 PREDICTORS = ["ma10", "ewma"]
+#: Posted after the second restart: an outlier, then a level shift.
+SHIFT_BATCH = [43.0, 44.1, 180.0, 42.8, 88.0, 90.5, 89.2, 91.0, 88.7, 90.1]
 START_TIMEOUT_S = 20.0
 STOP_TIMEOUT_S = 20.0
 
@@ -56,7 +64,9 @@ def fail(reason: str) -> None:
     sys.exit(1)
 
 
-def spawn(workdir: Path) -> tuple[subprocess.Popen, int]:
+def spawn(
+    workdir: Path, predictors: list[str] = PREDICTORS
+) -> tuple[subprocess.Popen, int]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
@@ -67,7 +77,7 @@ def spawn(workdir: Path) -> tuple[subprocess.Popen, int]:
             "--port",
             "0",
             "--predictors",
-            ",".join(PREDICTORS),
+            ",".join(predictors),
             "--snapshot",
             str(workdir / "state.json"),
             "--manifest",
@@ -192,6 +202,61 @@ def check_access_log(workdir: Path) -> None:
     print(f"serve-smoke: access log holds all {len(request_ids)} traced requests")
 
 
+def manifest_counter(manifest: dict, name: str) -> int:
+    return sum(c["value"] for c in manifest.get("counters", ()) if c["name"] == name)
+
+
+def check_grown_restart(workdir: Path) -> None:
+    """Restart with ``hw`` added and feed a shift: twins and kernel counts."""
+    grown = [*PREDICTORS, "hw"]
+    twins = {
+        name: StreamingPredictorState(spec)
+        for name, spec in default_specs(grown).items()
+    }
+    for name in PREDICTORS:  # restored from the snapshot; hw starts fresh
+        for value in SAMPLES:
+            twins[name].ingest(value)
+    # One kernel per distinct state: the restored one (ma10 and ewma) and
+    # hw's own.
+    kernels = [twins["ma10"].diagnostics(), twins["hw"].diagnostics()]
+    for value in SHIFT_BATCH:
+        for twin in twins.values():
+            twin.ingest(value)
+    after = [twins["ma10"].diagnostics(), twins["hw"].diagnostics()]
+    expected = {}
+    for counter, key in (
+        ("hb.level_shifts", "n_level_shifts"),
+        ("hb.outliers_discarded", "n_outliers"),
+    ):
+        found = [b[key] - a[key] for a, b in zip(kernels, after)]
+        if min(found) < 1:
+            fail(f"the shift batch must give each kernel a {key} detection")
+        expected[counter] = sum(found)
+
+    proc, port = spawn(workdir, grown)
+    try:
+        doc = http(port, "POST", "/paths/smoke-path/samples", {"samples": SHIFT_BATCH})
+        if doc["accepted"] != len(SHIFT_BATCH):
+            fail(f"expected {len(SHIFT_BATCH)} accepted samples, got {doc}")
+        for name, twin in twins.items():
+            doc = http(port, "GET", f"/paths/smoke-path/predict?predictor={name}")
+            if doc["prediction"] != twin.prediction():
+                fail(
+                    f"{name} forecast {doc['prediction']!r} after the grown "
+                    f"restart != standalone twin {twin.prediction()!r}"
+                )
+    finally:
+        stop(proc)
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    counted = {name: manifest_counter(manifest, name) for name in expected}
+    if counted != expected:
+        fail(f"manifest counts {counted}, one per path-kernel detection is {expected}")
+    print(
+        "serve-smoke: a grown restart matches standalone twins; detections "
+        f"counted once per path kernel ({counted})"
+    )
+
+
 def stop(proc: subprocess.Popen) -> None:
     proc.send_signal(signal.SIGTERM)
     try:
@@ -269,6 +334,7 @@ def main() -> int:
     finally:
         stop(proc)
 
+    check_grown_restart(workdir)
     check_access_log(workdir)
     print("serve-smoke: PASS")
     return 0
