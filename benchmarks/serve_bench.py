@@ -64,7 +64,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro._version import __version__  # noqa: E402
-from repro.hb.streaming import PredictorSpec, StreamingPredictorState  # noqa: E402
+from repro.hb.streaming import SERVE_PREDICTORS, StreamingPredictorState  # noqa: E402
 from repro.obs import get_telemetry  # noqa: E402
 from repro.obs.quality import QualityConfig, QualityTracker  # noqa: E402
 from repro.serve.accesslog import AccessLog  # noqa: E402
@@ -108,7 +108,7 @@ def synthetic_stream(n: int, seed: int = 3) -> list[float]:
 def bench_streaming_ingest() -> dict:
     """samples/s through one StreamingPredictorState (ma10 + LSO)."""
     stream = synthetic_stream(INGEST_SAMPLES)
-    spec = PredictorSpec(predictor="ma10", lso=True)
+    spec = SERVE_PREDICTORS["ma10"]
 
     def run_once() -> float:
         state = StreamingPredictorState(spec)

@@ -3,10 +3,10 @@
 Every HB figure of ``repro-analyze`` (16, 17, 19-23) reduces to
 walk-forward evaluations of one predictor over one series of each
 trace.  An :class:`EvalUnit` names one such evaluation for every trace
-of a dataset: the predictor (a registered family's spec, see
-:func:`derive_spec`), the series shape (the main transfers, the W =
-20 KB companions, or the main series down-sampled) and the outlier
-exclusion (an :class:`~repro.hb.lso.LsoConfig`, or ``None``).  A unit
+of a dataset: the predictor (a :class:`~repro.hb.spec.PredictorSpec`),
+the series shape (the main transfers, the W = 20 KB companions, or the
+main series down-sampled) and the outlier exclusion (an
+:class:`~repro.hb.lso.LsoConfig`, or ``None``).  A unit
 with an exclusion also carries the series' LSO segmentation under the
 exclusion's thresholds — what Fig. 20's CoV reads.
 
@@ -32,7 +32,8 @@ trace (position in the dataset, path id and trace index) and its unit:
 the pack key already covers every trace's samples, so no series is
 hashed again.  The predictions, errors, outlier and shift indices of
 all entries are concatenated into four flat arrays; an index holds each
-entry's key, names and lengths.
+entry's key, names and lengths, and each distinct unit once, its spec
+as :meth:`~repro.hb.spec.PredictorSpec.to_dict` writes it.
 
 :meth:`EvaluationCache.open_pack` reads a pack once;
 :meth:`EvaluationCache.save_pack` writes it back once, with the
@@ -75,14 +76,10 @@ import numpy as np
 from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
-from repro.hb.autoregressive import AutoRegressive
-from repro.hb.base import HistoryPredictor, PredictorFactory
+from repro.hb.base import PredictorFactory
 from repro.hb.evaluate import HbEvaluation, evaluate_predictors
-from repro.hb.ewma import Ewma
-from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
-from repro.hb.moving_average import MovingAverage
-from repro.hb.wrappers import LsoPredictor
+from repro.hb.spec import PredictorSpec
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset, Trace
 from repro.testbed import io as dataset_io
@@ -90,71 +87,12 @@ from repro.testbed import io as dataset_io
 #: Environment variable overriding the evaluation-cache location.
 ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
 
-#: A predictor spec: a family tag followed by constructor parameters,
-#: e.g. ``("ma", 10)`` or ``("lso", ("hw", 0.8, 0.2), 0.3, 0.4, True)``.
-PredictorSpec = tuple
-
-
 def default_eval_cache_dir() -> Path:
     """The cache root: ``$REPRO_EVAL_CACHE_DIR`` or ``~/.cache/repro/evals``."""
     env = os.environ.get(ENV_EVAL_CACHE_DIR, "").strip()
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro" / "evals"
-
-
-def derive_spec(predictor: HistoryPredictor) -> PredictorSpec | None:
-    """The cacheable spec of a predictor instance, or ``None``.
-
-    ``None`` means the predictor's exact type is not a registered
-    family — a subclass may override anything, so evaluations of it are
-    computed fresh every time.
-    """
-    kind = type(predictor)
-    if kind is MovingAverage:
-        return ("ma", predictor.order)
-    if kind is Ewma:
-        return ("ewma", predictor.alpha)
-    if kind is HoltWinters:
-        return ("hw", predictor.alpha, predictor.beta)
-    if kind is AutoRegressive:
-        return ("ar", predictor.order, predictor.max_history, predictor.ridge)
-    if kind is LsoPredictor:
-        inner = derive_spec(predictor._base)
-        if inner is None:
-            return None
-        config = predictor._config
-        return (
-            "lso",
-            inner,
-            config.level_shift_threshold,
-            config.outlier_threshold,
-            predictor.harden,
-        )
-    return None
-
-
-def spec_factory(spec: PredictorSpec) -> PredictorFactory:
-    """A factory building fresh predictors matching ``spec``.
-
-    The inverse of :func:`derive_spec` — what lets a worker process
-    rebuild a unit's predictor from its plain-tuple description.
-    """
-    kind = spec[0]
-    if kind == "ma":
-        return lambda: MovingAverage(spec[1])
-    if kind == "ewma":
-        return lambda: Ewma(spec[1])
-    if kind == "hw":
-        return lambda: HoltWinters(spec[1], spec[2])
-    if kind == "ar":
-        return lambda: AutoRegressive(spec[1], spec[2], spec[3])
-    if kind == "lso":
-        inner = spec_factory(spec[1])
-        config = LsoConfig(spec[2], spec[3])
-        harden = spec[4]
-        return lambda: LsoPredictor(inner, config, harden)
-    raise ValueError(f"unknown predictor spec {spec!r}")
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +105,10 @@ class EvalUnit:
     """One HB evaluation of every trace of a dataset.
 
     Attributes:
-        predictor: a registered family's spec (see :func:`derive_spec`),
-            which the pack can keep; or, for a predictor outside the
-            registered families, its factory, walked in memory only.
+        predictor: a :class:`~repro.hb.spec.PredictorSpec`, which the
+            pack can keep; or a caller's own factory (a subclass, a
+            predictor outside the registered families), walked in memory
+            only.
         small_window: walk the W = 20 KB series instead of the main one.
         downsample: keep every n-th sample of the series first (1 = all).
         exclusion: the outlier exclusion's LSO thresholds, or ``None``;
@@ -177,7 +116,7 @@ class EvalUnit:
             (:meth:`~repro.hb.evaluate.HbEvaluation.segmentation`).
     """
 
-    predictor: PredictorSpec | PredictorFactory
+    predictor: PredictorFactory
     small_window: bool = False
     downsample: int = 1
     exclusion: LsoConfig | None = None
@@ -186,15 +125,6 @@ class EvalUnit:
     def shape(self) -> tuple[bool, int]:
         """Which series of a trace the unit walks."""
         return (self.small_window, self.downsample)
-
-    @property
-    def spec_named(self) -> bool:
-        """Whether the predictor is named by a spec, so a pack can keep it."""
-        return isinstance(self.predictor, tuple)
-
-    def factory(self) -> PredictorFactory:
-        """A factory building the unit's predictor."""
-        return spec_factory(self.predictor) if self.spec_named else self.predictor
 
 
 #: One trace's result of a unit: the walk, or the error that voided it
@@ -238,14 +168,10 @@ def walk_series(series: TimeSeries, units: Sequence[EvalUnit]) -> list[UnitResul
     Units of one predictor share its walk.  An invalid series voids
     every unit with the error naming its first bad sample.
     """
-    factories: dict = {}
-    for unit in units:
-        if unit.predictor not in factories:
-            factories[unit.predictor] = unit.factory()
+    shared: dict[PredictorFactory, PredictorFactory] = {}
+    walks = [(shared.setdefault(u.predictor, u.predictor), u.exclusion) for u in units]
     try:
-        return evaluate_predictors(
-            series, [(factories[unit.predictor], unit.exclusion) for unit in units]
-        )
+        return evaluate_predictors(series, walks)
     except DataError as exc:
         return [exc] * len(units)
 
@@ -307,10 +233,10 @@ def evaluate_units(dataset: Dataset, units: Iterable[EvalUnit]) -> UnitResults:
 @functools.cache
 def code_fingerprint() -> str:
     """Fingerprint of the source of every module a pack entry depends
-    on, read once per process: :mod:`repro.hb` (the predictors, the LSO
-    kernel, the walk), :mod:`repro.core.timeseries` and
+    on, read once per process: :mod:`repro.hb` (the predictors and their
+    specs, the LSO kernel, the walk), :mod:`repro.core.timeseries` and
     :mod:`repro.paths.records` (a unit's series) and this module (the
-    units, the predictor specs and the pack layout)."""
+    units and the pack layout)."""
     return source_fingerprint(
         "repro.hb",
         "repro.core.timeseries",
@@ -422,17 +348,10 @@ class _FlatArray:
         return np.frombuffer(self._chunk, self._dtype, n, start).copy()
 
 
-def _spec_from_json(value) -> PredictorSpec:
-    """A spec read back from the index, where JSON made its tuples lists."""
-    if not isinstance(value, list):
-        raise ValueError(f"pack index holds a malformed spec {value!r}")
-    return tuple(_spec_from_json(item) if isinstance(item, list) else item for item in value)
-
-
 def _unit_from_json(row) -> EvalUnit:
     small_window, downsample, spec, exclusion = row
     return EvalUnit(
-        _spec_from_json(spec),
+        PredictorSpec.from_dict(spec),
         bool(small_window),
         int(downsample),
         None if exclusion is None else LsoConfig(*exclusion),
@@ -444,7 +363,7 @@ def _unit_to_json(unit: EvalUnit) -> list:
     return [
         unit.small_window,
         unit.downsample,
-        unit.predictor,
+        unit.predictor.to_dict(),
         None
         if exclusion is None
         else [exclusion.level_shift_threshold, exclusion.outlier_threshold],
@@ -455,8 +374,8 @@ def _read_pack(pack: zipfile.ZipFile) -> dict[EntryKey, HbEvaluation]:
     """The entries of an open pack.
 
     Raises:
-        ValueError, TypeError, LookupError: when the index and the
-            arrays disagree or either is malformed.
+        ValueError, TypeError, LookupError, DataError: when the index
+            and the arrays disagree or either is malformed.
     """
     with pack.open("index.npy") as member:
         index_array = _FlatArray(member)
@@ -650,7 +569,8 @@ class EvaluationCache:
         except FileNotFoundError:
             return
         except (
-            OSError, LookupError, TypeError, ValueError, EOFError, zipfile.BadZipFile
+            OSError, LookupError, TypeError, ValueError, EOFError, DataError,
+            zipfile.BadZipFile,
         ):
             self._quarantine(path, key)
             return

@@ -4,11 +4,14 @@ The unit of evaluation is the *trace*: a walk-forward one-step
 evaluation of a predictor over the trace's throughput series yields a
 per-trace RMSRE; the figures aggregate those RMSREs across traces.
 
+The predictors (:func:`ma`, :func:`ewma`, :func:`hw`, :func:`with_lso`)
+are :class:`~repro.hb.spec.PredictorSpec` s; a caller's own factory works
+too, walked in memory.
+
 The functions behind ``repro-analyze``'s HB figures (16, 17, 19-23)
-read their walks by unit (:func:`unit`,
-:class:`~repro.analysis.evalcache.EvalUnit`) from ``results``, the
-mapping the warm phase returns; called with the dataset alone, they
-walk their units in memory first
+read their walks by unit (:class:`~repro.analysis.evalcache.EvalUnit`)
+from ``results``, the mapping the warm phase returns; called with the
+dataset alone, they walk their units in memory first
 (:func:`~repro.analysis.evalcache.evaluate_units`).  Either way one
 body computes the figure, and a walk that failed raises, when the
 figure reads it, the error :func:`~repro.hb.evaluate.evaluate_predictor`
@@ -18,53 +21,50 @@ raises for it.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.evalcache import (
-    EvalUnit,
-    UnitResult,
-    UnitResults,
-    derive_spec,
-    evaluate_units,
-)
+from repro.analysis.evalcache import EvalUnit, UnitResult, UnitResults, evaluate_units
 from repro.core.errors import DataError
 from repro.core.metrics import Cdf, pearson_correlation, rmsre
 from repro.hb.base import PredictorFactory
 from repro.hb.evaluate import HbEvaluation, evaluate_predictor, lso_segmentation
-from repro.hb.ewma import Ewma
-from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
-from repro.hb.moving_average import MovingAverage
+from repro.hb.spec import PredictorSpec
 from repro.hb.wrappers import LsoPredictor
 from repro.analysis import fb_eval
 from repro.paths.records import Dataset, Trace
 
 # ----------------------------------------------------------------------
-# Standard predictor factories
+# Standard predictors
 # ----------------------------------------------------------------------
 
 
-def ma(order: int) -> PredictorFactory:
-    """Factory for an ``order``-MA predictor."""
-    return lambda: MovingAverage(order)
+def ma(order: int) -> PredictorSpec:
+    """An ``order``-MA predictor."""
+    return PredictorSpec("ma", {"order": order})
 
 
-def ewma(alpha: float) -> PredictorFactory:
-    """Factory for an EWMA predictor."""
-    return lambda: Ewma(alpha)
+def ewma(alpha: float) -> PredictorSpec:
+    """An EWMA predictor."""
+    return PredictorSpec("ewma", {"alpha": alpha})
 
 
-def hw(alpha: float = 0.8, beta: float = 0.2) -> PredictorFactory:
-    """Factory for a non-seasonal Holt-Winters predictor."""
-    return lambda: HoltWinters(alpha, beta)
+def hw(alpha: float = 0.8, beta: float = 0.2) -> PredictorSpec:
+    """A non-seasonal Holt-Winters predictor."""
+    return PredictorSpec("hw", {"alpha": alpha, "beta": beta})
 
 
 def with_lso(
     factory: PredictorFactory, config: LsoConfig | None = None
 ) -> PredictorFactory:
-    """Wrap a factory with the LSO heuristics."""
+    """The predictor wrapped with the LSO heuristics (the paper's
+    thresholds by default): a spec for a bare spec, else a factory
+    wrapping the given one."""
+    config = config or LsoConfig()
+    if isinstance(factory, PredictorSpec) and factory.lso is None:
+        return replace(factory, lso=config)
     return lambda: LsoPredictor(factory, config)
 
 
@@ -83,30 +83,6 @@ INTERVALS: dict[str, int] = {"3min": 1, "6min": 2, "24min": 8, "45min": 15}
 #: The outlier exclusion of Fig. 20's RMSRE, whose segmentation gives
 #: the CoV: the paper's default LSO thresholds.
 FIG20_EXCLUSION = LsoConfig()
-
-
-# ----------------------------------------------------------------------
-# Units
-# ----------------------------------------------------------------------
-
-
-def unit(
-    factory: PredictorFactory,
-    *,
-    small_window: bool = False,
-    downsample: int = 1,
-    exclusion: LsoConfig | None = None,
-) -> EvalUnit:
-    """The unit walking ``factory``'s predictor over each trace's series
-    of that shape, with that outlier exclusion.
-
-    A registered family is named by its spec, so the warm phase can keep
-    its walks in the pack; any other predictor by its factory.
-    """
-    spec = derive_spec(factory())
-    return EvalUnit(
-        factory if spec is None else spec, small_window, downsample, exclusion
-    )
 
 
 def _read(
@@ -240,7 +216,7 @@ def predictor_cdfs(
 
     Figs. 16 and 17 are exactly this, for MA and HW families.
     """
-    units = {name: unit(factory) for name, factory in predictors.items()}
+    units = {name: EvalUnit(factory) for name, factory in predictors.items()}
     results = _read(dataset, units.values(), results)
     cdfs = {}
     for name, predictor_unit in units.items():
@@ -328,7 +304,7 @@ def fb_vs_hb(
     results: UnitResults | None = None,
 ) -> FbHbComparison:
     """Fig. 19: FB against HB (HW-LSO by default), per-trace RMSRE."""
-    hb_unit = unit(hb_factory or with_lso(hw()))
+    hb_unit = EvalUnit(hb_factory or with_lso(hw()))
     fb_rmsres = fb_eval.rmsre_per_trace(dataset)
     results = _read(dataset, [hb_unit], results)
     hb_rmsres = [_walked(result).rmsre() for result in results[hb_unit]]
@@ -367,7 +343,7 @@ def cov_correlation(
     one walk per trace, whose outlier exclusion's detections give the
     segments (:meth:`~repro.hb.evaluate.HbEvaluation.segmentation`).
     """
-    hb_unit = unit(hb_factory or with_lso(hw()), exclusion=FIG20_EXCLUSION)
+    hb_unit = EvalUnit(hb_factory or with_lso(hw()), exclusion=FIG20_EXCLUSION)
     results = _read(dataset, [hb_unit], results)
     covs, rmsres_ = [], []
     for trace, result in zip(dataset, results[hb_unit]):
@@ -432,7 +408,7 @@ def path_classes(
     """Fig. 21: per-path, per-trace RMSRE for the standard predictor set,
     plus the four-way predictability class (based on HW-LSO)."""
     predictors = predictors or FIG21_PREDICTORS
-    units = {name: unit(factory) for name, factory in predictors.items()}
+    units = {name: EvalUnit(factory) for name, factory in predictors.items()}
     results = _read(dataset, units.values(), results)
     classes = []
     for path_id, ordinals in _ordinals_by_path(dataset).items():
@@ -532,8 +508,8 @@ def window_limited_hb(
 ) -> list[HbWindowComparison]:
     """Fig. 22: HB RMSRE on W = 1 MB vs W = 20 KB series, per path."""
     hb_factory = hb_factory or with_lso(hw())
-    large_unit = unit(hb_factory)
-    small_unit = unit(hb_factory, small_window=True)
+    large_unit = EvalUnit(hb_factory)
+    small_unit = EvalUnit(hb_factory, small_window=True)
     results = _read(dataset, [large_unit, small_unit], results)
     comparisons = []
     for path_id, ordinals in _ordinals_by_path(dataset).items():
@@ -574,7 +550,7 @@ def interval_effect(
     hb_factory = hb_factory or with_lso(hw())
     downsample_factors = downsample_factors or INTERVALS
     units = {
-        label: unit(hb_factory, downsample=factor)
+        label: EvalUnit(hb_factory, downsample=factor)
         for label, factor in downsample_factors.items()
     }
     results = _read(dataset, units.values(), results)

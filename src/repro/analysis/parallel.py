@@ -57,6 +57,7 @@ from repro.analysis.evalcache import (
 )
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.workers import resolve_workers
+from repro.hb.spec import PredictorSpec
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset
 
@@ -94,16 +95,16 @@ def warm_eval_cache(
     walks taken from the pack, ``evalcache.misses`` those walked.
 
     Raises:
-        ConfigurationError: for a unit whose predictor is not named by a
-            spec (see :func:`~repro.analysis.evalcache.derive_spec`),
-            which a pack cannot keep.
+        ConfigurationError: for a unit whose predictor is not a
+            :class:`~repro.hb.spec.PredictorSpec` (a caller's own
+            factory), which a pack cannot keep.
         ExecutionError: when a trace's walks fail permanently (retries
             exhausted); the message names the trace, and nothing is
             written to the pack.
     """
     units = tuple(dict.fromkeys(units))
     for unit in units:
-        if not unit.spec_named:
+        if not isinstance(unit.predictor, PredictorSpec):
             raise ConfigurationError(
                 f"the warm phase walks registered predictor families only, not {unit!r}"
             )

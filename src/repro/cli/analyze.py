@@ -8,8 +8,9 @@ wall times) is recorded and written as ``X.analysis.manifest.json`` +
 ``REPRO_OBS=0`` to disable telemetry (no sidecars are written).
 
 The HB figures run in two phases.  Each HB renderer declares next to
-itself the units it reads (:func:`repro.analysis.hb_eval.unit`: a
-predictor, a series shape and an outlier exclusion); a **warm phase**
+itself the units it reads (:class:`repro.analysis.evalcache.EvalUnit`:
+a predictor's :class:`~repro.hb.spec.PredictorSpec`, a series shape and
+an outlier exclusion); a **warm phase**
 walks the union of the requested figures' units — one job per trace on
 the campaign's fault-tolerant engine, optionally over ``--workers N``
 processes — and the renderers then read the walks by unit, walking
@@ -174,19 +175,19 @@ def _fig12(ds: Dataset) -> str:
     return render_bar_table(rows, title="Fig. 12: FB RMSRE by window")
 
 
-@_figure(16, *map(hb_eval.unit, hb_eval.ma_family().values()))
+@_figure(16, *map(EvalUnit, hb_eval.ma_family().values()))
 def _fig16(ds: Dataset, results: UnitResults | None = None) -> str:
     cdfs = hb_eval.predictor_cdfs(ds, hb_eval.ma_family(), results)
     return render_quantile_table(cdfs, title="Fig. 16: MA family RMSRE")
 
 
-@_figure(17, *map(hb_eval.unit, hb_eval.hw_family().values()))
+@_figure(17, *map(EvalUnit, hb_eval.hw_family().values()))
 def _fig17(ds: Dataset, results: UnitResults | None = None) -> str:
     cdfs = hb_eval.predictor_cdfs(ds, hb_eval.hw_family(), results)
     return render_quantile_table(cdfs, title="Fig. 17: HW family RMSRE")
 
 
-@_figure(19, hb_eval.unit(_HW_LSO))
+@_figure(19, EvalUnit(_HW_LSO))
 def _fig19(ds: Dataset, results: UnitResults | None = None) -> str:
     comp = hb_eval.fb_vs_hb(ds, _HW_LSO, results)
     return (
@@ -198,7 +199,7 @@ def _fig19(ds: Dataset, results: UnitResults | None = None) -> str:
     )
 
 
-@_figure(20, hb_eval.unit(_HW_LSO, exclusion=hb_eval.FIG20_EXCLUSION))
+@_figure(20, EvalUnit(_HW_LSO, exclusion=hb_eval.FIG20_EXCLUSION))
 def _fig20(ds: Dataset, results: UnitResults | None = None) -> str:
     rel = hb_eval.cov_correlation(ds, _HW_LSO, results)
     return (
@@ -208,7 +209,7 @@ def _fig20(ds: Dataset, results: UnitResults | None = None) -> str:
     )
 
 
-@_figure(21, *map(hb_eval.unit, hb_eval.FIG21_PREDICTORS.values()))
+@_figure(21, *map(EvalUnit, hb_eval.FIG21_PREDICTORS.values()))
 def _fig21(ds: Dataset, results: UnitResults | None = None) -> str:
     rows = [
         (
@@ -220,7 +221,7 @@ def _fig21(ds: Dataset, results: UnitResults | None = None) -> str:
     return render_bar_table(rows, title="Fig. 21: path classes")
 
 
-@_figure(22, hb_eval.unit(_HW_LSO), hb_eval.unit(_HW_LSO, small_window=True))
+@_figure(22, EvalUnit(_HW_LSO), EvalUnit(_HW_LSO, small_window=True))
 def _fig22(ds: Dataset, results: UnitResults | None = None) -> str:
     rows = [
         (c.path_id, {"W=1MB": c.rmsre_large_window, "W=20KB": c.rmsre_small_window})
@@ -231,7 +232,7 @@ def _fig22(ds: Dataset, results: UnitResults | None = None) -> str:
 
 @_figure(
     23,
-    *(hb_eval.unit(_HW_LSO, downsample=f) for f in hb_eval.INTERVALS.values()),
+    *(EvalUnit(_HW_LSO, downsample=f) for f in hb_eval.INTERVALS.values()),
 )
 def _fig23(ds: Dataset, results: UnitResults | None = None) -> str:
     cdfs = hb_eval.interval_effect(ds, hb_eval.INTERVALS, _HW_LSO, results)

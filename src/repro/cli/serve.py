@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from repro.core.errors import ReproError
-from repro.hb.streaming import BASE_PREDICTORS, DEFAULT_SERVE_PREDICTORS
+from repro.hb.streaming import DEFAULT_SERVE_PREDICTORS, SERVE_PREDICTORS
 from repro.obs import RunRecorder
 from repro.obs.quality import QualityConfig, QualityTracker
 from repro.obs.recorder import write_manifest
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(DEFAULT_SERVE_PREDICTORS),
         metavar="NAMES",
         help="comma-separated HB predictors maintained per path "
-        f"(available: {','.join(sorted(BASE_PREDICTORS))})",
+        f"(available: {','.join(sorted(SERVE_PREDICTORS))})",
     )
     parser.add_argument(
         "--shards", type=int, default=8, help="state-store shards (default 8)"
@@ -133,12 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_store(args: argparse.Namespace) -> ShardedStateStore:
     names = [name.strip() for name in args.predictors.split(",") if name.strip()]
-    unknown = sorted(set(names) - set(BASE_PREDICTORS))
-    if unknown:
-        raise ReproError(
-            f"unknown predictors {unknown}; "
-            f"choose from {sorted(BASE_PREDICTORS)}"
-        )
+    specs = default_specs(names)  # refuses a name outside SERVE_PREDICTORS
     if not names:
         raise ReproError("--predictors must name at least one predictor")
     if args.shards < 1:
@@ -162,7 +157,7 @@ def build_store(args: argparse.Namespace) -> ShardedStateStore:
         except ReproError as exc:
             raise ReproError(f"bad quality configuration: {exc}") from None
     return ShardedStateStore(
-        specs=default_specs(names),
+        specs=specs,
         n_shards=args.shards,
         max_paths_per_shard=max(1, args.max_paths // args.shards),
         quality=quality,

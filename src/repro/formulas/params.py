@@ -135,6 +135,8 @@ def fb_input_errors(
         errors.append(f"--loss must be in [0, 1), got {loss}")
     if not math.isfinite(window_kb) or window_kb <= 0:
         errors.append(f"--window-kb must be positive, got {window_kb}")
+    elif not math.isfinite(window_kb * 1000):
+        errors.append(f"--window-kb is too large for a float in bytes, got {window_kb}")
     if not math.isfinite(mss) or mss <= 0 or mss != int(mss):
         errors.append(f"--mss must be a positive integer, got {mss}")
     elif math.isfinite(window_kb) and 0 < window_kb * 1000 < mss:

@@ -24,6 +24,8 @@ errors and RMSRE used by every HB figure of the paper;
 over one series in one pass, LSO wrappers with equal thresholds sharing
 one kernel.  Every predictor takes the same loop,
 :func:`~repro.hb.vector_eval.vector_walk`.
+A :class:`~repro.hb.spec.PredictorSpec` names one predictor, and builds
+it when called, for the figures, their pack and ``repro-serve`` alike.
 :class:`~repro.hb.streaming.StreamingPredictorState` serves the same
 predictors online.
 """
@@ -35,7 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "AdaptiveEnsemble": ".nws",
         "AutoRegressive": ".autoregressive",
-        "BASE_PREDICTORS": ".streaming",
         "DEFAULT_LEVEL_SHIFT_THRESHOLD": ".lso",
         "DEFAULT_OUTLIER_THRESHOLD": ".lso",
         "DEFAULT_SERVE_PREDICTORS": ".streaming",
@@ -49,7 +50,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "LsoPredictor": ".wrappers",
         "MovingAverage": ".moving_average",
         "PredictorFactory": ".base",
-        "PredictorSpec": ".streaming",
+        "PredictorSpec": ".spec",
+        "SERVE_PREDICTORS": ".streaming",
         "StreamingPredictorState": ".streaming",
         "detect_level_shift": ".lso",
         "detect_outliers": ".lso",

@@ -405,7 +405,7 @@ class LsoKernel:
                 name: int(state[name])
                 for name in ("count", "n_level_shifts", "n_outliers")
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed LSO state: {exc!r}") from exc
         for k, value in enumerate(history):
             if not 0.0 < value < math.inf:

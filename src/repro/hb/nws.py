@@ -19,19 +19,17 @@ from collections.abc import Mapping
 
 from repro.core.errors import ConfigurationError, PredictionError
 from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.ewma import Ewma
-from repro.hb.holt_winters import HoltWinters
-from repro.hb.moving_average import MovingAverage
+from repro.hb.spec import PredictorSpec
 
 
 def default_members() -> dict[str, PredictorFactory]:
     """The classic NWS-like member set: last value, means, smoothers."""
     return {
-        "last": lambda: MovingAverage(1),
-        "5-MA": lambda: MovingAverage(5),
-        "10-MA": lambda: MovingAverage(10),
-        "0.5-EWMA": lambda: Ewma(0.5),
-        "HW": lambda: HoltWinters(0.8, 0.2),
+        "last": PredictorSpec("ma", {"order": 1}),
+        "5-MA": PredictorSpec("ma", {"order": 5}),
+        "10-MA": PredictorSpec("ma", {"order": 10}),
+        "0.5-EWMA": PredictorSpec("ewma", {"alpha": 0.5}),
+        "HW": PredictorSpec("hw", {"alpha": 0.8, "beta": 0.2}),
     }
 
 

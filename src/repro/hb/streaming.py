@@ -6,15 +6,11 @@ LsoPredictor`) runs the incremental LSO kernel at O(1) amortised cost
 per sample — so the service feeds them exactly as the offline
 walk-forward evaluation does, through the same per-sample kernel step
 (:meth:`~repro.hb.wrappers.KernelGroup.add`), and its forecasts are the
-offline ones bit for bit.  This module adds what a long-running service
-needs on top:
+offline ones bit for bit.  This module adds what a long-running
+service needs on top:
 
-* :class:`PredictorSpec` — a JSON-able description of one predictor
-  configuration (base predictor by registry name, LSO on/off,
-  thresholds), the unit of configuration for ``repro-serve``;
-  :meth:`PredictorSpec.build` is also the factory to hand
-  :func:`~repro.hb.evaluate.evaluate_predictor` to evaluate the same
-  predictor offline.
+* :data:`SERVE_PREDICTORS` — the ``repro-serve --predictors`` names and
+  the :class:`~repro.hb.spec.PredictorSpec` each stands for.
 * :class:`StreamingPredictorState` — one path × one spec worth of live
   state: ``ingest(sample) -> prediction``, non-positive and non-finite
   (outage) samples flagged instead of raised, and exact JSON
@@ -32,122 +28,59 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Any
 
 from repro.core.errors import ConfigurationError, DataError
-from repro.hb.autoregressive import AutoRegressive
-from repro.hb.base import HistoryPredictor, PredictorFactory
-from repro.hb.ewma import Ewma
-from repro.hb.holt_winters import HoltWinters
-from repro.hb.lso import (
-    DEFAULT_LEVEL_SHIFT_THRESHOLD,
-    DEFAULT_OUTLIER_THRESHOLD,
-    LsoConfig,
-)
-from repro.hb.moving_average import MovingAverage
+from repro.hb.base import HistoryPredictor
+from repro.hb.lso import LsoConfig
+from repro.hb.spec import PredictorSpec
 from repro.hb.wrappers import KernelGroup, LsoPredictor
 from repro.obs import get_telemetry
 
 __all__ = [
-    "BASE_PREDICTORS",
     "DEFAULT_SERVE_PREDICTORS",
     "PathBundle",
-    "PredictorSpec",
+    "SERVE_PREDICTORS",
     "StreamingPredictorState",
+    "spec_from_v1",
 ]
 
-#: Registry of base predictors constructible by name — the vocabulary of
-#: :class:`PredictorSpec` and of the ``repro-serve`` ``--predictors``
-#: flag.  All are O(1)-per-update state machines except ``ar3``, whose
-#: *forecast* refits a small ridge regression over a bounded window.
-BASE_PREDICTORS: dict[str, PredictorFactory] = {
-    "last": lambda: MovingAverage(1),
-    "ma5": lambda: MovingAverage(5),
-    "ma10": lambda: MovingAverage(10),
-    "ewma": lambda: Ewma(0.8),
-    "hw": lambda: HoltWinters(0.8, 0.2),
-    "ar3": lambda: AutoRegressive(3),
+#: The ``repro-serve --predictors`` names, each LSO-wrapped at the paper's
+#: thresholds (``hw`` is the HW-LSO of Figs. 19-23).  All are O(1) per
+#: update except ``ar3``, whose forecast refits a small ridge regression.
+SERVE_PREDICTORS: dict[str, PredictorSpec] = {
+    "last": PredictorSpec("ma", {"order": 1}, LsoConfig()),
+    "ma5": PredictorSpec("ma", {"order": 5}, LsoConfig()),
+    "ma10": PredictorSpec("ma", {"order": 10}, LsoConfig()),
+    "ewma": PredictorSpec("ewma", {"alpha": 0.8}, LsoConfig()),
+    "hw": PredictorSpec("hw", {"alpha": 0.8, "beta": 0.2}, LsoConfig()),
+    "ar3": PredictorSpec("ar", {"order": 3}, LsoConfig()),
 }
 
 #: The predictor set ``repro-serve`` maintains per path by default.
 DEFAULT_SERVE_PREDICTORS = ("last", "ma10", "ewma", "hw")
 
 
-@dataclass(frozen=True)
-class PredictorSpec:
-    """One predictor configuration, JSON-able for snapshots.
+def spec_from_v1(doc: Any) -> PredictorSpec:
+    """The spec of a version-1 snapshot: ``{"predictor": name, "lso",
+    "harden", "level_shift_threshold", "outlier_threshold"}``, the name
+    one of :data:`SERVE_PREDICTORS`.
 
-    Attributes:
-        predictor: base predictor registry name (see
-            :data:`BASE_PREDICTORS`).
-        lso: wrap the base predictor with the paper's Level-Shift and
-            Outlier heuristics (the default, as in the paper's HB
-            evaluation).
-        harden: apply the implementation hardenings (trailing-sample
-            quarantine, forecast range clamp); ignored when ``lso`` is
-            off.
-        level_shift_threshold: the LSO ``χ``.
-        outlier_threshold: the LSO ``ψ``.
+    Raises:
+        DataError: for anything but such a document with valid values.
     """
-
-    predictor: str = "ma10"
-    lso: bool = True
-    harden: bool = True
-    level_shift_threshold: float = DEFAULT_LEVEL_SHIFT_THRESHOLD
-    outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.predictor not in BASE_PREDICTORS:
-            raise ConfigurationError(
-                f"unknown predictor {self.predictor!r}; "
-                f"choose from {sorted(BASE_PREDICTORS)}"
-            )
-        # Delegate threshold validation (must be positive).
-        self.lso_config()
-
-    def lso_config(self) -> LsoConfig:
-        return LsoConfig(
-            level_shift_threshold=self.level_shift_threshold,
-            outlier_threshold=self.outlier_threshold,
-        )
-
-    def build(self) -> HistoryPredictor:
-        """A fresh predictor for this spec (a zero-argument factory)."""
-        factory = BASE_PREDICTORS[self.predictor]
-        if not self.lso:
-            return factory()
-        return LsoPredictor(factory, self.lso_config(), harden=self.harden)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "predictor": self.predictor,
-            "lso": self.lso,
-            "harden": self.harden,
-            "level_shift_threshold": self.level_shift_threshold,
-            "outlier_threshold": self.outlier_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "PredictorSpec":
-        try:
-            return cls(
-                predictor=str(doc["predictor"]),
-                lso=bool(doc.get("lso", True)),
-                harden=bool(doc.get("harden", True)),
-                level_shift_threshold=float(
-                    doc.get("level_shift_threshold", DEFAULT_LEVEL_SHIFT_THRESHOLD)
-                ),
-                outlier_threshold=float(
-                    doc.get("outlier_threshold", DEFAULT_OUTLIER_THRESHOLD)
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed predictor spec {doc!r}: {exc}") from exc
+    try:
+        chi, psi = float(doc["level_shift_threshold"]), float(doc["outlier_threshold"])
+        lso = LsoConfig(chi, psi) if doc["lso"] else None
+        named = SERVE_PREDICTORS[doc["predictor"]]
+        return replace(named, lso=lso, harden=bool(doc["harden"]))
+    except (ConfigurationError, LookupError, TypeError, ValueError, OverflowError) as e:
+        raise DataError(f"malformed version-1 predictor spec: {e}") from e
 
 
 class StreamingPredictorState:
-    """One path × one :class:`PredictorSpec` of live service state.
+    """One path × one :class:`~repro.hb.spec.PredictorSpec` of live service state.
 
     The service-facing contract differs from the library predictors in
     one deliberate way: a non-positive or non-finite throughput sample
@@ -174,7 +107,7 @@ class StreamingPredictorState:
     ) -> None:
         self.spec = spec
         self.n_invalid = 0
-        self._predictor = _predictor if _predictor is not None else spec.build()
+        self._predictor = _predictor if _predictor is not None else spec()
         #: feeds a valid sample to the predictor; made on the first ingest
         #: (a bundle never needs the state's own).
         self._feed: Callable[[float], None] | None = None
@@ -267,17 +200,27 @@ class StreamingPredictorState:
         }
 
     @classmethod
-    def restore(cls, doc: dict[str, Any]) -> "StreamingPredictorState":
-        """Rebuild a state captured by :meth:`snapshot`, bit-for-bit."""
+    def restore(
+        cls,
+        doc: dict[str, Any],
+        read_spec: Callable[[Any], PredictorSpec] = PredictorSpec.from_dict,
+    ) -> "StreamingPredictorState":
+        """Rebuild a state captured by :meth:`snapshot`, bit-for-bit;
+        ``read_spec`` reads its ``spec`` (:func:`spec_from_v1` for a
+        version-1 snapshot).
+
+        Raises:
+            DataError: for anything but such a snapshot, with valid
+                values and a state the predictor can forecast from.
+        """
         try:
-            spec = PredictorSpec.from_dict(doc["spec"])
-            state = doc["state"]
+            spec = read_spec(doc["spec"])
             n_invalid = int(doc.get("n_invalid", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            predictor = spec()
+            predictor.load_state(doc["state"])
+            restored = cls(spec, predictor)
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise DataError(f"malformed predictor snapshot: {exc}") from exc
-        predictor = spec.build()
-        predictor.load_state(state)
-        restored = cls(spec, predictor)
         restored.n_invalid = n_invalid
         return restored
 

@@ -63,14 +63,21 @@ def _json_field_names(message: str) -> str:
     return _FLAG_RE.sub(lambda m: m.group(1).replace("-", "_"), message)
 
 
+def _client_number(value: Any, field: str) -> float:
+    """A client's JSON number as a float; 400 naming ``field`` for a
+    non-number or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise HttpError(400, f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise HttpError(400, f"{field} is too large for a float") from None
+
+
 def _number(doc: dict[str, Any], field: str, default: float | None) -> float | None:
     """A numeric JSON field, or its default; 400 on a non-number."""
     value = doc.get(field, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise HttpError(400, f"{field} must be a number, got {value!r}")
-    return float(value)
+    return None if value is None else _client_number(value, field)
 
 
 class ServeApp:
@@ -304,11 +311,7 @@ class ServeApp:
             raise HttpError(400, "body needs 'samples' (list) or 'sample' (number)")
         if not isinstance(samples, list):
             raise HttpError(400, f"samples must be a list, got {samples!r}")
-        values: list[float] = []
-        for k, value in enumerate(samples):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise HttpError(400, f"samples[{k}] must be a number, got {value!r}")
-            values.append(float(value))
+        values = [_client_number(v, f"samples[{k}]") for k, v in enumerate(samples)]
         trace = request.trace
         try:
             summary = self.store.ingest(

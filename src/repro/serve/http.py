@@ -102,13 +102,14 @@ class HttpRequest:
         """The body decoded as JSON.
 
         Raises:
-            HttpError: 400 on an empty or malformed body.
+            HttpError: 400 on an empty or malformed body (invalid UTF-8,
+                an overlong integer or too deep nesting included).
         """
         if not self.body:
             raise HttpError(400, "request body must be a JSON object")
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from None
 
 

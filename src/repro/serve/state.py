@@ -3,7 +3,7 @@
 The store maps a *path key* (an opaque client-chosen identifier, e.g.
 ``"lulea-to-anl"``) to a :class:`~repro.hb.streaming.PathBundle` of
 :class:`~repro.hb.streaming.StreamingPredictorState` instances — one per
-configured :class:`~repro.hb.streaming.PredictorSpec` — all fed every
+configured :class:`~repro.hb.spec.PredictorSpec` — all fed every
 ingested sample, so a client can compare predictors on the same path
 exactly as the paper does offline.  The bundle takes each sample once
 per distinct LSO kernel: predictors with equal thresholds and equal
@@ -19,7 +19,8 @@ chatty tenant fills one shard, not the whole store.
 ``snapshot()``/``restore()`` round-trip the entire store through plain
 JSON-able dicts; :meth:`ShardedStateStore.save` writes atomically (temp
 file + ``os.replace``) so a crash mid-save can never leave a torn
-snapshot behind.
+snapshot behind.  A version-1 snapshot, whose specs name predictors by
+their ``--predictors`` names, still restores.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.core.errors import ConfigurationError, DataError
+from repro.hb.spec import PredictorSpec
 from repro.hb.streaming import (
     DEFAULT_SERVE_PREDICTORS,
+    SERVE_PREDICTORS,
     PathBundle,
-    PredictorSpec,
     StreamingPredictorState,
+    spec_from_v1,
 )
 from repro.obs import PhaseClock, get_telemetry, obs_enabled
 from repro.obs.quality import QualityTracker
@@ -48,8 +51,8 @@ __all__ = ["SNAPSHOT_VERSION", "ShardedStateStore", "default_specs"]
 #: ``quality=None`` (tracking off).
 _DEFAULT_QUALITY = object()
 
-#: Schema version of store snapshot files.
-SNAPSHOT_VERSION = 1
+#: Schema version of store snapshot files (2: specs as ``PredictorSpec.to_dict``).
+SNAPSHOT_VERSION = 2
 
 #: Longest accepted path key (keys are URL path segments).
 MAX_KEY_LENGTH = 200
@@ -61,8 +64,15 @@ PathStates = dict[str, StreamingPredictorState]
 def default_specs(
     predictors: Iterable[str] = DEFAULT_SERVE_PREDICTORS,
 ) -> dict[str, PredictorSpec]:
-    """The spec bundle maintained per path: LSO-wrapped, paper thresholds."""
-    return {name: PredictorSpec(predictor=name, lso=True) for name in predictors}
+    """The spec bundle maintained per path: each name's in
+    :data:`~repro.hb.streaming.SERVE_PREDICTORS` (``ConfigurationError``
+    for another)."""
+    try:
+        return {name: SERVE_PREDICTORS[name] for name in predictors}
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"unknown predictor {exc}; choose from {sorted(SERVE_PREDICTORS)}"
+        ) from None
 
 
 def validate_key(key: str) -> str:
@@ -307,6 +317,7 @@ class ShardedStateStore:
         paths = doc.get("paths")
         if not isinstance(paths, dict):
             raise DataError("store snapshot has no 'paths' object")
+        read_spec = spec_from_v1 if version == 1 else PredictorSpec.from_dict
         for shard in self._shards:
             shard.clear()
         tele = get_telemetry()
@@ -339,8 +350,10 @@ class ShardedStateStore:
                     if state_doc is None:
                         states[name] = StreamingPredictorState(spec)
                     else:
-                        states[name] = StreamingPredictorState.restore(state_doc)
-            except (DataError, KeyError, TypeError, ValueError):
+                        states[name] = StreamingPredictorState.restore(
+                            state_doc, read_spec
+                        )
+            except DataError:
                 skip(key, "corrupt-state")
                 continue
             shard[key] = PathBundle(states)
@@ -375,6 +388,8 @@ class ShardedStateStore:
             raise DataError(f"no store snapshot at {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers a decode error, invalid UTF-8 and an
+            # integer longer than Python converts.
             raise DataError(f"{path} is not valid JSON: {exc}") from exc
         return self.restore(doc)

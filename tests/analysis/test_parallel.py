@@ -20,7 +20,6 @@ from repro.analysis.evalcache import (
     UnitResults,
     UnplannedUnitError,
     entry_key,
-    spec_factory,
 )
 from repro.analysis.hb_eval import hw, ma_family, predictor_cdfs, with_lso
 from repro.analysis.parallel import warm_eval_cache
@@ -48,7 +47,7 @@ HB_FIGURES = [16, 17, 19, 20, 21, 22, 23]
 def test_plan_covers_requested_figures_only():
     assert plan([2, 3, 7]) == ()
     (fig19,) = plan([19])
-    assert fig19.predictor[0] == "lso"
+    assert fig19.predictor == with_lso(hw())
     (fig20,) = plan([20])
     assert fig20.exclusion == LsoConfig()
     assert {u.small_window for u in plan([22])} == {False, True}
@@ -63,7 +62,7 @@ def test_plan_is_trace_major_and_deduplicated(dataset, tmp_path):
     # factor-1 walk are one unit.
     hw_lso_plain = [
         u for u in units
-        if u.predictor[0] == "lso" and u.shape == (False, 1) and u.exclusion is None
+        if u.predictor.lso is not None and u.shape == (False, 1) and u.exclusion is None
     ]
     assert len(hw_lso_plain) == 1
     # The pack keeps the walks trace by trace, each trace's in plan
@@ -205,14 +204,6 @@ def test_pack_key_covers_unit_sources(subset, tmp_path, monkeypatch, name):
     assert evalcache.pack_key(subset) != before
 
 
-def _oracle_factory(spec):
-    """The oracle's predictor for a spec: the LSO replay for LSO specs."""
-    if spec[0] != "lso":
-        return spec_factory(spec)
-    _, inner, chi, psi, harden = spec
-    return lambda: oracle.ReplayLso(spec_factory(inner), LsoConfig(chi, psi), harden)
-
-
 def test_each_series_takes_one_kernel_pass_per_config(tmp_path, monkeypatch):
     """A cold warm phase over the CLI figure set feeds each distinct
     (series, LsoConfig) of a trace to one kernel, once; and every stored
@@ -236,9 +227,7 @@ def test_each_series_takes_one_kernel_pass_per_config(tmp_path, monkeypatch):
 
     kernels = set()  # (trace, small_window, downsample, LsoConfig)
     for unit in units:
-        configs = {unit.exclusion} - {None}
-        if unit.predictor[0] == "lso":
-            configs.add(LsoConfig(unit.predictor[2], unit.predictor[3]))
+        configs = {unit.exclusion, unit.predictor.lso} - {None}
         for ordinal in range(len(dataset.traces)):
             kernels.update((ordinal, *unit.shape, config) for config in configs)
     expected = sum(
@@ -256,7 +245,7 @@ def test_each_series_takes_one_kernel_pass_per_config(tmp_path, monkeypatch):
             stored = cache.get(entry_key(ordinal, trace, unit))
             assert results[unit][ordinal] is stored
             predictions, errors = oracle.walk(
-                series.values, _oracle_factory(unit.predictor)()
+                series.values, oracle.replay_factory(unit.predictor)()
             )
             assert stored.predictions.tobytes() == predictions.tobytes(), unit
             assert stored.errors.tobytes() == errors.tobytes(), unit

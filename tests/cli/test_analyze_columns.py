@@ -32,11 +32,7 @@ FIGURES = ["--figures", "2", "12", "19", "22"]
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Keep every store inside the test's tmp dir, not ~/.cache."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dataset-cache"))
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "checkpoints"))
-    monkeypatch.setenv("REPRO_EVAL_CACHE_DIR", str(tmp_path / "evals"))
+def _observed(monkeypatch):
     monkeypatch.delenv("REPRO_OBS", raising=False)
 
 

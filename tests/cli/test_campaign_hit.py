@@ -41,9 +41,7 @@ CSV_DAMAGE = ["truncated-zip", "flipped-csv-byte", "missing-csv", "malformed-cou
 
 
 @pytest.fixture(autouse=True)
-def _isolated(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dataset-cache"))
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "checkpoints"))
+def _isolated(monkeypatch):
     monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
 

@@ -14,14 +14,6 @@ from repro.paths.records import Dataset, Trace
 from repro.testbed.io import _COLUMNS, load_dataset
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Keep caches and checkpoints inside the test's tmp dir, not ~/.cache."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dataset-cache"))
-    monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "checkpoints"))
-    monkeypatch.setenv("REPRO_EVAL_CACHE_DIR", str(tmp_path / "eval-cache"))
-
-
 class TestCampaignCommand:
     def test_runs_and_saves(self, tmp_path, capsys):
         out = tmp_path / "ds.csv"
@@ -362,7 +354,7 @@ class TestAnalyzeCommand:
             [] if content is None else ["nonexistent.csv"]
         )
         # No columns entry (nor pack) was written for it.
-        assert not list((tmp_path / "eval-cache").glob("*"))
+        assert not list((tmp_path / "evals").glob("*"))
 
     @pytest.mark.parametrize("source", ["--eval-cache-dir", "REPRO_EVAL_CACHE_DIR"])
     def test_eval_cache_dir_that_cannot_be_made_exits_2(

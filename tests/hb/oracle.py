@@ -24,6 +24,7 @@ counters the shipped code bumps.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from statistics import median
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from repro.core.metrics import relative_error
 from repro.hb.base import HistoryPredictor, PredictorFactory
 from repro.hb.lso import LsoConfig, relative_difference
-from repro.hb.streaming import BASE_PREDICTORS, PredictorSpec
+from repro.hb.spec import PredictorSpec
 
 
 def detect_outliers(history: list[float], config: LsoConfig) -> list[int]:
@@ -160,11 +161,11 @@ class ReplayLso(HistoryPredictor):
 
 
 def replay_factory(spec: PredictorSpec) -> PredictorFactory:
-    """The reference predictor of a serving spec (ReplayLso when LSO is on)."""
-    factory = BASE_PREDICTORS[spec.predictor]
-    if not spec.lso:
-        return factory
-    return lambda: ReplayLso(factory, spec.lso_config(), harden=spec.harden)
+    """The reference predictor of a spec: its bare family, replayed by
+    :class:`ReplayLso` when the spec has LSO thresholds."""
+    if spec.lso is None:
+        return spec
+    return lambda: ReplayLso(replace(spec, lso=None), spec.lso, harden=spec.harden)
 
 
 def rescan_segmentation(

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.evalcache import EvalUnit, derive_spec
+from repro.analysis.evalcache import EvalUnit
+from repro.analysis.hb_eval import hw, ma, with_lso
 from repro.analysis.parallel import _walk_trace
 from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
@@ -189,7 +190,7 @@ def test_nonpositive_forecast_voids_only_its_own_units(unfloored_hw):
     with pytest.raises(DataError, match="non-positive") as raised:
         evaluate_predictor(series, BASES["HW"])
     factories = [BASES["HW"], FACTORIES["HW-LSO"], BASES["10-MA"]]
-    specs = [derive_spec(factory()) for factory in factories]
+    specs = [hw(), with_lso(hw()), ma(10)]
     main = (series, (EvalUnit(specs[0]), EvalUnit(specs[1], exclusion=PAPER)))
     small = (
         TimeSeries.from_values(FALLING[::2], name="falling/2"),
@@ -214,7 +215,7 @@ def test_nonpositive_forecast_voids_only_its_own_units(unfloored_hw):
 def test_invalid_series_voids_its_whole_group():
     bad = TimeSeries.from_values([4.0, 5.0, 0.0, 6.0], name="bad")
     good = TimeSeries.from_values([4.0, 5.0, 6.0, 7.0], name="good")
-    spec = derive_spec(BASES["1-MA"]())
+    spec = ma(1)
     payload = (
         (bad, (EvalUnit(spec), EvalUnit(spec, exclusion=PAPER))),
         (good, (EvalUnit(spec, small_window=True),)),

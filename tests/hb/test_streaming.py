@@ -12,17 +12,18 @@ tolerance, ``==`` on floats — and so exactly what
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.core.errors import ConfigurationError, DataError
+from repro.core.errors import DataError
 from repro.core.timeseries import TimeSeries
 from repro.hb.evaluate import evaluate_predictor
 from repro.hb.lso import LsoConfig
 from repro.hb.streaming import (
-    BASE_PREDICTORS,
-    PredictorSpec,
+    SERVE_PREDICTORS,
     StreamingPredictorState,
+    spec_from_v1,
 )
 from repro.hb.wrappers import LsoPredictor
 from repro.paths.config import may_2004_catalog
@@ -64,14 +65,19 @@ def campaign_traces():
 LSO_CONFIGS = [None, LsoConfig(level_shift_threshold=0.2, outlier_threshold=0.3)]
 
 
+def bare(name):
+    """The spec of a ``--predictors`` name without its LSO wrapper."""
+    return replace(SERVE_PREDICTORS[name], lso=None)
+
+
 class TestStreamingLsoParity:
     """LsoPredictor mirrors the oracle's quadratic replay update-for-update."""
 
-    @pytest.mark.parametrize("name", sorted(BASE_PREDICTORS))
+    @pytest.mark.parametrize("name", sorted(SERVE_PREDICTORS))
     @pytest.mark.parametrize("harden", [True, False])
     @pytest.mark.parametrize("config", LSO_CONFIGS, ids=["paper", "tight"])
     def test_forecast_parity_on_synthetic_trace(self, name, harden, config):
-        factory = BASE_PREDICTORS[name]
+        factory = bare(name)
         replay = oracle.ReplayLso(factory, config, harden=harden)
         streaming = LsoPredictor(factory, config, harden=harden)
         for value in synthetic_trace():
@@ -86,21 +92,21 @@ class TestStreamingLsoParity:
         assert streaming.n_observed == replay.n_observed
 
     def test_detects_same_shifts_and_outliers(self):
-        streaming = LsoPredictor(BASE_PREDICTORS["ma10"])
+        streaming = LsoPredictor(bare("ma10"))
         for value in synthetic_trace():
             streaming.update(value)
         assert streaming.n_level_shifts >= 2
         assert streaming.n_outliers >= 3
 
     def test_rejects_non_positive_with_data_error(self):
-        streaming = LsoPredictor(BASE_PREDICTORS["last"])
+        streaming = LsoPredictor(bare("last"))
         streaming.update(10.0)
         with pytest.raises(DataError):
             streaming.update(0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_with_data_error(self, bad):
-        streaming = LsoPredictor(BASE_PREDICTORS["last"])
+        streaming = LsoPredictor(bare("last"))
         streaming.update(10.0)
         with pytest.raises(DataError, match="finite"):
             streaming.update(bad)
@@ -108,7 +114,7 @@ class TestStreamingLsoParity:
         assert streaming.n_observed == 1
 
     def test_reset(self):
-        streaming = LsoPredictor(BASE_PREDICTORS["ma5"])
+        streaming = LsoPredictor(bare("ma5"))
         for value in synthetic_trace(n=20):
             streaming.update(value)
         streaming.reset()
@@ -120,13 +126,13 @@ class TestStreamingLsoParity:
 class TestEvaluateParity:
     """ingest() and evaluate_predictor reproduce the oracle on campaign traces."""
 
-    @pytest.mark.parametrize("name", sorted(BASE_PREDICTORS))
+    @pytest.mark.parametrize("name", sorted(SERVE_PREDICTORS))
     @pytest.mark.parametrize("lso", [True, False], ids=["lso", "bare"])
     def test_campaign_trace_parity(self, campaign_traces, name, lso):
-        spec = PredictorSpec(predictor=name, lso=lso)
+        spec = SERVE_PREDICTORS[name] if lso else bare(name)
         for path_id, values in campaign_traces.items():
             expected_predictions = evaluate_offline(values, spec)
-            shipped = evaluate_predictor(TimeSeries.from_values(values), spec.build)
+            shipped = evaluate_predictor(TimeSeries.from_values(values), spec)
             assert shipped.predictions.tobytes() == expected_predictions.tobytes()
             state = StreamingPredictorState(spec)
             for i, value in enumerate(values):
@@ -139,7 +145,7 @@ class TestEvaluateParity:
                 state.ingest(value)
 
     def test_ingest_returns_next_prediction(self, campaign_traces):
-        spec = PredictorSpec(predictor="ewma", lso=True)
+        spec = SERVE_PREDICTORS["ewma"]
         state = StreamingPredictorState(spec)
         values = next(iter(campaign_traces.values()))
         for value in values:
@@ -148,12 +154,7 @@ class TestEvaluateParity:
 
     @pytest.mark.parametrize("config", LSO_CONFIGS[1:], ids=["tight"])
     def test_non_default_thresholds_parity(self, campaign_traces, config):
-        spec = PredictorSpec(
-            predictor="hw",
-            lso=True,
-            level_shift_threshold=config.level_shift_threshold,
-            outlier_threshold=config.outlier_threshold,
-        )
+        spec = replace(SERVE_PREDICTORS["hw"], lso=config)
         values = next(iter(campaign_traces.values()))
         expected = evaluate_offline(values, spec)
         state = StreamingPredictorState(spec)
@@ -173,11 +174,10 @@ def evaluate_offline(values, spec):
 class TestSnapshotRestore:
     """snapshot() -> JSON -> restore() is bit-exact and future-proof."""
 
-    @pytest.mark.parametrize("name", sorted(BASE_PREDICTORS))
+    @pytest.mark.parametrize("name", sorted(SERVE_PREDICTORS))
     def test_round_trip_mid_trace(self, name):
         values = synthetic_trace()
-        spec = PredictorSpec(predictor=name, lso=True)
-        state = StreamingPredictorState(spec)
+        state = StreamingPredictorState(SERVE_PREDICTORS[name])
         for value in values[:100]:
             state.ingest(value)
         document = json.loads(json.dumps(state.snapshot()))
@@ -190,8 +190,7 @@ class TestSnapshotRestore:
         assert restored.snapshot() == state.snapshot()
 
     def test_round_trip_without_lso(self):
-        spec = PredictorSpec(predictor="hw", lso=False)
-        state = StreamingPredictorState(spec)
+        state = StreamingPredictorState(bare("hw"))
         for value in synthetic_trace(n=30):
             state.ingest(value)
         restored = StreamingPredictorState.restore(
@@ -216,7 +215,7 @@ class TestSnapshotRestore:
     def test_restore_rejects_state_ingest_would_refuse(self, field, value, match):
         """Regression: a restored 0.0 sample used to surface later as a
         bare ValueError on ingest, and a NaN as NaN forecasts."""
-        state = StreamingPredictorState(PredictorSpec(predictor="ma5"))
+        state = StreamingPredictorState(SERVE_PREDICTORS["ma5"])
         for value_in in [10.0, 10.5, 9.8]:
             state.ingest(value_in)
         document = json.loads(json.dumps(state.snapshot()))
@@ -236,7 +235,7 @@ class TestInvalidSamples:
 
     @pytest.mark.parametrize("bad", [0.0, -3.5, float("nan"), float("inf")])
     def test_invalid_sample_flagged_not_raised(self, bad):
-        state = StreamingPredictorState(PredictorSpec(predictor="ma5"))
+        state = StreamingPredictorState(SERVE_PREDICTORS["ma5"])
         for value in [10.0, 10.5, 9.8, 10.1, 10.3]:
             state.ingest(value)
         before = state.prediction()
@@ -251,31 +250,55 @@ class TestInvalidSamples:
         """The exact failure this PR hardens: a zero throughput sample
         arriving mid-stream used to escape as a bare ValueError from
         relative_difference; the service layer must absorb it."""
-        state = StreamingPredictorState(PredictorSpec(predictor="ma10", lso=True))
+        state = StreamingPredictorState(SERVE_PREDICTORS["ma10"])
         for value in [12.0, 11.5, 12.3, 0.0, 11.8, 12.1]:
             state.ingest(value)
         assert state.n_invalid == 1
         assert state.prediction() is not None
 
 
-class TestPredictorSpec:
-    def test_unknown_predictor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PredictorSpec(predictor="nope")
+class TestSpecFromV1:
+    """A version-1 snapshot's spec is read through the name table."""
 
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            PredictorSpec(outlier_threshold=0.0)
+    @pytest.mark.parametrize("name", sorted(SERVE_PREDICTORS))
+    def test_served_names_read_as_the_served_specs(self, name):
+        doc = {
+            "predictor": name,
+            "lso": True,
+            "harden": True,
+            "level_shift_threshold": 0.3,
+            "outlier_threshold": 0.4,
+        }
+        assert spec_from_v1(doc) == SERVE_PREDICTORS[name]
 
-    def test_dict_round_trip(self):
-        spec = PredictorSpec(predictor="ewma", lso=False, outlier_threshold=0.5)
-        assert PredictorSpec.from_dict(spec.to_dict()) == spec
+    def test_thresholds_harden_and_bare(self):
+        doc = {
+            "predictor": "hw",
+            "lso": True,
+            "harden": False,
+            "level_shift_threshold": 0.2,
+            "outlier_threshold": 0.3,
+        }
+        tight = replace(SERVE_PREDICTORS["hw"], lso=LSO_CONFIGS[1], harden=False)
+        assert spec_from_v1(doc) == tight
+        assert spec_from_v1({**doc, "predictor": "ewma", "lso": False}) == bare("ewma")
 
-    def test_from_dict_malformed(self):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"lso": True},
+            {"predictor": "nope"},
+            {"predictor": "ma10", "outlier_threshold": "x"},
+            {"predictor": "ma10", "outlier_threshold": 0.0},
+            {"predictor": "ma10", "level_shift_threshold": 10**400},
+            ["ma10"],
+            "ma10",
+            None,
+        ],
+    )
+    def test_malformed_is_a_data_error(self, doc):
         with pytest.raises(DataError):
-            PredictorSpec.from_dict({"lso": True})
-        with pytest.raises(DataError):
-            PredictorSpec.from_dict({"predictor": "ma10", "outlier_threshold": "x"})
+            spec_from_v1(doc)
 
 
 class TestStandingForecast:
@@ -294,7 +317,7 @@ class TestStandingForecast:
         return calls
 
     def test_prediction_reads_the_standing_forecast(self, forecasts):
-        state = StreamingPredictorState(PredictorSpec(predictor="hw"))
+        state = StreamingPredictorState(SERVE_PREDICTORS["hw"])
         ready_after = 0
         for value in synthetic_trace(n=40) + [0.0, math.nan]:
             state.ingest(value)
@@ -313,7 +336,7 @@ class TestStandingForecast:
     def test_a_standalone_state_is_a_group_of_one(self):
         """Its wrapper follows the state's own kernel group, so only the
         state feeds it: the wrapper cannot update itself."""
-        state = StreamingPredictorState(PredictorSpec(predictor="ma10"))
+        state = StreamingPredictorState(SERVE_PREDICTORS["ma10"])
         state.ingest(40.0)
         with pytest.raises(ValueError, match="kernel group"):
             state._predictor.update(41.0)

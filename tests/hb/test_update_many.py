@@ -14,7 +14,7 @@ from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
-from repro.hb.streaming import PredictorSpec
+from repro.hb.streaming import SERVE_PREDICTORS
 from repro.hb.wrappers import LsoPredictor
 from tests.hb import oracle
 
@@ -24,7 +24,7 @@ PREDICTOR_FACTORIES = {
     "hw": lambda: HoltWinters(0.8, 0.2),
     "lso": lambda: LsoPredictor(lambda: MovingAverage(3)),
     # The LSO predictor as repro-serve builds it.
-    "streaming-lso": PredictorSpec(predictor="ma5").build,
+    "streaming-lso": SERVE_PREDICTORS["ma5"],
 }
 
 

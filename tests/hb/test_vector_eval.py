@@ -11,18 +11,18 @@ counters, and to evaluations served from the evaluation cache.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.evalcache import (
+    EvalUnit,
     EvaluationCache,
-    derive_spec,
     entry_key,
     evaluate_units,
-    spec_factory,
 )
-from repro.analysis.hb_eval import unit
+from repro.analysis.hb_eval import ewma, hw, ma, with_lso
 from repro.analysis.parallel import warm_eval_cache
 from repro.core.errors import ConfigurationError, DataError
 from repro.core.timeseries import TimeSeries
@@ -32,6 +32,8 @@ from repro.hb.ewma import Ewma
 from repro.hb.holt_winters import HoltWinters
 from repro.hb.lso import LsoConfig
 from repro.hb.moving_average import MovingAverage
+from repro.hb.nws import AdaptiveEnsemble
+from repro.hb.spec import PredictorSpec
 from repro.hb.wrappers import LsoPredictor
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.paths.records import Dataset, Trace
@@ -264,12 +266,39 @@ def _dataset(*names):
     return Dataset("parity", traces)
 
 
+#: The spec of each of FACTORIES' predictors.
+SPECS = {
+    "1-MA": ma(1),
+    "10-MA": ma(10),
+    "20-MA": ma(20),
+    "0.3-EWMA": ewma(0.3),
+    "0.8-EWMA": ewma(0.8),
+    "HW": hw(),
+    "0.2-HW": hw(0.2, 0.5),
+    "AR3": PredictorSpec("ar", {"order": 3}),
+    "AR2-short": PredictorSpec("ar", {"order": 2, "max_history": 16, "ridge": 1e-2}),
+}
+
+
+VARIANT_CONFIGS = (LsoConfig(), LsoConfig(0.2, 0.3))
+
+
+def assert_same_walk(result, reference):
+    assert result.predictions.tobytes() == reference.predictions.tobytes()
+    assert result.errors.tobytes() == reference.errors.tobytes()
+    assert result.outlier_indices == reference.outlier_indices
+    assert result.shift_indices == reference.shift_indices
+    assert result.predictor_name == reference.predictor_name
+    assert result.series_name == reference.series_name
+
+
 def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path, telemetry):
     dataset = _dataset("adversarial", "spiky")
     trace = dataset.traces[0]
-    factory = lso_factory("lso", "HW")
-    cold = evaluate_predictor(trace.throughput_series(), factory, lso_config=LsoConfig())
-    hw_lso = unit(factory, exclusion=LsoConfig())
+    cold = evaluate_predictor(
+        trace.throughput_series(), lso_factory("lso", "HW"), lso_config=LsoConfig()
+    )
+    hw_lso = EvalUnit(with_lso(SPECS["HW"]), exclusion=LsoConfig())
     # A second trace in the pack: entries are sliced out of flat arrays.
     recorded = warm_eval_cache(dataset, [hw_lso], EvaluationCache(tmp_path))
     assert recorded.computed == 2
@@ -279,20 +308,15 @@ def test_cache_hit_is_bit_identical_to_cold_walk(tmp_path, telemetry):
     assert served.computed == 0
     assert telemetry.counter("evalcache.hits").value == hits + 2
     for result in (recorded[hw_lso][0], served[hw_lso][0]):
-        assert result.predictions.tobytes() == cold.predictions.tobytes()
-        assert result.errors.tobytes() == cold.errors.tobytes()
-        assert result.outlier_indices == cold.outlier_indices
-        assert result.shift_indices == cold.shift_indices
-        assert result.predictor_name == cold.predictor_name
-        assert result.series_name == cold.series_name
+        assert_same_walk(result, cold)
 
 
 def test_cache_key_separates_series_spec_and_config(tmp_path):
     dataset = _dataset("noisy", "spiky")
     units = [
-        unit(FACTORIES["10-MA"]),
-        unit(FACTORIES["1-MA"]),
-        unit(FACTORIES["10-MA"], exclusion=LsoConfig()),
+        EvalUnit(SPECS["10-MA"]),
+        EvalUnit(SPECS["1-MA"]),
+        EvalUnit(SPECS["10-MA"], exclusion=LsoConfig()),
     ]
     cache = EvaluationCache(tmp_path)
     results = warm_eval_cache(dataset, units, cache)
@@ -312,7 +336,7 @@ def test_cache_key_separates_series_spec_and_config(tmp_path):
 def _write_pack(root):
     dataset = _dataset("noisy", "spiky")
     cache = EvaluationCache(root)
-    warm_eval_cache(dataset, [unit(FACTORIES["10-MA"])], cache)
+    warm_eval_cache(dataset, [EvalUnit(SPECS["10-MA"])], cache)
     assert [p.name for p in root.iterdir()] == [f"{cache._pack_key}.npz"]
     return dataset, cache.path_for(cache._pack_key)
 
@@ -331,8 +355,18 @@ def _short_arrays(path):
         np.savez(handle, **arrays)
 
 
+def _unknown_family(path):
+    """Rewrite the pack with its index naming a family no spec has."""
+    with np.load(path) as pack:
+        arrays = {name: pack[name] for name in pack.files}
+    index = arrays["index"].tobytes().replace(b'"family": "ma"', b'"family": "nope"')
+    arrays["index"] = np.frombuffer(index, dtype=np.uint8)
+    with path.open("wb") as handle:
+        np.savez(handle, **arrays)
+
+
 def test_corrupt_cache_entry_reads_as_miss(tmp_path, telemetry):
-    for damage in (_garbage, _short_arrays):
+    for damage in (_garbage, _short_arrays, _unknown_family):
         root = tmp_path / damage.__name__
         dataset, path = _write_pack(root)
         damage(path)
@@ -342,35 +376,55 @@ def test_corrupt_cache_entry_reads_as_miss(tmp_path, telemetry):
         assert telemetry.counter("evalcache.corrupt").value == corrupt + 1
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").exists()
-        probe = fresh.get(entry_key(0, dataset.traces[0], unit(FACTORIES["10-MA"])))
+        probe = fresh.get(entry_key(0, dataset.traces[0], EvalUnit(SPECS["10-MA"])))
         assert probe is None
 
 
-def test_spec_round_trip():
-    for factory in FACTORIES.values():
-        spec = derive_spec(factory())
-        assert spec is not None
-        rebuilt = spec_factory(spec)()
-        assert derive_spec(rebuilt) == spec
-    wrapped = LsoPredictor(FACTORIES["HW"], LsoConfig(0.2, 0.3), harden=False)
-    spec = derive_spec(wrapped)
-    assert spec == ("lso", ("hw", 0.8, 0.2), 0.2, 0.3, False)
-    assert derive_spec(spec_factory(spec)()) == spec
+def test_reopened_pack_returns_every_unit_walk_byte_for_byte(tmp_path):
+    """Every family, bare and LSO-wrapped at two thresholds with harden on
+    and off, under both series shapes and exclusions: the pack keeps each
+    unit by its spec, and a fresh cache reading it back returns what the
+    in-memory walk returns."""
+    dataset = _dataset("adversarial", "spiky", "clean-shift")
+    predictors = [
+        *SPECS.values(),
+        *(with_lso(spec, config) for spec in SPECS.values() for config in VARIANT_CONFIGS),
+        *(replace(with_lso(spec), harden=False) for spec in SPECS.values()),
+    ]
+    units = [
+        EvalUnit(spec, downsample=downsample, exclusion=exclusion)
+        for spec in predictors
+        for downsample, exclusion in ((1, None), (2, LsoConfig()))
+    ]
+    memory = evaluate_units(dataset, units)
+    written = warm_eval_cache(dataset, units, EvaluationCache(tmp_path))
+    assert written.computed == len(units) * len(dataset.traces)
+    reopened = warm_eval_cache(dataset, units, EvaluationCache(tmp_path))
+    assert reopened.computed == 0
+    for unit in units:
+        for result, reference in zip(reopened[unit], memory[unit]):
+            assert_same_walk(result, reference)
 
 
-def test_unknown_predictor_type_is_not_cached(tmp_path):
+def test_foreign_factory_is_walked_in_memory_and_refused_by_the_warm_phase(tmp_path):
+    """A caller's own factory — a subclass of a family, a predictor outside
+    the families, a family wrapped through a lambda — walks in memory as
+    evaluate_predictor walks it, and the warm phase refuses to pack it."""
+
     class Custom(MovingAverage):
         pass
 
-    assert derive_spec(Custom(5)) is None
-    custom = unit(lambda: Custom(5))
-    assert not custom.spec_named
     dataset = _dataset("noisy")
-    # Walked in memory, as evaluate_predictor walks it ...
-    (walked,) = evaluate_units(dataset, [custom])[custom]
-    alone = evaluate_predictor(dataset.traces[0].throughput_series(), lambda: Custom(5))
-    assert walked.predictions.tobytes() == alone.predictions.tobytes()
-    # ... but never planned into a pack.
-    with pytest.raises(ConfigurationError, match="registered predictor families"):
-        warm_eval_cache(dataset, [custom], EvaluationCache(tmp_path))
-    assert not list(tmp_path.iterdir())
+    series = dataset.traces[0].throughput_series()
+    for factory in (
+        lambda: Custom(5),
+        AdaptiveEnsemble,
+        with_lso(lambda: AutoRegressive(order=3)),
+    ):
+        assert not isinstance(factory, PredictorSpec)
+        foreign = EvalUnit(factory)
+        (walked,) = evaluate_units(dataset, [foreign])[foreign]
+        assert_same_walk(walked, evaluate_predictor(series, factory))
+        with pytest.raises(ConfigurationError, match="registered predictor families"):
+            warm_eval_cache(dataset, [foreign], EvaluationCache(tmp_path))
+        assert not list(tmp_path.iterdir())

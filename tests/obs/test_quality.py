@@ -19,8 +19,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.timeseries import TimeSeries
 from repro.hb.evaluate import evaluate_predictor
 from repro.hb.streaming import (
-    BASE_PREDICTORS,
-    PredictorSpec,
+    SERVE_PREDICTORS,
     StreamingPredictorState,
 )
 from repro.obs import metrics, quality
@@ -76,12 +75,12 @@ def online_errors(values, spec, tracker, key="p", name="x"):
 class TestOfflineParity:
     """score()'s error stream == evaluate_predictor's residuals."""
 
-    @pytest.mark.parametrize("name", sorted(BASE_PREDICTORS))
+    @pytest.mark.parametrize("name", sorted(SERVE_PREDICTORS))
     def test_campaign_trace_parity(self, campaign_traces, name):
-        spec = PredictorSpec(predictor=name, lso=True)
+        spec = SERVE_PREDICTORS[name]
         for path_id, values in campaign_traces.items():
             evaluation = evaluate_predictor(
-                TimeSeries.from_values(values), spec.build
+                TimeSeries.from_values(values), spec
             )
             tracker = QualityTracker(QualityConfig(slo_abs_error=None))
             errors = online_errors(values, spec, tracker)
@@ -93,7 +92,7 @@ class TestOfflineParity:
                     assert online == offline, (path_id, i)
 
     def test_shifted_trace_actually_resets(self, campaign_traces):
-        spec = PredictorSpec(predictor="ma10", lso=True)
+        spec = SERVE_PREDICTORS["ma10"]
         tracker = QualityTracker(QualityConfig(slo_abs_error=None))
         online_errors(campaign_traces["shifted"], spec, tracker)
         series = tracker.path_summary("p")["x"]
@@ -104,9 +103,9 @@ class TestOfflineParity:
     def test_store_ingest_scores_identically(self, campaign_traces):
         """End to end: ShardedStateStore.ingest drives the same stream."""
         values = campaign_traces["shifted"]
-        spec = PredictorSpec(predictor="ewma", lso=True)
+        spec = SERVE_PREDICTORS["ewma"]
         evaluation = evaluate_predictor(
-            TimeSeries.from_values(values), spec.build
+            TimeSeries.from_values(values), spec
         )
         store = ShardedStateStore(
             specs={"ewma": spec},

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.hb.streaming import PredictorSpec
+from repro.hb.streaming import SERVE_PREDICTORS
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.serve.accesslog import AccessLog, RequestTrace
 from repro.serve.app import ServeApp
@@ -116,7 +116,7 @@ def serve_scenario(coro_factory, access_log):
 
     async def runner():
         store = ShardedStateStore(
-            specs={"ma5": PredictorSpec(predictor="ma5")},
+            specs={"ma5": SERVE_PREDICTORS["ma5"]},
             n_shards=1,
             max_paths_per_shard=8,
         )

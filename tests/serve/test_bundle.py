@@ -14,6 +14,7 @@ import gc
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.hb import lso as lso_module
 from repro.hb import wrappers as wrappers_module
-from repro.hb.lso import LsoKernel
-from repro.hb.streaming import PathBundle, PredictorSpec, StreamingPredictorState
+from repro.hb.lso import LsoConfig, LsoKernel
+from repro.hb.streaming import SERVE_PREDICTORS, PathBundle, StreamingPredictorState
 from repro.obs.quality import QualityTracker
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.serve.app import ServeApp
@@ -32,17 +33,23 @@ from repro.serve.http import HttpRequest
 from repro.serve.state import ShardedStateStore, default_specs
 
 KEY = "path-1"
-TIGHT = dict(level_shift_threshold=0.2, outlier_threshold=0.3)
+TIGHT = LsoConfig(level_shift_threshold=0.2, outlier_threshold=0.3)
+
+
+def variant(name, **changes):
+    """The spec of a ``--predictors`` name, with ``changes``."""
+    return replace(SERVE_PREDICTORS[name], **changes)
+
 
 #: The defaults, a second LsoConfig, both harden settings and a bare
 #: predictor.
 SPECS = {
     **default_specs(),
-    "hw-tight": PredictorSpec("hw", **TIGHT),
-    "ma5-tight-soft": PredictorSpec("ma5", harden=False, **TIGHT),
-    "ewma-soft": PredictorSpec("ewma", harden=False),
-    "ar3": PredictorSpec("ar3"),
-    "hw-bare": PredictorSpec("hw", lso=False),
+    "hw-tight": variant("hw", lso=TIGHT),
+    "ma5-tight-soft": variant("ma5", lso=TIGHT, harden=False),
+    "ewma-soft": variant("ewma", harden=False),
+    "ar3": SERVE_PREDICTORS["ar3"],
+    "hw-bare": variant("hw", lso=None),
 }
 DEFAULTS = tuple(default_specs())
 
@@ -162,7 +169,7 @@ def test_each_sample_enters_each_distinct_kernel_once(monkeypatch):
     store = ShardedStateStore(specs={n: SPECS[n] for n in names})
     store.ingest(KEY, samples)
     assert sorted(calls, key=repr) == sorted(
-        [SPECS["hw"].lso_config(), SPECS["hw-tight"].lso_config()] * accepted,
+        [SPECS["hw"].lso, SPECS["hw-tight"].lso] * accepted,
         key=repr,
     )
 
@@ -246,15 +253,18 @@ class TestRestore:
             assert len(calls) == kernels
 
 
-#: How the 1.22.0 snapshot fixture was written (with that release's code):
+#: How the snapshot fixtures were written, each with its release's code:
 #: the store below, path "a" fed stream(1, 70) and "b" stream(2, 40), in
-#: batches of three, then ``store.save``.
-FIXTURE = Path(__file__).parent / "data" / "store_snapshot_1.22.0.json"
+#: batches of three, then ``store.save``.  1.22.0 wrote version 1, which
+#: named each predictor by its ``--predictors`` name; 1.24.0 wrote
+#: version 2, which records each spec's ``to_dict()``.
+FIXTURE_V1 = Path(__file__).parent / "data" / "store_snapshot_1.22.0.json"
+FIXTURE_V2 = Path(__file__).parent / "data" / "store_snapshot_1.24.0.json"
 FIXTURE_SPECS = {
     **default_specs(),
-    "hw-tight": PredictorSpec("hw", **TIGHT),
-    "ma5-soft": PredictorSpec("ma5", harden=False),
-    "ewma-bare": PredictorSpec("ewma", lso=False),
+    "hw-tight": variant("hw", lso=TIGHT),
+    "ma5-soft": variant("ma5", harden=False),
+    "ewma-bare": variant("ewma", lso=None),
 }
 FIXTURE_PATHS = {"a": (1, 70), "b": (2, 40)}
 
@@ -276,25 +286,54 @@ def stream(seed, n):
     return values
 
 
+def fixture_store():
+    """The store the fixtures were written from, fed the same samples."""
+    store = ShardedStateStore(specs=FIXTURE_SPECS)
+    for key, (seed, n) in FIXTURE_PATHS.items():
+        values = stream(seed, n)
+        for start in range(0, n, 3):
+            store.ingest(key, values[start : start + 3])
+    return store
+
+
+def assert_continues_bit_exactly(store):
+    """Each fixture path, fed 40 more samples, answers what twins fed the
+    whole stream answer."""
+    for key, (seed, n) in FIXTURE_PATHS.items():
+        values = stream(seed, n + 40)
+        summary = store.ingest(key, values[n:])
+        twin = Twins(FIXTURE_SPECS, key=key).feed(values)
+        assert text(summary["predictions"]) == twin.predictions()
+        assert text(store.snapshot()["paths"][key]) == twin.documents()[2]
+
+
 class TestSnapshotOf1220:
     def test_same_samples_write_the_same_bytes(self, tmp_path):
-        store = ShardedStateStore(specs=FIXTURE_SPECS)
-        for key, (seed, n) in FIXTURE_PATHS.items():
-            values = stream(seed, n)
-            for start in range(0, n, 3):
-                store.ingest(key, values[start : start + 3])
-        written = store.save(tmp_path / "state.json")
-        assert written.read_bytes() == FIXTURE.read_bytes()
+        written = fixture_store().save(tmp_path / "state.json")
+        assert written.read_bytes() == FIXTURE_V2.read_bytes()
+
+    def test_version_2_changes_only_the_version_and_the_specs(self):
+        """The v2 document is the v1 one but for ``snapshot_version``, the
+        store-level ``specs`` and each state's ``spec``."""
+        v1, v2 = (json.loads(f.read_text()) for f in (FIXTURE_V1, FIXTURE_V2))
+        assert (v1["snapshot_version"], v2["snapshot_version"]) == (1, 2)
+        assert v2["specs"] == {n: s.to_dict() for n, s in FIXTURE_SPECS.items()}
+        for doc in (v1, v2):
+            del doc["snapshot_version"], doc["specs"]
+            for states in doc["paths"].values():
+                for state in states.values():
+                    del state["spec"]
+        assert v1 == v2
 
     def test_restores_and_continues_bit_exactly(self):
         store = ShardedStateStore(specs=FIXTURE_SPECS)
-        assert store.load(FIXTURE) == 2
-        for key, (seed, n) in FIXTURE_PATHS.items():
-            values = stream(seed, n + 40)
-            summary = store.ingest(key, values[n:])
-            twin = Twins(FIXTURE_SPECS, key=key).feed(values)
-            assert text(summary["predictions"]) == twin.predictions()
-            assert text(store.snapshot()["paths"][key]) == twin.documents()[2]
+        assert store.load(FIXTURE_V1) == 2
+        assert_continues_bit_exactly(store)
+
+    def test_version_2_restores_and_continues_bit_exactly(self):
+        store = ShardedStateStore(specs=FIXTURE_SPECS)
+        assert store.load(FIXTURE_V2) == 2
+        assert_continues_bit_exactly(store)
 
 
 def live_kernels():

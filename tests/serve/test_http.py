@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.hb.streaming import PredictorSpec
+from repro.hb.streaming import SERVE_PREDICTORS
 from repro.serve.app import ServeApp
 from repro.serve.http import (
     MAX_BODY_BYTES,
@@ -25,8 +25,8 @@ from repro.serve.state import ShardedStateStore
 def make_app():
     store = ShardedStateStore(
         specs={
-            "ma5": PredictorSpec(predictor="ma5"),
-            "ewma": PredictorSpec(predictor="ewma"),
+            "ma5": SERVE_PREDICTORS["ma5"],
+            "ewma": SERVE_PREDICTORS["ewma"],
         },
         n_shards=2,
         max_paths_per_shard=8,
@@ -306,6 +306,60 @@ class TestErrorResponses:
             return int(data.split(b" ")[1])
 
         assert with_server(scenario) == 400
+
+
+def handle(app, method, path, body):
+    """One request through ``app.handle`` in process: (status, payload)."""
+    request = HttpRequest(method, path, {}, {}, body)
+    try:
+        return asyncio.run(app.handle(request))
+    except HttpError as exc:
+        return exc.status, {"error": str(exc)}
+
+
+#: A 401-digit JSON integer: a number, but beyond float range.
+HUGE = 10**400
+
+
+class TestClientNumbers:
+    """Every client number is converted by one helper: an integer too
+    large for a float, on either route, answers 400 naming its field."""
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"samples": [HUGE]}, "samples[0]"),
+            ({"samples": [10.0, 11.0, -HUGE]}, "samples[2]"),
+            ({"sample": HUGE}, "samples[0]"),
+        ],
+    )
+    def test_ingest(self, body, field):
+        app = make_app()
+        status, doc = handle(app, "POST", "/paths/p1/samples", json.dumps(body).encode())
+        assert status == 400 and doc["error"].startswith(field)
+        assert app.store.get("p1") is None
+
+    @pytest.mark.parametrize(
+        "field", ["rtt_ms", "loss", "window_kb", "mss", "availbw"]
+    )
+    def test_predict_fb(self, field):
+        body = {"rtt_ms": 45, "loss": 0.002, field: HUGE}
+        status, doc = handle(make_app(), "POST", "/predict/fb", json.dumps(body).encode())
+        assert status == 400 and doc["error"].startswith(field)
+
+    def test_a_window_too_large_in_bytes(self):
+        body = {"rtt_ms": 45, "loss": 0.002, "window_kb": 1e306}
+        status, doc = handle(make_app(), "POST", "/predict/fb", json.dumps(body).encode())
+        assert status == 400 and "window_kb" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"samples": [' + b"9" * 5000 + b"]}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["overlong-integer", "deep-nesting"],
+    )
+    def test_an_undecodable_body(self, body):
+        status, doc = handle(make_app(), "POST", "/paths/p1/samples", body)
+        assert status == 400 and "not valid JSON" in doc["error"]
 
 
 class TestMetricsContentType:

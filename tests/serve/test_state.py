@@ -5,14 +5,14 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError, DataError
-from repro.hb.streaming import PredictorSpec
+from repro.hb.streaming import SERVE_PREDICTORS
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.serve.state import ShardedStateStore, default_specs, validate_key
 
 
 def small_store(**kwargs):
     defaults = dict(
-        specs={"ma5": PredictorSpec(predictor="ma5")},
+        specs={"ma5": SERVE_PREDICTORS["ma5"]},
         n_shards=2,
         max_paths_per_shard=3,
     )

@@ -17,8 +17,7 @@ from repro.testbed.io import load_dataset
 
 
 @pytest.fixture(autouse=True)
-def _isolated(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dataset-cache"))
+def _isolated(monkeypatch):
     monkeypatch.delenv("REPRO_OBS", raising=False)
 
 

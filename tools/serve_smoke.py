@@ -12,15 +12,21 @@ inside one process:
    ``repro-obs quality <url>`` renders it against the live server;
 3. every response carries an ``X-Request-Id`` and every request lands
    in the JSONL access log with phase timings;
-4. SIGTERM → clean exit (code 0), snapshot and manifest written, the
-   manifest carrying the quality section;
+4. SIGTERM → clean exit (code 0), snapshot (``snapshot_version`` 2)
+   and manifest written, the manifest carrying the quality section;
 5. restart from the snapshot → the restored forecast is bit-identical;
 6. restart once more with ``hw`` added, so it starts fresh beside the
    restored predictors, and POST a batch holding a level shift and an
    outlier → every predictor's forecast equals a standalone twin's, and
    the manifest counts each detection once per path kernel
    (``hb.level_shifts``, ``hb.outliers_discarded``): the restored
-   ``ma10`` and ``ewma`` share one kernel, the fresh ``hw`` has its own.
+   ``ma10`` and ``ewma`` share one kernel, the fresh ``hw`` has its own;
+7. served equals evaluated: a fresh server at the default predictors
+   takes a series with a level shift and outliers one sample per POST,
+   and the ``hw`` forecasts read after each are the walk-forward
+   predictions the figures compute for HW-LSO
+   (``evaluate_predictor(series, hb_eval.with_lso(hb_eval.hw()))``), bit
+   for bit, ``None`` where the walk has NaN.
 
 Exits non-zero with a one-line reason on any failure.  Artifacts land
 in --workdir (default .serve-smoke/).
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import selectors
 import signal
@@ -44,7 +51,14 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.hb.streaming import StreamingPredictorState  # noqa: E402
+from repro.analysis import hb_eval  # noqa: E402
+from repro.core.timeseries import TimeSeries  # noqa: E402
+from repro.hb.evaluate import evaluate_predictor  # noqa: E402
+from repro.hb.streaming import (  # noqa: E402
+    DEFAULT_SERVE_PREDICTORS,
+    SERVE_PREDICTORS,
+    StreamingPredictorState,
+)
 from repro.obs.quality import QualityConfig, QualityTracker  # noqa: E402
 from repro.serve.state import default_specs  # noqa: E402
 
@@ -52,6 +66,14 @@ SAMPLES = [42.0, 44.5, 41.8, 43.2, 150.0, 42.6, 43.9, 42.1, 44.0, 43.3]
 PREDICTORS = ["ma10", "ewma"]
 #: Posted after the second restart: an outlier, then a level shift.
 SHIFT_BATCH = [43.0, 44.1, 180.0, 42.8, 88.0, 90.5, 89.2, 91.0, 88.7, 90.1]
+#: Posted one sample at a time in step 7: 44 samples, a level shift at
+#: sample 22 and an outlier on each side of it.
+WALK = [
+    40.0 * (1.0 + 0.02 * ((7 * k) % 5 - 2)) * (2.1 if k >= 22 else 1.0)
+    for k in range(44)
+]
+WALK[9] *= 3.5
+WALK[31] *= 0.3
 START_TIMEOUT_S = 20.0
 STOP_TIMEOUT_S = 20.0
 
@@ -257,6 +279,38 @@ def check_grown_restart(workdir: Path) -> None:
     )
 
 
+def check_served_equals_evaluated(workdir: Path) -> None:
+    """The served ``hw`` forecasts are the figures' HW-LSO walk, bit for bit."""
+    walk = evaluate_predictor(
+        TimeSeries.from_values(WALK, name="walk"), hb_eval.with_lso(hb_eval.hw())
+    ).predictions
+    expected = [None if math.isnan(p) else float(p) for p in walk]
+    served = [None]  # before the first sample the path does not exist
+    workdir.mkdir(parents=True, exist_ok=True)
+    proc, port = spawn(workdir, list(DEFAULT_SERVE_PREDICTORS))
+    try:
+        for value in WALK[:-1]:
+            http(port, "POST", "/paths/walk-path/samples", {"samples": [value]})
+            doc = http(port, "GET", "/paths/walk-path/predict?predictor=hw")
+            served.append(doc["prediction"])
+        info = http(port, "GET", "/paths/walk-path")["predictors"]["hw"]
+    finally:
+        stop(proc)
+    if served != expected:
+        first = next(k for k, (a, b) in enumerate(zip(served, expected)) if a != b)
+        fail(
+            f"served hw forecast {first} is {served[first]!r}; the figures' "
+            f"HW-LSO walk predicts {expected[first]!r}"
+        )
+    if info["n_level_shifts"] < 1 or info["n_outliers"] < 1:
+        fail(f"the walk must hold a level shift and an outlier: {info}")
+    print(
+        f"serve-smoke: {len(WALK) - 1} served hw forecasts equal the figures' "
+        f"HW-LSO walk ({info['n_level_shifts']} level shift(s), "
+        f"{info['n_outliers']} outlier(s))"
+    )
+
+
 def stop(proc: subprocess.Popen) -> None:
     proc.send_signal(signal.SIGTERM)
     try:
@@ -275,9 +329,9 @@ def main() -> int:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
-    # Offline twin: the CLI builds PredictorSpec(predictor=name, lso=True)
-    # for each --predictors entry, so feed the same spec the same trace.
-    twin = StreamingPredictorState(default_specs(["ma10"])["ma10"])
+    # Offline twin: the CLI serves each --predictors name's spec in the
+    # shared name table, so feed the same spec the same trace.
+    twin = StreamingPredictorState(SERVE_PREDICTORS["ma10"])
     for value in SAMPLES:
         twin.ingest(value)
     expected = twin.prediction()
@@ -311,6 +365,9 @@ def main() -> int:
     manifest = workdir / "manifest.json"
     if not snapshot.exists():
         fail("snapshot file was not written on shutdown")
+    version = json.loads(snapshot.read_text()).get("snapshot_version")
+    if version != 2:
+        fail(f"snapshot file carries snapshot_version {version!r}, expected 2")
     if not manifest.exists():
         fail("manifest file was not written on shutdown")
     doc = json.loads(manifest.read_text())
@@ -336,6 +393,7 @@ def main() -> int:
 
     check_grown_restart(workdir)
     check_access_log(workdir)
+    check_served_equals_evaluated(workdir / "walk")
     print("serve-smoke: PASS")
     return 0
 

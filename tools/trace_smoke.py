@@ -54,6 +54,7 @@ def cli_env(workdir: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_CACHE_DIR"] = str(workdir / "cache")
+    env["REPRO_CHECKPOINT_DIR"] = str(workdir / "checkpoints")
     env.pop("REPRO_OBS", None)
     env.pop("REPRO_TRACE_SAMPLE", None)
     return env
