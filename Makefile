@@ -77,8 +77,11 @@ obs-smoke:
 	@echo "obs smoke OK (4 trace events + summary rendered + slowest ranked)"
 
 # Fault-tolerance end-to-end check: run a tiny campaign that an injected
-# fault hard-kills (os._exit) mid-flight, then `--resume` it; the resumed
-# dataset must be byte-identical to an uninterrupted run's.
+# fault hard-kills (os._exit) mid-flight, give one of its checkpoints a
+# first member header naming an unsupported compression method, then
+# `--resume` it; the resumed dataset must be byte-identical to an
+# uninterrupted run's, and its manifest must count the damaged
+# checkpoint once (`checkpoint.corrupt` 1).
 resume-smoke:
 	rm -rf $(RESUME_SMOKE_DIR)
 	PYTHONPATH=src REPRO_CHECKPOINT_DIR=$(RESUME_SMOKE_DIR)/ckpt-ref $(PYTHON) -m repro.cli.campaign \
@@ -89,10 +92,16 @@ resume-smoke:
 		test $$? -ne 0
 	test ! -f $(RESUME_SMOKE_DIR)/resumed.csv
 	ls $(RESUME_SMOKE_DIR)/ckpt/*/*.npz > /dev/null
+	$(PYTHON) -c "import sys; from pathlib import Path; \
+		from tests.testbed.entry_damage import unsupported_method; \
+		unsupported_method(Path(sys.argv[1]))" $$(ls $(RESUME_SMOKE_DIR)/ckpt/*/*.npz | head -n 1)
 	PYTHONPATH=src REPRO_CHECKPOINT_DIR=$(RESUME_SMOKE_DIR)/ckpt $(PYTHON) -m repro.cli.campaign \
 		--paths 2 --traces 2 --epochs 8 --no-cache --quiet --resume -o $(RESUME_SMOKE_DIR)/resumed.csv
 	cmp $(RESUME_SMOKE_DIR)/ref.csv $(RESUME_SMOKE_DIR)/resumed.csv
-	@echo "resume smoke OK (killed mid-flight + --resume == uninterrupted run)"
+	test "$$($(PYTHON) -c "import json, sys; \
+		print(sum(c['value'] for c in json.load(open(sys.argv[1]))['counters'] \
+		if c['name'] == 'checkpoint.corrupt'))" $(RESUME_SMOKE_DIR)/resumed.manifest.json)" -eq 1
+	@echo "resume smoke OK (killed mid-flight + damaged checkpoint + --resume == uninterrupted run)"
 
 # Prediction-pipeline telemetry end-to-end check: a tiny repro-analyze
 # run must write analysis sidecars, `repro-obs summary` must render
@@ -194,8 +203,10 @@ vector-parity:
 # pool rebuild), a warm rerun against the populated cache must match
 # while reading the columns entry, computing zero walks and counting no
 # LSO detection (hb.level_shifts, hb.outliers_discarded), a rerun over a
-# garbage pack and columns entry must match while parsing the CSV and
-# recomputing every walk, a rerun by a copy of the source with an edited
+# garbage pack and columns entry, and one over a pack and a columns
+# entry whose first member header no zip reader can read, must each
+# match while parsing the CSV, recomputing every walk and quarantining
+# both files, a rerun by a copy of the source with an edited
 # CSV parser must parse the CSV again, and a CSV that fails to load must
 # be refused twice, storing nothing (see docs/performance.md, "The
 # evaluation cache" and "A warm analysis reads columns", and

@@ -36,13 +36,11 @@ entry's key, names and lengths, and each distinct unit once, its spec
 as :meth:`~repro.hb.spec.PredictorSpec.to_dict` writes it.
 
 :meth:`EvaluationCache.open_pack` reads a pack once;
-:meth:`EvaluationCache.save_pack` writes it back once, with the
-entries :meth:`EvaluationCache.put` added — atomically (temp file +
-rename), so a reader never sees half a pack and of two concurrent
-writers the last complete write wins.  A pack that fails to load, or
-whose index and arrays disagree, is quarantined as ``*.corrupt``,
-counted under ``evalcache.corrupt``, and reads as empty, so its walks
-are recomputed.  In process, :meth:`EvaluationCache.get` and
+:meth:`EvaluationCache.save_pack` writes it back once, atomically, with
+the entries :meth:`EvaluationCache.put` added: of two concurrent
+writers the last complete write wins.  A damaged pack is quarantined
+(:mod:`repro.core.store`) and reads as empty, so its walks are
+recomputed.  In process, :meth:`EvaluationCache.get` and
 :meth:`EvaluationCache.put` are lookups and inserts of a memo dict.
 
 Beside the packs, the root keeps one **columns entry** per distinct
@@ -52,10 +50,10 @@ CSV parses to, in the ``.npz`` column layout of
 reads the file once; the sha256 of those bytes, with
 :func:`columns_fingerprint`, is the key (:func:`columns_key`), so the
 columns served are always those of the bytes just read, and an edit to
-the parser or the records keys a new entry.  A hit reads the entry and
-parses nothing; a miss parses the bytes already read and writes the
-entry.  A damaged entry is quarantined and counted like a pack, and the
-CSV is parsed again.
+the parser, the records or the store container keys a new entry.  A
+hit reads the entry and parses nothing; a miss parses the bytes already
+read and writes the entry.  A damaged entry is quarantined like a pack,
+and the CSV is parsed again.
 """
 
 from __future__ import annotations
@@ -63,10 +61,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-import tempfile
-import zipfile
 from collections.abc import Iterable, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, NamedTuple
@@ -75,6 +71,15 @@ import numpy as np
 
 from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.errors import DataError
+from repro.core.store import (
+    FlatArray,
+    atomic_write,
+    open_archive,
+    quarantine,
+    read_flat,
+    store_root,
+    write_container,
+)
 from repro.core.timeseries import TimeSeries
 from repro.hb.base import PredictorFactory
 from repro.hb.evaluate import HbEvaluation, evaluate_predictors
@@ -87,12 +92,10 @@ from repro.testbed import io as dataset_io
 #: Environment variable overriding the evaluation-cache location.
 ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
 
+
 def default_eval_cache_dir() -> Path:
     """The cache root: ``$REPRO_EVAL_CACHE_DIR`` or ``~/.cache/repro/evals``."""
-    env = os.environ.get(ENV_EVAL_CACHE_DIR, "").strip()
-    if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro" / "evals"
+    return store_root(ENV_EVAL_CACHE_DIR, "evals")
 
 
 # ----------------------------------------------------------------------
@@ -235,13 +238,14 @@ def code_fingerprint() -> str:
     """Fingerprint of the source of every module a pack entry depends
     on, read once per process: :mod:`repro.hb` (the predictors and their
     specs, the LSO kernel, the walk), :mod:`repro.core.timeseries` and
-    :mod:`repro.paths.records` (a unit's series) and this module (the
-    units and the pack layout)."""
+    :mod:`repro.paths.records` (a unit's series), this module (the units
+    and the pack layout) and :mod:`repro.core.store` (the container)."""
     return source_fingerprint(
         "repro.hb",
         "repro.core.timeseries",
         "repro.paths.records",
         "repro.analysis.evalcache",
+        "repro.core.store",
     )
 
 
@@ -270,8 +274,11 @@ def pack_key(dataset: Dataset) -> str:
 def columns_fingerprint() -> str:
     """Fingerprint of the source of the modules a columns entry depends
     on, read once per process: :mod:`repro.testbed.io` (the CSV parser
-    and the entry layout) and :mod:`repro.paths.records` (the columns)."""
-    return source_fingerprint("repro.testbed.io", "repro.paths.records")
+    and the entry layout), :mod:`repro.paths.records` (the columns) and
+    :mod:`repro.core.store` (the container)."""
+    return source_fingerprint(
+        "repro.testbed.io", "repro.paths.records", "repro.core.store"
+    )
 
 
 def columns_key(digest: str) -> str:
@@ -311,41 +318,13 @@ def entry_key(ordinal: int, trace: Trace, unit: EvalUnit) -> EntryKey:
 # ----------------------------------------------------------------------
 
 
-class _FlatArray:
-    """The flat ``.npy`` array in an open pack member, read in runs.
-
-    Each run is copied into an array of its own, so reading a pack holds
-    no whole-pack copy of its arrays; the member itself is read in
-    chunks of at least :attr:`CHUNK` bytes, not once per run.
-    """
-
-    CHUNK = 1 << 16
-
-    def __init__(self, member: BinaryIO) -> None:
-        self._member = member
-        if np.lib.format.read_magic(member) != (1, 0):
-            raise ValueError("pack member has an unknown array format")
-        shape, _, self._dtype = np.lib.format.read_array_header_1_0(member)
-        if len(shape) != 1 or self._dtype.hasobject:
-            raise ValueError("pack member is not a flat array")
-        #: items not yet read.
-        self.remaining = shape[0]
-        self._chunk, self._offset = b"", 0
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` items."""
-        if not 0 <= n <= self.remaining:
-            raise ValueError("pack index and arrays disagree in length")
-        self.remaining -= n
-        size = n * self._dtype.itemsize
-        if len(self._chunk) - self._offset < size:
-            rest = self._chunk[self._offset :]
-            self._chunk = rest + self._member.read(max(size - len(rest), self.CHUNK))
-            self._offset = 0
-            if len(self._chunk) < size:
-                raise ValueError("pack member is truncated")
-        start, self._offset = self._offset, self._offset + size
-        return np.frombuffer(self._chunk, self._dtype, n, start).copy()
+#: The pack's flat arrays beside its index, and their dtypes.
+_PACK_ARRAYS = {
+    "predictions": np.float64,
+    "errors": np.float64,
+    "outliers": np.int64,
+    "shifts": np.int64,
+}
 
 
 def _unit_from_json(row) -> EvalUnit:
@@ -370,28 +349,23 @@ def _unit_to_json(unit: EvalUnit) -> list:
     ]
 
 
-def _read_pack(pack: zipfile.ZipFile) -> dict[EntryKey, HbEvaluation]:
-    """The entries of an open pack.
+def _read_pack(path: Path) -> dict[EntryKey, HbEvaluation]:
+    """The entries of the pack at ``path``, its arrays read in runs.
 
     Raises:
-        ValueError, TypeError, LookupError, DataError: when the index
-            and the arrays disagree or either is malformed.
+        FileNotFoundError: there is no pack at ``path``.
+        DataError: the pack is damaged
+            (:func:`~repro.core.store.open_archive`), or its index and
+            arrays disagree or either is malformed.
     """
-    with pack.open("index.npy") as member:
-        index_array = _FlatArray(member)
-        index = json.loads(index_array.take(index_array.remaining).tobytes())
-    units = [_unit_from_json(row) for row in index["units"]]
-    entries: dict[EntryKey, HbEvaluation] = {}
-    with (
-        pack.open("predictions.npy") as predictions_member,
-        pack.open("errors.npy") as errors_member,
-        pack.open("outliers.npy") as outliers_member,
-        pack.open("shifts.npy") as shifts_member,
-    ):
-        predictions = _FlatArray(predictions_member)
-        errors = _FlatArray(errors_member)
-        outliers = _FlatArray(outliers_member)
-        shifts = _FlatArray(shifts_member)
+    with open_archive(path, "an evaluation pack") as pack, ExitStack() as members:
+        index = json.loads(read_flat(pack, "index", np.uint8).tobytes())
+        units = [_unit_from_json(row) for row in index["units"]]
+        arrays = predictions, errors, outliers, shifts = [
+            FlatArray(members.enter_context(pack.open(f"{name}.npy")), dtype)
+            for name, dtype in _PACK_ARRAYS.items()
+        ]
+        entries: dict[EntryKey, HbEvaluation] = {}
         for row in index["entries"]:
             (
                 ordinal, path_id, trace_index, unit,
@@ -405,18 +379,19 @@ def _read_pack(pack: zipfile.ZipFile) -> dict[EntryKey, HbEvaluation]:
                 outlier_indices=frozenset(outliers.take(n_outliers).tolist()),
                 shift_indices=tuple(shifts.take(n_shifts).tolist()),
             )
-    if any(array.remaining for array in (predictions, errors, outliers, shifts)):
-        raise ValueError("pack index and arrays disagree in length")
-    return entries
+        if any(array.remaining for array in arrays):
+            raise ValueError("pack index and arrays disagree in length")
+        return entries
 
 
 def _write_pack(handle: BinaryIO, entries: dict[EntryKey, HbEvaluation]) -> None:
     """Write ``entries`` to ``handle`` in the layout :func:`_read_pack` reads.
 
-    An ``.npz`` archive whose flat arrays are streamed entry by entry
-    into their members, so the write holds no concatenated copy of them.
-    The index lists each distinct unit once and each entry by its
-    trace, its unit's position in that list, its names and lengths.
+    A container (:func:`~repro.core.store.write_container`) whose flat
+    arrays are streamed entry by entry into their members, so the write
+    holds no concatenated copy of them.  The index lists each distinct
+    unit once and each entry by its trace, its unit's position in that
+    list, its names and lengths.
     """
     units: dict[EvalUnit, int] = {}
     rows = []
@@ -429,28 +404,19 @@ def _write_pack(handle: BinaryIO, entries: dict[EntryKey, HbEvaluation]) -> None
             ]
         )
     index = {"units": [_unit_to_json(unit) for unit in units], "entries": rows}
-    members = {
-        "index": [np.frombuffer(json.dumps(index).encode(), dtype=np.uint8)],
+    parts = {
         "predictions": [e.predictions for e in entries.values()],
         "errors": [e.errors for e in entries.values()],
-        "outliers": [
-            np.array(sorted(e.outlier_indices), dtype=np.int64)
-            for e in entries.values()
-        ],
-        "shifts": [np.array(e.shift_indices, dtype=np.int64) for e in entries.values()],
+        "outliers": [sorted(e.outlier_indices) for e in entries.values()],
+        "shifts": [e.shift_indices for e in entries.values()],
     }
-    with zipfile.ZipFile(handle, "w", allowZip64=True) as pack:
-        for name, parts in members.items():
-            dtype = parts[0].dtype
-            header = {
-                "descr": np.lib.format.dtype_to_descr(dtype),
-                "fortran_order": False,
-                "shape": (sum(len(part) for part in parts),),
-            }
-            with pack.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                for part in parts:
-                    member.write(np.ascontiguousarray(part, dtype=dtype))
+    write_container(
+        handle,
+        {
+            "index": (np.uint8, [np.frombuffer(json.dumps(index).encode(), np.uint8)]),
+            **{name: (dtype, parts[name]) for name, dtype in _PACK_ARRAYS.items()},
+        },
+    )
 
 
 class EvaluationCache:
@@ -511,8 +477,8 @@ class EvaluationCache:
             return LoadedDataset(dataset_io.read_entry(entry), digest, "columns")
         except FileNotFoundError:
             pass
-        except (OSError, DataError):
-            self._quarantine(entry, key)
+        except DataError:
+            quarantine(entry, "evalcache", key=key)
         dataset = dataset_io.load_dataset(path, data)
         try:
             dataset_io.write_entry(dataset, entry)
@@ -521,17 +487,6 @@ class EvaluationCache:
                 "evalcache", outcome="unwritable", key=key, reason=str(exc)
             )
         return LoadedDataset(dataset, digest, "csv")
-
-    def _quarantine(self, path: Path, key: str) -> None:
-        """Set a damaged file aside as ``*.corrupt``, counted under
-        ``evalcache.corrupt``."""
-        telemetry = get_telemetry()
-        telemetry.counter("evalcache.corrupt").inc()
-        telemetry.emit("evalcache", outcome="corrupt", key=key)
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - vanished or unwritable
-            pass
 
     def get(self, key: EntryKey) -> HbEvaluation | None:
         """The evaluation held for ``key``, or ``None`` on a miss."""
@@ -554,46 +509,31 @@ class EvaluationCache:
         """Read the pack ``key`` and make it the one :meth:`put` adds to.
 
         The pack's entries join the memo.  A missing pack reads as
-        empty; a pack that fails to load, or whose index and arrays
-        disagree, is quarantined (renamed ``*.corrupt``), counted under
-        ``evalcache.corrupt``, and reads as empty.  A memory-only cache
-        opens nothing.
+        empty, and so does a damaged one, quarantined under
+        ``evalcache.corrupt``.  A memory-only cache opens nothing.
         """
         if self.memory_only:
             return
         self._pack_key, self._pack, self._pack_changed = key, {}, False
         path = self.path_for(key)
         try:
-            with zipfile.ZipFile(path) as pack:
-                self._pack = _read_pack(pack)
+            self._pack = _read_pack(path)
         except FileNotFoundError:
             return
-        except (
-            OSError, LookupError, TypeError, ValueError, EOFError, DataError,
-            zipfile.BadZipFile,
-        ):
-            self._quarantine(path, key)
+        except DataError:
+            quarantine(path, "evalcache", key=key)
             return
         self._memo.update(self._pack)
 
     def save_pack(self) -> None:
         """Write the open pack back, if :meth:`put` added to it.
 
-        One temp file and one rename.  The arrays round-trip
-        bit-exactly through the ``.npz`` container, so a hit returns
-        byte-identical predictions and errors.
+        One atomic write.  The arrays round-trip bit-exactly through the
+        ``.npz`` container, so a hit returns byte-identical predictions
+        and errors.
         """
         if self._pack_key is None or not self._pack_changed:
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{self._pack_key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                _write_pack(handle, self._pack)
-            os.replace(tmp_name, self.path_for(self._pack_key))
-        finally:
-            if os.path.exists(tmp_name):  # pragma: no cover - error path
-                os.unlink(tmp_name)
+        path = self.path_for(self._pack_key)
+        atomic_write(path, lambda handle: _write_pack(handle, self._pack))
         self._pack_changed = False

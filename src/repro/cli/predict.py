@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.errors import ReproError
-from repro.formulas.fb_predictor import MODEL_VARIANTS, FormulaBasedPredictor
-from repro.formulas.params import PathEstimates, TcpParameters, fb_input_errors
+from repro.core.errors import DataError
+from repro.formulas.fb_predictor import MODEL_VARIANTS, answer_fb
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,41 +56,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        problems = fb_input_errors(
-            rtt_ms=args.rtt_ms,
-            loss=args.loss,
-            window_kb=args.window_kb,
-            mss=args.mss,
-            availbw=args.availbw,
-        )
-        if problems:
-            # One line per problem, through argparse so the usage text and
-            # exit status match every other bad-flag failure.
-            parser.error("; ".join(problems))
+        try:
+            answer = answer_fb(
+                rtt_ms=args.rtt_ms,
+                loss=args.loss,
+                window_kb=args.window_kb,
+                mss=args.mss,
+                availbw=args.availbw,
+                model=args.model,
+            )
+        except DataError as exc:
+            # Through argparse so the usage text and exit status match
+            # every other bad-flag failure.
+            parser.error(str(exc))
     except SystemExit as exc:
         # parse_args/parser.error exit; keep main() returning an int so it
         # stays callable programmatically (and from tests).
         return int(exc.code or 0)
-    try:
-        tcp = TcpParameters(
-            mss_bytes=args.mss,
-            max_window_bytes=int(args.window_kb * 1000),
-        )
-        predictor = FormulaBasedPredictor(tcp=tcp, model=args.model)
-        estimates = PathEstimates(
-            rtt_s=args.rtt_ms / 1000.0,
-            loss_rate=args.loss,
-            availbw_mbps=args.availbw,
-        )
-        predicted = predictor.predict(estimates)
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-    branch = "avail-bw (lossless path)" if estimates.lossless else f"{args.model} model"
-    print(f"predicted throughput: {predicted:.3f} Mbps  [{branch}]")
-    window_limit = tcp.max_window_bytes * 8 / estimates.rtt_s / 1e6
-    print(f"window ceiling W/T:   {window_limit:.3f} Mbps")
+    branch = "avail-bw (lossless path)" if answer.lossless else f"{args.model} model"
+    print(f"predicted throughput: {answer.predicted_mbps:.3f} Mbps  [{branch}]")
+    print(f"window ceiling W/T:   {answer.window_ceiling_mbps:.3f} Mbps")
     return 0
 
 

@@ -14,7 +14,7 @@ constructing independent generators.
 
 from __future__ import annotations
 
-import zlib
+from binascii import crc32
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class RngStreams:
         if name not in self._streams:
             # Key the child sequence on a stable hash of the name so the
             # stream does not depend on creation order.
-            name_key = zlib.crc32(name.encode("utf-8"))
+            name_key = crc32(name.encode("utf-8"))
             seq = np.random.SeedSequence(entropy=self._seed, spawn_key=(name_key,))
             self._streams[name] = np.random.default_rng(seq)
         return self._streams[name]

@@ -11,20 +11,24 @@ with the retransmission timeout estimated as
 The predictor is a small class so the model variant (paper Eq. (2),
 full PFTK, revised PFTK, or Mathis) is a constructor choice and the
 prediction call site stays identical across the evaluation figures.
+:func:`answer_fb` is the one way from a user's raw inputs to an answer,
+for ``repro-predict`` and ``POST /predict/fb`` alike.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.errors import ConfigurationError, PredictionError
+from repro.core.errors import ConfigurationError, DataError, PredictionError
 from repro.obs import get_telemetry
-from repro.formulas.availbw import availbw_prediction
+from repro.formulas.availbw import availbw_prediction, window_limit_mbps
 from repro.formulas.mathis import mathis_throughput
-from repro.formulas.params import PathEstimates, TcpParameters
+from repro.formulas.params import PathEstimates, TcpParameters, fb_input_errors
 from repro.formulas.pftk import (
     pftk_full_throughput,
     pftk_throughput,
@@ -92,9 +96,6 @@ class FormulaBasedPredictor:
         Raises:
             PredictionError: on a lossless path with no avail-bw estimate.
         """
-        window_limit = (
-            self.tcp.max_window_bytes * 8 / estimates.rtt_s / 1e6
-        )
         if estimates.lossless:
             if estimates.availbw_mbps is None:
                 raise PredictionError(
@@ -108,7 +109,7 @@ class FormulaBasedPredictor:
         get_telemetry().counter("fb.model_selected", model=self.model).inc()
         rto = estimate_rto(estimates.rtt_s)
         modeled = model_fn(estimates.rtt_s, estimates.loss_rate, rto, self.tcp)
-        return min(modeled, window_limit)
+        return min(modeled, window_limit_mbps(estimates.rtt_s, self.tcp))
 
     def predict_many(self, rtt_s, loss_rate, availbw_mbps) -> np.ndarray:
         """:meth:`predict` over equal-length arrays of a priori estimates.
@@ -195,3 +196,57 @@ class FormulaBasedPredictor:
         return self.predict(
             PathEstimates(rtt_s=rtt_s, loss_rate=loss_rate, availbw_mbps=availbw_mbps)
         )
+
+
+class FbAnswer(NamedTuple):
+    """What :func:`answer_fb` answers, in the order ``POST /predict/fb``
+    writes it: the prediction of Eq. (3) and the window ceiling ``W / T``
+    are finite."""
+
+    predicted_mbps: float
+    model: str
+    lossless: bool
+    window_ceiling_mbps: float
+
+
+def answer_fb(
+    *,
+    rtt_ms: float,
+    loss: float,
+    window_kb: float,
+    mss: float,
+    availbw: float | None = None,
+    model: str = "pftk",
+) -> FbAnswer:
+    """One FB prediction from a user's raw inputs, in the units
+    ``repro-predict`` takes them (milliseconds, kilobytes, Mbps).
+
+    Raises:
+        DataError: the problems :func:`~repro.formulas.params.fb_input_errors`
+            finds, joined by ``"; "``; or, naming every input, that inputs
+            it accepts give no finite answer (say, an RTT so small that
+            ``W / T`` overflows, or model terms that underflow to 0 / 0).
+        ConfigurationError: ``model`` is not one of :data:`MODEL_VARIANTS`.
+    """
+    problems = fb_input_errors(
+        rtt_ms=rtt_ms, loss=loss, window_kb=window_kb, mss=mss, availbw=availbw
+    )
+    if problems:
+        raise DataError("; ".join(problems))
+    tcp = TcpParameters(mss_bytes=int(mss), max_window_bytes=int(window_kb * 1000))
+    predictor = FormulaBasedPredictor(tcp=tcp, model=model)
+    try:
+        estimates = PathEstimates(
+            rtt_s=rtt_ms / 1000.0, loss_rate=loss, availbw_mbps=availbw
+        )
+        predicted = predictor.predict(estimates)
+        ceiling = window_limit_mbps(estimates.rtt_s, tcp)
+    except (ConfigurationError, ValueError, ArithmeticError):
+        predicted = ceiling = math.inf
+    if not (math.isfinite(predicted) and math.isfinite(ceiling)):
+        given = f", --availbw {availbw}" if availbw is not None else ""
+        raise DataError(
+            f"no finite prediction for --rtt-ms {rtt_ms}, --loss {loss}, "
+            f"--window-kb {window_kb}, --mss {mss}{given}"
+        )
+    return FbAnswer(predicted, model, estimates.lossless, ceiling)

@@ -120,13 +120,10 @@ def fb_input_errors(
 ) -> list[str]:
     """Problems with raw FB prediction inputs, as one-line messages.
 
-    The single source of truth for rejecting user-supplied FB inputs:
-    the ``repro-predict`` CLI turns a non-empty result into a
-    ``parser.error`` and the serving layer's ``/predict/fb`` endpoint
-    turns it into an HTTP 400, so both surfaces agree on what is
-    invalid and say so with the same words.  An empty list means the
-    inputs can safely construct :class:`TcpParameters` and
-    :class:`PathEstimates` (which still enforce their own invariants).
+    The single source of truth for rejecting user-supplied FB inputs,
+    through :func:`~repro.formulas.fb_predictor.answer_fb`, which both
+    ``repro-predict`` and ``POST /predict/fb`` call.  An empty list means
+    the inputs can safely construct :class:`TcpParameters`.
     """
     errors: list[str] = []
     if not math.isfinite(rtt_ms) or rtt_ms <= 0:

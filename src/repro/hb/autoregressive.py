@@ -76,14 +76,18 @@ class AutoRegressive(HistoryPredictor):
             design[:, i + 1] = history[p - 1 - i : len(history) - 1 - i]
         targets = history[p:]
         gram = design.T @ design + self.ridge * np.eye(p + 1)
-        coeffs = np.linalg.solve(gram, design.T @ targets)
+        try:
+            coeffs = np.linalg.solve(gram, design.T @ targets)
+        except np.linalg.LinAlgError:  # a flat history and too little ridge
+            return float(history[-p:].mean())
 
         lags = history[-1 : -p - 1 : -1]
         prediction = float(coeffs[0] + coeffs[1:] @ lags)
-        # An AR fit can extrapolate through zero on a falling edge; fall
-        # back to the recent mean rather than forecast a non-positive
+        # An AR fit can extrapolate through zero on a falling edge, or
+        # past float range on near-singular equations; fall back to the
+        # recent mean rather than forecast a non-positive or non-finite
         # throughput.
-        if prediction <= 0:
+        if not (prediction > 0 and np.isfinite(prediction)):
             return float(history[-p:].mean())
         return prediction
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import uuid
 from pathlib import Path
@@ -31,6 +30,7 @@ from typing import Any
 
 from repro._version import __version__
 from repro.core.errors import DataError
+from repro.core.store import atomic_write, read_json
 from repro.obs.telemetry import Telemetry, get_telemetry
 
 __all__ = [
@@ -303,11 +303,11 @@ def write_manifest(
 ) -> None:
     """Serialize a manifest + its events to the given paths.
 
-    Both files are written atomically (temp file + ``os.replace``, the
-    same pattern as ``DatasetCache.store``): a crash mid-write can never
-    leave a torn ``*.manifest.json`` / ``*.events.jsonl`` behind for
-    ``repro-obs summary`` to choke on — either the old sidecar survives
-    intact or the new one is complete.
+    Both files are written atomically
+    (:func:`~repro.core.store.atomic_write`, like every store's files):
+    a crash mid-write can never leave a torn ``*.manifest.json`` /
+    ``*.events.jsonl`` behind for ``repro-obs summary`` to choke on —
+    either the old sidecar survives intact or the new one is complete.
 
     The events file is size-capped (``REPRO_EVENTS_MAX_BYTES``, default
     64 MiB): the head of the stream is kept, the tail dropped, and the
@@ -343,25 +343,10 @@ def write_manifest(
             {"name": "events.dropped", "tags": {}, "value": dropped}
         )
         manifest["counters"] = counters
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(events_path, "".join(lines))
-    _atomic_write_text(
-        manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.stem[:16]}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    finally:
-        if os.path.exists(tmp_name):  # pragma: no cover - error path
-            os.unlink(tmp_name)
+    events_text = "".join(lines).encode()
+    atomic_write(events_path, lambda handle: handle.write(events_text))
+    manifest_text = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    atomic_write(manifest_path, lambda handle: handle.write(manifest_text))
 
 
 def load_manifest(path: str | Path) -> dict[str, Any]:
@@ -375,17 +360,9 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
             its schema version is pre-v1 / non-integer / from the future.
     """
     path = Path(path)
-    if path.name.endswith(".corrupt"):
-        raise DataError(
-            f"{path} is a quarantined corrupt sidecar; it cannot be "
-            "rendered (re-run the campaign to regenerate telemetry)"
-        )
     if not path.is_file():
         raise DataError(f"no manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    manifest = read_json(path)
     if not isinstance(manifest, dict) or "manifest_version" not in manifest:
         raise DataError(f"{path} is not a run manifest (no manifest_version)")
     version = manifest["manifest_version"]
@@ -414,23 +391,11 @@ def resolve_manifest(run: str | Path) -> Path:
         DataError: when nothing (or more than one candidate) is found.
     """
     path = Path(run)
-    if path.name.endswith(".corrupt"):
-        raise DataError(
-            f"{path} is a quarantined corrupt sidecar; it cannot be "
-            "rendered (re-run the campaign to regenerate telemetry)"
-        )
     if path.is_dir():
         candidates = sorted(path.glob("*.manifest.json"))
         if len(candidates) == 1:
             return candidates[0]
         if not candidates:
-            quarantined = sorted(path.glob("*.manifest.json.corrupt"))
-            if quarantined:
-                names = ", ".join(c.name for c in quarantined)
-                raise DataError(
-                    f"no *.manifest.json in directory {path}; only "
-                    f"quarantined corrupt sidecars: {names}"
-                )
             raise DataError(f"no *.manifest.json in directory {path}")
         names = ", ".join(c.name for c in candidates)
         raise DataError(f"multiple manifests in {path}: {names}")
@@ -439,11 +404,6 @@ def resolve_manifest(run: str | Path) -> Path:
     sidecar, _ = sidecar_paths(path)
     if sidecar.is_file():
         return sidecar
-    if sidecar.with_name(sidecar.name + ".corrupt").is_file():
-        raise DataError(
-            f"manifest for {run!r} was quarantined as corrupt "
-            f"({sidecar.name}.corrupt); re-run the campaign to regenerate it"
-        )
     raise DataError(f"no manifest found for {run!r} (looked for {sidecar})")
 
 
@@ -477,7 +437,7 @@ def read_events(manifest_path: str | Path) -> list[dict[str, Any]]:
             continue
         try:
             event = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             skipped += 1
             if not first_bad:
                 first_bad = lineno

@@ -30,6 +30,7 @@ from typing import Any
 
 from repro._version import __version__
 from repro.core.errors import DataError
+from repro.core.store import atomic_write, read_json
 
 __all__ = [
     "BASELINE_VERSION",
@@ -169,10 +170,7 @@ def load_metrics_source(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no metrics source at {path}")
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    document = read_json(path)
     if not isinstance(document, dict):
         raise DataError(f"{path} is not a JSON object")
     return document
@@ -204,8 +202,6 @@ def record_baseline(
     Returns:
         The path written.
     """
-    path = baseline_path(name, baselines_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
     baseline = {
         "baseline_version": BASELINE_VERSION,
         "name": name,
@@ -216,10 +212,8 @@ def record_baseline(
         "tolerances": dict(tolerances or {}),
         "metrics": flatten_source(source),
     }
-    path.write_text(
-        json.dumps(baseline, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    text = (json.dumps(baseline, indent=2, sort_keys=True) + "\n").encode()
+    return atomic_write(baseline_path(name, baselines_dir), lambda f: f.write(text))
 
 
 def load_baseline(path: str | Path) -> dict[str, Any]:
@@ -229,10 +223,7 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
         raise DataError(
             f"no baseline at {path} (record one with `repro-obs bench record`)"
         )
-    try:
-        baseline = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    baseline = read_json(path)
     if not isinstance(baseline, dict) or "baseline_version" not in baseline:
         raise DataError(f"{path} is not a bench baseline (no baseline_version)")
     version = baseline["baseline_version"]

@@ -25,9 +25,9 @@ Routes
 ===========================================  ==================================
 
 Errors are always JSON ``{"error": ...}`` with a proper status: 400 for
-bad input (same messages as ``repro-predict`` — both surfaces share
-:func:`~repro.formulas.params.fb_input_errors`), 404 for unknown paths,
-405 for wrong methods.
+bad input (same messages as ``repro-predict`` — both surfaces answer
+through :func:`~repro.formulas.fb_predictor.answer_fb`), 404 for
+unknown paths, 405 for wrong methods.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ import uuid
 from time import monotonic, perf_counter
 from typing import Any
 
-from repro.core.errors import DataError, ReproError
-from repro.formulas.fb_predictor import MODEL_VARIANTS, FormulaBasedPredictor
-from repro.formulas.params import PathEstimates, TcpParameters, fb_input_errors
+from repro.core.errors import DataError
+from repro.formulas.fb_predictor import MODEL_VARIANTS, answer_fb
 from repro.obs import get_telemetry, to_openmetrics
 from repro.obs.metrics import NULL_COUNTER, NULL_TIMER, Counter, MetricsRegistry, Timer
 from repro.obs.spans import span_ring_enabled, span_ring_snapshot
@@ -270,34 +269,23 @@ class ServeApp:
         mss = _number(doc, "mss", 1460.0)
         availbw = _number(doc, "availbw", None)
         model = doc.get("model", "pftk")
-        if model not in MODEL_VARIANTS:
+        if not isinstance(model, str) or model not in MODEL_VARIANTS:
             raise HttpError(
                 400, f"unknown model {model!r}; choose from {sorted(MODEL_VARIANTS)}"
             )
-        problems = fb_input_errors(
-            rtt_ms=rtt_ms, loss=loss, window_kb=window_kb, mss=mss, availbw=availbw
-        )
-        if problems:
-            raise HttpError(
-                400, "; ".join(_json_field_names(p) for p in problems)
-            )
         try:
-            tcp = TcpParameters(
-                mss_bytes=int(mss), max_window_bytes=int(window_kb * 1000)
+            answer = answer_fb(
+                rtt_ms=rtt_ms,
+                loss=loss,
+                window_kb=window_kb,
+                mss=mss,
+                availbw=availbw,
+                model=model,
             )
-            estimates = PathEstimates(
-                rtt_s=rtt_ms / 1000.0, loss_rate=loss, availbw_mbps=availbw
-            )
-            predicted = FormulaBasedPredictor(tcp=tcp, model=model).predict(estimates)
-        except (ReproError, ValueError) as exc:
-            raise HttpError(400, str(exc)) from None
+        except DataError as exc:
+            raise HttpError(400, _json_field_names(str(exc))) from None
         get_telemetry().counter("serve.predictions").inc()
-        return 200, {
-            "predicted_mbps": predicted,
-            "model": model,
-            "lossless": estimates.lossless,
-            "window_ceiling_mbps": tcp.max_window_bytes * 8 / estimates.rtt_s / 1e6,
-        }
+        return 200, answer._asdict()
 
     def _ingest(self, request: HttpRequest, key: str) -> tuple[int, Any]:
         doc = request.json()

@@ -17,23 +17,22 @@ pressure and the per-shard ``serve.shard_paths`` gauges local: one
 chatty tenant fills one shard, not the whole store.
 
 ``snapshot()``/``restore()`` round-trip the entire store through plain
-JSON-able dicts; :meth:`ShardedStateStore.save` writes atomically (temp
-file + ``os.replace``) so a crash mid-save can never leave a torn
-snapshot behind.  A version-1 snapshot, whose specs name predictors by
-their ``--predictors`` names, still restores.
+JSON-able dicts; :meth:`ShardedStateStore.save` writes atomically
+(:func:`~repro.core.store.atomic_write`) so a crash mid-save can never
+leave a torn snapshot behind.  A version-1 snapshot, whose specs name
+predictors by their ``--predictors`` names, still restores.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-import zlib
+from binascii import crc32
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.core.errors import ConfigurationError, DataError
+from repro.core.store import atomic_write, read_json
 from repro.hb.spec import PredictorSpec
 from repro.hb.streaming import (
     DEFAULT_SERVE_PREDICTORS,
@@ -143,7 +142,7 @@ class ShardedStateStore:
 
     def shard_index(self, key: str) -> int:
         """Stable shard of a key (CRC-32; survives restarts/processes)."""
-        return zlib.crc32(key.encode("utf-8")) % self.n_shards
+        return crc32(key.encode("utf-8")) % self.n_shards
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
@@ -294,10 +293,11 @@ class ShardedStateStore:
         Unusable entries — invalid key, malformed entry, corrupt
         predictor state, a shard already at capacity — are skipped and
         counted (``serve.snapshot_skipped`` counter, one
-        ``serve.snapshot_skip`` event each); snapshot predictors no
-        longer registered on this store are dropped the same way while
-        the rest of the path still restores, and registered predictors
-        missing from the snapshot start fresh (on a kernel of their own).
+        ``serve.snapshot_skip`` event each), and so are a snapshot
+        predictor no longer registered and a state recorded with a spec
+        other than the one configured under its name, while the rest of
+        the path restores.  Registered predictors not restored start
+        fresh (each on a kernel of its own).
 
         Raises:
             DataError: structurally unusable snapshot (non-object
@@ -347,12 +347,13 @@ class ShardedStateStore:
             try:
                 for name, spec in self.specs.items():
                     state_doc = states_doc.get(name)
-                    if state_doc is None:
-                        states[name] = StreamingPredictorState(spec)
-                    else:
-                        states[name] = StreamingPredictorState.restore(
-                            state_doc, read_spec
-                        )
+                    if state_doc is not None:
+                        state = StreamingPredictorState.restore(state_doc, read_spec)
+                        if state.spec == spec:
+                            states[name] = state
+                            continue
+                        skip(key, f"spec-mismatch:{name}")
+                    states[name] = StreamingPredictorState(spec)
             except DataError:
                 skip(key, "corrupt-state")
                 continue
@@ -361,21 +362,9 @@ class ShardedStateStore:
         return restored
 
     def save(self, path: str | Path) -> Path:
-        """Write the snapshot as JSON, atomically (temp + ``os.replace``)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(self.snapshot(), sort_keys=True) + "\n"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.stem[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):  # pragma: no cover - error path
-                os.unlink(tmp_name)
-        return path
+        """Write the snapshot as JSON, atomically."""
+        text = (json.dumps(self.snapshot(), sort_keys=True) + "\n").encode()
+        return atomic_write(Path(path), lambda handle: handle.write(text))
 
     def load(self, path: str | Path) -> int:
         """Restore from a :meth:`save` file; returns paths restored.
@@ -386,10 +375,4 @@ class ShardedStateStore:
         path = Path(path)
         if not path.is_file():
             raise DataError(f"no store snapshot at {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers a decode error, invalid UTF-8 and an
-            # integer longer than Python converts.
-            raise DataError(f"{path} is not valid JSON: {exc}") from exc
-        return self.restore(doc)
+        return self.restore(read_json(path))

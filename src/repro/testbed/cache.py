@@ -20,23 +20,22 @@ the hit path loads no numpy.
 The cache directory defaults to ``~/.cache/repro/datasets`` and is
 overridden with the ``REPRO_CACHE_DIR`` environment variable (or the
 CLI's ``--cache-dir``).  Entries are ``<key>.npz`` files — safe to
-inspect (``np.load``), copy, or delete by hand; a corrupt or truncated
-entry is quarantined, treated as a miss and re-simulated.
+inspect (``np.load``), copy, or delete by hand; a damaged entry is
+quarantined (:mod:`repro.core.store`), treated as a miss and
+re-simulated.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.errors import DataError
+from repro.core.store import open_archive, quarantine, store_root
 from repro.obs import get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - types only: a hit loads no numpy
@@ -61,10 +60,7 @@ COUNTS_MEMBER = "dataset.json"
 
 def default_cache_dir() -> Path:
     """The cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/datasets``."""
-    env = os.environ.get(ENV_CACHE_DIR, "").strip()
-    if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro" / "datasets"
+    return store_root(ENV_CACHE_DIR, "datasets")
 
 
 @functools.cache
@@ -75,8 +71,9 @@ def code_fingerprint() -> str:
     Those are the fluid engine (:mod:`repro.fastpath`), the TCP formulas
     (:mod:`repro.formulas`), the path catalogs and records
     (:mod:`repro.paths`), the named RNG streams (:mod:`repro.core.rng`),
-    the campaign runner (:mod:`repro.testbed.campaign`) and the CSV
-    writer (:mod:`repro.testbed.io`), whose bytes an entry stores.
+    the campaign runner (:mod:`repro.testbed.campaign`), the CSV writer
+    (:mod:`repro.testbed.io`), whose bytes an entry stores, and the
+    store container (:mod:`repro.core.store`) that lays the entry out.
     """
     return source_fingerprint(
         "repro.fastpath",
@@ -85,6 +82,7 @@ def code_fingerprint() -> str:
         "repro.core.rng",
         "repro.testbed.campaign",
         "repro.testbed.io",
+        "repro.core.store",
     )
 
 
@@ -142,7 +140,7 @@ class CacheEntry:
         Raises:
             DataError: the columns are damaged, or their label or counts
                 disagree with ``dataset.json``.
-            OSError: the entry cannot be read.
+            FileNotFoundError: the entry is gone.
         """
         if self._dataset is None:
             from repro.testbed.io import read_entry
@@ -170,19 +168,6 @@ class CacheEntry:
         )
 
 
-#: What reading a damaged zip archive or member can raise.
-_ARCHIVE_ERRORS = (
-    KeyError,
-    TypeError,
-    ValueError,
-    EOFError,
-    NotImplementedError,
-    RuntimeError,
-    zipfile.BadZipFile,
-    zlib.error,
-)
-
-
 def read_served(path: Path) -> CacheEntry:
     """The CSV bytes and counts of the entry at ``path``; no column is read.
 
@@ -190,17 +175,14 @@ def read_served(path: Path) -> CacheEntry:
     check has passed before a caller writes a byte of it.
 
     Raises:
-        OSError: the file cannot be read.
-        DataError: it is not an entry: not a zip archive, a member
-            missing, a CRC mismatch, or malformed counts.
+        FileNotFoundError: there is no file at ``path``.
+        DataError: it is not an entry: damaged
+            (:func:`~repro.core.store.open_archive`) or malformed counts.
     """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            counts = json.loads(archive.read(COUNTS_MEMBER))
-            csv = archive.read(CSV_MEMBER)
+    with open_archive(path, "a dataset entry") as archive:
+        counts = json.loads(archive.read(COUNTS_MEMBER))
+        csv = archive.read(CSV_MEMBER)
         label, *numbers = (counts[k] for k in ("label", "paths", "traces", "epochs"))
-    except _ARCHIVE_ERRORS as exc:
-        raise DataError(f"{path} is not a dataset entry: {exc}") from exc
     if not isinstance(label, str) or not all(
         type(n) is int and n >= 0 for n in numbers
     ):
@@ -233,32 +215,20 @@ class DatasetCache:
         Reads the entry's CSV bytes and counts (:func:`read_served`);
         with ``columns`` it also reads its columns now
         (:meth:`CacheEntry.dataset`), so damage to them is handled here
-        too.  A malformed entry counts as a miss rather than an error: a
-        truncated or garbage file, a missing member, a CRC mismatch,
-        malformed counts, and with ``columns`` an object array or
-        columns that disagree with the index or the counts (each a
-        :class:`DataError`), or one that cannot be read (``OSError``).
-        The bad file is quarantined (renamed ``*.corrupt``) so it is
-        kept for inspection and cannot shadow the fresh entry the caller
-        is about to store, and a ``cache.corrupt`` counter/event records
-        the incident.
+        too.  An entry either read rejects (a :class:`DataError`) counts
+        as a miss rather than an error, and is quarantined
+        (:func:`~repro.core.store.quarantine`) under ``cache.corrupt``.
         """
         path = self.path_for(key)
-        if not path.is_file():
-            return None
         try:
             entry = read_served(path)
             if columns:
                 entry.dataset()
             return entry
-        except (DataError, OSError):
-            telemetry = get_telemetry()
-            telemetry.counter("cache.corrupt").inc()
-            telemetry.emit("cache", outcome="corrupt", key=key)
-            try:
-                os.replace(path, path.with_name(path.name + ".corrupt"))
-            except OSError:  # pragma: no cover - vanished or unwritable
-                pass
+        except FileNotFoundError:
+            return None
+        except DataError:
+            quarantine(path, "cache", key=key)
             return None
 
     def lookup(self, key: str, *, columns: bool = False) -> CacheEntry | None:
@@ -279,8 +249,8 @@ class DatasetCache:
         ``csv`` is the dataset's CSV when the caller already has it
         (:func:`~repro.testbed.io.save_dataset` returns the bytes it
         wrote); otherwise it is formatted here.  The write is atomic
-        (temp file + rename), so a concurrent reader never observes a
-        half-written entry.
+        (:func:`~repro.testbed.io.write_entry`), so a concurrent reader
+        never observes a half-written entry.
         """
         from repro.testbed.io import dataset_csv, write_entry
 

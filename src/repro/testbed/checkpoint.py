@@ -20,10 +20,9 @@ uses), so checkpoints can never leak between campaigns with different
 catalogs, seeds, settings, simulating code, or entry layouts.  Each
 entry is a single-trace dataset in the dataset cache's ``.npz`` layout
 (:func:`~repro.testbed.io.write_entry`) — inspectable with ``np.load``
-and deletable by hand.  Writes are atomic (temp file + ``os.replace``);
-a corrupt or truncated entry is quarantined (renamed ``*.corrupt``)
-and treated as absent, so a torn write can only cost the one trace it
-belongs to.
+and deletable by hand.  Writes are atomic, and a damaged entry is
+quarantined (:mod:`repro.core.store`) and treated as absent, so a torn
+write can only cost the one trace it belongs to.
 
 The store root defaults to ``~/.cache/repro/checkpoints`` and is
 overridden with ``REPRO_CHECKPOINT_DIR`` (or the CLI's
@@ -32,10 +31,11 @@ overridden with ``REPRO_CHECKPOINT_DIR`` (or the CLI's
 
 from __future__ import annotations
 
-import os
+import shutil
 from pathlib import Path
 
 from repro.core.errors import DataError
+from repro.core.store import quarantine, store_root
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset, Trace
 from repro.testbed.io import read_entry, write_entry
@@ -52,10 +52,7 @@ ENV_CHECKPOINT_DIR = "REPRO_CHECKPOINT_DIR"
 
 def default_checkpoint_dir() -> Path:
     """``$REPRO_CHECKPOINT_DIR`` or ``~/.cache/repro/checkpoints``."""
-    env = os.environ.get(ENV_CHECKPOINT_DIR, "").strip()
-    if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro" / "checkpoints"
+    return store_root(ENV_CHECKPOINT_DIR, "checkpoints")
 
 
 class CheckpointStore:
@@ -80,12 +77,8 @@ class CheckpointStore:
         return self.run_dir(run_key) / f"{path_id}.t{trace_index}.npz"
 
     def store_trace(self, run_key: str, trace: Trace) -> Path:
-        """Atomically persist one finished trace; returns the entry path.
-
-        Written by the dataset cache's entry writer (temp file +
-        ``os.replace``), so a crash mid-write never leaves a
-        half-written entry under the final name.
-        """
+        """Atomically persist one finished trace, in the dataset cache's
+        entry layout; returns the entry path."""
         path = write_entry(
             Dataset(label="checkpoint", traces=[trace]),
             self.trace_path(run_key, trace.path_id, trace.trace_index),
@@ -96,66 +89,26 @@ class CheckpointStore:
     def load_trace(self, run_key: str, path_id: str, trace_index: int) -> Trace | None:
         """Load one checkpointed trace, or ``None`` when absent/corrupt.
 
-        A malformed entry is quarantined (renamed ``*.corrupt``) so the
+        A damaged entry, or one holding anything but this trace, is
+        quarantined (:func:`~repro.core.store.quarantine`) so the
         campaign re-simulates the trace and the bad file survives for
         post-mortem inspection instead of being silently overwritten.
         """
         path = self.trace_path(run_key, path_id, trace_index)
-        if not path.is_file():
-            return None
-        telemetry = get_telemetry()
         try:
             traces = read_entry(path).traces
             held = [(t.path_id, t.trace_index) for t in traces]
             if held != [(path_id, trace_index)]:
                 raise DataError(f"checkpoint {path} holds traces {held}")
-        except (DataError, OSError):
-            # An unreadable or damaged entry, or one holding anything but
-            # this trace, cannot be trusted.
-            telemetry.counter("checkpoint.corrupt").inc()
-            telemetry.emit("checkpoint", outcome="corrupt", path=str(path))
-            _quarantine(path)
+        except FileNotFoundError:
             return None
-        telemetry.counter("checkpoint.loaded").inc()
+        except DataError:
+            quarantine(path, "checkpoint", path=str(path))
+            return None
+        get_telemetry().counter("checkpoint.loaded").inc()
         return traces[0]
 
-    def completed(self, run_key: str) -> set[tuple[str, int]]:
-        """The ``(path_id, trace_index)`` pairs checkpointed for a run.
-
-        Derived from the entry filenames; entries that later fail to
-        load are handled (quarantined) by :meth:`load_trace`.
-        """
-        run_dir = self.run_dir(run_key)
-        if not run_dir.is_dir():
-            return set()
-        done: set[tuple[str, int]] = set()
-        for entry in run_dir.glob("*.npz"):
-            stem = entry.name[: -len(".npz")]
-            path_id, sep, index = stem.rpartition(".t")
-            if not sep or not index.isdigit():
-                continue
-            done.add((path_id, int(index)))
-        return done
-
     def discard(self, run_key: str) -> None:
-        """Delete one run's checkpoints (called after a completed run)."""
-        run_dir = self.run_dir(run_key)
-        if not run_dir.is_dir():
-            return
-        for entry in run_dir.iterdir():
-            try:
-                entry.unlink()
-            except OSError:  # pragma: no cover - concurrent cleanup
-                pass
-        try:
-            run_dir.rmdir()
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
-
-
-def _quarantine(path: Path) -> None:
-    """Move a corrupt file aside as ``<name>.corrupt`` (best effort)."""
-    try:
-        os.replace(path, path.with_name(path.name + ".corrupt"))
-    except OSError:  # pragma: no cover - file vanished or unwritable dir
-        pass
+        """Delete one run's checkpoints (called after a completed run;
+        best effort, so a concurrent cleanup is no error)."""
+        shutil.rmtree(self.run_dir(run_key), ignore_errors=True)

@@ -16,23 +16,20 @@ Format history:
   so ``load_dataset(save_dataset(ds))`` preserves every truth record.
 
 **Entries.**  The dataset cache and the checkpoints keep the same
-columns as ``.npz`` files (:func:`write_entry`, :func:`read_entry`):
-exact float64, nothing formatted or parsed.  One member per column,
-concatenated over the traces, plus an ``index`` member — UTF-8 JSON of
-the label, each trace's ``[path_id, trace_index, epochs, cuts]`` and
-every epoch's regime.  A caller may add plain members beside them (the
-dataset cache stores the CSV bytes and their counts; see
-:mod:`repro.testbed.cache`).  Inspect one with ``np.load(path)``.
+columns as ``.npz`` files (:func:`write_entry`, :func:`read_entry`, in
+the container of :mod:`repro.core.store`): exact float64, nothing
+formatted or parsed.  One member per column, concatenated over the
+traces, plus an ``index`` member — UTF-8 JSON of the label, each
+trace's ``[path_id, trace_index, epochs, cuts]`` and every epoch's
+regime.  A caller may add plain members beside them (the dataset cache
+stores the CSV bytes and their counts; see :mod:`repro.testbed.cache`).
+Inspect one with ``np.load(path)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
-import zipfile
-import zlib
 from collections.abc import Mapping
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
@@ -41,6 +38,7 @@ from typing import NoReturn
 import numpy as np
 
 from repro.core.errors import DataError
+from repro.core.store import atomic_write, open_archive, read_flat, write_container
 from repro.paths.records import (
     ARRAY_COLUMNS,
     MEASUREMENT_COLUMNS,
@@ -382,9 +380,7 @@ def write_entry(
     """Store ``dataset`` at ``path`` as ``.npz`` columns; returns ``path``.
 
     ``extra`` maps further member names to bytes, stored as they are
-    (uncompressed, like the columns).  The write is atomic (temp file +
-    ``os.replace``), so a concurrent reader, or one after a crash, never
-    sees half an entry.
+    (uncompressed, like the columns).  The write is atomic.
     """
     index = {
         "label": dataset.label,
@@ -399,63 +395,35 @@ def write_entry(
         ],
         "regimes": [regime for t in dataset.traces for regime in t.truth_regime],
     }
-    members = {"index": np.frombuffer(json.dumps(index).encode(), dtype=np.uint8)}
-    for name, dtype in _ENTRY_COLUMNS.items():
-        members[name] = np.concatenate(
-            [np.empty(0, dtype), *(getattr(t, name).ravel() for t in dataset.traces)]
-        )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name[:16]}-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
-            # What np.savez writes, one stored ``<name>.npy`` per column.
-            for name, array in members.items():
-                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, array, allow_pickle=False)
-            for name, data in (extra or {}).items():
-                archive.writestr(name, data)
-        os.replace(tmp_name, path)
-    finally:
-        if os.path.exists(tmp_name):  # pragma: no cover - error path
-            os.unlink(tmp_name)
-    return path
+    members = {
+        "index": (np.uint8, [np.frombuffer(json.dumps(index).encode(), np.uint8)]),
+        **{
+            name: (dtype, [getattr(t, name).ravel() for t in dataset.traces])
+            for name, dtype in _ENTRY_COLUMNS.items()
+        },
+    }
+    return atomic_write(path, lambda handle: write_container(handle, members, extra))
 
 
 def read_entry(path: Path) -> Dataset:
     """The dataset :func:`write_entry` stored at ``path``.
 
-    Reads each member with ``allow_pickle=False``: an entry holds plain
-    arrays or nothing is read from it.
+    Each member is read as a flat array of its column's dtype, never
+    unpickled.
 
     Raises:
-        OSError: the file cannot be read.
-        DataError: it is not an entry: not a zip archive, a member
-            missing or of the wrong dtype, or columns whose lengths
-            disagree with the index.
+        FileNotFoundError: there is no file at ``path``.
+        DataError: it is not an entry: damaged
+            (:func:`~repro.core.store.open_archive`), or columns whose
+            lengths disagree with the index.
     """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            index = json.loads(_entry_member(archive, "index", np.uint8).tobytes())
-            arrays = {
-                name: _entry_member(archive, name, dtype)
-                for name, dtype in _ENTRY_COLUMNS.items()
-            }
+    with open_archive(path, "a dataset entry") as archive:
+        index = json.loads(read_flat(archive, "index", np.uint8).tobytes())
+        arrays = {
+            name: read_flat(archive, name, dtype)
+            for name, dtype in _ENTRY_COLUMNS.items()
+        }
         return _entry_dataset(index, arrays)
-    except (
-        KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error
-    ) as exc:
-        raise DataError(f"{path} is not a dataset entry: {exc}") from exc
-
-
-def _entry_member(archive: zipfile.ZipFile, name: str, dtype: type) -> np.ndarray:
-    array = np.lib.format.read_array(
-        BytesIO(archive.read(f"{name}.npy")), allow_pickle=False
-    )
-    if array.dtype != dtype or array.ndim != 1:
-        raise ValueError(f"member {name!r} is {array.dtype} of shape {array.shape}")
-    return array
 
 
 def _entry_dataset(index: dict, arrays: dict[str, np.ndarray]) -> Dataset:

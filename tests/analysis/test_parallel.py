@@ -171,19 +171,30 @@ def test_code_change_recomputes_every_unit(subset, tmp_path, monkeypatch):
     assert again.computed == again.planned
 
 
-def test_code_fingerprint_covers_hb_sources(tmp_path, monkeypatch):
-    """The fingerprint finds ``repro.hb``'s source through its spec, so
-    the spec is pointed at an edited copy of the package."""
-    copy = tmp_path / "hb"
-    shutil.copytree(Path(repro.hb.__file__).parent, copy)
-    spec = spec_from_file_location(
-        "repro.hb", copy / "__init__.py", submodule_search_locations=[str(copy)]
-    )
-    monkeypatch.setattr(repro.hb, "__spec__", spec)
+@pytest.mark.parametrize(
+    "name, edited", [("repro.hb", "holt_winters.py"), ("repro.core.store", None)]
+)
+def test_code_fingerprint_covers_hb_sources(tmp_path, monkeypatch, name, edited):
+    """The fingerprint finds a module's source through its spec, so the
+    spec is pointed at an edited copy: of the package, for ``repro.hb``
+    (``edited`` names the file), or of the plain module."""
+    module = importlib.import_module(name)
+    source = Path(module.__spec__.origin)
+    if edited is None:
+        target = tmp_path / source.name
+        shutil.copy(source, target)
+        spec = spec_from_file_location(name, target)
+    else:
+        copy = tmp_path / source.parent.name
+        shutil.copytree(source.parent, copy)
+        target = copy / edited
+        spec = spec_from_file_location(
+            name, copy / "__init__.py", submodule_search_locations=[str(copy)]
+        )
+    monkeypatch.setattr(module, "__spec__", spec)
     fingerprint = evalcache.code_fingerprint.__wrapped__
     assert fingerprint() == evalcache.code_fingerprint()
-    source = copy / "holt_winters.py"
-    source.write_text(source.read_text() + "\n# edited\n")
+    target.write_text(target.read_text() + "\n# edited\n")
     assert fingerprint() != evalcache.code_fingerprint()
 
 

@@ -184,8 +184,17 @@ class TestAnalyzeReadsColumns:
             entry_damage.truncate,
             entry_damage.drop_member,
             entry_damage.shorten_column,
+            entry_damage.unsupported_method,
+            entry_damage.encrypted_flag,
         ],
-        ids=["garbage", "truncated", "missing-member", "lengths-disagree"],
+        ids=[
+            "garbage",
+            "truncated",
+            "missing-member",
+            "lengths-disagree",
+            "unsupported-method",
+            "encrypted-flag",
+        ],
     )
     def test_damaged_entry_is_quarantined_and_rewritten(
         self, small_csv, tmp_path, capsys, damage
@@ -267,11 +276,13 @@ class TestAnalyzeReadsColumns:
         assert not fresh.exists()
 
 
-@pytest.mark.parametrize("name", ["repro.testbed.io", "repro.paths.records"])
+@pytest.mark.parametrize(
+    "name", ["repro.testbed.io", "repro.paths.records", "repro.core.store"]
+)
 def test_columns_key_covers_parser_sources(small_csv, tmp_path, monkeypatch, name):
-    """Editing the parser or the records moves the key, so an entry the
-    old code wrote is never read: the module's spec is pointed at an
-    edited copy."""
+    """Editing the parser, the records or the store container moves the
+    key, so an entry the old code wrote is never read: the module's spec
+    is pointed at an edited copy."""
     path = _copy(small_csv, tmp_path)
     cache = EvaluationCache(tmp_path / "evals")
     cache.read_dataset(path)

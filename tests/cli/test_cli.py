@@ -3,8 +3,11 @@
 import csv
 import dataclasses
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.evalcache import EvaluationCache
 from repro.analysis.parallel import warm_eval_cache
@@ -650,6 +653,46 @@ class TestPredictValidation:
         )
         assert code == 0
         assert "predicted throughput" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rtt-ms", "1e-320", "--loss", "0.01"],
+            ["--rtt-ms", "3.8e-205", "--loss", "1e-310"],
+            ["--rtt-ms", "1e308", "--loss", "0", "--window-kb", "8e304", "--availbw", "1"],
+        ],
+        ids=["ceiling-overflows", "model-divides-by-zero", "window-overflows"],
+    )
+    def test_inputs_without_a_finite_answer_exit_2(self, capsys, argv):
+        """Inputs each check accepts, whose answer is not a finite
+        number, are one error line naming them, not a traceback."""
+        assert predict.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: no finite prediction for --rtt-ms" in err
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rtt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        loss=st.floats(0.0, 1.0, exclude_max=True),
+        window=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        availbw=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_every_answer_is_finite_or_exit_2(self, capsys, rtt, loss, window, availbw):
+        argv = ["--rtt-ms", repr(rtt), "--loss", repr(loss), "--window-kb", repr(window)]
+        if availbw is not None:
+            argv += ["--availbw", repr(availbw)]
+        code = predict.main(argv)
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert "error: " in err and "--" in err.rsplit("error: ", 1)[1]
+            return
+        assert code == 0
+        numbers = [float(n) for n in re.findall(r"(\S+) Mbps", out)]
+        assert len(numbers) == 2 and all(math.isfinite(n) for n in numbers)
 
 
 class TestCampaignValidation:

@@ -84,3 +84,28 @@ class TestAutoRegressive:
         ar.update_many(values)
         forecast = ar.forecast()
         assert np.isfinite(forecast) and forecast > 0
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-300, 1e-20])
+    def test_flat_history_without_ridge_forecasts_its_level(self, ridge):
+        """Singular normal equations (the flat history makes the design's
+        columns equal) fall back to the recent mean, not a LinAlgError."""
+        ar = AutoRegressive(order=1, max_history=6, ridge=ridge)
+        ar.update_many([5.0] * 12)
+        assert ar.forecast() == 5.0
+
+    @given(
+        order=st.integers(1, 4),
+        ridge=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        level=st.floats(0.01, 1e6),
+        wobble=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+        scale=st.sampled_from([0.0, 1e-15, 1e-9, 1e-4]),
+    )
+    def test_flat_or_near_flat_history_forecasts_finite_positive(
+        self, order, ridge, level, wobble, scale
+    ):
+        """Any ridge >= 0 over a history that is flat, or flat but for
+        steps of a few ulps to a few parts in 10^4."""
+        ar = AutoRegressive(order=order, max_history=2 * order + 2 + 6, ridge=ridge)
+        ar.update_many([level * (1.0 + scale * step) for step in wobble])
+        forecast = ar.forecast()
+        assert np.isfinite(forecast) and forecast > 0

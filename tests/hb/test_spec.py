@@ -46,7 +46,7 @@ def arguments(draw, family):
             "order": order,
             # Valid with the drawn order and with the default one (3).
             "max_history": draw(st.integers(2 * max(order, 3) + 2, 40)),
-            "ridge": draw(st.one_of(st.floats(1e-3, 1.0), st.just(1))),
+            "ridge": draw(st.one_of(st.just(0), st.floats(0.0, 1.0), st.just(1))),
         }
     keep = draw(st.lists(st.sampled_from(sorted(drawn)), unique=True))
     return {name: drawn[name] for name in keep}

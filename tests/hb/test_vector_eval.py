@@ -38,6 +38,7 @@ from repro.hb.wrappers import LsoPredictor
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.paths.records import Dataset, Trace
 from tests.hb import oracle
+from tests.testbed.entry_damage import ARCHIVE_DAMAGE
 
 # ---------------------------------------------------------------------
 # Trace grid
@@ -366,7 +367,7 @@ def _unknown_family(path):
 
 
 def test_corrupt_cache_entry_reads_as_miss(tmp_path, telemetry):
-    for damage in (_garbage, _short_arrays, _unknown_family):
+    for damage in (_garbage, _short_arrays, _unknown_family, *ARCHIVE_DAMAGE.values()):
         root = tmp_path / damage.__name__
         dataset, path = _write_pack(root)
         damage(path)

@@ -171,6 +171,19 @@ class TestLoadValidation:
         with pytest.raises(DataError, match="integer >= 1"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"manifest_version": ' + "9" * 5000 + "}"],
+        ids=["deep-nesting", "overlong-integer"],
+    )
+    def test_undecodable_json_is_a_data_error(self, tmp_path, text):
+        """What the JSON decoder refuses past a syntax error (recursion,
+        an integer longer than Python converts) is one ``DataError``."""
+        bad = tmp_path / "x.manifest.json"
+        bad.write_text(text)
+        with pytest.raises(DataError, match="is not valid JSON"):
+            load_manifest(bad)
+
     def test_non_integer_version_rejected_not_traceback(self, tmp_path):
         # Historically a string version crashed with a raw TypeError on
         # the `version > MANIFEST_VERSION` comparison.
@@ -184,12 +197,6 @@ class TestLoadValidation:
         old = tmp_path / "x.manifest.json"
         old.write_text(json.dumps({"manifest_version": 1, "run_id": "r1"}))
         assert load_manifest(old)["kind"] == "campaign"
-
-    def test_quarantined_sidecar_rejected(self, tmp_path):
-        quarantined = tmp_path / "x.manifest.json.corrupt"
-        quarantined.write_text("{torn")
-        with pytest.raises(DataError, match="quarantined"):
-            load_manifest(quarantined)
 
 
 class TestResolve:
@@ -215,23 +222,22 @@ class TestResolve:
         with pytest.raises(DataError, match="no manifest"):
             resolve_manifest(tmp_path / "ghost.csv")
 
-    def test_quarantined_path_argument(self, tmp_path):
+    def test_corrupt_named_file_is_refused_in_one_line(self, tmp_path):
+        """A ``*.manifest.json.corrupt`` file is not a manifest: every
+        way of naming it, or its dataset, or its directory, is refused
+        with a one-line error from the checks any bad argument meets."""
+        (tmp_path / "ds.csv").write_text("data")
         corrupt = tmp_path / "ds.manifest.json.corrupt"
         corrupt.write_text("{torn")
-        with pytest.raises(DataError, match="quarantined"):
-            resolve_manifest(corrupt)
-
-    def test_dataset_whose_manifest_was_quarantined(self, tmp_path):
-        (tmp_path / "ds.csv").write_text("data")
-        (tmp_path / "ds.manifest.json.corrupt").write_text("{torn")
-        with pytest.raises(DataError, match="quarantined as corrupt"):
-            resolve_manifest(tmp_path / "ds.csv")
-
-    def test_directory_with_only_quarantined_sidecars(self, tmp_path):
-        (tmp_path / "ds.manifest.json.corrupt").write_text("{torn")
-        with pytest.raises(DataError) as excinfo:
-            resolve_manifest(tmp_path)
-        assert "ds.manifest.json.corrupt" in str(excinfo.value)
+        for read, argument, message in (
+            (load_manifest, corrupt, "is not valid JSON"),
+            (resolve_manifest, corrupt, "no manifest found"),
+            (resolve_manifest, tmp_path / "ds.csv", "no manifest found"),
+            (resolve_manifest, tmp_path, r"no \*\.manifest\.json in directory"),
+        ):
+            with pytest.raises(DataError, match=message) as excinfo:
+                read(argument)
+            assert "\n" not in str(excinfo.value)
 
 
 class TestAnalysisKind:

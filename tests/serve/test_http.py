@@ -9,7 +9,11 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.formulas.fb_predictor import MODEL_VARIANTS, FormulaBasedPredictor
+from repro.formulas.params import PathEstimates, TcpParameters
 from repro.hb.streaming import SERVE_PREDICTORS
 from repro.serve.app import ServeApp
 from repro.serve.http import (
@@ -360,6 +364,78 @@ class TestClientNumbers:
     def test_an_undecodable_body(self, body):
         status, doc = handle(make_app(), "POST", "/paths/p1/samples", body)
         assert status == 400 and "not valid JSON" in doc["error"]
+
+    @pytest.mark.parametrize("model", [[], {"a": 1}, 7, None])
+    def test_a_model_that_is_not_a_name(self, model):
+        body = {"rtt_ms": 45, "loss": 0.002, "model": model}
+        status, doc = handle(make_app(), "POST", "/predict/fb", json.dumps(body).encode())
+        assert status == 400 and doc["error"].startswith("unknown model")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"rtt_ms": 45, "loss": 0.002},
+        {"rtt_ms": 80, "loss": 0, "availbw": 6.5, "window_kb": 64},
+        {"rtt_ms": 12.5, "loss": 0.03, "mss": 536, "model": "pftk-full"},
+    ],
+)
+def test_predict_fb_answers_valid_inputs_as_before(body):
+    """A valid request answers what the predictor and ``W / T`` give,
+    bit for bit: one function answering both surfaces moved no number."""
+    status, payload = handle(make_app(), "POST", "/predict/fb", json.dumps(body).encode())
+    tcp = TcpParameters(
+        mss_bytes=body.get("mss", 1460),
+        max_window_bytes=int(body.get("window_kb", 1000.0) * 1000),
+    )
+    estimates = PathEstimates(body["rtt_ms"] / 1000.0, body["loss"], body.get("availbw"))
+    model = body.get("model", "pftk")
+    assert (status, payload) == (
+        200,
+        {
+            "predicted_mbps": FormulaBasedPredictor(tcp, model).predict(estimates),
+            "model": model,
+            "lossless": body["loss"] == 0,
+            "window_ceiling_mbps": tcp.max_window_bytes * 8 / estimates.rtt_s / 1e6,
+        },
+    )
+
+
+#: Positive finite floats, subnormals and the largest included.
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+#: ``POST /predict/fb`` bodies of numbers ``fb_input_errors`` is asked
+#: about: every optional field may be absent.
+fb_bodies = st.fixed_dictionaries(
+    {"rtt_ms": positive, "loss": st.floats(0.0, 1.0, exclude_max=True)},
+    optional={
+        "window_kb": positive,
+        "mss": st.integers(1, 10**6),
+        "availbw": positive,
+        "model": st.sampled_from(sorted(MODEL_VARIANTS)),
+    },
+)
+
+FB_FIELDS = ("rtt_ms", "loss", "window_kb", "mss", "availbw", "model")
+
+
+def _refuse(constant):
+    raise AssertionError(f"the body holds {constant}, which is not JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=fb_bodies)
+def test_predict_fb_answers_json_numbers_or_a_400_naming_a_field(body):
+    """Over the inputs a client can send, ``POST /predict/fb`` answers
+    200 with a body of plain JSON numbers (no ``Infinity`` or ``NaN``)
+    or 400 naming a field; nothing escapes as a 500."""
+    status, payload = handle(make_app(), "POST", "/predict/fb", json.dumps(body).encode())
+    if status == 400:
+        assert any(field in payload["error"] for field in FB_FIELDS)
+        return
+    assert status == 200
+    _, _, text = render_response(status, payload, keep_alive=False).partition(b"\r\n\r\n")
+    json.loads(text, parse_constant=_refuse)
 
 
 class TestMetricsContentType:

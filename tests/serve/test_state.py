@@ -1,6 +1,7 @@
 """The sharded per-path state store: LRU, sharding, snapshot/restore."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -197,6 +198,41 @@ class TestRestoreSkips:
         assert states["ma5"].prediction() == store.get("p1")["ma5"].prediction()
         assert self._skipped() == 1
         assert self._skip_events()[0]["reason"] == "unregistered-predictor:ewma"
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_recorded_spec_unlike_the_configured_one_starts_fresh(self, version):
+        """A state recorded under ``hw`` with another spec (a bare 5-MA)
+        is never served as ``hw``: that predictor starts fresh, counted,
+        and the rest of the path restores."""
+        store = ShardedStateStore(
+            specs={
+                "hw": replace(SERVE_PREDICTORS["ma5"], lso=None),
+                "ma5": SERVE_PREDICTORS["ma5"],
+            }
+        )
+        store.ingest("p1", [10.0, 11.0, 10.5])
+        doc = store.snapshot()
+        if version == 1:
+            doc["snapshot_version"] = 1
+            state = doc["paths"]["p1"]["hw"]
+            state["spec"] = {
+                "predictor": "ma5",
+                "lso": False,
+                "harden": True,
+                "level_shift_threshold": 0.3,
+                "outlier_threshold": 0.4,
+            }
+            doc["paths"]["p1"]["ma5"]["spec"] = {**state["spec"], "lso": True}
+        clone = ShardedStateStore(specs=default_specs(["hw", "ma5"]))
+        assert clone.restore(doc) == 1
+        states = clone.get("p1")
+        assert states["hw"].spec == SERVE_PREDICTORS["hw"]
+        assert states["hw"].snapshot() == ShardedStateStore(
+            specs=default_specs(["hw"])
+        ).get_or_create("p1")["hw"].snapshot()
+        assert states["ma5"].snapshot() == store.get("p1")["ma5"].snapshot()
+        assert self._skipped() == 1
+        assert self._skip_events()[0]["reason"] == "spec-mismatch:hw"
 
     def test_missing_predictor_starts_fresh(self):
         store = small_store()  # ma5 only

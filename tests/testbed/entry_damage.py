@@ -4,9 +4,10 @@ Each function of :data:`DAMAGE` rewrites a good entry in place, so the
 stores' tests can require every kind to be quarantined, counted and
 re-simulated; :data:`CACHE_DAMAGE` adds the kinds that only a
 dataset-cache entry, with its ``dataset.csv`` and ``dataset.json``
-members, can suffer.  The object-dtype member holds :class:`Tripwire`
-instances, whose unpickling sets :attr:`Tripwire.tripped`: a store that
-unpickled an entry would trip it.
+members, can suffer.  :data:`ARCHIVE_DAMAGE` are the kinds that apply to
+any zip archive, an evaluation pack included.  The object-dtype member
+holds :class:`Tripwire` instances, whose unpickling sets
+:attr:`Tripwire.tripped`: a store that unpickled an entry would trip it.
 """
 
 import struct
@@ -60,6 +61,38 @@ def replace_member(path: Path, name: str, data: bytes) -> None:
 
 def truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _patch_first_member(
+    path: Path, *, flag: int = 0, method: int | None = None
+) -> None:
+    """OR ``flag`` into the first member's general-purpose flags and set
+    its compression method to ``method``, in both its local header
+    (offset 0) and its central-directory header, which is where zip
+    readers take them from."""
+    data = bytearray(path.read_bytes())
+    # The end-of-central-directory record (no comment) ends in the
+    # directory's offset and the comment length.
+    (directory,) = struct.unpack("<I", data[-6:-2])
+    # Flags, then the method: at 6 in a local header, at 8 in a
+    # central-directory one.
+    for at in (6, directory + 8):
+        (flags,) = struct.unpack_from("<H", data, at)
+        struct.pack_into("<H", data, at, flags | flag)
+        if method is not None:
+            struct.pack_into("<H", data, at + 2, method)
+    path.write_bytes(bytes(data))
+
+
+def unsupported_method(path: Path) -> None:
+    """The first member names compression method 99, which zip readers
+    do not implement."""
+    _patch_first_member(path, method=99)
+
+
+def encrypted_flag(path: Path) -> None:
+    """The first member has the encrypted flag (bit 0) set."""
+    _patch_first_member(path, flag=0x1)
 
 
 def drop_member(path: Path) -> None:
@@ -116,8 +149,14 @@ def malformed_counts(path: Path) -> None:
     replace_member(path, "dataset.json", counts[:-2])
 
 
-DAMAGE = {
+ARCHIVE_DAMAGE = {
     "truncated-zip": truncate,
+    "unsupported-method": unsupported_method,
+    "encrypted-flag": encrypted_flag,
+}
+
+DAMAGE = {
+    **ARCHIVE_DAMAGE,
     "missing-member": drop_member,
     "lengths-disagree-with-offsets": shorten_column,
     "object-dtype-member": object_member,

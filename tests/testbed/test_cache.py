@@ -78,6 +78,7 @@ class TestCacheKey:
             ("repro.core.rng", None),
             ("repro.testbed.campaign", None),
             ("repro.testbed.io", None),
+            ("repro.core.store", None),
         ],
     )
     def test_code_fingerprint_covers_engine_sources(

@@ -40,24 +40,23 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         assert store.load_trace(RUN_KEY, "p01", 0) is None
 
-    def test_completed_lists_stored_pairs(self, tmp_path):
+    def test_each_trace_is_one_entry_under_its_run(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        assert store.completed(RUN_KEY) == set()
         t0 = one_trace(trace_index=0)
         t1 = one_trace(trace_index=1)
         store.store_trace(RUN_KEY, t0)
         store.store_trace(RUN_KEY, t1)
-        assert store.completed(RUN_KEY) == {
-            (t0.path_id, 0),
-            (t1.path_id, 1),
-        }
+        assert sorted(p.name for p in store.run_dir(RUN_KEY).iterdir()) == [
+            f"{t0.path_id}.t0.npz",
+            f"{t1.path_id}.t1.npz",
+        ]
 
     def test_run_keys_are_isolated(self, tmp_path):
         store = CheckpointStore(tmp_path)
         trace = one_trace()
         store.store_trace(RUN_KEY, trace)
         assert store.load_trace("f" * 64, trace.path_id, trace.trace_index) is None
-        assert store.completed("f" * 64) == set()
+        assert not store.run_dir("f" * 64).exists()
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         store = CheckpointStore(tmp_path)

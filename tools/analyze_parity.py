@@ -6,7 +6,9 @@ worker count (each against a fresh evaluation-cache directory), a cold
 run at two workers whose first job kills its worker process
 (``REPRO_FAULT_SPEC="<first trace's path>/0:exit:1"``), a warm rerun
 against the reference's now-populated cache, a rerun after that cache's
-pack and columns entry were overwritten with garbage, and a rerun by a
+pack and columns entry were overwritten with garbage, a rerun after the
+first member header of the pack named an unsupported compression method
+and that of the columns entry set the encrypted flag, and a rerun by a
 copy of the source whose CSV parser (``repro/testbed/io.py``) carries
 one more comment.  Every run's rendered stdout must be *byte-identical*
 to the reference.  Each cold run must leave exactly one pack file and
@@ -16,9 +18,9 @@ must report at least one ``analysis.pool_rebuilds``; the warm rerun
 must have read the columns entry (``"columns"``), computed nothing
 (every HB walk comes out of the pack) and counted no LSO detection
 (``hb.level_shifts`` and ``hb.outliers_discarded`` absent or 0: no
-figure re-segments a trace); the damaged rerun must have parsed the CSV
-again, recomputed every walk and left both damaged files as
-``*.corrupt``; the edited-parser rerun must have parsed the CSV again
+figure re-segments a trace); each damaged rerun must have parsed the CSV
+again, recomputed every walk and left both damaged files, byte for
+byte, as ``*.corrupt``; the edited-parser rerun must have parsed the CSV again
 (the entry's key covers the parser's source) and computed nothing (the
 pack's does not).  Finally a copy of the dataset with one cell made
 ``nan`` in its last row must be refused (exit 2) twice, leaving no file
@@ -50,13 +52,15 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+for _path in (_SRC, _ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.obs.recorder import analysis_sidecar_paths  # noqa: E402
 from repro.paths.config import expanded_catalog, may_2004_catalog  # noqa: E402
 from repro.testbed.campaign import Campaign, CampaignSettings  # noqa: E402
 from repro.testbed.io import save_dataset  # noqa: E402
+from tests.testbed.entry_damage import encrypted_flag, unsupported_method  # noqa: E402
 
 #: repro-analyze stdout sha256 per (paths, traces, epochs, seed) grid;
 #: ``paths`` None is the full catalog.  An intended output change must
@@ -127,6 +131,39 @@ def one_pack(cache_dir: Path, manifest_path: Path) -> tuple[bool, str]:
     source = loaded_from(manifest_path)
     ok = len(names) == 2 and len(entries) == len(packs) == 1 and source == "csv"
     return ok, "" if ok else f"  CACHE DIR HOLDS {names}, LOADED FROM {source}"
+
+
+def garbage(path: Path) -> None:
+    path.write_bytes(b"garbage, not an entry")
+
+
+def damaged_rerun(
+    dataset: Path, cache_dir: Path, planned: int | None, reference: str, damage: dict
+) -> tuple[bool, str]:
+    """Damage the pack and the columns entry in ``cache_dir`` (``damage``
+    maps ``"pack"`` and ``"columns"`` to a function of the path), rerun,
+    and check: the reference output, every walk recomputed, the CSV
+    parsed, and each damaged file quarantined as it was left."""
+    damaged = {}
+    for path in cache_dir.glob("*.npz"):
+        damage["columns" if path.name.endswith(".columns.npz") else "pack"](path)
+        damaged[path] = path.read_bytes()
+    digest, _, stderr = run_analyze(dataset, cache_dir, 1)
+    manifest_path, _ = analysis_sidecar_paths(dataset)
+    counts = warm_counts(stderr)
+    recomputed = counts == (planned, 0)
+    parsed = loaded_from(manifest_path) == "csv"
+    kept = [path.with_name(path.name + ".corrupt") for path in damaged]
+    quarantined = len(damaged) == 2 and all(
+        corrupt.is_file() and corrupt.read_bytes() == data
+        for corrupt, data in zip(kept, damaged.values())
+    )
+    match = digest == reference
+    notes = "" if recomputed else f"  {counts} (computed, cached), not all {planned} computed"
+    notes += "" if parsed else "  DAMAGED COLUMNS READ"
+    notes += "" if quarantined else f"  {len(damaged)} FILES, NOT ALL QUARANTINED"
+    ok = match and recomputed and parsed and quarantined
+    return ok, f"{digest}  {'ok' if match else 'MISMATCH'}{notes}"
 
 
 def with_edited_parser(workdir: Path) -> Path:
@@ -256,23 +293,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = failed or not match or not cached_ok or rescanned or not columns
 
-        # The pack and the columns entry, both overwritten with garbage.
-        damaged = list(warm_cache.glob("*.npz"))
-        for path in damaged:
-            path.write_bytes(b"garbage, not an entry")
-        digest, _, stderr = run_analyze(dataset, warm_cache, 1)
-        counts = warm_counts(stderr)
-        recomputed = counts == (planned, 0)
-        parsed = loaded_from(manifest_path) == "csv"
-        quarantined = len(damaged) == 2 and all(
-            path.with_name(path.name + ".corrupt").is_file() for path in damaged
-        )
-        match = digest == reference
-        notes = "" if recomputed else f"  {counts} (computed, cached), not all {planned} computed"
-        notes += "" if parsed else "  DAMAGED COLUMNS READ"
-        notes += "" if quarantined else f"  {len(damaged)} FILES, NOT ALL QUARANTINED"
-        print(f"  workers=1 (bad)  {digest}  {'ok' if match else 'MISMATCH'}{notes}")
-        failed = failed or not match or not recomputed or not parsed or not quarantined
+        # The pack and the columns entry, both overwritten with garbage;
+        # then the fresh ones, each with a first member header that no
+        # zip reader can read.
+        for label, damage in (
+            ("bad", {"pack": garbage, "columns": garbage}),
+            ("hdr", {"pack": unsupported_method, "columns": encrypted_flag}),
+        ):
+            ok, line = damaged_rerun(dataset, warm_cache, planned, reference, damage)
+            print(f"  workers=1 ({label})  {line}")
+            failed = failed or not ok
 
         # An edited parser must not read the entry the old one wrote; the
         # pack's key does not cover the parser, so no walk is computed.
