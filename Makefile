@@ -198,23 +198,28 @@ vector-parity:
 # The HB-analysis bit-identity gate: repro-analyze stdout must match the
 # digest pinned in tools/analyze_parity.py, hash identically at workers
 # 1/2/4 (each cold run parsing the CSV and leaving one evaluation-cache
-# pack and one columns entry) and at workers 2 with a crash-injected
-# worker (REPRO_FAULT_SPEC=<path>/0:exit:1, the manifest reporting a
-# pool rebuild), a warm rerun against the populated cache must match
-# while reading the columns entry, computing zero walks and counting no
-# LSO detection (hb.level_shifts, hb.outliers_discarded), a rerun over a
-# garbage pack and columns entry, and one over a pack and a columns
-# entry whose first member header no zip reader can read, must each
-# match while parsing the CSV, recomputing every walk and quarantining
-# both files, a rerun by a copy of the source with an edited
-# CSV parser must parse the CSV again, and a CSV that fails to load must
-# be refused twice, storing nothing (see docs/performance.md, "The
-# evaluation cache" and "A warm analysis reads columns", and
-# docs/robustness.md).  The reduced grid keeps `make test` quick; the
-# tool's default invocation (no flags) covers the full default catalog.
+# pack, one columns entry and one report) and at workers 2 with a
+# crash-injected worker (REPRO_FAULT_SPEC=<path>/0:exit:1, the manifest
+# reporting a pool rebuild), a rerun against the populated cache must
+# match while served from the stored report with zero walks computed,
+# a warm rerun without the report must match while reading the columns
+# entry, computing zero walks and counting no LSO detection
+# (hb.level_shifts, hb.outliers_discarded), a rerun over a garbage pack
+# and columns entry, and one over a pack and a columns entry whose first
+# member header no zip reader can read, must each match while parsing
+# the CSV, recomputing every walk and quarantining both files, a rerun
+# over a garbage report and one over a report cut off mid-document must
+# each match while reading the columns entry, quarantining the report
+# and writing it again, a rerun by a copy of the source with an edited
+# CSV parser must miss the report and parse the CSV again, and a CSV
+# that fails to load must be refused twice, storing nothing (see
+# docs/performance.md, "The evaluation cache" and "A warm analysis
+# reads columns", and docs/robustness.md).  The reduced grid keeps
+# `make test` quick; the tool's default invocation (no flags) covers the
+# full default catalog.
 analyze-parity:
 	PYTHONPATH=src $(PYTHON) tools/analyze_parity.py --paths 6 --traces 2 --epochs 60
-	@echo "analyze parity OK (pinned, parallel, crash-recovered, cached, damaged and edited-parser outputs byte-identical; the cached run parsed, walked and segmented nothing; a failed load stored nothing)"
+	@echo "analyze parity OK (pinned, parallel, crash-recovered, report-served, cached, damaged, damaged-report and edited-parser outputs byte-identical; the report and cached runs walked and segmented nothing; a failed load stored nothing)"
 
 # The reduced-scale figure tables: regenerate every table of the
 # benchmark suite from freshly simulated campaigns (2 x 80-epoch May-2004

@@ -69,6 +69,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
+from repro.analysis.reportcache import default_eval_cache_dir
 from repro.core.cachekey import source_fingerprint, stable_fingerprint
 from repro.core.errors import DataError
 from repro.core.store import (
@@ -77,7 +78,6 @@ from repro.core.store import (
     open_archive,
     quarantine,
     read_flat,
-    store_root,
     write_container,
 )
 from repro.core.timeseries import TimeSeries
@@ -88,15 +88,6 @@ from repro.hb.spec import PredictorSpec
 from repro.obs import get_telemetry
 from repro.paths.records import Dataset, Trace
 from repro.testbed import io as dataset_io
-
-#: Environment variable overriding the evaluation-cache location.
-ENV_EVAL_CACHE_DIR = "REPRO_EVAL_CACHE_DIR"
-
-
-def default_eval_cache_dir() -> Path:
-    """The cache root: ``$REPRO_EVAL_CACHE_DIR`` or ``~/.cache/repro/evals``."""
-    return store_root(ENV_EVAL_CACHE_DIR, "evals")
-
 
 # ----------------------------------------------------------------------
 # Units
@@ -449,9 +440,16 @@ class EvaluationCache:
         """The file the pack with ``key`` is (or would be) stored at."""
         return self.root / f"{key}.npz"
 
-    def read_dataset(self, path: str | Path) -> LoadedDataset:
+    def read_dataset(
+        self, path: str | Path, data: bytes | None = None, digest: str | None = None
+    ) -> LoadedDataset:
         """The dataset in the CSV file ``path``, read once, with the
         sha256 of its bytes.
+
+        ``data`` is the file's bytes when the caller has read them
+        already (``repro-analyze`` reads them first, for its report's
+        key), and ``digest`` their sha256 (hex) when it has that too;
+        the file is then not read again, nor the bytes hashed.
 
         The bytes key the columns entry (:func:`columns_key`).  A hit
         reads the entry (:func:`~repro.testbed.io.read_entry`) and parses
@@ -467,8 +465,10 @@ class EvaluationCache:
             OSError, UnicodeDecodeError, DataError: as
                 :func:`~repro.testbed.io.load_dataset` raises them.
         """
-        data = Path(path).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
+        if data is None:
+            data = Path(path).read_bytes()
+        if digest is None:
+            digest = hashlib.sha256(data).hexdigest()
         if self.memory_only:
             return LoadedDataset(dataset_io.load_dataset(path, data), digest, "csv")
         key = columns_key(digest)

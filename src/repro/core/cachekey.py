@@ -95,3 +95,25 @@ def source_fingerprint(*names: str) -> str:
         else:
             sources.append((name, path.read_text(encoding="utf-8")))
     return stable_fingerprint(sources)
+
+
+def package_fingerprint(name: str) -> str:
+    """SHA-256 (hex) over every ``*.py`` file of the package ``name``.
+
+    The package is found as :func:`source_fingerprint` finds a module,
+    and its files are taken at any depth, in path order.  Each file's
+    path relative to the package directory, its length and its bytes go
+    into one running hash, one file at a time, so no canonical string of
+    the whole source is ever built.  Editing, adding, removing or
+    renaming any of them changes the fingerprint.
+    """
+    spec = find_spec(name)
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError(f"no package {name!r}")
+    root = Path(spec.submodule_search_locations[0])
+    digest = hashlib.sha256()
+    for file in sorted(root.rglob("*.py")):
+        data = file.read_bytes()
+        digest.update(f"{file.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()

@@ -3,8 +3,10 @@
 :class:`ServeApp` owns a :class:`~repro.serve.state.ShardedStateStore`
 and exposes it over the routes below.  Every route is counted
 (``serve.requests`` tagged by route, ``serve.bad_requests`` for 4xx)
-and timed (``serve.request_s`` tagged by route; both instruments are
-looked up once per route and registry); the live registry is
+and timed (``serve.request_s`` tagged by route), and the ingest and
+predict routes count what they did (``serve.ingested`` samples,
+``serve.predictions``); every instrument is looked up once per route
+and registry.  The live registry is
 exported at ``/metrics`` in OpenMetrics text form, and the same
 counters land in the ``kind: "serve"`` shutdown manifest the CLI
 writes.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 import uuid
 from time import monotonic, perf_counter
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.errors import DataError
 from repro.formulas.fb_predictor import MODEL_VARIANTS, answer_fb
@@ -54,6 +56,27 @@ OPENMETRICS_CONTENT_TYPE = (
 )
 
 _PATHS_RE = re.compile(r"^/paths/([^/]+)(?:/([a-z]+))?$")
+
+#: The counter of what each counting route did, by route.
+_OUTCOMES = {
+    "ingest": "serve.ingested",
+    "predict_hb": "serve.predictions",
+    "predict_fb": "serve.predictions",
+}
+
+
+class _Instruments(NamedTuple):
+    """A route's instruments in one registry."""
+
+    #: ``serve.requests{route}``.
+    requests: Counter
+    #: ``serve.request_s{route}``.
+    request_s: Timer
+    #: the route's :data:`_OUTCOMES` counter (a null one for the rest).
+    outcome: Counter
+
+
+_NULL_INSTRUMENTS = _Instruments(NULL_COUNTER, NULL_TIMER, NULL_COUNTER)
 _FLAG_RE = re.compile(r"--([a-z-]+)")
 
 
@@ -94,7 +117,7 @@ class ServeApp:
         self._started_monotonic = monotonic()
         #: the registry the cached per-route instruments belong to.
         self._registry: MetricsRegistry | None = None
-        self._by_route: dict[str, tuple[Counter, Timer]] = {}
+        self._by_route: dict[str, _Instruments] = {}
 
     # -- dispatch ----------------------------------------------------------
 
@@ -117,29 +140,31 @@ class ServeApp:
                 tele.counter("serve.bad_requests").inc()
             raise
         finally:
-            requests, timer = self._instruments(route)
-            requests.inc()
-            timer.observe(perf_counter() - started)
+            instruments = self._instruments(route)
+            instruments.requests.inc()
+            instruments.request_s.observe(perf_counter() - started)
         return status, payload
 
-    def _instruments(self, route: str) -> tuple[Counter, Timer]:
-        """The route's ``serve.requests`` counter and ``serve.request_s`` timer.
+    def _instruments(self, route: str) -> _Instruments:
+        """The route's instruments in the live registry.
 
         Looked up once per route and registry: draining or resetting the
         telemetry installs a new registry, which the next request reads.
         """
         tele = get_telemetry()
         if not tele.enabled:
-            return NULL_COUNTER, NULL_TIMER
+            return _NULL_INSTRUMENTS
         metrics = tele.metrics
         if metrics is not self._registry:
             self._registry = metrics
             self._by_route = {}
         found = self._by_route.get(route)
         if found is None:
-            found = self._by_route[route] = (
+            outcome = _OUTCOMES.get(route)
+            found = self._by_route[route] = _Instruments(
                 metrics.counter("serve.requests", route=route),
                 metrics.timer("serve.request_s", route=route),
+                NULL_COUNTER if outcome is None else metrics.counter(outcome),
             )
         return found
 
@@ -284,7 +309,7 @@ class ServeApp:
             )
         except DataError as exc:
             raise HttpError(400, _json_field_names(str(exc))) from None
-        get_telemetry().counter("serve.predictions").inc()
+        self._instruments("predict_fb").outcome.inc()
         return 200, answer._asdict()
 
     def _ingest(self, request: HttpRequest, key: str) -> tuple[int, Any]:
@@ -309,8 +334,7 @@ class ServeApp:
             raise HttpError(400, str(exc)) from None
         if trace is not None:
             trace.annotate(key=key)
-        tele = get_telemetry()
-        tele.counter("serve.ingested").inc(summary["accepted"])
+        self._instruments("ingest").outcome.inc(summary["accepted"])
         return 200, summary
 
     def _states_or_404(self, key: str):
@@ -326,12 +350,11 @@ class ServeApp:
             trace.annotate(key=key)
             trace.lap("store")
         name = request.query.get("predictor")
-        tele = get_telemetry()
         if name is None:
             predictions = {n: s.prediction() for n, s in states.items()}
             if trace is not None:
                 trace.lap("predict")
-            tele.counter("serve.predictions").inc()
+            self._instruments("predict_hb").outcome.inc()
             return 200, {"key": key, "predictions": predictions}
         state = states.get(name)
         if state is None:
@@ -343,7 +366,7 @@ class ServeApp:
         prediction = state.prediction()
         if trace is not None:
             trace.lap("predict")
-        tele.counter("serve.predictions").inc()
+        self._instruments("predict_hb").outcome.inc()
         return 200, {
             "key": key,
             "predictor": name,

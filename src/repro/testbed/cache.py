@@ -10,12 +10,13 @@ simulated campaign instead of re-running it.
 
 An entry holds the dataset twice.  Its columns
 (:func:`repro.testbed.io.write_entry`) serve library callers that want a
-:class:`~repro.paths.records.Dataset` (:func:`run_cached`).  Two plain
-members serve the CLI: ``dataset.csv``, the exact bytes
-:func:`~repro.testbed.io.save_dataset` writes for the dataset, and
-``dataset.json``, its label and path, trace and epoch counts.  A CLI hit
-writes those bytes to its output: nothing is parsed or formatted, and
-the hit path loads no numpy.
+:class:`~repro.paths.records.Dataset` (:func:`run_cached`).  A plain
+member, ``dataset.csv``, serves the CLI: the exact bytes
+:func:`~repro.testbed.io.save_dataset` writes for the dataset.  Another,
+``dataset.json``, holds its label and path, trace and epoch counts,
+which both read.  A CLI hit writes the CSV bytes to its output: nothing
+is parsed or formatted, and the hit path loads no numpy.  A library hit
+reads the counts and the columns in one open, and never the CSV.
 
 The cache directory defaults to ``~/.cache/repro/datasets`` and is
 overridden with the ``REPRO_CACHE_DIR`` environment variable (or the
@@ -117,7 +118,8 @@ class CacheEntry:
     Attributes:
         path: the entry file.
         csv: the dataset's CSV, the bytes
-            :func:`~repro.testbed.io.save_dataset` writes for it.
+            :func:`~repro.testbed.io.save_dataset` writes for it; ``None``
+            when the entry was read for its columns instead.
         label: the dataset's label.
         n_paths: distinct paths in the dataset.
         n_traces: traces in the dataset.
@@ -125,7 +127,7 @@ class CacheEntry:
     """
 
     path: Path
-    csv: bytes = field(repr=False)
+    csv: bytes | None = field(repr=False)
     label: str
     n_paths: int
     n_traces: int
@@ -145,20 +147,25 @@ class CacheEntry:
         if self._dataset is None:
             from repro.testbed.io import read_entry
 
-            dataset = read_entry(self.path)
-            held = (
-                dataset.label,
-                len(dataset.path_ids),
-                len(dataset.traces),
-                dataset.n_epochs,
-            )
-            counted = (self.label, self.n_paths, self.n_traces, self.n_epochs)
-            if held != counted:
-                raise DataError(
-                    f"{self.path}: columns hold {held}, {COUNTS_MEMBER} says {counted}"
-                )
-            self._dataset = dataset
+            self._hold(read_entry(self.path))
         return self._dataset
+
+    def _hold(self, dataset: Dataset) -> None:
+        """Keep ``dataset``, read from the entry's columns, as the entry's
+        dataset; a ``DataError`` if its label or counts disagree with
+        ``dataset.json``."""
+        held = (
+            dataset.label,
+            len(dataset.path_ids),
+            len(dataset.traces),
+            dataset.n_epochs,
+        )
+        counted = (self.label, self.n_paths, self.n_traces, self.n_epochs)
+        if held != counted:
+            raise DataError(
+                f"{self.path}: columns hold {held}, {COUNTS_MEMBER} says {counted}"
+            )
+        self._dataset = dataset
 
     def summary(self) -> str:
         """The line :meth:`Dataset.summary` gives for the dataset."""
@@ -168,26 +175,40 @@ class CacheEntry:
         )
 
 
-def read_served(path: Path) -> CacheEntry:
-    """The CSV bytes and counts of the entry at ``path``; no column is read.
+def read_served(path: Path, *, columns: bool = False) -> CacheEntry:
+    """The counts of the entry at ``path`` with its CSV bytes or, with
+    ``columns``, its dataset instead, read in one open.
 
     The CSV member is read whole before this returns, so zip's CRC-32
-    check has passed before a caller writes a byte of it.
+    check has passed before a caller writes a byte of it.  With
+    ``columns`` it is not read at all: the columns are
+    (:func:`~repro.testbed.io.read_columns`), and must agree with the
+    counts.
 
     Raises:
         FileNotFoundError: there is no file at ``path``.
         DataError: it is not an entry: damaged
-            (:func:`~repro.core.store.open_archive`) or malformed counts.
+            (:func:`~repro.core.store.open_archive`), malformed counts,
+            or, with ``columns``, columns that disagree with them.
     """
+    csv = dataset = None
     with open_archive(path, "a dataset entry") as archive:
         counts = json.loads(archive.read(COUNTS_MEMBER))
-        csv = archive.read(CSV_MEMBER)
         label, *numbers = (counts[k] for k in ("label", "paths", "traces", "epochs"))
+        if columns:
+            from repro.testbed.io import read_columns
+
+            dataset = read_columns(archive)
+        else:
+            csv = archive.read(CSV_MEMBER)
     if not isinstance(label, str) or not all(
         type(n) is int and n >= 0 for n in numbers
     ):
         raise DataError(f"{path} has malformed {COUNTS_MEMBER}: {counts!r}")
-    return CacheEntry(path, csv, label, *numbers)
+    entry = CacheEntry(path, csv, label, *numbers)
+    if dataset is not None:
+        entry._hold(dataset)
+    return entry
 
 
 class DatasetCache:
@@ -212,19 +233,16 @@ class DatasetCache:
     def load(self, key: str, *, columns: bool = False) -> CacheEntry | None:
         """Return the cached entry for ``key``, or ``None`` on a miss.
 
-        Reads the entry's CSV bytes and counts (:func:`read_served`);
-        with ``columns`` it also reads its columns now
-        (:meth:`CacheEntry.dataset`), so damage to them is handled here
-        too.  An entry either read rejects (a :class:`DataError`) counts
-        as a miss rather than an error, and is quarantined
-        (:func:`~repro.core.store.quarantine`) under ``cache.corrupt``.
+        Reads the entry's counts and its CSV bytes or, with ``columns``,
+        its columns instead (:func:`read_served`, one open), so damage to
+        what a caller reads is handled here.  An entry the read rejects
+        (a :class:`DataError`) counts as a miss rather than an error, and
+        is quarantined (:func:`~repro.core.store.quarantine`) under
+        ``cache.corrupt``.
         """
         path = self.path_for(key)
         try:
-            entry = read_served(path)
-            if columns:
-                entry.dataset()
-            return entry
+            return read_served(path, columns=columns)
         except FileNotFoundError:
             return None
         except DataError:

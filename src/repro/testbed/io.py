@@ -16,8 +16,9 @@ Format history:
   so ``load_dataset(save_dataset(ds))`` preserves every truth record.
 
 **Entries.**  The dataset cache and the checkpoints keep the same
-columns as ``.npz`` files (:func:`write_entry`, :func:`read_entry`, in
-the container of :mod:`repro.core.store`): exact float64, nothing
+columns as ``.npz`` files (:func:`write_entry`, :func:`read_entry` or,
+in an archive already open, :func:`read_columns`; in the container of
+:mod:`repro.core.store`): exact float64, nothing
 formatted or parsed.  One member per column, concatenated over the
 traces, plus an ``index`` member — UTF-8 JSON of the label, each
 trace's ``[path_id, trace_index, epochs, cuts]`` and every epoch's
@@ -33,7 +34,7 @@ import math
 from collections.abc import Mapping
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -46,6 +47,9 @@ from repro.paths.records import (
     Dataset,
     Trace,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from zipfile import ZipFile
 
 #: The CSV format version (see the format history above).
 FORMAT_VERSION = 2
@@ -418,12 +422,24 @@ def read_entry(path: Path) -> Dataset:
             lengths disagree with the index.
     """
     with open_archive(path, "a dataset entry") as archive:
-        index = json.loads(read_flat(archive, "index", np.uint8).tobytes())
-        arrays = {
-            name: read_flat(archive, name, dtype)
-            for name, dtype in _ENTRY_COLUMNS.items()
-        }
-        return _entry_dataset(index, arrays)
+        return read_columns(archive)
+
+
+def read_columns(archive: ZipFile) -> Dataset:
+    """The dataset whose columns the open entry ``archive`` holds.
+
+    Reads the ``index`` and column members only, so a caller reading
+    its own members of the entry too opens it once.  Damaged or
+    disagreeing columns raise what
+    :func:`~repro.core.store.open_archive` turns into one
+    :class:`~repro.core.errors.DataError` when this is called in its
+    ``with`` body.
+    """
+    index = json.loads(read_flat(archive, "index", np.uint8).tobytes())
+    arrays = {
+        name: read_flat(archive, name, dtype) for name, dtype in _ENTRY_COLUMNS.items()
+    }
+    return _entry_dataset(index, arrays)
 
 
 def _entry_dataset(index: dict, arrays: dict[str, np.ndarray]) -> Dataset:

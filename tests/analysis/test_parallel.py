@@ -383,6 +383,9 @@ class TestFiguresReadByUnit:
 
         monkeypatch.setattr(LsoKernel, "add", counting_add)
         monkeypatch.setattr(repro.hb.evaluate, "vector_walk", counting_walk)
+        # Without its report, the rerun takes every walk from the pack.
+        for report in (tmp_path / "evals").glob("*.report.json"):
+            report.unlink()
         assert analyze.main([str(csv)]) == 0
         warm = capsys.readouterr()
         assert "warm phase: 0 evaluations computed" in warm.err

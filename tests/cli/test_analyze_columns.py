@@ -4,7 +4,10 @@ The evaluation cache keeps one columns entry per distinct CSV
 (:meth:`~repro.analysis.evalcache.EvaluationCache.read_dataset`), keyed
 on the sha256 of the file's bytes and the source of the parser and the
 records.  A rerun on the same bytes reads the entry and parses nothing;
-any other bytes, or an edited parser, parse again.
+any other bytes, or an edited parser, parse again.  A rerun with the
+same figures is served from the run's stored report and reads no
+dataset at all, so the reruns here delete the report first
+(:func:`_forget_reports`).
 """
 
 import hashlib
@@ -61,6 +64,13 @@ def _run(path: Path, capsys, *args: str) -> tuple[str, dict]:
     out = capsys.readouterr().out
     manifest_path, _ = analysis_sidecar_paths(path)
     return out, json.loads(manifest_path.read_text())
+
+
+def _forget_reports(root: Path) -> None:
+    """Delete the stored reports under ``root``: the next run loads the
+    dataset instead of printing what the last one printed."""
+    for report in root.glob("*.report.json"):
+        report.unlink()
 
 
 def _counter(manifest: dict, name: str) -> int:
@@ -133,6 +143,7 @@ class TestAnalyzeReadsColumns:
     def test_rerun_reads_columns_and_prints_the_same(self, small_csv, tmp_path, capsys):
         path = _copy(small_csv, tmp_path)
         cold_out, cold = _run(path, capsys)
+        _forget_reports(tmp_path / "evals")
         warm_out, warm = _run(path, capsys)
         assert warm_out == cold_out
         assert cold["analysis"]["loaded_from"] == "csv"
@@ -144,6 +155,7 @@ class TestAnalyzeReadsColumns:
     def test_a_hit_parses_nothing(self, small_csv, tmp_path, capsys, monkeypatch):
         path = _copy(small_csv, tmp_path)
         cold_out, _ = _run(path, capsys)
+        _forget_reports(tmp_path / "evals")
 
         def refuse(*args, **kwargs):
             raise AssertionError("the CSV was parsed")
@@ -203,11 +215,13 @@ class TestAnalyzeReadsColumns:
         reference, _ = _run(path, capsys)
         (entry,) = (tmp_path / "evals").glob("*.columns.npz")
         damage(entry)
+        _forget_reports(tmp_path / "evals")
         out, manifest = _run(path, capsys)
         assert out == reference
         assert manifest["analysis"]["loaded_from"] == "csv"
         assert _counter(manifest, "evalcache.corrupt") == 1
         assert _entries(tmp_path / "evals") == [entry.name, entry.name + ".corrupt"]
+        _forget_reports(tmp_path / "evals")
         out, manifest = _run(path, capsys)
         assert out == reference
         assert manifest["analysis"]["loaded_from"] == "columns"

@@ -1,10 +1,16 @@
 """Stable fingerprints for cache keys."""
 
+import sys
 from dataclasses import dataclass
+from importlib.util import spec_from_file_location
 
 import pytest
 
-from repro.core.cachekey import canonical_encoding, stable_fingerprint
+from repro.core.cachekey import (
+    canonical_encoding,
+    package_fingerprint,
+    stable_fingerprint,
+)
 from repro.paths.config import may_2004_catalog
 from repro.testbed.campaign import CampaignSettings
 
@@ -62,3 +68,72 @@ class TestStableFingerprint:
         digest = stable_fingerprint({"a": 1})
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
+
+
+class TestPackageFingerprint:
+    """Every ``*.py`` file of a package, at any depth, file by file."""
+
+    @pytest.fixture
+    def package(self, tmp_path, monkeypatch):
+        """A package ``fpkg`` with a subpackage, importable from ``tmp_path``."""
+        root = tmp_path / "fpkg"
+        (root / "sub").mkdir(parents=True)
+        (root / "__init__.py").write_text("")
+        (root / "a.py").write_text("A = 1\n")
+        (root / "sub" / "__init__.py").write_text("")
+        (root / "sub" / "b.py").write_text("B = 2\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "fpkg", raising=False)
+        return root
+
+    def test_deterministic_hex_sha256(self, package):
+        first = package_fingerprint("fpkg")
+        assert first == package_fingerprint("fpkg")
+        assert len(first) == 64 and int(first, 16) >= 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda root: (root / "sub" / "b.py").write_text("B = 3\n"),
+            lambda root: (root / "sub" / "c.py").write_text(""),
+            lambda root: (root / "sub" / "b.py").rename(root / "sub" / "c.py"),
+            lambda root: (root / "a.py").rename(root / "sub" / "a.py"),
+            lambda root: (root / "a.py").unlink(),
+        ],
+        ids=["edited", "added", "renamed", "moved", "removed"],
+    )
+    def test_any_source_file_moves_it(self, package, change):
+        before = package_fingerprint("fpkg")
+        change(package)
+        assert package_fingerprint("fpkg") != before
+
+    def test_other_files_do_not(self, package):
+        before = package_fingerprint("fpkg")
+        (package / "__pycache__").mkdir()
+        (package / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+        (package / "notes.txt").write_text("not source")
+        assert package_fingerprint("fpkg") == before
+
+    def test_follows_the_spec_of_an_imported_package(self, package, monkeypatch):
+        """Found through the package's spec, as :func:`source_fingerprint`
+        finds a module: pointing the spec at a copy reads the copy."""
+        import fpkg
+
+        before = package_fingerprint("fpkg")
+        copy = package.parent / "copy"
+        (copy / "sub").mkdir(parents=True)
+        for file in package.rglob("*.py"):
+            (copy / file.relative_to(package)).write_bytes(file.read_bytes())
+        spec = spec_from_file_location(
+            "fpkg", copy / "__init__.py", submodule_search_locations=[str(copy)]
+        )
+        monkeypatch.setattr(fpkg, "__spec__", spec)
+        assert package_fingerprint("fpkg") == before
+        (copy / "a.py").write_text("A = 2\n")
+        assert package_fingerprint("fpkg") != before
+
+    def test_a_plain_module_is_not_a_package(self):
+        with pytest.raises(ModuleNotFoundError):
+            package_fingerprint("repro.core.cachekey")
+        with pytest.raises(ModuleNotFoundError):
+            package_fingerprint("no_such_package_here")

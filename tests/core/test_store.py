@@ -303,10 +303,15 @@ class CacheEntry(ArchiveKind):
         return DatasetCache(root).store("key", self.dataset)
 
     def read(self, root):
-        entry = DatasetCache(root).load("key", columns=True)
-        if entry is None:
+        """What both readers of an entry get: the CLI its CSV bytes, then
+        :func:`~repro.testbed.cache.run_cached` its columns; ``None`` when
+        either read missed."""
+        cache = DatasetCache(root)
+        served = cache.load("key")
+        columns = served and cache.load("key", columns=True)
+        if columns is None:
             return None
-        return entry.csv, entry.dataset()
+        return served.csv, columns.dataset()
 
     def expected(self):
         return self.csv.read_bytes(), self.dataset

@@ -26,6 +26,7 @@ from repro.hb import lso as lso_module
 from repro.hb import wrappers as wrappers_module
 from repro.hb.lso import LsoConfig, LsoKernel
 from repro.hb.streaming import SERVE_PREDICTORS, PathBundle, StreamingPredictorState
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import QualityTracker
 from repro.obs.telemetry import ENV_OBS, get_telemetry
 from repro.serve.app import ServeApp
@@ -393,6 +394,70 @@ class TestRouteInstruments:
         self.healthz(app)
         monkeypatch.delenv(ENV_OBS)
         assert self.counts() == (1, 1)
+
+    @staticmethod
+    def replay(app, n):
+        """``n`` rounds of one ingest of two samples, one prediction of
+        every predictor and of one, and one FB prediction; the replies'
+        statuses."""
+        statuses = []
+        for k in range(n):
+            for request in (
+                HttpRequest(
+                    "POST", "/paths/p1/samples", {}, {},
+                    json.dumps({"samples": [40.0 + k, 41.0]}).encode(),
+                ),
+                HttpRequest("GET", "/paths/p1/predict", {}, {}),
+                HttpRequest("GET", "/paths/p1/predict", {"predictor": "hw"}, {}),
+                HttpRequest(
+                    "POST", "/predict/fb", {}, {},
+                    json.dumps({"rtt_ms": 80.0, "loss": 0.01}).encode(),
+                ),
+            ):
+                statuses.append(asyncio.run(app.handle(request))[0])
+        return statuses
+
+    @staticmethod
+    def outcomes():
+        tele = get_telemetry()
+        return (
+            tele.counter("serve.ingested").value,
+            tele.counter("serve.predictions").value,
+        )
+
+    def test_outcomes_are_held_with_the_route_instruments(self, monkeypatch):
+        """After one round, the routes look no counter up by name but the
+        one the FB formula counts its model choice in (``repro.formulas``,
+        not the route), and count what they did into the live registry."""
+        app = ServeApp(ShardedStateStore())
+        self.replay(app, 1)
+        lookups = []
+        counter = MetricsRegistry.counter
+
+        def recording(registry, name, **tags):
+            lookups.append(name)
+            return counter(registry, name, **tags)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", recording)
+        assert self.replay(app, 5) == [200] * 20
+        assert lookups == ["fb.model_selected"] * 5
+        monkeypatch.undo()
+        assert self.outcomes() == (12, 18)
+        metrics = asyncio.run(app.handle(HttpRequest("GET", "/metrics", {}, {})))[1]
+        lines = metrics.body.decode().splitlines()
+        assert "repro_serve_ingested_total 12" in lines
+        assert "repro_serve_predictions_total 18" in lines
+
+    def test_outcomes_count_into_the_new_registry_after_drain(self):
+        app = ServeApp(ShardedStateStore())
+        self.replay(app, 2)
+        drained = get_telemetry().drain()
+        assert {"name": "serve.ingested", "tags": {}, "value": 4} in drained["counters"]
+        assert {"name": "serve.predictions", "tags": {}, "value": 6} in (
+            drained["counters"]
+        )
+        self.replay(app, 1)
+        assert self.outcomes() == (2, 3)
 
 
 def test_a_follower_cannot_be_fed_outside_its_bundle():

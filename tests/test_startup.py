@@ -6,7 +6,9 @@ loads on a dataset-cache miss, before any fork.  A dataset-cache hit
 writes the stored CSV bytes, so it loads neither numpy nor the records,
 the writer, the checkpoint store or the engine; a fully cached warm
 phase loads no engine, and a dataset read from its columns entry no
-CSV parser.  The footprint checks run in a fresh interpreter: this process
+CSV parser.  An analysis served from its stored report writes the stored
+text, so it loads neither numpy nor the renderers, the warm phase, the
+predictors, the records or the columns entry.  The footprint checks run in a fresh interpreter: this process
 has imported everything already.
 """
 
@@ -123,8 +125,16 @@ class TestWarmFootprint:
         assert not loaded
 
     def test_warm_analysis_imports_no_engine_pool_or_campaign(self, primed):
+        """A report miss (the figures listed, not left out) over the
+        primed pack and columns entry."""
         root, csv = primed
-        modules = warm_modules(root, "repro.cli.analyze", str(csv), "--workers", "1")
+        figures = ["--figures", *map(str, sorted(analyze.FIGURES))]
+        modules = warm_modules(
+            root, "repro.cli.analyze", str(csv), *figures, "--workers", "1"
+        )
+        manifest = json.loads(csv.with_suffix(".analysis.manifest.json").read_text())
+        assert manifest["analysis"]["loaded_from"] == "columns"
+        assert manifest["analysis"]["warm_computed"] == 0
         loaded = modules & {
             "multiprocessing",
             "concurrent.futures.process",
@@ -139,6 +149,44 @@ class TestWarmFootprint:
             "csv",
         }
         assert not loaded
+
+    def test_report_hit_imports_no_numpy_renderers_or_columns(self, primed):
+        root, csv = primed
+        modules = warm_modules(root, "repro.cli.analyze", str(csv))
+        manifest = json.loads(csv.with_suffix(".analysis.manifest.json").read_text())
+        assert manifest["analysis"]["loaded_from"] == "report"
+        loaded = modules & {
+            "numpy",
+            "repro.analysis.fb_eval",
+            "repro.analysis.hb_eval",
+            "repro.analysis.evalcache",
+            "repro.analysis.figures",
+            "repro.analysis.parallel",
+            "repro.hb",
+            "repro.paths.records",
+            "repro.testbed.io",
+            "csv",
+            "multiprocessing",
+        }
+        assert not loaded
+
+
+#: Import the analysis CLI and build its parser; the help it prints.
+PARSER_PROBE = """
+import json, sys
+from repro.cli import analyze
+parser = analyze.build_parser()
+built = sorted(sys.modules)
+json.dump({"modules": built, "help": parser.format_help()}, sys.stdout)
+"""
+
+
+def test_analysis_cli_parser_loads_no_numpy_or_renderer(tmp_path):
+    """``--help`` still names the figures, read only as it is printed."""
+    result = json.loads(run_fresh(tmp_path, "-c", PARSER_PROBE).stdout)
+    assert not set(result["modules"]) & {"numpy", "repro.analysis.figures"}
+    help_text = " ".join(result["help"].split())
+    assert f"(available: {sorted(analyze.FIGURES)})" in help_text
 
 
 #: A 2-path x 2-trace x 10-epoch campaign, over a pool of 2 and then

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from importlib.util import spec_from_file_location
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from repro.core.errors import DataError
 from repro.testbed.io import dataset_csv
 from repro.testbed.cache import (
     COUNTS_MEMBER,
+    CSV_MEMBER,
     DatasetCache,
     campaign_cache_key,
     default_cache_dir,
@@ -34,6 +36,9 @@ from tests.testbed.entry_damage import (
 )
 
 SETTINGS = CampaignSettings(n_traces=1, epochs_per_trace=4)
+
+#: Damage to the stored CSV alone, which only a reader of it can see.
+CSV_DAMAGE = ["flipped-csv-byte", "missing-csv"]
 
 
 def small_campaign(seed=0, n_paths=2):
@@ -255,7 +260,7 @@ class TestDatasetCache:
         assert entry.with_name(entry.name + ".corrupt").is_file()
         assert cache.load(key).dataset() == simulated
 
-    @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+    @pytest.mark.parametrize("damage", sorted(set(CACHE_DAMAGE) - set(CSV_DAMAGE)))
     def test_damaged_entry_is_quarantined_and_resimulated(
         self, tmp_path, telemetry, damage
     ):
@@ -276,6 +281,50 @@ class TestDatasetCache:
         assert counter_value(telemetry, "cache.corrupt") == 1
         assert cache.load(key).dataset() == simulated
         assert not Tripwire.tripped
+
+    @pytest.mark.parametrize("damage", CSV_DAMAGE)
+    def test_damaged_csv_is_quarantined_by_its_reader_only(
+        self, tmp_path, telemetry, damage
+    ):
+        """:func:`run_cached` reads the columns, never the stored CSV, so
+        damage to the CSV alone leaves its hit whole; the CLI's read of
+        the CSV (``columns=False``) quarantines the entry."""
+        cache = DatasetCache(tmp_path)
+        key = campaign_cache_key(small_campaign(), SETTINGS)
+        simulated, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
+        entry = cache.path_for(key)
+        CACHE_DAMAGE[damage](entry)
+        telemetry.drain()
+        served, hit = run_cached(small_campaign(), SETTINGS, cache=cache)
+        assert hit and served == simulated
+        assert counter_value(telemetry, "cache.corrupt") == 0
+        assert cache.load(key) is None
+        assert entry.with_name(entry.name + ".corrupt").is_file()
+        assert counter_value(telemetry, "cache.corrupt") == 1
+
+    def test_columns_hit_reads_counts_and_columns_in_one_open(
+        self, tmp_path, monkeypatch
+    ):
+        cache = DatasetCache(tmp_path)
+        simulated, _ = run_cached(small_campaign(), SETTINGS, cache=cache)
+        opened, members = [], []
+        init, open_member = zipfile.ZipFile.__init__, zipfile.ZipFile.open
+
+        def recording_init(self, file, *args, **kwargs):
+            opened.append(file)
+            init(self, file, *args, **kwargs)
+
+        def recording_open(self, name, *args, **kwargs):
+            members.append(getattr(name, "filename", name))
+            return open_member(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile.ZipFile, "__init__", recording_init)
+        monkeypatch.setattr(zipfile.ZipFile, "open", recording_open)
+        served, hit = run_cached(small_campaign(), SETTINGS, cache=cache)
+        assert hit and served == simulated
+        assert len(opened) == 1
+        assert COUNTS_MEMBER in members and "index.npy" in members
+        assert CSV_MEMBER not in members
 
     def test_store_and_load_roundtrip(self, tmp_path):
         cache = DatasetCache(tmp_path)

@@ -4,27 +4,35 @@ Builds one campaign dataset, then runs ``repro-analyze`` on it: a cold
 run at one worker (the reference), a cold run at each further requested
 worker count (each against a fresh evaluation-cache directory), a cold
 run at two workers whose first job kills its worker process
-(``REPRO_FAULT_SPEC="<first trace's path>/0:exit:1"``), a warm rerun
-against the reference's now-populated cache, a rerun after that cache's
-pack and columns entry were overwritten with garbage, a rerun after the
-first member header of the pack named an unsupported compression method
-and that of the columns entry set the encrypted flag, and a rerun by a
-copy of the source whose CSV parser (``repro/testbed/io.py``) carries
-one more comment.  Every run's rendered stdout must be *byte-identical*
-to the reference.  Each cold run must leave exactly one pack file and
-one columns entry, and its analysis manifest must say the dataset was
-parsed (``analysis.loaded_from: "csv"``); the crashed run's manifest
-must report at least one ``analysis.pool_rebuilds``; the warm rerun
-must have read the columns entry (``"columns"``), computed nothing
+(``REPRO_FAULT_SPEC="<first trace's path>/0:exit:1"``), a rerun against
+the reference's now-populated cache, served from its stored report; a
+warm rerun with that report deleted; a rerun after the pack and columns
+entry were overwritten with garbage, and one after the first member
+header of the pack named an unsupported compression method and that of
+the columns entry set the encrypted flag (each with the report deleted
+first); a rerun after the report was overwritten with garbage, and one
+after it was cut off mid-document; and a rerun by a copy of the source
+whose CSV parser (``repro/testbed/io.py``) carries one more comment.
+Every run's rendered stdout must be *byte-identical* to the reference.
+Each cold run must leave exactly one pack file, one columns entry and
+one report, and its analysis manifest must say the dataset was parsed
+(``analysis.loaded_from: "csv"``); the crashed run's manifest must
+report at least one ``analysis.pool_rebuilds``; the report rerun must
+have been served from it (``"report"``) with nothing computed; the warm
+rerun must have read the columns entry (``"columns"``), computed nothing
 (every HB walk comes out of the pack) and counted no LSO detection
 (``hb.level_shifts`` and ``hb.outliers_discarded`` absent or 0: no
 figure re-segments a trace); each damaged rerun must have parsed the CSV
 again, recomputed every walk and left both damaged files, byte for
-byte, as ``*.corrupt``; the edited-parser rerun must have parsed the CSV again
-(the entry's key covers the parser's source) and computed nothing (the
-pack's does not).  Finally a copy of the dataset with one cell made
-``nan`` in its last row must be refused (exit 2) twice, leaving no file
-in the cache: a failed load stores nothing to be served later.
+byte, as ``*.corrupt``; each damaged-report rerun must have read the
+columns entry, computed nothing, counted one ``evalcache.corrupt``, left
+the damaged report as ``*.corrupt`` and written it again; the
+edited-parser rerun must have missed the report (its key covers every
+source file), parsed the CSV again (the entry's key covers the parser's
+source) and computed nothing (the pack's does not).  Finally a copy of
+the dataset with one cell made ``nan`` in its last row must be refused
+(exit 2) twice, leaving no file in the cache: a failed load stores
+nothing to be served later.
 
 Runs that agree with each other can still agree on a changed output, so
 the reference itself is checked against :data:`PINNED`, the stdout
@@ -123,18 +131,33 @@ def loaded_from(manifest_path: Path) -> str | None:
 
 
 def one_pack(cache_dir: Path, manifest_path: Path) -> tuple[bool, str]:
-    """Whether a cold run left exactly one pack and one columns entry
-    (and nothing else), having parsed the CSV."""
+    """Whether a cold run left exactly one pack, one columns entry and
+    one report (and nothing else), having parsed the CSV."""
     names = sorted(p.name for p in cache_dir.iterdir())
     entries = [name for name in names if name.endswith(".columns.npz")]
     packs = [name for name in names if name.endswith(".npz") and name not in entries]
+    reports = [name for name in names if name.endswith(".report.json")]
     source = loaded_from(manifest_path)
-    ok = len(names) == 2 and len(entries) == len(packs) == 1 and source == "csv"
+    ok = (
+        len(names) == 3
+        and len(entries) == len(packs) == len(reports) == 1
+        and source == "csv"
+    )
     return ok, "" if ok else f"  CACHE DIR HOLDS {names}, LOADED FROM {source}"
+
+
+def forget_report(cache_dir: Path) -> None:
+    """Delete the stored report: the next run loads, walks and renders."""
+    for report in cache_dir.glob("*.report.json"):
+        report.unlink()
 
 
 def garbage(path: Path) -> None:
     path.write_bytes(b"garbage, not an entry")
+
+
+def truncated(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
 def damaged_rerun(
@@ -144,6 +167,7 @@ def damaged_rerun(
     maps ``"pack"`` and ``"columns"`` to a function of the path), rerun,
     and check: the reference output, every walk recomputed, the CSV
     parsed, and each damaged file quarantined as it was left."""
+    forget_report(cache_dir)
     damaged = {}
     for path in cache_dir.glob("*.npz"):
         damage["columns" if path.name.endswith(".columns.npz") else "pack"](path)
@@ -163,6 +187,35 @@ def damaged_rerun(
     notes += "" if parsed else "  DAMAGED COLUMNS READ"
     notes += "" if quarantined else f"  {len(damaged)} FILES, NOT ALL QUARANTINED"
     ok = match and recomputed and parsed and quarantined
+    return ok, f"{digest}  {'ok' if match else 'MISMATCH'}{notes}"
+
+
+def damaged_report_rerun(
+    dataset: Path, cache_dir: Path, walks: int | None, reference: str, damage
+) -> tuple[bool, str]:
+    """Damage the report in ``cache_dir`` with ``damage``, rerun, and
+    check: the reference output, read from the columns entry with every
+    walk taken from the pack, one ``evalcache.corrupt``, the damaged
+    report quarantined as it was left and a report written again."""
+    (report,) = cache_dir.glob("*.report.json")
+    damage(report)
+    data = report.read_bytes()
+    digest, _, stderr = run_analyze(dataset, cache_dir, 1)
+    manifest_path, _ = analysis_sidecar_paths(dataset)
+    counts = warm_counts(stderr)
+    cached = counts == (0, walks)
+    source = loaded_from(manifest_path)
+    corrupt = report.with_name(report.name + ".corrupt")
+    quarantined = (
+        counter(manifest_path, "evalcache.corrupt") == 1
+        and corrupt.read_bytes() == data
+        and report.is_file()
+    )
+    match = digest == reference
+    notes = "" if cached else f"  {counts} (computed, cached), not 0 and {walks}"
+    notes += "" if source == "columns" else f"  LOADED FROM {source}"
+    notes += "" if quarantined else "  REPORT NOT QUARANTINED AND REWRITTEN"
+    ok = match and cached and source == "columns" and quarantined
     return ok, f"{digest}  {'ok' if match else 'MISMATCH'}{notes}"
 
 
@@ -274,6 +327,19 @@ def main(argv: list[str] | None = None) -> int:
         )
         failed = failed or not match or not rebuilds
 
+        # The same inputs again: the stored report answers, as it was.
+        digest, _, stderr = run_analyze(dataset, warm_cache, 1)
+        counts = warm_counts(stderr)
+        served = counts == (0, planned) and loaded_from(manifest_path) == "report"
+        match = digest == reference
+        print(
+            f"  workers=1 (rpt)  {digest}  {'ok' if match else 'MISMATCH'}"
+            f"{'' if served else f'  NOT SERVED FROM THE REPORT {counts}'}"
+        )
+        failed = failed or not match or not served
+
+        # Without the report: the columns entry and the pack answer.
+        forget_report(warm_cache)
         digest, _, stderr = run_analyze(dataset, warm_cache, 1)
         counts = warm_counts(stderr)
         cached_ok = counts is not None and counts[0] == 0
@@ -304,16 +370,26 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  workers=1 ({label})  {line}")
             failed = failed or not ok
 
-        # An edited parser must not read the entry the old one wrote; the
-        # pack's key does not cover the parser, so no walk is computed.
+        # The report, overwritten with garbage, then cut off mid-document.
+        for label, damage in (("rpt-bad", garbage), ("rpt-cut", truncated)):
+            ok, line = damaged_report_rerun(
+                dataset, warm_cache, planned, reference, damage
+            )
+            print(f"  workers=1 ({label}) {line}")
+            failed = failed or not ok
+
+        # An edited parser must not read the report or the entry the old
+        # code wrote; the pack's key does not cover the parser, so no walk
+        # is computed.
         edited_src = with_edited_parser(workdir)
         digest, _, stderr = run_analyze(dataset, warm_cache, 1, src=edited_src)
         counts = warm_counts(stderr)
         cached_ok = counts is not None and counts[0] == 0
-        parsed = loaded_from(manifest_path) == "csv"
+        source = loaded_from(manifest_path)
+        parsed = source == "csv"
         match = digest == reference
         notes = "" if cached_ok else f"  RECOMPUTED {counts} (computed, cached)"
-        notes += "" if parsed else "  STALE COLUMNS READ BY AN EDITED PARSER"
+        notes += "" if parsed else f"  STALE {source.upper()} READ BY AN EDITED PARSER"
         print(f"  workers=1 (edit) {digest}  {'ok' if match else 'MISMATCH'}{notes}")
         failed = failed or not match or not cached_ok or not parsed
 
@@ -339,16 +415,19 @@ def main(argv: list[str] | None = None) -> int:
     if failed:
         print(
             "analyze-parity FAILED: runs disagree, drift from the pin, a "
-            "crashed worker's pool was not rebuilt, the warm run re-ran LSO "
-            "detection or parsed the CSV, or the cache misbehaved",
+            "crashed worker's pool was not rebuilt, the rerun was not served "
+            "from its report, the warm run re-ran LSO detection or parsed the "
+            "CSV, or the cache misbehaved",
             file=sys.stderr,
         )
         return 1
     print(
-        "analyze-parity OK: all runs byte-identical, one pack and one columns "
-        "entry per cold run, crashed worker's pool rebuilt, warm run fully "
-        "cached with no LSO detection and no CSV parse, damaged files "
-        "recomputed, edited parser parsed again, unloadable CSV stored nothing"
+        "analyze-parity OK: all runs byte-identical, one pack, one columns "
+        "entry and one report per cold run, crashed worker's pool rebuilt, "
+        "rerun served from its report, warm run fully cached with no LSO "
+        "detection and no CSV parse, damaged files recomputed, damaged "
+        "reports quarantined and rewritten, edited parser parsed again, "
+        "unloadable CSV stored nothing"
     )
     return 0
 
